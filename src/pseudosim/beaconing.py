@@ -63,7 +63,7 @@ class DeactivationNotice:
 Message = Union[Cam, Denm, DeactivationNotice]
 
 
-@dataclass
+@dataclass(slots=True)
 class LdmEntry:
     station_id: str
     scope: AppScope
@@ -84,10 +84,19 @@ class LocalDynamicMap:
             self._entries.pop(msg.station_id, None)
             return
         if isinstance(msg, Cam):
-            entry = LdmEntry(msg.station_id, AppScope.CAM, now, msg.position, msg.velocity)
+            scope, velocity = AppScope.CAM, msg.velocity
         else:
-            entry = LdmEntry(msg.station_id, AppScope.DENM, now, msg.position, (0.0, 0.0))
-        self._entries[msg.station_id] = entry
+            scope, velocity = AppScope.DENM, (0.0, 0.0)
+        entry = self._entries.get(msg.station_id)
+        if entry is None:
+            self._entries[msg.station_id] = LdmEntry(
+                msg.station_id, scope, now, msg.position, velocity
+            )
+        else:  # refresh in place; the entry keeps its slot in the table
+            entry.scope = scope
+            entry.last_seen = now
+            entry.position = msg.position
+            entry.velocity = velocity
 
     def evict_expired(self, now: float) -> int:
         dead = [
@@ -128,17 +137,14 @@ def ldm_quality(
     belongs to it, and awareness is the fraction of neighbors represented by
     exactly one live entry. With no neighbors in range awareness is 1.0.
     """
-    live = [e for e in ldm.live_entries(now) if e.scope == AppScope.CAM]
-    ghost = sum(1 for e in live if e.station_id not in active_station_ids)
-    per_neighbor: dict[int, int] = {vid: 0 for vid in neighbor_ids}
-    for e in live:
-        owner = owner_of.get(e.station_id)
+    live = [e.station_id for e in ldm.live_entries(now) if e.scope is AppScope.CAM]
+    ghost = len([sid for sid in live if sid not in active_station_ids])
+    per_neighbor: dict[int, int] = dict.fromkeys(neighbor_ids, 0)
+    for sid in live:
+        owner = owner_of.get(sid)
         if owner in per_neighbor:
             per_neighbor[owner] += 1
-    missing = sum(1 for c in per_neighbor.values() if c == 0)
-    if per_neighbor:
-        aware = sum(1 for c in per_neighbor.values() if c == 1)
-        ratio = aware / len(per_neighbor)
-    else:
-        ratio = 1.0
+    counts = list(per_neighbor.values())
+    missing = counts.count(0)
+    ratio = counts.count(1) / len(counts) if counts else 1.0
     return LdmQuality(ghost_count=ghost, missing_count=missing, awareness_ratio=ratio)

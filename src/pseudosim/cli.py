@@ -170,11 +170,8 @@ def _load_sweep_spec(path: str) -> tuple[dict, dict, int, int]:
     base = spec.get("base")
     if isinstance(base, str):
         base_path = os.path.join(os.path.dirname(os.path.abspath(path)), base)
-        try:
-            with open(base_path, "r", encoding="utf-8") as fh:
-                base = json.load(fh)
-        except FileNotFoundError:
-            raise
+        with open(base_path, "r", encoding="utf-8") as fh:
+            base = json.load(fh)
     elif not isinstance(base, dict):
         violations.append("base: must be a path or an inline config object")
         base = {}

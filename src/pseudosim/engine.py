@@ -491,6 +491,8 @@ class SimulationEngine:
             vid for vid, v in self.vehicles.items() if not v.done
         )
         positions = {vid: self.vehicles[vid].kin.position for vid in receivers}
+        # one neighbour pass per tick serves delivery and quality sampling
+        neighbors = mob.neighbor_lists(positions, radio)
         # deletions land before refreshes; within a kind, sender id then emission order
         kind_rank = {bcn.DeactivationNotice: 0, bcn.Cam: 1, bcn.Denm: 2}
         ordered = sorted(
@@ -518,22 +520,24 @@ class SimulationEngine:
                 )
             if self.trace_rows is not None:
                 self.trace_rows.append(_trace_row(sender_id, msg))
-            for rid in receivers:
-                if rid == sender_id:
-                    continue
-                if math.dist(positions[rid], sender_pos) > radio:
-                    continue
+            in_range = neighbors.get(sender_id)
+            if in_range is None:  # notice from a vehicle that finished this tick
+                in_range = [
+                    rid for rid in receivers if math.dist(positions[rid], sender_pos) <= radio
+                ]
+            for rid in in_range:
                 if loss > 0.0 and rng.random() < loss:
                     self.bump("messages_lost")
                     continue
                 self.vehicles[rid].ldm.receive(msg, now)
         # receiver-side upkeep and truth-referenced quality sampling
+        active_ids = frozenset(self.active_ids)
         any_ghost = False
         any_missing = False
         for vid in receivers:
             veh = self.vehicles[vid]
             veh.ldm.evict_expired(now)
-            sample = self._quality_for(veh, now)
+            sample = self._score_ldm(veh, neighbors[vid], active_ids, now)
             if sample is None:
                 continue
             quality, n_neighbors = sample
@@ -552,6 +556,7 @@ class SimulationEngine:
             self.missing_ticks += 1
 
     def _quality_for(self, veh: _Vehicle, now: float):
+        """One receiver's LDM quality, from scratch (the lock validator's path)."""
         positions = {
             vid: v.kin.position
             for vid, v in self.vehicles.items()
@@ -560,15 +565,13 @@ class SimulationEngine:
         neighbors = mob.region_query(
             positions, veh.kin.position, self.cfg.beaconing.radio_range_m
         )
+        return self._score_ldm(veh, neighbors, frozenset(self.active_ids), now)
+
+    def _score_ldm(self, veh: _Vehicle, neighbors: list, active_ids: frozenset, now: float):
+        """(quality, neighbour count), or None with no neighbours and an empty LDM."""
         if not neighbors and not veh.ldm.live_entries(now):
             return None
-        quality = bcn.ldm_quality(
-            veh.ldm,
-            neighbors,
-            self.owner_of,
-            frozenset(self.active_ids),
-            now,
-        )
+        quality = bcn.ldm_quality(veh.ldm, neighbors, self.owner_of, active_ids, now)
         return quality, len(neighbors)
 
     # --- run -------------------------------------------------------------------

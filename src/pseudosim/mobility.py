@@ -193,6 +193,25 @@ def region_query(
     return sorted(out)
 
 
+def neighbor_lists(positions: Mapping[int, Point], radius_m: float) -> dict[int, list[int]]:
+    """Every vehicle's peers within the closed ball, ascending, self excluded.
+
+    Each unordered pair is measured once: ``math.dist`` is symmetric, so each
+    list equals ``region_query`` around that vehicle over the others.
+    """
+    ids = sorted(positions)
+    out: dict[int, list[int]] = {vid: [] for vid in ids}
+    dist = math.dist
+    for i, a in enumerate(ids):
+        pa = positions[a]
+        near_a = out[a]
+        for b in ids[i + 1:]:
+            if dist(pa, positions[b]) <= radius_m:
+                near_a.append(b)
+                out[b].append(a)
+    return out
+
+
 def positioning_noise(
     position: Point, sigma_m: float, rng: np.random.Generator
 ) -> Point:

@@ -272,11 +272,15 @@ class PoolError(ValueError):
 
 @dataclass
 class _ScopePool:
-    tickets: list[AuthorizationTicket] = field(default_factory=list)
-    ids: set = field(default_factory=set)
+    tickets: list[AuthorizationTicket] = field(default_factory=list)  # issue order
+    position: dict[str, int] = field(default_factory=dict)  # at_id -> index in tickets
     retired: set = field(default_factory=set)
     active_at_id: Optional[str] = None
     cursor: int = -1
+    # index of the tickets that can still become usable, in issue order
+    live: list[AuthorizationTicket] = field(default_factory=list)
+    pruned_at: float = -math.inf
+    prune_due: float = math.inf  # earliest valid_until in live; -inf after a retirement
 
 
 class PseudonymPool:
@@ -286,6 +290,18 @@ class PseudonymPool:
     previously used one; ``no_reuse`` never re-activates a retired ticket.
     Either way the pool must keep at least ``min_concurrent_valid`` valid
     tickets on hand, and replenishment tops it back up to ``target_size``.
+
+    Queries cost O(live tickets), not O(issued): each scope indexes the
+    tickets that can still become usable. The index holds every ticket usable
+    at any time at or after ``pruned_at``, the ``now`` of its last prune. A
+    query at ``now >= pruned_at`` prunes it lazily: it drops tickets with
+    ``valid_until <= now`` and, under ``no_reuse``, retired tickets. Neither
+    can be usable again later, so queries at non-decreasing ``now`` (the only
+    pattern the engine has) never miss a ticket. Pruning runs only once a
+    ticket in the index has expired or one has been retired since the last
+    prune. A query with ``now < pruned_at`` may need a dropped ticket, so it
+    falls back to a full scan of every ticket ever issued and leaves the
+    index as it is.
     """
 
     def __init__(
@@ -313,10 +329,12 @@ class PseudonymPool:
     def add_batch(self, scope: AppScope, batch: Sequence[AuthorizationTicket]) -> None:
         pool = self._scopes[scope]
         for t in batch:
-            if t.at_id in pool.ids:
+            if t.at_id in pool.position:
                 raise PoolError(f"duplicate ticket {t.at_id}")
-            pool.ids.add(t.at_id)
+            pool.position[t.at_id] = len(pool.tickets)
             pool.tickets.append(t)
+            pool.live.append(t)
+            pool.prune_due = min(pool.prune_due, t.valid_until)
 
     def _usable(self, pool: _ScopePool, t: AuthorizationTicket, now: float) -> bool:
         if not t.is_valid_at(now):
@@ -325,9 +343,24 @@ class PseudonymPool:
             return False
         return True
 
+    def _valid(self, pool: _ScopePool, now: float) -> list[AuthorizationTicket]:
+        """Usable tickets at ``now`` in issue order, from the index when it can serve."""
+        if now < pool.pruned_at:
+            return [t for t in pool.tickets if self._usable(pool, t, now)]
+        if now >= pool.prune_due:
+            no_reuse = self.selection == SELECTION_NO_REUSE
+            pool.live = [
+                t
+                for t in pool.live
+                if now < t.valid_until and not (no_reuse and t.at_id in pool.retired)
+            ]
+            pool.pruned_at = now
+            pool.prune_due = min((t.valid_until for t in pool.live), default=math.inf)
+        # every indexed ticket now has valid_until > now and is not barred by retirement
+        return [t for t in pool.live if t.valid_from <= now]
+
     def valid_tickets(self, scope: AppScope, now: float) -> list[AuthorizationTicket]:
-        pool = self._scopes[scope]
-        return [t for t in pool.tickets if self._usable(pool, t, now)]
+        return self._valid(self._scopes[scope], now)
 
     def valid_count(self, scope: AppScope, now: float) -> int:
         return len(self.valid_tickets(scope, now))
@@ -339,49 +372,34 @@ class PseudonymPool:
         pool = self._scopes[scope]
         if pool.active_at_id is None:
             return None
-        for t in pool.tickets:
-            if t.at_id == pool.active_at_id and t.is_valid_at(now):
-                return t
-        return None
+        t = pool.tickets[pool.position[pool.active_at_id]]
+        return t if t.is_valid_at(now) else None
 
     def select_next(self, scope: AppScope, now: float) -> Optional[AuthorizationTicket]:
         """Pick the replacement ticket without activating it yet.
 
         Never returns the currently active ticket (a change must change the
         identifier). Returns None when the discipline has nothing to offer.
+        ``no_reuse`` takes the first usable ticket in issue order;
+        ``round_robin`` the first one after the cursor, wrapping around.
         """
         pool = self._scopes[scope]
-        if self.selection == SELECTION_NO_REUSE:
-            for t in pool.tickets:
-                if self._usable(pool, t, now) and t.at_id != pool.active_at_id:
-                    return t
-            return None
-        n = len(pool.tickets)
-        for step in range(1, n + 1):
-            idx = (pool.cursor + step) % n
-            t = pool.tickets[idx]
-            if self._usable(pool, t, now) and t.at_id != pool.active_at_id:
-                return t
-        return None
+        candidates = [t for t in self._valid(pool, now) if t.at_id != pool.active_at_id]
+        if self.selection == SELECTION_ROUND_ROBIN:
+            after = [t for t in candidates if pool.position[t.at_id] > pool.cursor]
+            candidates = after or candidates
+        return candidates[0] if candidates else None
 
     def activate(self, scope: AppScope, ticket: AuthorizationTicket) -> None:
         pool = self._scopes[scope]
-        if ticket.at_id not in pool.ids:
+        if ticket.at_id not in pool.position:
             raise PoolError(f"ticket {ticket.at_id} not in pool")
         if pool.active_at_id is not None:
             pool.retired.add(pool.active_at_id)
+            if self.selection == SELECTION_NO_REUSE:
+                pool.prune_due = -math.inf
         pool.active_at_id = ticket.at_id
-        pool.cursor = next(
-            i for i, t in enumerate(pool.tickets) if t.at_id == ticket.at_id
-        )
-
-    def retire_active(self, scope: AppScope) -> Optional[str]:
-        pool = self._scopes[scope]
-        old = pool.active_at_id
-        if old is not None:
-            pool.retired.add(old)
-            pool.active_at_id = None
-        return old
+        pool.cursor = pool.position[ticket.at_id]
 
     def needs_replenish(self, scope: AppScope, now: float) -> bool:
         return self.valid_count(scope, now) < self.min_concurrent_valid

@@ -34,3 +34,14 @@ def run_cached():
         return _RUN_CACHE[name]
 
     return _run
+
+
+@pytest.fixture(scope="session")
+def silence_sweep(tmp_path_factory, scenarios_dir):
+    """The checked-in silence sweep, run once per test session."""
+    from pseudosim import cli
+
+    out = tmp_path_factory.mktemp("silence-sweep")
+    spec = str(scenarios_dir / "sweeps" / "silence_sweep.json")
+    assert cli.main(["sweep", "--spec", spec, "--out", str(out), "--parallel", "4"]) == 0
+    return out

@@ -77,14 +77,6 @@ def suite(run_cached):
     return {name: run_cached(name) for name in SUITE}
 
 
-@pytest.fixture(scope="module")
-def silence_sweep(tmp_path_factory, scenarios_dir):
-    out = tmp_path_factory.mktemp("silence-sweep")
-    spec = str(scenarios_dir / "sweeps" / "silence_sweep.json")
-    assert cli.main(["sweep", "--spec", spec, "--out", str(out), "--parallel", "4"]) == 0
-    return out
-
-
 def _read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudosim.mobility import (
     RoadNetwork,
@@ -7,6 +9,7 @@ from pseudosim.mobility import (
     RoadSegment,
     RouteCursor,
     TripState,
+    neighbor_lists,
     positioning_noise,
     region_query,
     step_kinematics,
@@ -133,6 +136,23 @@ def test_region_query_closed_ball():
     assert region_query(positions, (0.0, 0.0), 5.0) == [1, 3]
     assert region_query(positions, (0.0, 0.0), 4.9) == [1]
     assert region_query({}, (0.0, 0.0), 5.0) == []
+
+
+# integer coordinates put many pairs at exactly the radius (3-4-5 triangles)
+_coords = st.tuples(st.integers(-12, 12).map(float), st.integers(-12, 12).map(float))
+
+
+@given(
+    positions=st.dictionaries(st.integers(0, 30), _coords, max_size=12),
+    radius=st.sampled_from([0.0, 1.0, 5.0, 7.5, 10.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_neighbor_lists_match_region_query(positions, radius):
+    lists = neighbor_lists(positions, radius)
+    assert sorted(lists) == sorted(positions)
+    for vid, pos in positions.items():
+        others = {k: p for k, p in positions.items() if k != vid}
+        assert lists[vid] == region_query(others, pos, radius)
 
 
 def test_positioning_noise_sigma_zero_consumes_nothing():

@@ -343,6 +343,96 @@ def test_min_valid_count_spans_scopes():
     assert pool.replenish_need(AppScope.DENM, 0.0) == 3
 
 
+class _ScanPool:
+    """Reference pool for one scope: every query scans every ticket ever issued."""
+
+    def __init__(self, selection):
+        self.selection = selection
+        self.tickets = []
+        self.retired = set()
+        self.active = None
+        self.cursor = -1
+
+    def usable(self, t, now):
+        if not t.valid_from <= now < t.valid_until:
+            return False
+        return not (self.selection == "no_reuse" and t.at_id in self.retired)
+
+    def valid_tickets(self, now):
+        return [t for t in self.tickets if self.usable(t, now)]
+
+    def select_next(self, now):
+        n = len(self.tickets)
+        start = -1 if self.selection == "no_reuse" else self.cursor
+        for step in range(1, n + 1):
+            t = self.tickets[(start + step) % n]
+            if self.usable(t, now) and t.at_id != self.active:
+                return t
+        return None
+
+    def activate(self, t):
+        if self.active is not None:
+            self.retired.add(self.active)
+        self.active = t.at_id
+        self.cursor = next(i for i, u in enumerate(self.tickets) if u.at_id == t.at_id)
+
+
+_half_steps = st.integers(0, 24).map(lambda k: k / 2.0)  # hits validity edges exactly
+_pool_ops = st.lists(
+    st.one_of(
+        # a batch issued at the clock: (valid_from offset, lifetime) per ticket
+        st.tuples(
+            st.just("add"),
+            st.lists(st.tuples(st.integers(-4, 4).map(lambda k: k / 2.0), _half_steps.map(lambda x: x + 0.5)), min_size=1, max_size=4),
+        ),
+        st.tuples(st.just("change"), st.booleans()),  # True: at an earlier now
+        st.tuples(st.just("query"), _half_steps),  # advance the clock, then query
+        st.tuples(st.just("past"), _half_steps),  # query this far before the clock
+    ),
+    max_size=60,
+)
+
+
+@pytest.mark.parametrize("selection", ["no_reuse", "round_robin"])
+@given(ops=_pool_ops, back=_half_steps)
+@settings(max_examples=200, deadline=None)
+def test_pool_matches_full_scan_reference(selection, ops, back):
+    pool = PseudonymPool(selection, 2, 5, [AppScope.CAM])
+    ref = _ScanPool(selection)
+    clock = 0.0
+    issued = 0
+
+    def ids(tickets):
+        return [t.at_id for t in tickets]
+
+    def agree(now):
+        assert ids(pool.valid_tickets(AppScope.CAM, now)) == ids(ref.valid_tickets(now))
+        assert pool.valid_count(AppScope.CAM, now) == len(ref.valid_tickets(now))
+        pick, expected = pool.select_next(AppScope.CAM, now), ref.select_next(now)
+        assert (pick and pick.at_id) == (expected and expected.at_id)
+        return pick
+
+    for op, arg in ops:
+        if op == "add":
+            batch = []
+            for offset, lifetime in arg:
+                batch.append(ticket(f"t{issued}", clock + offset, clock + offset + lifetime))
+                issued += 1
+            pool.add_batch(AppScope.CAM, batch)
+            ref.tickets.extend(batch)
+        elif op == "change":
+            pick = agree(max(0.0, clock - back) if arg else clock)
+            if pick is not None:
+                pool.activate(AppScope.CAM, pick)
+                ref.activate(pick)
+        elif op == "query":
+            clock += arg
+            agree(clock)
+        else:
+            agree(clock - arg)
+    agree(clock)
+
+
 def test_replenish_pool_via_core_respects_batch_cap():
     core = ServiceBasedCore(seed=2, config=SbaConfig(at_batch_cap=4))
     supi = Supi(b"\x01" * 16)
