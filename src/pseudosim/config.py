@@ -5,19 +5,30 @@ every violation is reported as ``field: message`` so a bad file fails loudly
 and completely rather than one complaint at a time. The canonical form (all
 defaults materialized, keys sorted) is what gets digested into run summaries,
 so two configs that mean the same thing hash the same.
+
+Each field is stated once. Its default lives on its dataclass (the change
+policies in ``strategy``, ``SbaConfig`` in ``sba``, the rest here); its kind
+and bounds live in that section's table in ``_SCHEMA``. One generic reader
+(``_read``) turns a JSON section into dataclass arguments from the two, and
+one generic walk (``ScenarioConfig.canonical_dict``) turns the dataclasses
+back into plain data. Rules that relate several fields are written out in
+``load_scenario`` and its section parsers.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
-from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Any, Collection, Optional, Union
 
+from .adversary import CoveragePost
 from .mobility import RoadNetwork, RoadNetworkError, RoadSegment
-from .sba import SCHEME_ASYMMETRIC, SCHEME_MAC
+from .sba import SCHEME_ASYMMETRIC, SCHEME_MAC, SbaConfig
 from .strategy import (
     ChangePolicy,
     NetworkTriggeredPolicy,
@@ -76,16 +87,6 @@ class PoolConfig:
 
 
 @dataclass(frozen=True)
-class SbaSettings:
-    token_ttl_s: float = 300.0
-    sig_scheme: str = SCHEME_MAC
-    ec_lifetime_s: float = 86400.0
-    at_lifetime_s: float = 600.0
-    at_stagger_s: float = 0.0
-    at_batch_cap: int = 64
-
-
-@dataclass(frozen=True)
 class LockEvent:
     vehicle_id: int
     t: float
@@ -111,126 +112,34 @@ class AdversaryConfig:
     anonymity_region_m: float = 500.0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioConfig:
-    name: str
+    name: str = "scenario"
     seed: int
     duration_s: float
-    tick_s: float
+    tick_s: float = 0.05
     road: RoadNetwork
     fleet: tuple[VehicleSpec, ...]
     beaconing: BeaconingConfig
     policy: PolicyConfig
     pool: PoolConfig
-    sba: SbaSettings
+    sba: SbaConfig
     locks: LockConfig
     adversary: AdversaryConfig
 
     def canonical_dict(self) -> dict:
         """Fully-defaulted plain-dict form; key order fixed by json sort."""
-        pol = self.policy.policy
-        policy_obj: dict[str, Any] = {"kind": pol.kind}
-        if isinstance(pol, PeriodicPolicy):
-            policy_obj["interval_s"] = pol.interval_s
-        elif isinstance(pol, SegmentPolicy):
-            policy_obj.update(
-                second_change_min_m=pol.second_change_min_m,
-                second_change_max_m=pol.second_change_max_m,
-                subsequent_min_distance_m=pol.subsequent_min_distance_m,
-                subsequent_time_min_s=pol.subsequent_time_min_s,
-                subsequent_time_max_s=pol.subsequent_time_max_s,
-            )
-        elif isinstance(pol, SynchronizedPolicy):
-            policy_obj.update(interval_s=pol.interval_s, window_s=pol.window_s)
-        elif isinstance(pol, NetworkTriggeredPolicy):
-            policy_obj.update(
-                min_interval_s=pol.min_interval_s,
-                coordination_interval_s=pol.coordination_interval_s,
-                max_silent_fraction=pol.max_silent_fraction,
-            )
-        policy_obj["silence_s"] = self.policy.silence_s
-        policy_obj["notify_deactivation"] = self.policy.notify_deactivation
-
-        coverage = self.adversary.coverage
-        if coverage != "full":
-            coverage = [
-                {"x": c[0], "y": c[1], "radius_m": c[2]} for c in coverage
-            ]
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "tick_s": self.tick_s,
-            "road": {
-                "segments": [
-                    {
-                        "id": seg.segment_id,
-                        "start": list(seg.start),
-                        "end": list(seg.end),
-                        "speed_limit_mps": seg.speed_limit_mps,
-                    }
-                    for seg in sorted(
-                        self.road.segments.values(), key=lambda s: s.segment_id
-                    )
-                ]
-            },
-            "fleet": [
-                {
-                    "vehicle_id": v.vehicle_id,
-                    "route": list(v.route),
-                    "speed_mps": v.speed_mps,
-                    "depart_s": v.depart_s,
-                    "length_m": v.length_m,
-                    "width_m": v.width_m,
-                    "clock_skew_s": v.clock_skew_s,
-                }
-                for v in self.fleet
-            ],
-            "beaconing": {
-                "cam_freq_hz": self.beaconing.cam_freq_hz,
-                "denm_interval_s": self.beaconing.denm_interval_s,
-                "radio_range_m": self.beaconing.radio_range_m,
-                "ldm_timeout_s": self.beaconing.ldm_timeout_s,
-                "positioning_sigma_m": self.beaconing.positioning_sigma_m,
-                "loss_rate": self.beaconing.loss_rate,
-            },
-            "policy": policy_obj,
-            "pool": {
-                "size": self.pool.size,
-                "min_concurrent_valid": self.pool.min_concurrent_valid,
-                "selection": self.pool.selection,
-            },
-            "sba": {
-                "token_ttl_s": self.sba.token_ttl_s,
-                "sig_scheme": self.sba.sig_scheme,
-                "ec_lifetime_s": self.sba.ec_lifetime_s,
-                "at_lifetime_s": self.sba.at_lifetime_s,
-                "at_stagger_s": self.sba.at_stagger_s,
-                "at_batch_cap": self.sba.at_batch_cap,
-            },
-            "locks": {
-                "renewal_threshold": self.locks.renewal_threshold,
-                "validator_awareness_min": self.locks.validator_awareness_min,
-                "events": [
-                    {
-                        "vehicle_id": e.vehicle_id,
-                        "t": e.t,
-                        "app_id": e.app_id,
-                        "duration_s": e.duration_s,
-                    }
-                    for e in self.locks.events
-                ],
-            },
-            "adversary": {
-                "coverage": coverage,
-                "sigma0_m": self.adversary.sigma0_m,
-                "beta_m_per_s": self.adversary.beta_m_per_s,
-                "no_match_cost": self.adversary.no_match_cost,
-                "max_gap_s": self.adversary.max_gap_s,
-                "use_quasi_identifiers": self.adversary.use_quasi_identifiers,
-                "anonymity_region_m": self.adversary.anonymity_region_m,
-            },
-        }
+        out = _plain(self)
+        policy = out["policy"]
+        policy.update(policy.pop("policy"), kind=self.policy.policy.kind)
+        segments = sorted(self.road.segments.values(), key=lambda s: s.segment_id)
+        out["road"] = {"segments": [_plain(seg) for seg in segments]}
+        for seg in out["road"]["segments"]:
+            seg["id"] = seg.pop("segment_id")
+        if self.adversary.coverage != "full":
+            posts = [_plain(CoveragePost(*post)) for post in self.adversary.coverage]
+            out["adversary"]["coverage"] = posts
+        return out
 
     def canonical_json(self) -> str:
         return json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
@@ -244,7 +153,174 @@ class ScenarioConfig:
         return load_scenario(obj)
 
 
-# --- parsing helpers ----------------------------------------------------------
+def _plain(value: Any) -> Any:
+    """Dataclasses to dicts of their fields and tuples to lists, recursively."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    names = _names(type(value))
+    return {n: _plain(getattr(value, n)) for n in names} if names else value
+
+
+@functools.cache
+def _names(cls: type) -> tuple[str, ...]:
+    """The field names of a dataclass in order; empty for any other type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else ()
+
+
+# --- field kinds ----------------------------------------------------------------
+
+
+class _Invalid(Exception):
+    pass
+
+
+class _Kind:
+    """How a table row reads one JSON value: a type check, then bounds."""
+
+    null_is_default = False  # whether null reads as an absent field
+    missing = "required"  # the violation for an absent field without a default
+
+    def __init__(self, *, gt=None, ge=None, le=None):
+        self.bounds = [(op, b) for op, b in ((">", gt), (">=", ge), ("<=", le)) if b is not None]
+
+    def parse(self, value):
+        value = self.convert(value)
+        for op, bound in self.bounds:
+            if not _HOLDS[op](value, bound):
+                raise _Invalid(f"must be {op} {bound}")
+        return value
+
+
+class _Num(_Kind):
+    """A finite number, stored as float."""
+
+    null_is_default = True
+
+    def convert(self, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _Invalid("must be a number")
+        value = float(value)
+        if not math.isfinite(value):
+            raise _Invalid("must be finite")
+        return value
+
+
+class _Int(_Kind):
+    def convert(self, value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise _Invalid("must be an integer")
+        return value
+
+
+class _Bool(_Kind):
+    def convert(self, value):
+        if not isinstance(value, bool):
+            raise _Invalid("must be a boolean")
+        return value
+
+
+class _Choice(_Kind):
+    def __init__(self, *choices: str):
+        super().__init__()
+        self.choices = choices
+
+    def convert(self, value):
+        if not isinstance(value, str) or value not in self.choices:
+            raise _Invalid(f"must be one of {list(self.choices)}")
+        return value
+
+
+class _Text(_Kind):
+    """A non-empty string."""
+
+    missing = "must be a non-empty string"
+
+    def convert(self, value):
+        if not isinstance(value, str) or not value:
+            raise _Invalid(self.missing)
+        return value
+
+
+_HOLDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+_POLICIES = {
+    cls.kind: cls
+    for cls in (PeriodicPolicy, SegmentPolicy, SynchronizedPolicy, NetworkTriggeredPolicy)
+}
+
+# One table per section: field name -> kind and bounds. Fields without a row
+# (routes, lock events, coverage, the policy object) are parsed by hand.
+_SCHEMA: dict[type, dict[str, _Kind]] = {
+    ScenarioConfig: {
+        "name": _Text(),
+        "seed": _Int(ge=0),
+        "duration_s": _Num(gt=0.0),
+        "tick_s": _Num(gt=0.0),
+    },
+    VehicleSpec: {
+        "vehicle_id": _Int(ge=0),
+        "speed_mps": _Num(gt=0.0),
+        "depart_s": _Num(ge=0.0),
+        "length_m": _Num(gt=0.0),
+        "width_m": _Num(gt=0.0),
+        "clock_skew_s": _Num(),
+    },
+    BeaconingConfig: {
+        "cam_freq_hz": _Num(gt=0.0, le=MAX_CAM_FREQ_HZ),
+        "denm_interval_s": _Num(gt=0.0),  # defaults to None, so null keeps DENMs off
+        "radio_range_m": _Num(gt=0.0),
+        "ldm_timeout_s": _Num(gt=0.0),
+        "positioning_sigma_m": _Num(ge=0.0),
+        "loss_rate": _Num(ge=0.0, le=0.999),
+    },
+    PolicyConfig: {"silence_s": _Num(ge=0.0), "notify_deactivation": _Bool()},
+    PeriodicPolicy: {"interval_s": _Num(gt=0.0)},
+    SegmentPolicy: {
+        "second_change_min_m": _Num(gt=0.0),
+        "second_change_max_m": _Num(gt=0.0),
+        "subsequent_min_distance_m": _Num(gt=0.0),
+        "subsequent_time_min_s": _Num(gt=0.0),
+        "subsequent_time_max_s": _Num(gt=0.0),
+    },
+    SynchronizedPolicy: {"interval_s": _Num(gt=0.0), "window_s": _Num(gt=0.0)},
+    NetworkTriggeredPolicy: {
+        "min_interval_s": _Num(gt=0.0),
+        "coordination_interval_s": _Num(gt=0.0),
+        "max_silent_fraction": _Num(ge=0.0, le=1.0),
+    },
+    PoolConfig: {
+        "size": _Int(ge=1),
+        "min_concurrent_valid": _Int(ge=2),
+        "selection": _Choice(SELECTION_NO_REUSE, SELECTION_ROUND_ROBIN),
+    },
+    SbaConfig: {
+        "token_ttl_s": _Num(gt=0.0),
+        "sig_scheme": _Choice(SCHEME_MAC, SCHEME_ASYMMETRIC),
+        "ec_lifetime_s": _Num(gt=0.0),
+        "at_lifetime_s": _Num(gt=0.0),
+        "at_stagger_s": _Num(ge=0.0),
+        "at_batch_cap": _Int(ge=1),
+    },
+    LockConfig: {"renewal_threshold": _Int(ge=1), "validator_awareness_min": _Num(ge=0.0, le=1.0)},
+    LockEvent: {
+        "vehicle_id": _Int(ge=0),
+        "t": _Num(ge=0.0),
+        "app_id": _Text(),
+        "duration_s": _Num(gt=0.0, le=MAX_LOCK_EVENT_S),
+    },
+    AdversaryConfig: {
+        "sigma0_m": _Num(gt=0.0),
+        "beta_m_per_s": _Num(ge=0.0),
+        "no_match_cost": _Num(gt=0.0),
+        "max_gap_s": _Num(gt=0.0),
+        "use_quasi_identifiers": _Bool(),
+        "anonymity_region_m": _Num(gt=0.0),
+    },
+    CoveragePost: {"x": _Num(), "y": _Num(), "radius_m": _Num(gt=0.0)},
+}
+
+
+# --- reading ----------------------------------------------------------------------
 
 
 class _Ctx:
@@ -252,9 +328,7 @@ class _Ctx:
         self.strict = strict
         self.violations: list[str] = []
 
-    def err(self, path: str, message: str, *, unknown: bool = False) -> None:
-        if unknown and not self.strict:
-            return
+    def err(self, path: str, message: str) -> None:
         self.violations.append(f"{path}: {message}")
 
 
@@ -263,150 +337,76 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _section(obj: Any, path: str, allowed: set[str], ctx: _Ctx) -> dict:
+def _section(obj: Any, path: str, allowed: Collection[str], ctx: _Ctx) -> dict:
     if obj is None:
         return {}
     if not isinstance(obj, dict):
         ctx.err(path, "must be an object")
         return {}
     for key in sorted(obj):
-        if key not in allowed:
-            ctx.err(_join(path, key), "unknown field", unknown=True)
+        if key not in allowed and ctx.strict:
+            ctx.err(_join(path, key), "unknown field")
     return obj
 
 
-def _num(obj: dict, key: str, path: str, ctx: _Ctx, default=None, *,
-         required=False, minimum=None, maximum=None, exclusive_min=None,
-         allow_none=False):
-    if key not in obj or obj[key] is None:
-        if key in obj and obj[key] is None and allow_none:
-            return None
-        if required:
-            ctx.err(_join(path, key), "required")
-            return default
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        ctx.err(_join(path, key), "must be a number")
-        return default
-    value = float(value)
-    if not math.isfinite(value):
-        ctx.err(_join(path, key), "must be finite")
-        return default
-    if exclusive_min is not None and value <= exclusive_min:
-        ctx.err(_join(path, key), f"must be > {exclusive_min}")
-        return default
-    if minimum is not None and value < minimum:
-        ctx.err(_join(path, key), f"must be >= {minimum}")
-        return default
-    if maximum is not None and value > maximum:
-        ctx.err(_join(path, key), f"must be <= {maximum}")
-        return default
-    return value
+def _field(kind: _Kind, obj: dict, key: str, path: str, ctx: _Ctx, default=MISSING):
+    """One value read by its table row; on error, the default (None if there is none)."""
+    fallback = None if default is MISSING else default
+    if key not in obj or (obj[key] is None and kind.null_is_default):
+        if default is MISSING:
+            ctx.err(_join(path, key), kind.missing)
+        return fallback
+    try:
+        return kind.parse(obj[key])
+    except _Invalid as exc:
+        ctx.err(_join(path, key), str(exc))
+        return fallback
 
 
-def _int(obj: dict, key: str, path: str, ctx: _Ctx, default=None, *,
-         required=False, minimum=None):
-    if key not in obj:
-        if required:
-            ctx.err(_join(path, key), "required")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        ctx.err(_join(path, key), "must be an integer")
-        return default
-    if minimum is not None and value < minimum:
-        ctx.err(_join(path, key), f"must be >= {minimum}")
-        return default
-    return value
+@functools.cache
+def _rows(cls: type) -> tuple[tuple[str, _Kind, Any], ...]:
+    """Name, kind and default of each field of ``cls`` that its table lists."""
+    table = _SCHEMA[cls]
+    return tuple((f.name, table[f.name], f.default) for f in fields(cls) if f.name in table)
 
 
-def _bool(obj: dict, key: str, path: str, ctx: _Ctx, default: bool) -> bool:
-    if key not in obj:
-        return default
-    value = obj[key]
-    if not isinstance(value, bool):
-        ctx.err(_join(path, key), "must be a boolean")
-        return default
-    return value
+def _values(cls: type, obj: dict, path: str, ctx: _Ctx, *only: str) -> dict:
+    """Keyword arguments for ``cls`` from its table's fields, or just ``only``."""
+    return {
+        name: _field(kind, obj, name, path, ctx, default)
+        for name, kind, default in _rows(cls)
+        if not only or name in only
+    }
 
 
-def _str_choice(obj: dict, key: str, path: str, ctx: _Ctx, default: str,
-                choices: tuple[str, ...]) -> str:
-    value = obj.get(key, default)
-    if not isinstance(value, str) or value not in choices:
-        ctx.err(_join(path, key), f"must be one of {list(choices)}")
-        return default
-    return value
+def _read(cls: type, obj: Any, path: str, ctx: _Ctx) -> dict:
+    """Reject the unknown fields of a section, then read its table's fields."""
+    return _values(cls, _section(obj, path, _names(cls), ctx), path, ctx)
+
+
+def _in_run(t: float, duration_s: float, tick_s: float) -> bool:
+    """Whether ``t`` falls on one of the ``round(duration_s / tick_s)`` ticks run."""
+    if t >= duration_s:
+        return False
+    # a tick longer than the run is reported on its own; compare times only
+    return tick_s > duration_s or round(t / tick_s) < round(duration_s / tick_s)
 
 
 def _parse_policy(obj: Optional[dict], ctx: _Ctx) -> PolicyConfig:
-    allowed = {
-        "kind", "silence_s", "notify_deactivation",
-        "interval_s", "window_s",
-        "second_change_min_m", "second_change_max_m",
-        "subsequent_min_distance_m", "subsequent_time_min_s", "subsequent_time_max_s",
-        "min_interval_s", "coordination_interval_s", "max_silent_fraction",
-    }
-    obj = _section(obj, "policy", allowed, ctx)
-    kind = _str_choice(
-        obj, "kind", "policy", ctx, "periodic",
-        ("periodic", "segment", "synchronized", "network_triggered"),
-    )
-    silence_s = _num(obj, "silence_s", "policy", ctx, default=0.0, minimum=0.0)
-    notify = _bool(obj, "notify_deactivation", "policy", ctx, default=False)
-
-    def reject_foreign(own: set[str]) -> None:
-        foreign = set(obj) - own - {"kind", "silence_s", "notify_deactivation"}
-        for key in sorted(foreign):
-            ctx.err(f"policy.{key}", f"not a {kind} policy field")
-
-    policy: ChangePolicy
-    if kind == "periodic":
-        reject_foreign({"interval_s"})
-        policy = PeriodicPolicy(
-            interval_s=_num(obj, "interval_s", "policy", ctx, default=300.0, exclusive_min=0.0)
-        )
-    elif kind == "segment":
-        reject_foreign({
-            "second_change_min_m", "second_change_max_m",
-            "subsequent_min_distance_m", "subsequent_time_min_s", "subsequent_time_max_s",
-        })
-        lo = _num(obj, "second_change_min_m", "policy", ctx, default=800.0, exclusive_min=0.0)
-        hi = _num(obj, "second_change_max_m", "policy", ctx, default=1500.0, exclusive_min=0.0)
-        tlo = _num(obj, "subsequent_time_min_s", "policy", ctx, default=120.0, exclusive_min=0.0)
-        thi = _num(obj, "subsequent_time_max_s", "policy", ctx, default=360.0, exclusive_min=0.0)
-        if hi < lo:
+    shared = {"kind"} | set(_SCHEMA[PolicyConfig])
+    own = {name for cls in _POLICIES.values() for name in _names(cls)}
+    obj = _section(obj, "policy", shared | own, ctx)
+    kind = _field(_Choice(*_POLICIES), obj, "kind", "policy", ctx, PolicyConfig().policy.kind)
+    cls = _POLICIES[kind]
+    for key in sorted(set(obj) - set(_names(cls)) - shared):
+        ctx.err(f"policy.{key}", f"not a {kind} policy field")
+    policy = cls(**_values(cls, obj, "policy", ctx))
+    if isinstance(policy, SegmentPolicy):
+        if policy.second_change_max_m < policy.second_change_min_m:
             ctx.err("policy.second_change_max_m", "must be >= second_change_min_m")
-        if thi < tlo:
+        if policy.subsequent_time_max_s < policy.subsequent_time_min_s:
             ctx.err("policy.subsequent_time_max_s", "must be >= subsequent_time_min_s")
-        policy = SegmentPolicy(
-            second_change_min_m=lo,
-            second_change_max_m=hi,
-            subsequent_min_distance_m=_num(
-                obj, "subsequent_min_distance_m", "policy", ctx, default=800.0, exclusive_min=0.0
-            ),
-            subsequent_time_min_s=tlo,
-            subsequent_time_max_s=thi,
-        )
-    elif kind == "synchronized":
-        reject_foreign({"interval_s", "window_s"})
-        policy = SynchronizedPolicy(
-            interval_s=_num(obj, "interval_s", "policy", ctx, default=300.0, exclusive_min=0.0),
-            window_s=_num(obj, "window_s", "policy", ctx, default=10.0, exclusive_min=0.0),
-        )
-    else:
-        reject_foreign({"min_interval_s", "coordination_interval_s", "max_silent_fraction"})
-        policy = NetworkTriggeredPolicy(
-            min_interval_s=_num(obj, "min_interval_s", "policy", ctx, default=300.0, exclusive_min=0.0),
-            coordination_interval_s=_num(
-                obj, "coordination_interval_s", "policy", ctx, default=1.0, exclusive_min=0.0
-            ),
-            max_silent_fraction=_num(
-                obj, "max_silent_fraction", "policy", ctx, default=0.5, minimum=0.0, maximum=1.0
-            ),
-        )
-    return PolicyConfig(policy=policy, silence_s=silence_s, notify_deactivation=notify)
+    return PolicyConfig(policy=policy, **_values(PolicyConfig, obj, "policy", ctx))
 
 
 def _parse_road(obj: Optional[dict], ctx: _Ctx) -> Optional[RoadNetwork]:
@@ -419,9 +419,8 @@ def _parse_road(obj: Optional[dict], ctx: _Ctx) -> Optional[RoadNetwork]:
     for i, row in enumerate(rows):
         path = f"road.segments[{i}]"
         row = _section(row, path, {"id", "start", "end", "speed_limit_mps"}, ctx)
-        sid = row.get("id")
-        if not isinstance(sid, str) or not sid:
-            ctx.err(f"{path}.id", "must be a non-empty string")
+        sid = _field(_Text(), row, "id", path, ctx)
+        if sid is None:
             continue
         try:
             start = (float(row["start"][0]), float(row["start"][1]))
@@ -429,10 +428,9 @@ def _parse_road(obj: Optional[dict], ctx: _Ctx) -> Optional[RoadNetwork]:
         except (KeyError, TypeError, ValueError, IndexError):
             ctx.err(path, "start/end must be [x, y] pairs")
             continue
-        limit = _num(row, "speed_limit_mps", path, ctx, default=None, required=True, exclusive_min=0.0)
-        if limit is None:
-            continue
-        segments.append(RoadSegment(sid, start, end, limit))
+        limit = _field(_Num(gt=0.0), row, "speed_limit_mps", path, ctx)
+        if limit is not None:
+            segments.append(RoadSegment(sid, start, end, limit))
     if ctx.violations:
         # cheap structural errors first; skip network build on broken input
         return None
@@ -444,21 +442,18 @@ def _parse_road(obj: Optional[dict], ctx: _Ctx) -> Optional[RoadNetwork]:
 
 
 def _parse_fleet(
-    rows: Any, road: Optional[RoadNetwork], duration_s: Optional[float], ctx: _Ctx
+    rows: Any, road: Optional[RoadNetwork], duration_s: Optional[float], tick_s: float, ctx: _Ctx
 ) -> tuple[VehicleSpec, ...]:
     if not isinstance(rows, list) or not rows:
         ctx.err("fleet", "must be a non-empty array")
         return ()
     fleet = []
     seen: set[int] = set()
-    allowed = {
-        "vehicle_id", "route", "speed_mps", "depart_s",
-        "length_m", "width_m", "clock_skew_s",
-    }
     for i, row in enumerate(rows):
+        # each stage is read only if the one before it passed
         path = f"fleet[{i}]"
-        row = _section(row, path, allowed, ctx)
-        vid = _int(row, "vehicle_id", path, ctx, required=True, minimum=0)
+        row = _section(row, path, _names(VehicleSpec), ctx)
+        vid = _values(VehicleSpec, row, path, ctx, "vehicle_id")["vehicle_id"]
         if vid is None:
             continue
         if vid in seen:
@@ -475,66 +470,57 @@ def _parse_fleet(
             except RoadNetworkError as exc:
                 ctx.err(f"{path}.route", str(exc))
                 continue
-        speed = _num(row, "speed_mps", path, ctx, required=True, exclusive_min=0.0)
-        depart = _num(row, "depart_s", path, ctx, default=0.0, minimum=0.0)
-        if duration_s is not None and depart is not None and depart >= duration_s:
+        spec = _values(VehicleSpec, row, path, ctx, "speed_mps", "depart_s")
+        if duration_s is not None and not _in_run(spec["depart_s"], duration_s, tick_s):
             ctx.err(f"{path}.depart_s", "must be before the end of the run")
-        if speed is None or depart is None:
+        if spec["speed_mps"] is None:
             continue
-        fleet.append(
-            VehicleSpec(
-                vehicle_id=vid,
-                route=tuple(route),
-                speed_mps=speed,
-                depart_s=depart,
-                length_m=_num(row, "length_m", path, ctx, default=4.5, exclusive_min=0.0),
-                width_m=_num(row, "width_m", path, ctx, default=1.8, exclusive_min=0.0),
-                clock_skew_s=_num(row, "clock_skew_s", path, ctx, default=0.0),
-            )
-        )
+        spec.update(_values(VehicleSpec, row, path, ctx, "length_m", "width_m", "clock_skew_s"))
+        fleet.append(VehicleSpec(vehicle_id=vid, route=tuple(route), **spec))
     return tuple(fleet)
 
 
+def _parse_locks(
+    obj: Optional[dict], fleet: tuple[VehicleSpec, ...], duration_s: Optional[float],
+    tick_s: float, ctx: _Ctx,
+) -> LockConfig:
+    obj = _section(obj, "locks", _names(LockConfig), ctx)
+    rows = obj.get("events", [])
+    if not isinstance(rows, list):
+        ctx.err("locks.events", "must be an array")
+        rows = []
+    departs = {v.vehicle_id: round(v.depart_s / tick_s) for v in fleet}
+    events = []
+    for i, row in enumerate(rows):
+        path = f"locks.events[{i}]"
+        ev = _read(LockEvent, row, path, ctx)
+        vid = ev["vehicle_id"]
+        if vid is not None and fleet and vid not in departs:
+            ctx.err(f"{path}.vehicle_id", f"no such vehicle {vid}")
+        elif None in ev.values():
+            continue
+        elif duration_s is not None and not _in_run(ev["t"], duration_s, tick_s):
+            ctx.err(f"{path}.t", "must be before the end of the run")
+        elif vid in departs and round(ev["t"] / tick_s) < departs[vid]:
+            ctx.err(f"{path}.t", f"must not be before vehicle {vid} departs")
+        else:
+            events.append(LockEvent(**ev))
+    return LockConfig(events=tuple(events), **_values(LockConfig, obj, "locks", ctx))
+
+
 def _parse_adversary(obj: Optional[dict], ctx: _Ctx) -> AdversaryConfig:
-    allowed = {
-        "coverage", "sigma0_m", "beta_m_per_s", "no_match_cost",
-        "max_gap_s", "use_quasi_identifiers", "anonymity_region_m",
-    }
-    obj = _section(obj, "adversary", allowed, ctx)
-    coverage: Union[str, tuple] = "full"
-    raw = obj.get("coverage", "full")
-    if raw == "full":
-        coverage = "full"
-    elif isinstance(raw, list):
-        posts = []
-        for i, row in enumerate(raw):
-            path = f"adversary.coverage[{i}]"
-            row = _section(row, path, {"x", "y", "radius_m"}, ctx)
-            x = _num(row, "x", path, ctx, required=True)
-            y = _num(row, "y", path, ctx, required=True)
-            r = _num(row, "radius_m", path, ctx, required=True, exclusive_min=0.0)
-            if None not in (x, y, r):
-                posts.append((x, y, r))
-        coverage = tuple(posts)
-    else:
+    obj = _section(obj, "adversary", _names(AdversaryConfig), ctx)
+    coverage = obj.get("coverage", "full")
+    if isinstance(coverage, list):
+        posts = [
+            _read(CoveragePost, row, f"adversary.coverage[{i}]", ctx)
+            for i, row in enumerate(coverage)
+        ]
+        coverage = tuple(tuple(p.values()) for p in posts if None not in p.values())
+    elif coverage != "full":
         ctx.err("adversary.coverage", 'must be "full" or an array of posts')
-    return AdversaryConfig(
-        coverage=coverage,
-        sigma0_m=_num(obj, "sigma0_m", "adversary", ctx, default=1.0, exclusive_min=0.0),
-        beta_m_per_s=_num(obj, "beta_m_per_s", "adversary", ctx, default=2.0, minimum=0.0),
-        no_match_cost=_num(obj, "no_match_cost", "adversary", ctx, default=50.0, exclusive_min=0.0),
-        max_gap_s=_num(obj, "max_gap_s", "adversary", ctx, default=30.0, exclusive_min=0.0),
-        use_quasi_identifiers=_bool(obj, "use_quasi_identifiers", "adversary", ctx, default=True),
-        anonymity_region_m=_num(
-            obj, "anonymity_region_m", "adversary", ctx, default=500.0, exclusive_min=0.0
-        ),
-    )
-
-
-_TOP_LEVEL = {
-    "name", "seed", "duration_s", "tick_s", "road", "fleet",
-    "beaconing", "policy", "pool", "sba", "locks", "adversary",
-}
+        coverage = "full"
+    return AdversaryConfig(coverage=coverage, **_values(AdversaryConfig, obj, "adversary", ctx))
 
 
 def load_scenario(
@@ -546,17 +532,14 @@ def load_scenario(
     With ``strict=False`` unknown fields are tolerated instead of rejected;
     every other rule still applies.
     """
-    if isinstance(source, dict):
-        raw: Any = source
-    else:
-        text = None
+    raw: Any = source
+    if not isinstance(source, dict):
+        text = source
         if isinstance(source, os.PathLike) or (
             isinstance(source, str) and not source.lstrip().startswith("{")
         ):
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        else:
-            text = source
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -565,137 +548,34 @@ def load_scenario(
         raise ConfigError(["config: must be a JSON object"])
 
     ctx = _Ctx(strict=strict)
-    _section(raw, "", _TOP_LEVEL, ctx)
-
-    name = raw.get("name", "scenario")
-    if not isinstance(name, str) or not name:
-        ctx.err("name", "must be a non-empty string")
-        name = "scenario"
-    seed = _int(raw, "seed", "", ctx, required=True, minimum=0)
-    duration_s = _num(raw, "duration_s", "", ctx, required=True, exclusive_min=0.0)
-    tick_s = _num(raw, "tick_s", "", ctx, default=0.05, exclusive_min=0.0)
-    if duration_s is not None and tick_s is not None and tick_s > duration_s:
+    top = _read(ScenarioConfig, raw, "", ctx)
+    duration_s, tick_s = top["duration_s"], top["tick_s"]
+    if duration_s is not None and tick_s > duration_s:
         ctx.err("tick_s", "must not exceed duration_s")
 
     road = _parse_road(raw.get("road"), ctx)
-    fleet = _parse_fleet(raw.get("fleet"), road, duration_s, ctx)
+    fleet = _parse_fleet(raw.get("fleet"), road, duration_s, tick_s, ctx)
 
-    b = _section(
-        raw.get("beaconing"), "beaconing",
-        {"cam_freq_hz", "denm_interval_s", "radio_range_m", "ldm_timeout_s",
-         "positioning_sigma_m", "loss_rate"},
-        ctx,
-    )
-    cam_freq = _num(
-        b, "cam_freq_hz", "beaconing", ctx, default=10.0,
-        exclusive_min=0.0, maximum=MAX_CAM_FREQ_HZ,
-    )
-    beaconing = BeaconingConfig(
-        cam_freq_hz=cam_freq,
-        denm_interval_s=_num(
-            b, "denm_interval_s", "beaconing", ctx, default=None,
-            exclusive_min=0.0, allow_none=True,
-        ),
-        radio_range_m=_num(b, "radio_range_m", "beaconing", ctx, default=300.0, exclusive_min=0.0),
-        ldm_timeout_s=_num(b, "ldm_timeout_s", "beaconing", ctx, default=1.5, exclusive_min=0.0),
-        positioning_sigma_m=_num(b, "positioning_sigma_m", "beaconing", ctx, default=1.0, minimum=0.0),
-        loss_rate=_num(b, "loss_rate", "beaconing", ctx, default=0.0, minimum=0.0, maximum=0.999),
-    )
-    if cam_freq is not None and tick_s is not None:
-        period = 1.0 / cam_freq
-        ratio = period / tick_s
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            ctx.err("beaconing.cam_freq_hz", "beacon period must be a whole number of ticks")
+    beaconing = BeaconingConfig(**_read(BeaconingConfig, raw.get("beaconing"), "beaconing", ctx))
+    ratio = (1.0 / beaconing.cam_freq_hz) / tick_s
+    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        ctx.err("beaconing.cam_freq_hz", "beacon period must be a whole number of ticks")
 
-    policy = _parse_policy(raw.get("policy"), ctx)
-
-    p = _section(raw.get("pool"), "pool", {"size", "min_concurrent_valid", "selection"}, ctx)
-    min_valid = _int(p, "min_concurrent_valid", "pool", ctx, default=2, minimum=2)
-    size = _int(p, "size", "pool", ctx, default=20, minimum=1)
-    if size is not None and min_valid is not None and size < min_valid:
+    pool = PoolConfig(**_read(PoolConfig, raw.get("pool"), "pool", ctx))
+    if pool.size < pool.min_concurrent_valid:
         ctx.err("pool.size", "must be >= min_concurrent_valid")
-    pool = PoolConfig(
-        size=size if size is not None else 20,
-        min_concurrent_valid=min_valid if min_valid is not None else 2,
-        selection=_str_choice(
-            p, "selection", "pool", ctx, SELECTION_NO_REUSE,
-            (SELECTION_NO_REUSE, SELECTION_ROUND_ROBIN),
-        ),
-    )
 
-    s = _section(
-        raw.get("sba"), "sba",
-        {"token_ttl_s", "sig_scheme", "ec_lifetime_s", "at_lifetime_s",
-         "at_stagger_s", "at_batch_cap"},
-        ctx,
-    )
-    sba = SbaSettings(
-        token_ttl_s=_num(s, "token_ttl_s", "sba", ctx, default=300.0, exclusive_min=0.0),
-        sig_scheme=_str_choice(
-            s, "sig_scheme", "sba", ctx, SCHEME_MAC, (SCHEME_MAC, SCHEME_ASYMMETRIC)
-        ),
-        ec_lifetime_s=_num(s, "ec_lifetime_s", "sba", ctx, default=86400.0, exclusive_min=0.0),
-        at_lifetime_s=_num(s, "at_lifetime_s", "sba", ctx, default=600.0, exclusive_min=0.0),
-        at_stagger_s=_num(s, "at_stagger_s", "sba", ctx, default=0.0, minimum=0.0),
-        at_batch_cap=_int(s, "at_batch_cap", "sba", ctx, default=64, minimum=1),
-    )
-
-    l = _section(
-        raw.get("locks"), "locks",
-        {"renewal_threshold", "validator_awareness_min", "events"}, ctx,
-    )
-    events = []
-    rows = l.get("events", [])
-    if not isinstance(rows, list):
-        ctx.err("locks.events", "must be an array")
-        rows = []
-    fleet_ids = {v.vehicle_id for v in fleet}
-    for i, row in enumerate(rows):
-        path = f"locks.events[{i}]"
-        row = _section(row, path, {"vehicle_id", "t", "app_id", "duration_s"}, ctx)
-        vid = _int(row, "vehicle_id", path, ctx, required=True, minimum=0)
-        t = _num(row, "t", path, ctx, required=True, minimum=0.0)
-        dur = _num(
-            row, "duration_s", path, ctx, required=True,
-            exclusive_min=0.0, maximum=MAX_LOCK_EVENT_S,
-        )
-        app = row.get("app_id")
-        if not isinstance(app, str) or not app:
-            ctx.err(f"{path}.app_id", "must be a non-empty string")
-            app = None
-        if vid is not None and fleet and vid not in fleet_ids:
-            ctx.err(f"{path}.vehicle_id", f"no such vehicle {vid}")
-            continue
-        if None in (vid, t, dur, app):
-            continue
-        if duration_s is not None and t >= duration_s:
-            ctx.err(f"{path}.t", "must be before the end of the run")
-            continue
-        events.append(LockEvent(vehicle_id=vid, t=t, app_id=app, duration_s=dur))
-    locks = LockConfig(
-        renewal_threshold=_int(l, "renewal_threshold", "locks", ctx, default=3, minimum=1),
-        validator_awareness_min=_num(
-            l, "validator_awareness_min", "locks", ctx, default=0.8, minimum=0.0, maximum=1.0
-        ),
-        events=tuple(events),
-    )
-
-    adversary = _parse_adversary(raw.get("adversary"), ctx)
-
-    if ctx.violations:
-        raise ConfigError(sorted(ctx.violations))
-
-    return ScenarioConfig(
-        name=name,
-        seed=seed,
-        duration_s=duration_s,
-        tick_s=tick_s,
+    config = ScenarioConfig(
         road=road,
         fleet=fleet,
         beaconing=beaconing,
-        policy=policy,
+        policy=_parse_policy(raw.get("policy"), ctx),
         pool=pool,
-        sba=sba,
-        locks=locks,
-        adversary=adversary,
+        sba=SbaConfig(**_read(SbaConfig, raw.get("sba"), "sba", ctx)),
+        locks=_parse_locks(raw.get("locks"), fleet, duration_s, tick_s, ctx),
+        adversary=_parse_adversary(raw.get("adversary"), ctx),
+        **top,
     )
+    if ctx.violations:
+        raise ConfigError(sorted(ctx.violations))
+    return config

@@ -25,7 +25,6 @@ from .config import ScenarioConfig, VehicleSpec, load_scenario
 from .sba import (
     AppScope,
     EnrollmentCertificate,
-    SbaConfig,
     SbaError,
     ServiceBasedCore,
     ServiceReject,
@@ -98,17 +97,7 @@ class SimulationEngine:
         self.rng_noise = fork_generator(config.seed, "noise")
         self.rng_loss = fork_generator(config.seed, "loss")
 
-        self.core = ServiceBasedCore(
-            config.seed,
-            SbaConfig(
-                token_ttl_s=config.sba.token_ttl_s,
-                sig_scheme=config.sba.sig_scheme,
-                ec_lifetime_s=config.sba.ec_lifetime_s,
-                at_lifetime_s=config.sba.at_lifetime_s,
-                at_stagger_s=config.sba.at_stagger_s,
-                at_batch_cap=config.sba.at_batch_cap,
-            ),
-        )
+        self.core = ServiceBasedCore(config.seed, config.sba)
         posts = (
             None
             if config.adversary.coverage == "full"
@@ -343,12 +332,17 @@ class SimulationEngine:
         now = tick * self.tick_s
         if self._coordination_ticks is not None and tick % self._coordination_ticks == 0:
             self._coordinate(tick)
+        events = self._lock_events.get(tick, ())
+        for ev in events:
+            veh = self.vehicles.get(ev.vehicle_id)
+            if veh is None or veh.done:
+                self.bump("lock_events_dropped")
         for vid in sorted(self.vehicles):
             veh = self.vehicles[vid]
             if veh.done:
                 continue
             veh.locks.sweep(now)
-            for ev in self._lock_events.get(tick, ()):
+            for ev in events:
                 if ev.vehicle_id != vid:
                     continue
                 valid_until = min(

@@ -18,7 +18,7 @@ import base64
 import hashlib
 import hmac as hmac_mod
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Union
 
@@ -63,7 +63,6 @@ class NfType(str, Enum):
 class NfStatus(str, Enum):
     AVAILABLE = "available"
     SUSPENDED = "suspended"
-    UNDISCOVERABLE = "undiscoverable"
 
 
 # --- errors -----------------------------------------------------------------
@@ -688,18 +687,9 @@ class EnrolmentAuthority:
             valid_until=now + self._ec_lifetime_s,
             issuer_signature=b"",
         )
-        cert = EnrollmentCertificate(
-            ec_id=cert.ec_id,
-            subject_digest=cert.subject_digest,
-            issued_at=cert.issued_at,
-            valid_until=cert.valid_until,
-            issuer_signature=self._signer.sign(cert.signed_payload()),
-        )
+        cert = replace(cert, issuer_signature=self._signer.sign(cert.signed_payload()))
         self._issued[cert.ec_id] = cert.subject_digest
         return cert
-
-    def issued_count(self) -> int:
-        return len(self._issued)
 
 
 class AuthorizationAuthority:
@@ -765,13 +755,7 @@ class AuthorizationAuthority:
                 valid_until=now + self._at_lifetime_s + i * self._at_stagger_s,
                 issuer_signature=b"",
             )
-            ticket = AuthorizationTicket(
-                at_id=ticket.at_id,
-                app_permissions=ticket.app_permissions,
-                valid_from=ticket.valid_from,
-                valid_until=ticket.valid_until,
-                issuer_signature=self._signer.sign(ticket.signed_payload()),
-            )
+            ticket = replace(ticket, issuer_signature=self._signer.sign(ticket.signed_payload()))
             self._ledger[at_id] = cert.ec_id
             batch.append(ticket)
         return batch
@@ -779,14 +763,11 @@ class AuthorizationAuthority:
     def verify_ticket(self, ticket: AuthorizationTicket) -> bool:
         return self._signer.verify(ticket.signed_payload(), ticket.issuer_signature)
 
-    def issued_count(self) -> int:
-        return len(self._ledger)
-
 
 # --- facade -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SbaConfig:
     """Knobs for the simulated core; defaults mirror common deployments."""
 

@@ -22,12 +22,6 @@ _EPS = 1e-9
 MAX_SINGLE_LOCK_S = 255.0
 MAX_CUMULATIVE_LOCK_S = 900.0
 
-SECOND_CHANGE_MIN_M = 800.0
-SECOND_CHANGE_MAX_M = 1500.0
-SUBSEQUENT_MIN_DISTANCE_M = 800.0
-SUBSEQUENT_TIME_MIN_S = 120.0
-SUBSEQUENT_TIME_MAX_S = 360.0
-
 
 # --- policies ----------------------------------------------------------------
 
@@ -47,11 +41,11 @@ class SegmentPolicy:
     800-1500 m of the start, then whenever at least 800 m and a sampled
     2-6 minutes have both passed since the previous change."""
 
-    second_change_min_m: float = SECOND_CHANGE_MIN_M
-    second_change_max_m: float = SECOND_CHANGE_MAX_M
-    subsequent_min_distance_m: float = SUBSEQUENT_MIN_DISTANCE_M
-    subsequent_time_min_s: float = SUBSEQUENT_TIME_MIN_S
-    subsequent_time_max_s: float = SUBSEQUENT_TIME_MAX_S
+    second_change_min_m: float = 800.0
+    second_change_max_m: float = 1500.0
+    subsequent_min_distance_m: float = 800.0
+    subsequent_time_min_s: float = 120.0
+    subsequent_time_max_s: float = 360.0
 
     kind = "segment"
 

@@ -162,6 +162,14 @@ def test_departure_inside_run():
     v = violations_of(cfg)
     assert "fleet[0].depart_s: must be before the end of the run" in v
 
+    # 9.96 s rounds to tick 100 of a 100-tick run: the vehicle would never enrol
+    cfg["fleet"][0]["depart_s"] = 9.96
+    v = violations_of(cfg)
+    assert "fleet[0].depart_s: must be before the end of the run" in v
+
+    cfg["fleet"][0]["depart_s"] = 9.94  # tick 99, the last one
+    assert load_scenario(cfg).fleet[0].depart_s == 9.94
+
 
 def test_policy_kind_specific_fields():
     cfg = minimal_config(policy={"kind": "periodic", "window_s": 5.0})
@@ -208,6 +216,18 @@ def test_lock_event_validation():
     cfg = minimal_config(locks={"events": [dict(base, t=10.0)]})
     v = violations_of(cfg)
     assert "locks.events[0].t: must be before the end of the run" in v
+
+    cfg = minimal_config(locks={"events": [dict(base, t=9.96)]})
+    v = violations_of(cfg)
+    assert "locks.events[0].t: must be before the end of the run" in v
+
+    late_start = minimal_config(locks={"events": [dict(base, t=1.0)]})
+    late_start["fleet"][0]["depart_s"] = 2.0
+    v = violations_of(late_start)
+    assert v == ["locks.events[0].t: must not be before vehicle 1 departs"]
+
+    late_start["locks"]["events"][0]["t"] = 1.96  # same tick as the departure
+    assert load_scenario(late_start).locks.events[0].t == 1.96
 
     cfg = minimal_config(locks={"events": [dict(base, vehicle_id=9)]})
     v = violations_of(cfg)
@@ -271,3 +291,62 @@ def test_loading_does_not_mutate_source_dict():
     snapshot = copy.deepcopy(obj)
     load_scenario(obj)
     assert obj == snapshot
+
+
+# Each config reaches a parser branch the suite scenarios in
+# tests/golden_digests.json do not; the hex values pin its canonical form.
+_BRANCH_CONFIGS = {
+    "network_triggered": dict(policy={
+        "kind": "network_triggered", "min_interval_s": 60, "coordination_interval_s": 0.5,
+        "max_silent_fraction": 0.25, "silence_s": 2, "notify_deactivation": True,
+    }),
+    "synchronized": dict(policy={"kind": "synchronized", "interval_s": 120, "window_s": 4.0}),
+    "segment": dict(policy={
+        "kind": "segment", "second_change_min_m": 500, "second_change_max_m": 900.0,
+        "subsequent_min_distance_m": 400.0, "subsequent_time_min_s": 30.0,
+        "subsequent_time_max_s": 90,
+    }),
+    "coverage_posts": dict(adversary={
+        "coverage": [{"x": 0, "y": 5.5, "radius_m": 100}, {"x": -20.0, "y": 0.0, "radius_m": 50.0}],
+        "use_quasi_identifiers": False, "beta_m_per_s": 0,
+    }),
+    "round_robin": dict(pool={"selection": "round_robin", "size": 8, "min_concurrent_valid": 3}),
+    "asymmetric_sba": dict(sba={
+        "sig_scheme": "asymmetric", "token_ttl_s": 60, "ec_lifetime_s": 3600.0,
+        "at_lifetime_s": 120.0, "at_stagger_s": 1.5, "at_batch_cap": 16,
+    }),
+    "denm_set": dict(beaconing={"denm_interval_s": 1, "cam_freq_hz": 5}),
+    "denm_null": dict(beaconing={"denm_interval_s": None}),
+    "lock_events": dict(locks={
+        "renewal_threshold": 2, "validator_awareness_min": 0.5,
+        "events": [
+            {"vehicle_id": 1, "t": 1, "app_id": "hd-map", "duration_s": 10},
+            {"vehicle_id": 1, "t": 2.5, "app_id": "platoon", "duration_s": 255.0},
+        ],
+    }),
+    "null_numbers": dict(
+        tick_s=None,
+        beaconing={"radio_range_m": None, "loss_rate": None},
+        sba={"token_ttl_s": None},
+        fleet=[{"vehicle_id": 1, "route": ["a"], "speed_mps": 10, "length_m": None}],
+    ),
+}
+
+_BRANCH_DIGESTS = {
+    "asymmetric_sba": "b24772ce3f0b597cbe6afe54e0572820e9e3f3c9e1741494369408771759aaab",
+    "coverage_posts": "45e8c8c3e38403e83fe78672dc6a54b705d2d620db97e5f394dadfddbc54f191",
+    "denm_null": "c457c793d79b63b90b7fdf2d0bb0756dc44fdf8224e80c89e532545937c5e8d5",
+    "denm_set": "b11c4ba28216377148be6de40a22aae2b47f8179624d108f90c5d6feb79283ea",
+    "lock_events": "6a5bc04faf1d9d8e7170688bd40cd570a980f982938116cadddf6e388ca018b2",
+    "network_triggered": "b1e33987d2f9bd7620eabb14b1b351afd230a907f14b857605801ab13eb0ab6b",
+    "null_numbers": "24614afac873fda35a415a286ba7fa0a415955ec5197d137bb433a6db4362f81",
+    "round_robin": "25ccb6935d6b62ac28bb27e0a5f78553b4aa4a26d2c9fc2a93d2a7f0a876ab00",
+    "segment": "f9e41b84018ce5baef88ef6e2c2446a6db45cd59213b952ac8df5fe53e18e694",
+    "synchronized": "0f9ebd7b882039e3ec807212e5912be45af948c0e436fafaac38e08e729ca696",
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_BRANCH_CONFIGS))
+def test_branch_digests_pinned(branch):
+    config = load_scenario(minimal_config(**_BRANCH_CONFIGS[branch]))
+    assert config.digest() == _BRANCH_DIGESTS[branch]

@@ -184,6 +184,19 @@ def test_network_triggered_coordination_budget():
         assert all(g >= 5.0 - 1e-9 for g in gaps)
 
 
+def test_lock_event_after_trip_end_is_counted():
+    cfg = base_config(
+        road=road(50.0),  # the trip ends at 5.0 s
+        locks={"events": [
+            {"vehicle_id": 1, "t": 2.0, "app_id": "hd-map", "duration_s": 1.0},
+            {"vehicle_id": 1, "t": 7.0, "app_id": "hd-map", "duration_s": 1.0},
+        ]},
+    )
+    s = run_scenario(cfg).summary
+    assert s["safety"]["locks_granted"] == 1
+    assert s["counters"]["lock_events_dropped"] == 1
+
+
 def test_trip_completion():
     cfg = base_config(
         road=road(50.0),
