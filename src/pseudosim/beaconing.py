@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import AbstractSet, Mapping, Sequence, Union
 
 from .sba import AppScope, AuthorizationTicket
 
@@ -47,6 +47,8 @@ class Denm:
     event_type: str
 
     scope = AppScope.DENM
+    velocity = (0.0, 0.0)  # events carry no motion
+    quasi_ids = None
 
 
 @dataclass(frozen=True)
@@ -83,20 +85,16 @@ class LocalDynamicMap:
         if isinstance(msg, DeactivationNotice):
             self._entries.pop(msg.station_id, None)
             return
-        if isinstance(msg, Cam):
-            scope, velocity = AppScope.CAM, msg.velocity
-        else:
-            scope, velocity = AppScope.DENM, (0.0, 0.0)
         entry = self._entries.get(msg.station_id)
         if entry is None:
             self._entries[msg.station_id] = LdmEntry(
-                msg.station_id, scope, now, msg.position, velocity
+                msg.station_id, msg.scope, now, msg.position, msg.velocity
             )
         else:  # refresh in place; the entry keeps its slot in the table
-            entry.scope = scope
+            entry.scope = msg.scope
             entry.last_seen = now
             entry.position = msg.position
-            entry.velocity = velocity
+            entry.velocity = msg.velocity
 
     def evict_expired(self, now: float) -> int:
         dead = [
@@ -126,7 +124,7 @@ def ldm_quality(
     ldm: LocalDynamicMap,
     neighbor_ids: Sequence[int],
     owner_of: Mapping[str, int],
-    active_station_ids: frozenset[str],
+    active_station_ids: AbstractSet[str],
     now: float,
 ) -> LdmQuality:
     """Score one receiver's LDM against ground truth at time ``now``.

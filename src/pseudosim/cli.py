@@ -41,19 +41,9 @@ METRIC_COLUMNS = [
     "config_digest",
 ]
 
-_AGGREGATED = [
-    "link_accuracy",
-    "traceability",
-    "mean_anonymity_set",
-    "mean_awareness_ratio",
-    "ghost_ticks",
-    "missing_ticks",
-    "silence_blind_s",
-    "max_stack_switch_gap_s",
-    "min_valid_tickets",
-    "sybil_violations",
-    "n_changes",
-]
+# every column but a run's identity is a metric that sweeps average per cell
+_IDENTITY = ("kind", "run_id", "scenario", "cell", "params", "seed", "config_digest")
+_AGGREGATED = [c for c in METRIC_COLUMNS if c not in _IDENTITY]
 
 
 def _cell(value) -> str:
@@ -82,7 +72,7 @@ def summary_to_row(summary: dict, *, run_id: str, cell: str, params: dict) -> di
         "max_stack_switch_gap_s": s["max_stack_switch_gap_s"],
         "min_valid_tickets": s["min_valid_tickets"],
         "sybil_violations": s["sybil_violations"],
-        "n_changes": s.get("n_changes", summary["n_changes"]),
+        "n_changes": summary["n_changes"],
         "config_digest": summary["config_digest"],
     }
 

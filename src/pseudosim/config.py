@@ -384,12 +384,19 @@ def _read(cls: type, obj: Any, path: str, ctx: _Ctx) -> dict:
     return _values(cls, _section(obj, path, _names(cls), ctx), path, ctx)
 
 
+def _tick(t: float, tick_s: float) -> float:
+    """The tick ``t`` rounds to; inf where ``t / tick_s`` overflows."""
+    ticks = t / tick_s
+    return round(ticks) if math.isfinite(ticks) else ticks
+
+
 def _in_run(t: float, duration_s: float, tick_s: float) -> bool:
     """Whether ``t`` falls on one of the ``round(duration_s / tick_s)`` ticks run."""
     if t >= duration_s:
         return False
-    # a tick longer than the run is reported on its own; compare times only
-    return tick_s > duration_s or round(t / tick_s) < round(duration_s / tick_s)
+    end = _tick(duration_s, tick_s)
+    # a tick longer than the run, or too short to count, is reported on its own
+    return tick_s > duration_s or math.isinf(end) or _tick(t, tick_s) < end
 
 
 def _parse_policy(obj: Optional[dict], ctx: _Ctx) -> PolicyConfig:
@@ -489,7 +496,7 @@ def _parse_locks(
     if not isinstance(rows, list):
         ctx.err("locks.events", "must be an array")
         rows = []
-    departs = {v.vehicle_id: round(v.depart_s / tick_s) for v in fleet}
+    departs = {v.vehicle_id: _tick(v.depart_s, tick_s) for v in fleet}
     events = []
     for i, row in enumerate(rows):
         path = f"locks.events[{i}]"
@@ -501,7 +508,7 @@ def _parse_locks(
             continue
         elif duration_s is not None and not _in_run(ev["t"], duration_s, tick_s):
             ctx.err(f"{path}.t", "must be before the end of the run")
-        elif vid in departs and round(ev["t"] / tick_s) < departs[vid]:
+        elif vid in departs and _tick(ev["t"], tick_s) < departs[vid]:
             ctx.err(f"{path}.t", f"must not be before vehicle {vid} departs")
         else:
             events.append(LockEvent(**ev))
@@ -552,13 +559,15 @@ def load_scenario(
     duration_s, tick_s = top["duration_s"], top["tick_s"]
     if duration_s is not None and tick_s > duration_s:
         ctx.err("tick_s", "must not exceed duration_s")
+    elif duration_s is not None and math.isinf(_tick(duration_s, tick_s)):
+        ctx.err("tick_s", "must leave a finite number of ticks in duration_s")
 
     road = _parse_road(raw.get("road"), ctx)
     fleet = _parse_fleet(raw.get("fleet"), road, duration_s, tick_s, ctx)
 
     beaconing = BeaconingConfig(**_read(BeaconingConfig, raw.get("beaconing"), "beaconing", ctx))
     ratio = (1.0 / beaconing.cam_freq_hz) / tick_s
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         ctx.err("beaconing.cam_freq_hz", "beacon period must be a whole number of ticks")
 
     pool = PoolConfig(**_read(PoolConfig, raw.get("pool"), "pool", ctx))

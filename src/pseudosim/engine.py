@@ -55,8 +55,6 @@ class _Vehicle:
     silence_until_tick: int = -1
     last_cam_tick: Optional[int] = None
     last_change_tick: int = 0
-    pending_notices: list = field(default_factory=list)
-    done: bool = False
 
     def silent(self, tick: int) -> bool:
         return tick < self.silence_until_tick
@@ -111,7 +109,12 @@ class SimulationEngine:
             max_gap_s=config.adversary.max_gap_s,
         )
 
-        self.vehicles: dict[int, _Vehicle] = {}
+        self.vehicles: dict[int, _Vehicle] = {}  # on the road only
+        # per-tick facts: the id-sorted vehicles after mobility, who hears whom,
+        # and every emission as (sender id, message, sender's true position)
+        self.roster: list[_Vehicle] = []
+        self.neighbors: dict[int, list[int]] = {}
+        self.outbox: list[tuple[int, bcn.Message, mob.Point]] = []
         self._departures: dict[int, list[VehicleSpec]] = {}
         for spec in config.fleet:
             tick = int(round(spec.depart_s / config.tick_s))
@@ -132,8 +135,6 @@ class SimulationEngine:
         self.changes_by_trigger: dict[str, int] = {}
         self.min_valid_tickets: Optional[int] = None
         self.sybil_violations = 0
-        self.locks_granted = 0
-        self.locks_denied = 0
         self.awareness_sum = 0.0
         self.awareness_samples = 0
         self.ghost_ticks = 0
@@ -197,18 +198,27 @@ class SimulationEngine:
         self._execute_change(veh, tick, TRIGGER_INITIAL)
 
     def _finish_trip(self, veh: _Vehicle, tick: int) -> None:
-        now = tick * self.tick_s
-        if self.cfg.policy.notify_deactivation:
-            for scope in self.scopes:
-                sid = veh.station_ids.get(scope)
-                if sid is not None:
-                    veh.pending_notices.append(bcn.DeactivationNotice(sid, now, scope))
+        self._retire_ids(veh, tick * self.tick_s)
+        del self.vehicles[veh.spec.vehicle_id]
+        self.bump("trips_completed")
+
+    def _retire_ids(self, veh: _Vehicle, now: float) -> dict:
+        """Take the vehicle's station ids off the air; returns them by scope value.
+
+        With ``notify_deactivation`` each retiring id is announced in the outbox.
+        """
+        old_ids = {}
         for scope in self.scopes:
             sid = veh.station_ids.get(scope)
-            if sid is not None:
-                self.active_ids.discard(sid)
-        veh.done = True
-        self.bump("trips_completed")
+            if sid is None:
+                continue
+            self.active_ids.discard(sid)
+            old_ids[scope.value] = sid
+            if self.cfg.policy.notify_deactivation:
+                notice = bcn.DeactivationNotice(sid, now, scope)
+                self.outbox.append((veh.spec.vehicle_id, notice, veh.kin.position))
+                self.bump("notices_sent")
+        return old_ids
 
     # --- pseudonym changes --------------------------------------------------
 
@@ -248,23 +258,19 @@ class SimulationEngine:
             self.bump("change_starved")
             return False
         self._touch_session(veh, now)
-        old_ids = {s.value: veh.station_ids[s] for s in self.scopes if s in veh.station_ids}
-        if self.cfg.policy.notify_deactivation and old_ids:
-            for scope in self.scopes:
-                sid = veh.station_ids.get(scope)
-                if sid is not None:
-                    veh.pending_notices.append(bcn.DeactivationNotice(sid, now, scope))
+        old_ids = self._retire_ids(veh, now)
+        vid = veh.spec.vehicle_id
         new_ids = {}
         for scope in self.scopes:
-            old_sid = veh.station_ids.get(scope)
-            if old_sid is not None:
-                self.active_ids.discard(old_sid)
             ticket = plan[scope]
             veh.pool.activate(scope, ticket)
             sid = bcn.station_id_for(ticket, scope)
-            if sid in self.owner_of and self.owner_of[sid] != veh.spec.vehicle_id:
+            owner = self.owner_of.get(sid)
+            if owner is not None and owner != vid:
                 raise RuntimeError(f"station id collision on {sid}")
-            self.owner_of[sid] = veh.spec.vehicle_id
+            if owner == vid and self.cfg.pool.selection == strat.SELECTION_NO_REUSE:
+                self.sybil_violations += 1  # the vehicle goes back to an id it used
+            self.owner_of[sid] = vid
             self.active_ids.add(sid)
             veh.active[scope] = ticket
             veh.station_ids[scope] = sid
@@ -275,13 +281,13 @@ class SimulationEngine:
             if silence_s > 0.0:
                 veh.silence_until_tick = tick + int(round(silence_s / self.tick_s))
                 self._silence_ticks_total += veh.silence_until_tick - tick
-            self.silence_of.setdefault(veh.spec.vehicle_id, []).append(
+            self.silence_of.setdefault(vid, []).append(
                 (now, now + silence_s, veh.kin.position)
             )
             self.change_records.append(
                 strat.ChangeRecord(
                     t=now,
-                    vehicle_id=veh.spec.vehicle_id,
+                    vehicle_id=vid,
                     trigger=trigger,
                     old_ids=old_ids,
                     new_ids=new_ids,
@@ -308,20 +314,27 @@ class SimulationEngine:
     def _phase_mobility(self, tick: int) -> None:
         for spec in self._departures.pop(tick, ()):
             self._admit(spec, tick)
+        roster = []
         for vid in sorted(self.vehicles):
             veh = self.vehicles[vid]
-            if veh.done or tick <= veh.depart_tick:
-                continue
-            speed = min(veh.spec.speed_mps, veh.cursor.segment.speed_limit_mps)
-            veh.kin, moved = mob.step_kinematics(veh.cursor, speed, self.tick_s)
-            veh.trip.advance(moved, self.tick_s)
-            veh.trip.time_since_change_s = (tick - veh.last_change_tick) * self.tick_s
-            if veh.cursor.done:
-                self._finish_trip(veh, tick)
+            if tick > veh.depart_tick:
+                speed = min(veh.spec.speed_mps, veh.cursor.segment.speed_limit_mps)
+                veh.kin, moved = mob.step_kinematics(veh.cursor, speed, self.tick_s)
+                veh.trip.advance(moved, self.tick_s)
+                veh.trip.time_since_change_s = (tick - veh.last_change_tick) * self.tick_s
+                if veh.cursor.done:
+                    self._finish_trip(veh, tick)
+                    continue
+            roster.append(veh)
+        self.roster = roster
+        self.neighbors = mob.neighbor_lists(
+            {veh.spec.vehicle_id: veh.kin.position for veh in roster},
+            self.cfg.beaconing.radio_range_m,
+        )
 
-    def _awareness_validator(self, veh: _Vehicle, tick: int):
+    def _awareness_validator(self, veh: _Vehicle):
         def validate(app_id: str, now: float) -> bool:
-            sample = self._quality_for(veh, now)
+            sample = self._score_ldm(veh, now)
             if sample is None or sample[1] == 0:
                 return True
             return sample[0].awareness_ratio >= self.cfg.locks.validator_awareness_min
@@ -334,16 +347,12 @@ class SimulationEngine:
             self._coordinate(tick)
         events = self._lock_events.get(tick, ())
         for ev in events:
-            veh = self.vehicles.get(ev.vehicle_id)
-            if veh is None or veh.done:
+            if ev.vehicle_id not in self.vehicles:
                 self.bump("lock_events_dropped")
-        for vid in sorted(self.vehicles):
-            veh = self.vehicles[vid]
-            if veh.done:
-                continue
+        for veh in self.roster:
             veh.locks.sweep(now)
             for ev in events:
-                if ev.vehicle_id != vid:
+                if ev.vehicle_id != veh.spec.vehicle_id:
                     continue
                 valid_until = min(
                     (t.valid_until for t in veh.active.values()), default=now
@@ -353,13 +362,11 @@ class SimulationEngine:
                     ev.duration_s,
                     now,
                     valid_until,
-                    validator=self._awareness_validator(veh, tick),
+                    validator=self._awareness_validator(veh),
                 )
                 if decision.granted:
-                    self.locks_granted += 1
                     self.bump("locks_granted")
                 else:
-                    self.locks_denied += 1
                     self.bump(f"lock_denied_{decision.reason}")
             if veh.silent(tick):
                 continue
@@ -389,49 +396,34 @@ class SimulationEngine:
     def _coordinate(self, tick: int) -> None:
         now = tick * self.tick_s
         policy = self.cfg.policy.policy
-        candidates = []
-        for vid in sorted(self.vehicles):
-            veh = self.vehicles[vid]
-            if veh.done:
-                continue
-            candidates.append(
-                strat.CoordinationCandidate(
-                    vehicle_id=vid,
-                    last_change_time=veh.last_change_tick * self.tick_s,
-                    ready=not veh.locks.locked(now),
-                    due=(tick - veh.last_change_tick) * self.tick_s
-                    >= policy.min_interval_s - 1e-9,
-                    silent=veh.silent(tick),
-                )
+        candidates = [
+            strat.CoordinationCandidate(
+                vehicle_id=veh.spec.vehicle_id,
+                last_change_time=veh.last_change_tick * self.tick_s,
+                ready=not veh.locks.locked(now),
+                due=(tick - veh.last_change_tick) * self.tick_s >= policy.min_interval_s - 1e-9,
+                silent=veh.silent(tick),
             )
+            for veh in self.roster
+        ]
         for vid in strat.coordinate_network_change(candidates, policy.max_silent_fraction):
             self.vehicles[vid].trigger.pending_command = True
             self.bump("coordinator_commands")
 
     def _phase_sba(self, tick: int) -> None:
         now = tick * self.tick_s
-        for vid in sorted(self.vehicles):
-            veh = self.vehicles[vid]
-            if veh.done:
-                continue
+        for veh in self.roster:
             for scope in self.scopes:
                 self._replenish(veh, scope, now, to_target=False)
             count = veh.pool.min_valid_count(now)
             if self.min_valid_tickets is None or count < self.min_valid_tickets:
                 self.min_valid_tickets = count
 
-    def _phase_beaconing(self, tick: int) -> list:
+    def _phase_beaconing(self, tick: int) -> None:
         now = tick * self.tick_s
-        emissions: list[tuple[int, object]] = []
         sigma = self.cfg.beaconing.positioning_sigma_m
-        emitted_ids: dict[tuple[int, str], set] = {}
-        for vid in sorted(self.vehicles):
-            veh = self.vehicles[vid]
-            for notice in veh.pending_notices:
-                emissions.append((vid, notice))
-                self.bump("notices_sent")
-            veh.pending_notices.clear()
-            if veh.done or veh.silent(tick):
+        for veh in self.roster:
+            if veh.silent(tick):
                 continue
             cam_due = (
                 veh.last_cam_tick is None
@@ -448,9 +440,8 @@ class SimulationEngine:
                         velocity=veh.kin.velocity,
                         quasi_ids=(veh.spec.length_m, veh.spec.width_m),
                     )
-                    emissions.append((vid, cam))
+                    self.outbox.append((veh.spec.vehicle_id, cam, veh.kin.position))
                     veh.last_cam_tick = tick
-                    emitted_ids.setdefault((vid, "CAM"), set()).add(cam.station_id)
                     self.bump("cams_sent")
                     first, _ = self.emit_span.get(cam.station_id, (now, now))
                     self.emit_span[cam.station_id] = (first, now)
@@ -467,34 +458,22 @@ class SimulationEngine:
                         position=pos,
                         event_type="hazard",
                     )
-                    emissions.append((vid, denm))
-                    emitted_ids.setdefault((vid, "DENM"), set()).add(denm.station_id)
+                    self.outbox.append((veh.spec.vehicle_id, denm, veh.kin.position))
                     self.bump("denms_sent")
-        # one active identifier per vehicle per application at any instant
-        for ids in emitted_ids.values():
-            if len(ids) > 1:
-                self.sybil_violations += 1
-        return emissions
 
-    def _phase_ingest(self, tick: int, emissions: list) -> None:
+    def _phase_ingest(self, tick: int) -> None:
         now = tick * self.tick_s
         loss = self.cfg.beaconing.loss_rate
         rng = self.rng_loss
         radio = self.cfg.beaconing.radio_range_m
-        receivers = sorted(
-            vid for vid, v in self.vehicles.items() if not v.done
-        )
-        positions = {vid: self.vehicles[vid].kin.position for vid in receivers}
-        # one neighbour pass per tick serves delivery and quality sampling
-        neighbors = mob.neighbor_lists(positions, radio)
         # deletions land before refreshes; within a kind, sender id then emission order
         kind_rank = {bcn.DeactivationNotice: 0, bcn.Cam: 1, bcn.Denm: 2}
         ordered = sorted(
-            enumerate(emissions),
+            enumerate(self.outbox),
             key=lambda kv: (kind_rank[type(kv[1][1])], kv[1][0], kv[0]),
         )
-        for _, (sender_id, msg) in ordered:
-            sender_pos = self.vehicles[sender_id].kin.position
+        self.outbox = []
+        for _, (sender_id, msg, sender_pos) in ordered:
             if isinstance(msg, bcn.DeactivationNotice):
                 self.eavesdropper.hear_notice(
                     adv.NoticeSighting(msg.t, msg.station_id, msg.scope.value),
@@ -507,17 +486,19 @@ class SimulationEngine:
                         station_id=msg.station_id,
                         scope=msg.scope.value,
                         position=msg.position,
-                        velocity=msg.velocity if isinstance(msg, bcn.Cam) else (0.0, 0.0),
-                        quasi_ids=msg.quasi_ids if isinstance(msg, bcn.Cam) else None,
+                        velocity=msg.velocity,
+                        quasi_ids=msg.quasi_ids,
                     ),
                     sender_pos,
                 )
             if self.trace_rows is not None:
                 self.trace_rows.append(_trace_row(sender_id, msg))
-            in_range = neighbors.get(sender_id)
+            in_range = self.neighbors.get(sender_id)
             if in_range is None:  # notice from a vehicle that finished this tick
                 in_range = [
-                    rid for rid in receivers if math.dist(positions[rid], sender_pos) <= radio
+                    veh.spec.vehicle_id
+                    for veh in self.roster
+                    if math.dist(veh.kin.position, sender_pos) <= radio
                 ]
             for rid in in_range:
                 if loss > 0.0 and rng.random() < loss:
@@ -525,13 +506,10 @@ class SimulationEngine:
                     continue
                 self.vehicles[rid].ldm.receive(msg, now)
         # receiver-side upkeep and truth-referenced quality sampling
-        active_ids = frozenset(self.active_ids)
         any_ghost = False
         any_missing = False
-        for vid in receivers:
-            veh = self.vehicles[vid]
-            veh.ldm.evict_expired(now)
-            sample = self._score_ldm(veh, neighbors[vid], active_ids, now)
+        for veh in self.roster:
+            sample = self._score_ldm(veh, now)
             if sample is None:
                 continue
             quality, n_neighbors = sample
@@ -549,23 +527,17 @@ class SimulationEngine:
         if any_missing:
             self.missing_ticks += 1
 
-    def _quality_for(self, veh: _Vehicle, now: float):
-        """One receiver's LDM quality, from scratch (the lock validator's path)."""
-        positions = {
-            vid: v.kin.position
-            for vid, v in self.vehicles.items()
-            if not v.done and vid != veh.spec.vehicle_id
-        }
-        neighbors = mob.region_query(
-            positions, veh.kin.position, self.cfg.beaconing.radio_range_m
-        )
-        return self._score_ldm(veh, neighbors, frozenset(self.active_ids), now)
+    def _score_ldm(self, veh: _Vehicle, now: float):
+        """(quality, neighbour count), or None with no neighbours and an empty LDM.
 
-    def _score_ldm(self, veh: _Vehicle, neighbors: list, active_ids: frozenset, now: float):
-        """(quality, neighbour count), or None with no neighbours and an empty LDM."""
-        if not neighbors and not veh.ldm.live_entries(now):
+        Serves both ingest and the lock validator. Expired entries are evicted
+        first, so every entry left in the LDM is live.
+        """
+        veh.ldm.evict_expired(now)
+        neighbors = self.neighbors[veh.spec.vehicle_id]
+        if not neighbors and len(veh.ldm) == 0:
             return None
-        quality = bcn.ldm_quality(veh.ldm, neighbors, self.owner_of, active_ids, now)
+        quality = bcn.ldm_quality(veh.ldm, neighbors, self.owner_of, self.active_ids, now)
         return quality, len(neighbors)
 
     # --- run -------------------------------------------------------------------
@@ -575,8 +547,8 @@ class SimulationEngine:
             self._phase_mobility(tick)
             self._phase_strategy(tick)
             self._phase_sba(tick)
-            emissions = self._phase_beaconing(tick)
-            self._phase_ingest(tick, emissions)
+            self._phase_beaconing(tick)
+            self._phase_ingest(tick)
 
         store = self.eavesdropper.store
         store.finalize()
@@ -653,8 +625,10 @@ class SimulationEngine:
                 "max_stack_switch_gap_s": self._max_switch_gap(),
                 "min_valid_tickets": self.min_valid_tickets,
                 "sybil_violations": self.sybil_violations,
-                "locks_granted": self.locks_granted,
-                "locks_denied": self.locks_denied,
+                "locks_granted": self.counters.get("locks_granted", 0),
+                "locks_denied": sum(
+                    n for key, n in self.counters.items() if key.startswith("lock_denied_")
+                ),
             },
             "counters": dict(sorted({**self.counters, **self.core.counters}.items())),
         }
@@ -669,18 +643,17 @@ def _trace_row(sender_id: int, msg) -> dict:
             "scope": msg.scope.value,
             "sender_vehicle_id": sender_id,
         }
-    row = {
+    return {
         "kind": msg.scope.value,
         "t": msg.t,
         "station_id": msg.station_id,
         "x": msg.position[0],
         "y": msg.position[1],
-        "vx": msg.velocity[0] if isinstance(msg, bcn.Cam) else 0.0,
-        "vy": msg.velocity[1] if isinstance(msg, bcn.Cam) else 0.0,
+        "vx": msg.velocity[0],
+        "vy": msg.velocity[1],
         "sender_vehicle_id": sender_id,
+        "quasi_ids": None if msg.quasi_ids is None else list(msg.quasi_ids),
     }
-    row["quasi_ids"] = list(msg.quasi_ids) if isinstance(msg, bcn.Cam) else None
-    return row
 
 
 def run_scenario(

@@ -79,14 +79,6 @@ class RoadNetwork:
                     f"route break between {prev!r} and {nxt!r}: {a} vs {b}"
                 )
 
-    def intersections(self) -> list[Point]:
-        """Endpoints shared by more than one segment, sorted for determinism."""
-        counts: dict[Point, int] = {}
-        for seg in self.segments.values():
-            for p in (seg.start, seg.end):
-                counts[p] = counts.get(p, 0) + 1
-        return sorted(p for p, c in counts.items() if c >= 2)
-
 
 @dataclass
 class Kinematics:

@@ -60,11 +60,6 @@ class NfType(str, Enum):
     AA = "AA"
 
 
-class NfStatus(str, Enum):
-    AVAILABLE = "available"
-    SUSPENDED = "suspended"
-
-
 # --- errors -----------------------------------------------------------------
 
 
@@ -400,7 +395,6 @@ class NfProfile:
     nf_instance_id: str
     nf_type: NfType
     services: tuple[str, ...]
-    status: NfStatus = NfStatus.AVAILABLE
     additional_scope: tuple[AdditionalScope, ...] = ()
 
 
@@ -499,8 +493,7 @@ class NetworkRepository:
 
     Registration is taken to happen over a mutually authenticated transport;
     instances registered through :meth:`register_nf` are therefore eligible
-    token subjects. Discovery never returns suspended or undiscoverable
-    instances, and its order is fixed (instance id) for reproducibility.
+    token subjects. An instance id registers once.
     """
 
     def __init__(
@@ -518,40 +511,11 @@ class NetworkRepository:
         self._authenticated: set[str] = set()
 
     def register_nf(self, profile: NfProfile) -> NfProfile:
-        existing = self._profiles.get(profile.nf_instance_id)
-        if existing is not None and existing.status == NfStatus.AVAILABLE:
+        if profile.nf_instance_id in self._profiles:
             raise RegistrationError("duplicate_instance", profile.nf_instance_id)
         self._profiles[profile.nf_instance_id] = profile
         self._authenticated.add(profile.nf_instance_id)
         return profile
-
-    def set_status(self, nf_instance_id: str, status: NfStatus) -> None:
-        profile = self._profiles.get(nf_instance_id)
-        if profile is None:
-            raise RegistrationError("unknown_instance", nf_instance_id)
-        self._profiles[nf_instance_id] = NfProfile(
-            nf_instance_id=profile.nf_instance_id,
-            nf_type=profile.nf_type,
-            services=profile.services,
-            status=status,
-            additional_scope=profile.additional_scope,
-        )
-
-    def get_profile(self, nf_instance_id: str) -> NfProfile:
-        profile = self._profiles.get(nf_instance_id)
-        if profile is None:
-            raise RegistrationError("unknown_instance", nf_instance_id)
-        return profile
-
-    def discover(self, nf_type: NfType, service: str) -> list[NfProfile]:
-        hits = [
-            p
-            for p in self._profiles.values()
-            if p.nf_type == nf_type
-            and p.status == NfStatus.AVAILABLE
-            and service in p.services
-        ]
-        return sorted(hits, key=lambda p: p.nf_instance_id)
 
     def request_access_token(
         self,
@@ -759,9 +723,6 @@ class AuthorizationAuthority:
             self._ledger[at_id] = cert.ec_id
             batch.append(ticket)
         return batch
-
-    def verify_ticket(self, ticket: AuthorizationTicket) -> bool:
-        return self._signer.verify(ticket.signed_payload(), ticket.issuer_signature)
 
 
 # --- facade -----------------------------------------------------------------

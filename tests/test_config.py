@@ -131,6 +131,24 @@ def test_beacon_period_must_align_to_ticks():
     v = violations_of(too_fast)
     assert any(s.startswith("beaconing.cam_freq_hz:") for s in v)
 
+    # the period in ticks overflows to inf
+    too_slow = minimal_config()
+    too_slow["beaconing"] = {"cam_freq_hz": 5e-324}
+    v = violations_of(too_slow)
+    assert v == ["beaconing.cam_freq_hz: beacon period must be a whole number of ticks"]
+
+
+def test_vanishing_tick_is_a_violation():
+    # duration_s / tick_s and the beacon period in ticks both overflow to inf;
+    # the departure and lock tick checks must not raise on them either
+    cfg = minimal_config(tick_s=5e-324)
+    cfg["fleet"][0]["depart_s"] = 1.0
+    cfg["locks"] = {"events": [{"vehicle_id": 1, "t": 2.0, "app_id": "a", "duration_s": 1.0}]}
+    assert violations_of(cfg) == [
+        "beaconing.cam_freq_hz: beacon period must be a whole number of ticks",
+        "tick_s: must leave a finite number of ticks in duration_s",
+    ]
+
 
 def test_loss_rate_upper_bound():
     cfg = minimal_config()

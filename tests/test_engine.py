@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pseudosim import run_scenario
+from pseudosim import strategy as strat
 from pseudosim.engine import SimulationEngine
 from pseudosim.config import load_scenario
 
@@ -242,3 +243,16 @@ def test_engine_requires_loaded_config():
     result = engine.run()
     assert result.config is cfg
     assert result.trace_rows is None  # not collected unless asked
+
+
+def test_sybil_counter_fires_on_reused_id(scenarios_dir, monkeypatch):
+    # fault injection: a pool that hands back the active ticket on every change
+    select_next = strat.PseudonymPool.select_next
+
+    def stale(pool, scope, now):
+        return pool.active_ticket(scope, now) or select_next(pool, scope, now)
+
+    monkeypatch.setattr(strat.PseudonymPool, "select_next", stale)
+    s = run_scenario(str(scenarios_dir / "baseline_single.json")).summary
+    assert s["n_changes"] == 2
+    assert s["safety"]["sybil_violations"] > 0

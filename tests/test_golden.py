@@ -2,8 +2,10 @@
 
 ``golden_digests.json`` holds the sha256 of every suite scenario's
 ``summary_json()`` and of the silence sweep's ``metrics.csv`` and
-``sweep_manifest.json``. A change that alters any of these bytes on purpose
-must regenerate the file and say why.
+``sweep_manifest.json``. Under ``branch_runs`` it also holds the summary,
+trace and linkage digests of the configs in ``BRANCH_RUNS``, which reach
+engine paths the suite scenarios miss. A change that alters any of these
+bytes on purpose must regenerate the file and say why.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SUITE
+from pseudosim import run_scenario
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
 
@@ -35,3 +38,73 @@ def test_summary_digest(run_cached, name):
 @pytest.mark.parametrize("rel", ["metrics.csv", "sweep_manifest.json"])
 def test_silence_sweep_digest(silence_sweep, rel):
     assert _sha256((silence_sweep / rel).read_bytes()) == GOLDEN["silence_sweep"][rel]
+
+
+def _road(length: float) -> dict:
+    return {"segments": [
+        {"id": "main", "start": [0.0, 0.0], "end": [length, 0.0], "speed_limit_mps": 30.0},
+        {"id": "spur", "start": [length, 0.0], "end": [length, 400.0], "speed_limit_mps": 15.0},
+    ]}
+
+
+def _fleet(n: int, short: tuple) -> list:
+    """Vehicles in ``short`` stop at the end of ``main``, well before the run ends."""
+    return [
+        {"vehicle_id": v, "route": ["main"] if v in short else ["main", "spur"],
+         "speed_mps": 8.0 + v, "depart_s": 0.5 * (v - 1), "length_m": 4.0 + 0.3 * v}
+        for v in range(1, n + 1)
+    ]
+
+
+BRANCH_RUNS = {
+    # chained locks past renewal_threshold reach the awareness validator, and a
+    # short LDM timeout under loss makes it reject some; DENMs on, notices from
+    # vehicles that finish mid-run
+    "validator_locks_loss": {
+        "name": "branch-validator", "seed": 7, "duration_s": 40.0, "tick_s": 0.1,
+        "road": _road(300.0), "fleet": _fleet(5, short=(2, 4)),
+        "beaconing": {"cam_freq_hz": 5.0, "radio_range_m": 120.0, "loss_rate": 0.3,
+                      "ldm_timeout_s": 0.3, "positioning_sigma_m": 0.5, "denm_interval_s": 1.0},
+        "policy": {"kind": "periodic", "interval_s": 6.0, "silence_s": 0.5,
+                   "notify_deactivation": True},
+        "pool": {"size": 8, "min_concurrent_valid": 2},
+        "locks": {"renewal_threshold": 1, "validator_awareness_min": 0.99, "events": [
+            {"vehicle_id": v, "t": t, "app_id": "hd-map", "duration_s": 1.0}
+            for v in (1, 3, 5) for t in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5)
+        ]},
+        "adversary": {"coverage": "full"},
+    },
+    # coordinated changes from round-robin pools of short-lived tickets, heard
+    # only by two coverage posts
+    "network_triggered_round_robin": {
+        "name": "branch-network", "seed": 11, "duration_s": 45.0, "tick_s": 0.1,
+        "road": _road(400.0), "fleet": _fleet(6, short=(3,)),
+        "beaconing": {"cam_freq_hz": 10.0, "radio_range_m": 150.0, "loss_rate": 0.1},
+        "policy": {"kind": "network_triggered", "min_interval_s": 4.0,
+                   "coordination_interval_s": 1.0, "max_silent_fraction": 0.5,
+                   "silence_s": 1.0, "notify_deactivation": True},
+        "pool": {"size": 6, "min_concurrent_valid": 2, "selection": "round_robin"},
+        "sba": {"at_lifetime_s": 20.0, "at_stagger_s": 1.0},
+        "adversary": {"coverage": [{"x": 0.0, "y": 0.0, "radius_m": 150.0},
+                                   {"x": 400.0, "y": 200.0, "radius_m": 120.0}]},
+    },
+}
+
+
+def branch_digests(config: dict) -> dict:
+    """sha256 of the summary, the trace as ``pseudosim run`` writes it, and the linkage."""
+    result = run_scenario(config, collect_trace=True)
+    trace = "".join(
+        json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+        for row in result.trace_rows
+    )
+    return {
+        "summary_json": _sha256(result.summary_json().encode()),
+        "trace_jsonl": _sha256(trace.encode()),
+        "linkage_json": _sha256(result.linkage.to_json().encode()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_RUNS))
+def test_branch_run_digests(name):
+    assert branch_digests(BRANCH_RUNS[name]) == GOLDEN["branch_runs"][name]

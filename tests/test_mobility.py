@@ -54,15 +54,6 @@ def test_validate_route():
         net.validate_route([])
 
 
-def test_intersections_sorted():
-    net = RoadNetwork.build([
-        RoadSegment("a", (0.0, 0.0), (1.0, 0.0), 10.0),
-        RoadSegment("b", (1.0, 0.0), (2.0, 0.0), 10.0),
-        RoadSegment("c", (2.0, 0.0), (0.0, 0.0), 10.0),
-    ])
-    assert net.intersections() == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
-
-
 def test_cursor_spillover_and_done():
     net = two_segment_network()
     cur = RouteCursor(net, ("a", "b"))
