@@ -1,4 +1,6 @@
-"""Hand-rolled brute force oracle for the gap assignment step.
+"""Reference implementations the attacker's fast paths are checked against.
+
+Hand-rolled brute force oracle for the gap assignment step.
 
 Independent of scipy on purpose: enumerates every injective partial
 matching between ending and starting tracklets and keeps the cheapest
@@ -7,11 +9,22 @@ float totals are comparable with == rather than a tolerance.
 
 Only usable for small instances (intended for up to 6 tracklets per
 side, about 13k matchings).
+
+``anonymity_sizes_loop`` and ``link_full_scan`` keep the original loop forms
+of the anonymity-set count and of ``link``'s candidate selection.
 """
 
+import math
 from dataclasses import dataclass
 
-from pseudosim.adversary import MotionModel, Tracklet, gap_cost
+from pseudosim.adversary import (
+    MotionModel,
+    Tracklet,
+    associate_across_gap,
+    build_tracklets,
+    gap_cost,
+    semantic_match,
+)
 
 INFEASIBLE_CUTOFF = 1e15 / 2
 
@@ -179,3 +192,71 @@ def random_instance(rng, max_side=6):
         )
 
     return endings, startings
+
+
+def anonymity_sizes_loop(changes, silence_of, anonymity_region_m=500.0):
+    """Anonymity-set size per change, by the original per-interval loop.
+
+    For each change with an old identifier: the vehicles with a silence
+    interval that overlaps the change's own silence and whose change
+    position lies within ``anonymity_region_m``, at least 1.
+    """
+    sizes = []
+    for rec in changes:
+        if not rec.old_ids:
+            continue
+        start = rec.t
+        end = rec.t + rec.silence_s
+        cx, cy = rec.position
+        members = set()
+        for vid, intervals in silence_of.items():
+            for (s0, s1, pos) in intervals:
+                if s0 <= end and start <= s1:
+                    if math.dist((cx, cy), pos) <= anonymity_region_m:
+                        members.add(vid)
+                        break
+        sizes.append(max(1, len(members)))
+    return sizes
+
+
+def link_full_scan(store, model, use_quasi_identifiers=True):
+    """(predicted pairs, assignments) of ``link`` with the original candidate scan.
+
+    Every epoch rescans every open ending of its scope, so this is
+    O(epochs x tracklets); the production ``link`` must select the same
+    candidates.
+    """
+    tracklets = build_tracklets(store)
+    scopes = sorted({tr.scope for tr in tracklets})
+    semantic_pairs = []
+    if use_quasi_identifiers:
+        for scope in scopes:
+            semantic_pairs.extend(
+                semantic_match([tr for tr in tracklets if tr.scope == scope])
+            )
+    has_succ = {old for old, _ in semantic_pairs}
+    has_pred = {new for _, new in semantic_pairs}
+    predicted = list(semantic_pairs)
+    assignments = []
+    for scope in scopes:
+        scoped = [tr for tr in tracklets if tr.scope == scope]
+        open_endings = [tr for tr in scoped if tr.station_id not in has_succ]
+        epochs = {}
+        for tr in scoped:
+            if tr.station_id not in has_pred:
+                epochs.setdefault(tr.t_first, []).append(tr)
+        matched_endings = set()
+        for t_epoch in sorted(epochs):
+            candidates = [
+                e
+                for e in open_endings
+                if e.station_id not in matched_endings
+                and 0.0 < t_epoch - e.t_last <= model.max_gap_s
+            ]
+            if not candidates:
+                continue
+            assignment = associate_across_gap(candidates, epochs[t_epoch], model)
+            assignments.append(assignment)
+            predicted.extend(assignment.pairs)
+            matched_endings.update(old for old, _ in assignment.pairs)
+    return predicted, assignments

@@ -4,18 +4,32 @@
 ``summary_json()`` and of the silence sweep's ``metrics.csv`` and
 ``sweep_manifest.json``. Under ``branch_runs`` it also holds the summary,
 trace and linkage digests of the configs in ``BRANCH_RUNS``, which reach
-engine paths the suite scenarios miss. A change that alters any of these
-bytes on purpose must regenerate the file and say why.
+engine paths the suite scenarios miss. ``attacker_replay`` pins the linkage
+and attack metrics of a generated trace with large kinematic epochs, and
+``random_instance_assignments`` every gap assignment, ties included, of
+``oracle_support.random_instance`` seeds 0-5. A change that alters any of
+these bytes on purpose must regenerate the file and say why.
 """
 
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from conftest import SUITE
+from oracle_support import random_instance
 from pseudosim import run_scenario
+from pseudosim.adversary import (
+    MotionModel,
+    TruthData,
+    associate_across_gap,
+    evaluate_attack,
+    link,
+    load_trace,
+)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
 
@@ -108,3 +122,91 @@ def branch_digests(config: dict) -> dict:
 @pytest.mark.parametrize("name", sorted(BRANCH_RUNS))
 def test_branch_run_digests(name):
     assert branch_digests(BRANCH_RUNS[name]) == GOLDEN["branch_runs"][name]
+
+
+def replay_trace(path: Path, seed: int = 3, n_sync: int = 60, n_staggered: int = 20,
+                 n_ticks: int = 200) -> TruthData:
+    """Write a CAM trace in the ``--trace`` row format and return its ground truth.
+
+    The ``n_sync`` vehicles share one set of dimensions and change every 5 s
+    at the same instant after a 1 s silence, so the semantic stage cannot
+    resolve them and the kinematic epochs are large. The ``n_staggered``
+    vehicles have unique dimensions and change on staggered timers without
+    silence; some of them share dimensions, which leaves those groups to the
+    kinematic stage, and the semantic stage links the rest. Reported positions
+    carry 1 m noise.
+    """
+    rng = np.random.default_rng(seed)
+    used: set = set()
+
+    def fresh_id() -> str:
+        while (sid := f"{int(rng.integers(0, 2**63)):016x}") in used:
+            pass
+        used.add(sid)
+        return sid
+
+    vehicles = []
+    for vid in range(1, n_sync + n_staggered + 1):
+        sync = vid <= n_sync
+        heading = 1.0 if rng.random() < 0.5 else -1.0
+        period = 50 if sync else int(rng.integers(80, 151))
+        vehicles.append(SimpleNamespace(
+            vid=vid, sid=fresh_id(), period=period, silent_until=-1,
+            phase=0 if sync else int(rng.integers(1, period)),
+            silence=10 if sync else 0,
+            dims=[4.5, 1.8] if sync else [round(3.5 + 0.03 * (vid % 15), 2), 2.05],
+            x0=float(rng.uniform(0.0, 500.0)), vx=heading * float(rng.uniform(20.0, 32.0)),
+            y=float(rng.choice([0.0, 3.5, 7.0, 10.5])) * heading,
+        ))
+    owner_of = {v.sid: v.vid for v in vehicles}
+    truth_pairs, changes, silence_of = [], [], {}
+    with open(path, "w", encoding="utf-8") as fh:
+        for tick in range(n_ticks):
+            t = tick * 0.1
+            noise = rng.normal(0.0, 1.0, size=(len(vehicles), 2))
+            for k, v in enumerate(vehicles):
+                x = v.x0 + v.vx * t
+                if tick > 0 and (tick - v.phase) % v.period == 0:
+                    old, v.sid = v.sid, fresh_id()
+                    v.silent_until = tick + v.silence
+                    owner_of[v.sid] = v.vid
+                    truth_pairs.append((old, v.sid))
+                    silence_s = v.silence * 0.1
+                    changes.append(SimpleNamespace(
+                        t=t, old_ids={"CAM": old}, position=(x, v.y), silence_s=silence_s))
+                    silence_of.setdefault(v.vid, []).append((t, t + silence_s, (x, v.y)))
+                if tick < v.silent_until:
+                    continue
+                row = {"kind": "CAM", "t": t, "station_id": v.sid,
+                       "x": x + float(noise[k, 0]), "y": v.y + float(noise[k, 1]),
+                       "vx": v.vx, "vy": 0.0, "sender_vehicle_id": v.vid,
+                       "quasi_ids": v.dims}
+                fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+    return TruthData(owner_of=owner_of, truth_pairs=truth_pairs, changes=changes,
+                     silence_of=silence_of)
+
+
+def attacker_digest(tmp_path: Path) -> str:
+    """sha256 of the linkage JSON and the attack metrics of the replayed trace."""
+    path = tmp_path / "trace.jsonl"
+    truth = replay_trace(path)
+    linkage = link(load_trace(str(path)), MotionModel())
+    metrics = evaluate_attack(linkage, truth)
+    return _sha256((linkage.to_json() + json.dumps(metrics.to_obj(), sort_keys=True)).encode())
+
+
+def test_attacker_replay_digest(tmp_path):
+    assert attacker_digest(tmp_path) == GOLDEN["attacker_replay"]
+
+
+def test_random_instance_assignments_digest():
+    digest = hashlib.sha256()
+    model = MotionModel()
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for _ in range(2000):
+            a = associate_across_gap(*random_instance(rng), model)
+            digest.update(json.dumps(
+                [a.pairs, a.unmatched_endings, a.unmatched_startings, a.total_cost]
+            ).encode())
+    assert digest.hexdigest() == GOLDEN["random_instance_assignments"]
