@@ -13,8 +13,10 @@ identifier wins, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -24,6 +26,7 @@ from scipy.optimize import linear_sum_assignment
 Point = tuple[float, float]
 
 _BIG = 1e15  # infeasible-edge sentinel; must dwarf any plausible no-match cost
+_BY_TIME_THEN_ID = operator.attrgetter("t", "station_id")
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,8 @@ class ObservationStore:
         self.notices.append(notice)
 
     def finalize(self) -> None:
-        self.observations.sort(key=lambda o: (o.t, o.station_id))
-        self.notices.sort(key=lambda n: (n.t, n.station_id))
+        self.observations.sort(key=_BY_TIME_THEN_ID)
+        self.notices.sort(key=_BY_TIME_THEN_ID)
 
 
 @dataclass(frozen=True)
@@ -167,17 +170,48 @@ class MotionModel:
     max_gap_s: float = 30.0
 
 
+def _extrapolation_cost(gap, x, y, vx, vy, first_x, first_y, model: MotionModel):
+    """Squared miss of a constant-velocity extrapolation over squared uncertainty.
+
+    Works elementwise on floats and on broadcast numpy arrays alike. numpy's
+    float64 arithmetic rounds exactly like Python's floats, so one formula
+    gives bit-identical costs to ``gap_cost`` and to the cost matrix.
+    """
+    px = x + vx * gap
+    py = y + vy * gap
+    dx = first_x - px
+    dy = first_y - py
+    sigma = model.sigma0_m + model.beta_m_per_s * gap
+    return (dx * dx + dy * dy) / (sigma * sigma)
+
+
 def gap_cost(ending: Tracklet, starting: Tracklet, model: MotionModel) -> float:
     """Cost of hypothesizing that ``starting`` continues ``ending``."""
     gap = starting.t_first - ending.t_last
     if gap <= 0.0 or gap > model.max_gap_s:
         return _BIG
-    px = ending.pos_last[0] + ending.vel_last[0] * gap
-    py = ending.pos_last[1] + ending.vel_last[1] * gap
-    dx = starting.pos_first[0] - px
-    dy = starting.pos_first[1] - py
-    sigma = model.sigma0_m + model.beta_m_per_s * gap
-    return (dx * dx + dy * dy) / (sigma * sigma)
+    return _extrapolation_cost(
+        gap, *ending.pos_last, *ending.vel_last, *starting.pos_first, model
+    )
+
+
+def _cost_matrix(
+    endings: Sequence[Tracklet], startings: Sequence[Tracklet], model: MotionModel
+) -> np.ndarray:
+    """``gap_cost`` of every (ending, starting) pair as one array expression."""
+    last = np.array(
+        [(e.t_last, *e.pos_last, *e.vel_last) for e in endings], dtype=float
+    )
+    t_last, x, y, vx, vy = (col[:, None] for col in last.T)
+    t_first, first_x, first_y = np.array(
+        [(s.t_first, *s.pos_first) for s in startings], dtype=float
+    ).T
+    gap = t_first - t_last
+    # infeasible cells may overflow or divide by zero; they become _BIG below
+    with np.errstate(all="ignore"):
+        cost = _extrapolation_cost(gap, x, y, vx, vy, first_x, first_y, model)
+    cost[(gap <= 0.0) | (gap > model.max_gap_s)] = _BIG
+    return cost
 
 
 @dataclass
@@ -190,30 +224,45 @@ class GapAssignment:
     unmatched_endings: list[str]
     unmatched_startings: list[str]
     total_cost: float
+    pair_costs: list[float]  # gap cost of each entry of ``pairs``
 
 
-def _canonical_total(
-    cost: np.ndarray,
-    match: dict[int, Optional[int]],
-    no_match_cost: float,
-    n_start: int,
-) -> float:
-    """Sum in fixed (row) order so equal assignments give equal floats."""
-    total = 0.0
-    matched_cols = set()
-    for i in sorted(match):
-        j = match[i]
-        if j is None:
-            total += no_match_cost
-        else:
-            total += float(cost[i, j])
-            matched_cols.add(j)
-    total += no_match_cost * (n_start - len(matched_cols))
-    return total
+def _tie_candidates(cost: np.ndarray, match: dict[int, Optional[int]]) -> bool:
+    """Whether ``_canonicalize_ties`` could find a rewrite in ``match``.
+
+    Flags every state in which one of its three rewrites applies (it may
+    also flag some it then leaves alone): a matched row with an equal-cost
+    free column, an unmatched row tying a matched row on that row's column,
+    and two matched rows whose 2x2 minor is an exact tie. When none applies
+    to the starting state the tie pass changes nothing.
+    """
+    rows = [i for i, j in match.items() if j is not None]
+    if not rows:
+        return False
+    cols = [match[i] for i in rows]
+    n_rows, n_cols = cost.shape
+    mine = cost[rows]
+    held = cost[rows, cols]
+    if len(cols) < n_cols:
+        free = np.ones(n_cols, dtype=bool)
+        free[cols] = False
+        if (mine[:, free] == held[:, None]).any():
+            return True
+    if len(rows) < n_rows:
+        unmatched = [i for i, j in match.items() if j is None]
+        if (cost[unmatched][:, cols] == held).any():
+            return True
+    if len(rows) < 2:
+        return False
+    cross = mine[:, cols]  # cross[a, b]: row a on row b's column
+    feasible = cross < _BIG / 2
+    swap = (held[:, None] + held == cross + cross.T) & feasible & feasible.T
+    np.fill_diagonal(swap, False)
+    return bool(swap.any())
 
 
 def _canonicalize_ties(
-    cost: np.ndarray,
+    cost: list[list[float]],
     match: dict[int, Optional[int]],
     starting_ids: Sequence[str],
 ) -> None:
@@ -239,7 +288,7 @@ def _canonicalize_ties(
             for j2 in range(len(starting_ids)):
                 if j2 in matched_cols or j2 == j:
                     continue
-                if cost[i, j2] == cost[i, j] and starting_ids[j2] < starting_ids[j]:
+                if cost[i][j2] == cost[i][j] and starting_ids[j2] < starting_ids[j]:
                     match[i] = j2
                     matched_cols.discard(j)
                     matched_cols.add(j2)
@@ -250,15 +299,15 @@ def _canonicalize_ties(
             for b_idx in range(a_idx + 1, len(rows)):
                 a, b = rows[a_idx], rows[b_idx]
                 ja, jb = match[a], match[b]
-                if ja is None and jb is not None and cost[a, jb] == cost[b, jb]:
+                if ja is None and jb is not None and cost[a][jb] == cost[b][jb]:
                     match[a], match[b] = jb, None
                     changed = True
                 elif ja is not None and jb is not None:
                     # swap targets when the 2x2 minor is an exact tie
                     if (
-                        cost[a, ja] + cost[b, jb] == cost[a, jb] + cost[b, ja]
-                        and cost[a, jb] < _BIG / 2
-                        and cost[b, ja] < _BIG / 2
+                        cost[a][ja] + cost[b][jb] == cost[a][jb] + cost[b][ja]
+                        and cost[a][jb] < _BIG / 2
+                        and cost[b][ja] < _BIG / 2
                         and starting_ids[jb] < starting_ids[ja]
                     ):
                         match[a], match[b] = jb, ja
@@ -288,13 +337,10 @@ def associate_across_gap(
             unmatched_endings=[tr.station_id for tr in endings],
             unmatched_startings=[tr.station_id for tr in startings],
             total_cost=model.no_match_cost * (n_e + n_s),
+            pair_costs=[],
         )
 
-    cost = np.empty((n_e, n_s), dtype=float)
-    for i, e in enumerate(endings):
-        for j, s in enumerate(startings):
-            cost[i, j] = gap_cost(e, s, model)
-
+    cost = _cost_matrix(endings, startings, model)
     size = n_e + n_s
     padded = np.full((size, size), model.no_match_cost, dtype=float)
     padded[:n_e, :n_s] = cost
@@ -302,30 +348,40 @@ def associate_across_gap(
 
     row_ind, col_ind = linear_sum_assignment(padded)
     match: dict[int, Optional[int]] = {i: None for i in range(n_e)}
-    for r, c in zip(row_ind, col_ind):
-        if r < n_e and c < n_s and padded[r, c] < _BIG / 2:
+    for r, c in zip(row_ind.tolist(), col_ind.tolist()):
+        if r < n_e and c < n_s and cost[r, c] < _BIG / 2:
             match[r] = c
 
     starting_ids = [tr.station_id for tr in startings]
-    _canonicalize_ties(cost, match, starting_ids)
+    if _tie_candidates(cost, match):
+        _canonicalize_ties(cost.tolist(), match, starting_ids)
 
-    pairs = [
-        (endings[i].station_id, starting_ids[j])
-        for i, j in sorted(match.items())
-        if j is not None
-    ]
+    # sum in fixed row order so equal assignments give equal floats
+    total = 0.0
+    pairs: list[tuple[str, str]] = []
+    pair_costs: list[float] = []
+    for i in range(n_e):
+        j = match[i]
+        if j is None:
+            total += model.no_match_cost
+        else:
+            pair_costs.append(float(cost[i, j]))
+            total += pair_costs[-1]
+            pairs.append((endings[i].station_id, starting_ids[j]))
+    total += model.no_match_cost * (n_s - len(pairs))
     matched_cols = {j for j in match.values() if j is not None}
     return GapAssignment(
         ending_ids=[tr.station_id for tr in endings],
         starting_ids=starting_ids,
         pairs=pairs,
         unmatched_endings=[
-            endings[i].station_id for i in sorted(match) if match[i] is None
+            endings[i].station_id for i in range(n_e) if match[i] is None
         ],
         unmatched_startings=[
             sid for j, sid in enumerate(starting_ids) if j not in matched_cols
         ],
-        total_cost=_canonical_total(cost, match, model.no_match_cost, n_s),
+        total_cost=total,
+        pair_costs=pair_costs,
     )
 
 
@@ -432,9 +488,14 @@ def link(
 
     predicted = list(semantic_pairs)
     assignments: list[GapAssignment] = []
+    max_gap = model.max_gap_s
     for scope in sorted({tr.scope for tr in tracklets}):
         scoped = [tr for tr in tracklets if tr.scope == scope]
-        open_endings = [tr for tr in scoped if tr.station_id not in has_succ]
+        open_endings = sorted(
+            (tr for tr in scoped if tr.station_id not in has_succ),
+            key=operator.attrgetter("t_last"),
+        )
+        ends_at = [tr.t_last for tr in open_endings]
         epochs: dict[float, list[Tracklet]] = {}
         for tr in scoped:
             if tr.station_id not in has_pred:
@@ -442,11 +503,17 @@ def link(
         matched_endings: set[str] = set()
         for t_epoch in sorted(epochs):
             startings = epochs[t_epoch]
+            # t_epoch - t_last falls as t_last grows (rounding is monotone), so
+            # the endings inside the lookback window are one run of ends_at
+            lo = bisect.bisect_left(
+                ends_at, True, key=lambda t_last: t_epoch - t_last <= max_gap
+            )
+            hi = bisect.bisect_left(ends_at, t_epoch)
             candidates = [
                 e
-                for e in open_endings
+                for e in open_endings[lo:hi]
                 if e.station_id not in matched_endings
-                and 0.0 < t_epoch - e.t_last <= model.max_gap_s
+                and 0.0 < t_epoch - e.t_last <= max_gap
             ]
             if not candidates:
                 continue
@@ -455,7 +522,7 @@ def link(
             predicted.extend(assignment.pairs)
             matched_endings.update(old for old, _ in assignment.pairs)
 
-    chains = _chain(predicted, by_id, assignments, model)
+    chains = _chain(predicted, by_id, assignments)
     return LinkageResult(
         tracklets=tracklets,
         predicted_pairs=predicted,
@@ -469,14 +536,12 @@ def _chain(
     predicted: list[tuple[str, str]],
     by_id: dict[str, Tracklet],
     assignments: list[GapAssignment],
-    model: MotionModel,
 ) -> list[TrackHypothesis]:
     succ = dict(predicted)
     has_pred = {new for _, new in predicted}
     pair_cost: dict[tuple[str, str], float] = {}
     for a in assignments:
-        for old, new in a.pairs:
-            pair_cost[(old, new)] = gap_cost(by_id[old], by_id[new], model)
+        pair_cost.update(zip(a.pairs, a.pair_costs))
     chains = []
     heads = sorted(
         (sid for sid in succ if sid not in has_pred),
@@ -578,21 +643,7 @@ def evaluate_attack(
         ratios.append(best / total)
     traceability = sum(ratios) / len(ratios) if ratios else 1.0
 
-    sizes: list[int] = []
-    for rec in truth.changes:
-        if not rec.old_ids:
-            continue
-        start = rec.t
-        end = rec.t + rec.silence_s
-        cx, cy = rec.position
-        members = set()
-        for vid, intervals in truth.silence_of.items():
-            for (s0, s1, pos) in intervals:
-                if s0 <= end and start <= s1:
-                    if math.dist((cx, cy), pos) <= anonymity_region_m:
-                        members.add(vid)
-                        break
-        sizes.append(max(1, len(members)))
+    sizes = _anonymity_set_sizes(truth, anonymity_region_m)
     mean_anon = sum(sizes) / len(sizes) if sizes else 1.0
 
     return AttackMetrics(
@@ -603,6 +654,49 @@ def evaluate_attack(
         n_correct_pairs=correct,
         n_predicted_pairs=len(predicted),
     )
+
+
+def _anonymity_set_sizes(truth: TruthData, region_m: float) -> list[int]:
+    """Per change with an old identifier: the vehicles silent nearby, at least 1.
+
+    A vehicle counts when one of its silence intervals overlaps the change's
+    silence and its change position lies within ``region_m`` by
+    ``math.dist``. Squared distances decide every case farther than a
+    relative 1e-9 from the radius (their rounding is about 1e-16), and
+    ``math.dist`` decides the rest, so ``<=`` holds exactly as for the
+    per-interval loop.
+    """
+    owners, spans, positions = [], [], []
+    for owner, intervals in enumerate(truth.silence_of.values()):
+        for s0, s1, pos in intervals:
+            owners.append(owner)
+            spans.append((s0, s1))
+            positions.append(pos)
+    owner = np.array(owners, dtype=np.intp)
+    s0, s1 = np.array(spans, dtype=float).reshape(-1, 2).T
+    x, y = np.array(positions, dtype=float).reshape(-1, 2).T
+    r2 = region_m * region_m
+    # below ~1e-290 subnormal rounding could exceed the band: math.dist decides all
+    inside, outside = (r2 * (1 - 1e-9), r2 * (1 + 1e-9)) if r2 > 1e-290 else (-1.0, math.inf)
+    sizes: list[int] = []
+    for rec in truth.changes:
+        if not rec.old_ids:
+            continue
+        start = rec.t
+        end = rec.t + rec.silence_s
+        cx, cy = rec.position
+        overlap = (s0 <= end) & (start <= s1)
+        with np.errstate(over="ignore"):  # d2 overflowing to inf is never near
+            dx = x - cx
+            dy = y - cy
+            d2 = dx * dx + dy * dy
+        near = d2 < inside
+        members = set(owner[overlap & near].tolist())
+        for k in np.flatnonzero(overlap & ~near & ~(d2 > outside)).tolist():
+            if math.dist((cx, cy), positions[k]) <= region_m:
+                members.add(owners[k])
+        sizes.append(max(1, len(members)))
+    return sizes
 
 
 # --- helpers for experiments and trace replay ------------------------------------
@@ -653,35 +747,35 @@ def load_trace(path: str) -> ObservationStore:
     """Rebuild an observation store from an exported trace file.
 
     Ground-truth fields in the rows (sender vehicle id) are ignored; the
-    attacker only gets what was broadcast.
+    attacker only gets what was broadcast. Rows are streamed one line at a
+    time; blank lines and rows of another ``kind`` are skipped, and a line
+    holding anything after its JSON object raises ``json.JSONDecodeError``.
     """
     store = ObservationStore()
+    observations, notices = store.observations, store.notices
+    decode = json.JSONDecoder().raw_decode
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            row, end = decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
             kind = row.get("kind")
-            if kind == "notice":
-                store.add_notice(
-                    NoticeSighting(
-                        t=float(row["t"]),
-                        station_id=row["station_id"],
-                        scope=row["scope"],
-                    )
-                )
-            elif kind in ("CAM", "DENM"):
+            if kind == "CAM" or kind == "DENM":
                 quasi = row.get("quasi_ids")
-                store.add(
-                    Observation(
-                        t=float(row["t"]),
-                        station_id=row["station_id"],
-                        scope=kind,
-                        position=(float(row["x"]), float(row["y"])),
-                        velocity=(float(row["vx"]), float(row["vy"])),
-                        quasi_ids=tuple(quasi) if quasi is not None else None,
-                    )
+                observations.append(Observation(
+                    float(row["t"]),
+                    row["station_id"],
+                    kind,
+                    (float(row["x"]), float(row["y"])),
+                    (float(row["vx"]), float(row["vy"])),
+                    tuple(quasi) if quasi is not None else None,
+                ))
+            elif kind == "notice":
+                notices.append(
+                    NoticeSighting(float(row["t"]), row["station_id"], row["scope"])
                 )
     store.finalize()
     return store

@@ -135,10 +135,15 @@ def ldm_quality(
     belongs to it, and awareness is the fraction of neighbors represented by
     exactly one live entry. With no neighbors in range awareness is 1.0.
     """
-    live = [e.station_id for e in ldm.live_entries(now) if e.scope is AppScope.CAM]
-    ghost = len([sid for sid in live if sid not in active_station_ids])
+    ghost = 0
     per_neighbor: dict[int, int] = dict.fromkeys(neighbor_ids, 0)
-    for sid in live:
+    timeout_s = ldm.timeout_s
+    for e in ldm._entries.values():  # one pass; same liveness test as live_entries
+        if e.scope is not AppScope.CAM or now - e.last_seen > timeout_s:
+            continue
+        sid = e.station_id
+        if sid not in active_station_ids:
+            ghost += 1
         owner = owner_of.get(sid)
         if owner in per_neighbor:
             per_neighbor[owner] += 1

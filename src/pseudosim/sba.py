@@ -508,13 +508,11 @@ class NetworkRepository:
         self._policies = list(policies)
         self._token_ttl_s = float(token_ttl_s)
         self._profiles: dict[str, NfProfile] = {}
-        self._authenticated: set[str] = set()
 
     def register_nf(self, profile: NfProfile) -> NfProfile:
         if profile.nf_instance_id in self._profiles:
             raise RegistrationError("duplicate_instance", profile.nf_instance_id)
         self._profiles[profile.nf_instance_id] = profile
-        self._authenticated.add(profile.nf_instance_id)
         return profile
 
     def request_access_token(
@@ -526,14 +524,12 @@ class NetworkRepository:
     ) -> AccessToken:
         """Grant an access token or raise ``AuthorizationError``.
 
-        Reasons: ``unknown_consumer``, ``unauthenticated_consumer``,
-        ``unknown_target_type``, ``empty_scope``, ``scope_not_granted``.
+        Reasons: ``unknown_consumer``, ``unknown_target_type``,
+        ``empty_scope``, ``scope_not_granted``.
         """
         consumer = self._profiles.get(consumer_id)
         if consumer is None:
             raise AuthorizationError("unknown_consumer", consumer_id)
-        if consumer_id not in self._authenticated:
-            raise AuthorizationError("unauthenticated_consumer", consumer_id)
         if isinstance(target_nf_type, str):
             try:
                 target_nf_type = NfType(target_nf_type)

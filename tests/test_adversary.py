@@ -1,9 +1,20 @@
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_support import mk_tracklet, random_instance, solve_exhaustive
+import pseudosim.adversary as adv
+from oracle_support import (
+    anonymity_sizes_loop,
+    link_full_scan,
+    mk_tracklet,
+    random_instance,
+    solve_exhaustive,
+)
 from pseudosim.adversary import (
     AttackMetrics,
     CoveragePost,
@@ -116,6 +127,55 @@ def test_gap_cost_infeasible_gaps():
     assert gap_cost(e, mk_tracklet("bb", 40.0, 41.0), model) < 1e14  # exactly max_gap
 
 
+_MAX_GAPS = (30.0, 2.5)
+# gaps at and around the feasibility edges of both windows above
+_EDGE_GAPS = [0.0, -0.0, -1.0, 5e-324, 0.1, 2.5, math.nextafter(2.5, math.inf),
+              30.0, math.nextafter(30.0, math.inf), math.nextafter(30.0, 0.0)]
+_coord = st.one_of(
+    st.floats(-5e3, 5e3),
+    st.sampled_from([0.0, 1e150, -1e150, 1e300, -1e300]),  # squares overflow to inf
+)
+
+
+@st.composite
+def _gap_instance(draw):
+    t_last = draw(st.sampled_from([0.0, 10.0, 1234.5]))
+    endings = [
+        mk_tracklet(f"e{i}", t_last - 1.0, t_last, pos_last=(draw(_coord), draw(_coord)),
+                    vel_last=(draw(_coord), draw(_coord)))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    gaps = st.one_of(st.sampled_from(_EDGE_GAPS), st.floats(-40.0, 40.0))
+    startings = []
+    for j in range(draw(st.integers(1, 4))):
+        t_first = draw(st.sampled_from([e.t_last for e in endings])) + draw(gaps)
+        startings.append(mk_tracklet(f"s{j}", t_first, t_first + 1.0,
+                                     pos_first=(draw(_coord), draw(_coord))))
+    model = MotionModel(sigma0_m=draw(st.sampled_from([1.0, 0.25])),
+                        beta_m_per_s=draw(st.sampled_from([2.0, 0.0, 0.3])),
+                        max_gap_s=draw(st.sampled_from(_MAX_GAPS)))
+    return endings, startings, model
+
+
+@given(_gap_instance())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cost_matrix_equals_gap_cost_on_every_cell(instance):
+    endings, startings, model = instance
+    matrix = adv._cost_matrix(endings, startings, model)
+    assert matrix.shape == (len(endings), len(startings))
+    for i, e in enumerate(endings):
+        for j, s in enumerate(startings):
+            assert matrix[i, j] == gap_cost(e, s, model)
+
+
+def test_cost_matrix_feasibility_edges():
+    model = MotionModel(max_gap_s=30.0)
+    e = mk_tracklet("aa", 0.0, 10.0, pos_last=(3.0, 4.0), vel_last=(1.0, 0.0))
+    starts = [10.0, 9.0, 40.0, math.nextafter(40.0, math.inf)]
+    matrix = adv._cost_matrix([e], [mk_tracklet("s", t, t) for t in starts], model)
+    assert matrix[0].tolist() == [1e15, 1e15, (33.0**2 + 4.0**2) / 61.0**2, 1e15]
+
+
 # --- assignment ------------------------------------------------------------------
 
 
@@ -203,6 +263,34 @@ def test_associate_matches_exhaustive_oracle():
     assert unique_checked > 30
 
 
+def test_tie_pass_runs_whenever_it_would_change_the_match(monkeypatch):
+    # the vectorised check may skip the tie pass only where the pass is a no-op
+    model = MotionModel()
+    rng = np.random.default_rng(5)
+    instances = [random_instance(rng) for _ in range(1500)]
+    gated = [associate_across_gap(e, s, model) for e, s in instances]
+    flagged = []
+    check = adv._tie_candidates
+    monkeypatch.setattr(adv, "_tie_candidates", lambda *a: flagged.append(check(*a)) or True)
+    forced = [associate_across_gap(e, s, model) for e, s in instances]
+    assert gated == forced
+    assert sum(flagged) >= 5  # tie candidates do occur
+    assert len(flagged) - sum(flagged) >= 500  # and most instances skip the pass
+
+
+def test_tie_candidates_flags_each_rewrite():
+    # no ties at all
+    assert not adv._tie_candidates(np.array([[1.0, 2.0], [4.0, 8.0]]), {0: 0, 1: 1})
+    # a matched row with an equal-cost free column
+    assert adv._tie_candidates(np.array([[1.0, 1.0]]), {0: 1})
+    # an unmatched row tying the matched row on its column
+    assert adv._tie_candidates(np.array([[5.0], [5.0]]), {0: None, 1: 0})
+    # an exact 2x2 tie between two matched rows
+    assert adv._tie_candidates(np.array([[1.0, 2.0], [2.0, 3.0]]), {0: 1, 1: 0})
+    # nothing matched: no rewrite can apply
+    assert not adv._tie_candidates(np.array([[7.0, 7.0]]), {0: None})
+
+
 # --- semantic matching ------------------------------------------------------------
 
 
@@ -281,6 +369,45 @@ def test_link_gap_beyond_window_stays_unmatched():
     assert result.predicted_pairs == []
 
 
+@st.composite
+def _multi_epoch_store(draw):
+    """Tracklets on a 0.5 s grid, so epochs share instants and gaps hit max_gap_s."""
+    store = ObservationStore()
+    for k in range(draw(st.integers(0, 14))):
+        t0 = 0.5 * draw(st.integers(0, 120))
+        t1 = t0 + 0.5 * draw(st.integers(0, 6))
+        scope = draw(st.sampled_from(["CAM", "CAM", "DENM"]))
+        quasi = draw(st.sampled_from([None, (4.5, 1.8), (4.0, 1.7)])) if scope == "CAM" else None
+        x0 = draw(st.floats(-200.0, 200.0))
+        vx = draw(st.sampled_from([-10.0, 0.0, 10.0, 25.0]))
+        sid = f"{draw(st.integers(0, 2**32)):08x}{k:02d}"
+        t = t0
+        while t <= t1:
+            store.add(Observation(t, sid, scope, (x0 + vx * (t - t0), 0.0), (vx, 0.0), quasi))
+            t += 0.5
+    store.finalize()
+    return store
+
+
+@given(_multi_epoch_store(), st.sampled_from([30.0, 5.0, 2.5, 0.5]), st.booleans())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_link_matches_full_candidate_scan(store, max_gap, use_quasi):
+    model = MotionModel(max_gap_s=max_gap)
+    result = link(store, model, use_quasi_identifiers=use_quasi)
+    predicted, assignments = link_full_scan(store, model, use_quasi)
+    assert result.predicted_pairs == predicted
+    assert result.assignments == assignments
+    # chain scores sum the gap cost of each kinematic link in chain order
+    by_id = {tr.station_id: tr for tr in result.tracklets}
+    kinematic = {p for a in assignments for p in a.pairs}
+    for chain in result.chains:
+        score = 0.0
+        for old, new in zip(chain.station_ids, chain.station_ids[1:]):
+            if (old, new) in kinematic:
+                score += gap_cost(by_id[old], by_id[new], model)
+        assert chain.score == score
+
+
 # --- scoring ------------------------------------------------------------------------
 
 
@@ -354,6 +481,65 @@ def test_evaluate_attack_anonymity_sets():
     assert m.mean_anonymity_set == 1.0
 
 
+# offsets from a change position at, one ulp inside and one ulp outside 500 m,
+# and far away
+_RADIUS_OFFSETS = [
+    (300.0, 400.0), (-300.0, 400.0), (500.0, 0.0), (0.0, -500.0),
+    (300.0, math.nextafter(400.0, 0.0)), (300.0, math.nextafter(400.0, math.inf)),
+    (math.nextafter(500.0, 0.0), 0.0), (math.nextafter(500.0, math.inf), 0.0),
+    (0.0, 0.0), (353.5533905932738, 353.5533905932738), (1e200, 0.0),
+    # dx*dx + dy*dy rounds above 500**2 although math.dist gives exactly 500
+    (-15.922121808320032, 499.74642173518464), (493.62311285618796, 79.6003922990782),
+]
+
+
+@st.composite
+def _silences(draw):
+    center = st.sampled_from([(0.0, 0.0), (1000.0, -250.0), (0.1, 0.7)])
+    offset = st.one_of(st.sampled_from(_RADIUS_OFFSETS),
+                       st.tuples(st.floats(-700.0, 700.0), st.floats(-700.0, 700.0)))
+    changes, silence_of = [], {}
+    for vid in range(1, draw(st.integers(1, 6)) + 1):
+        for _ in range(draw(st.integers(0, 3))):
+            t = 0.5 * draw(st.integers(0, 20))
+            silence_s = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+            cx, cy = draw(center)
+            dx, dy = draw(offset)
+            pos = (cx + dx, cy + dy)
+            changes.append(SimpleNamespace(
+                t=t, silence_s=silence_s, position=draw(center),
+                old_ids=draw(st.sampled_from([{"CAM": "x"}, {}]))))
+            silence_of.setdefault(vid, []).append((t, t + silence_s, pos))
+    return changes, silence_of
+
+
+@given(_silences(), st.sampled_from([500.0, 50.0, 1e-200, 1e300]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_anonymity_set_sizes_match_the_interval_loop(silences, region_m):
+    changes, silence_of = silences
+    truth = truth_for({}, [], changes, silence_of)
+    assert adv._anonymity_set_sizes(truth, region_m) == anonymity_sizes_loop(
+        changes, silence_of, region_m
+    )
+
+
+def test_anonymity_set_counts_points_on_the_radius():
+    def rec(position):
+        return SimpleNamespace(t=0.0, silence_s=1.0, position=position, old_ids={"CAM": "x"})
+
+    silence_of = {
+        1: [(0.0, 1.0, (0.0, 0.0))],
+        2: [(0.0, 1.0, (300.0, 400.0))],  # exactly 500 m from the first change
+        3: [(0.0, 1.0, (300.0, math.nextafter(400.0, 0.0)))],
+        4: [(0.0, 1.0, (math.nextafter(500.0, math.inf), 0.0))],
+        5: [(2.0, 3.0, (0.0, 0.0))],  # silent later: never overlaps
+        6: [(0.0, 1.0, (-15.922121808320032, 499.74642173518464))],  # squares round past 500
+    }
+    changes = [rec((0.0, 0.0))]
+    assert adv._anonymity_set_sizes(truth_for({}, [], changes, silence_of), 500.0) == [4]
+    assert anonymity_sizes_loop(changes, silence_of, 500.0) == [4]
+
+
 # --- relabeling and trace replay ------------------------------------------------------
 
 
@@ -407,3 +593,34 @@ def test_load_trace_roundtrip(tmp_path):
     denm = store.observations[1]
     assert denm.scope == "DENM" and denm.quasi_ids is None
     assert store.notices == [NoticeSighting(0.3, "aa", "CAM")]
+
+
+def _write_lines(tmp_path, lines):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_load_trace_rejects_trailing_data_on_a_line(tmp_path):
+    row = json.dumps({"kind": "CAM", "t": 0.1, "station_id": "aa", "x": 1.0, "y": 2.0,
+                      "vx": 10.0, "vy": 0.0})
+    with pytest.raises(json.JSONDecodeError, match="Extra data"):
+        load_trace(_write_lines(tmp_path, [row, f"{row} {row}"]))
+
+
+def test_load_trace_skips_blank_lines_and_unknown_kinds(tmp_path):
+    cam = {"kind": "CAM", "t": 1, "station_id": "aa", "x": 3, "y": -2, "vx": 10,
+           "vy": 0, "quasi_ids": [4.5, 1.8]}
+    path = _write_lines(tmp_path, [
+        "", "   \t ", json.dumps({"kind": "lock", "t": 0.5, "vehicle_id": 1}),
+        json.dumps({"t": 0.6, "station_id": "zz"}), f"  {json.dumps(cam)}  ",
+        json.dumps({"kind": "notice", "t": 2, "station_id": "aa", "scope": "CAM"}),
+    ])
+    store = load_trace(path)
+    assert len(store.observations) == 1
+    o = store.observations[0]
+    assert (o.t, o.position, o.velocity) == (1.0, (3.0, -2.0), (10.0, 0.0))
+    # integer values in the file come back as floats
+    assert all(type(v) is float for v in (o.t, *o.position, *o.velocity))
+    assert store.notices == [NoticeSighting(2.0, "aa", "CAM")]
+    assert type(store.notices[0].t) is float

@@ -312,13 +312,6 @@ def test_token_grant_and_denials():
         nrf.request_access_token("amf-1", [SERVICE_V2X_MESSAGING], "BOGUS", 0.0)
     assert err.value.reason == "unknown_target_type"
 
-    # consumer registered but not on the authenticated transport
-    nrf._authenticated.discard("amf-1")
-    with pytest.raises(AuthorizationError) as err:
-        nrf.request_access_token("amf-1", [SERVICE_V2X_MESSAGING], NfType.V2X_AF, 0.0)
-    assert err.value.reason == "unauthenticated_consumer"
-    nrf._authenticated.add("amf-1")
-
     token = nrf.request_access_token(
         "amf-1", [SERVICE_V2X_MESSAGING, SERVICE_V2X_MESSAGING], NfType.V2X_AF, 10.0
     )
