@@ -1,14 +1,18 @@
 """Passive eavesdropper that re-links pseudonymous trajectories.
 
-The attacker records broadcast messages inside its coverage, chains
-observations that share a station identifier into tracklets, then tries to
-stitch tracklets across identifier changes: first by quasi-identifier
-(semantic) matching, then by minimum-cost kinematic assignment across silence
-gaps. Scoring compares the stitched hypotheses against ground truth.
+The attacker keeps the broadcast records of ``beaconing`` (``Observation``,
+``NoticeSighting``) sent inside its coverage, chains observations that share
+a station identifier into tracklets, then tries to stitch tracklets across
+identifier changes: first by quasi-identifier (semantic) matching, then by
+minimum-cost kinematic assignment across silence gaps. Scoring compares the
+stitched hypotheses against ground truth.
 
 The kinematic stage solves a rectangular assignment problem with a no-match
 option; among cost ties the lexicographically smallest assignment by station
 identifier wins, so results are reproducible bit for bit.
+
+This module also owns the ``trace.jsonl`` row format: ``trace_row`` writes a
+row and ``load_trace`` reads a file of them back.
 """
 
 from __future__ import annotations
@@ -17,35 +21,18 @@ import bisect
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .beaconing import NoticeSighting, Observation
+
 Point = tuple[float, float]
 
 _BIG = 1e15  # infeasible-edge sentinel; must dwarf any plausible no-match cost
 _BY_TIME_THEN_ID = operator.attrgetter("t", "station_id")
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One overheard broadcast, as transmitted (reported position, not truth)."""
-
-    t: float
-    station_id: str
-    scope: str
-    position: Point
-    velocity: Point
-    quasi_ids: Optional[tuple[float, float]] = None
-
-
-@dataclass(frozen=True)
-class NoticeSighting:
-    t: float
-    station_id: str
-    scope: str
 
 
 class ObservationStore:
@@ -727,20 +714,25 @@ def relabel_station_ids(
                 break
     out = ObservationStore()
     for o in store.observations:
-        out.add(
-            Observation(
-                t=o.t,
-                station_id=mapping[o.station_id],
-                scope=o.scope,
-                position=o.position,
-                velocity=o.velocity,
-                quasi_ids=o.quasi_ids,
-            )
-        )
+        out.add(replace(o, station_id=mapping[o.station_id]))
     for n in store.notices:
-        out.add_notice(NoticeSighting(t=n.t, station_id=mapping[n.station_id], scope=n.scope))
+        out.add_notice(replace(n, station_id=mapping[n.station_id]))
     out.finalize()
     return out, mapping
+
+
+def trace_row(sender_id: int, record: Observation | NoticeSighting) -> dict:
+    """The ``trace.jsonl`` row of one broadcast, tagged with its true sender."""
+    if type(record) is NoticeSighting:
+        return {"kind": "notice", "t": record.t, "station_id": record.station_id,
+                "scope": record.scope, "sender_vehicle_id": sender_id}
+    quasi = record.quasi_ids
+    return {
+        "kind": record.scope, "t": record.t, "station_id": record.station_id,
+        "x": record.position[0], "y": record.position[1],
+        "vx": record.velocity[0], "vy": record.velocity[1],
+        "sender_vehicle_id": sender_id, "quasi_ids": None if quasi is None else list(quasi),
+    }
 
 
 def load_trace(path: str) -> ObservationStore:

@@ -1,17 +1,20 @@
-"""Broadcast messages and the receiver-side local dynamic map.
+"""Broadcast records and the receiver-side local dynamic map.
 
 Cooperative awareness messages (CAMs) and event notifications (DENMs) are
 signed under per-application pseudonyms derived from authorization tickets.
-Receivers fold them into a local dynamic map (LDM) whose entries age out; the
-quality metrics here (ghost, missing, awareness) measure what identifier
-churn does to that picture.
+Each broadcast is one frozen record: an ``Observation`` for a CAM or DENM, a
+``NoticeSighting`` for a deactivation notice. The sender emits it, receivers
+fold it into a local dynamic map (LDM) whose entries age out, and the
+eavesdropper and the trace keep the very same object. The quality metrics
+here (ghost, missing, awareness) measure what identifier churn does to the
+receivers' picture.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping, Sequence, Union
+from typing import AbstractSet, Mapping, Optional, Sequence
 
 from .sba import AppScope, AuthorizationTicket
 
@@ -28,50 +31,38 @@ def station_id_for(ticket: AuthorizationTicket, scope: AppScope) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class Cam:
-    station_id: str
+@dataclass(frozen=True, slots=True)
+class Observation:
+    """One broadcast beacon as transmitted (reported position, not truth).
+
+    ``scope`` is the application (``"CAM"`` or ``"DENM"``); an event
+    notification carries no motion and no vehicle dimensions.
+    """
+
     t: float
-    position: Point
-    velocity: Point
-    quasi_ids: tuple[float, float]  # vehicle length, width as broadcast
-
-    scope = AppScope.CAM
-
-
-@dataclass(frozen=True)
-class Denm:
     station_id: str
-    t: float
+    scope: str
     position: Point
-    event_type: str
-
-    scope = AppScope.DENM
-    velocity = (0.0, 0.0)  # events carry no motion
-    quasi_ids = None
+    velocity: Point = (0.0, 0.0)
+    quasi_ids: Optional[tuple[float, float]] = None  # vehicle length, width
 
 
-@dataclass(frozen=True)
-class DeactivationNotice:
+@dataclass(frozen=True, slots=True)
+class NoticeSighting:
     """Tells receivers an identifier is retiring so they can drop its entry.
 
     Sent at the moment of a pseudonym change, before any silence starts."""
 
-    station_id: str
     t: float
-    scope: AppScope
-
-
-Message = Union[Cam, Denm, DeactivationNotice]
+    station_id: str
+    scope: str
 
 
 @dataclass(slots=True)
 class LdmEntry:
     station_id: str
-    scope: AppScope
+    scope: str
     last_seen: float
-    position: Point
-    velocity: Point
 
 
 class LocalDynamicMap:
@@ -81,20 +72,15 @@ class LocalDynamicMap:
         self.timeout_s = float(timeout_s)
         self._entries: dict[str, LdmEntry] = {}
 
-    def receive(self, msg: Message, now: float) -> None:
-        if isinstance(msg, DeactivationNotice):
+    def receive(self, msg: Observation | NoticeSighting, now: float) -> None:
+        if type(msg) is NoticeSighting:
             self._entries.pop(msg.station_id, None)
             return
         entry = self._entries.get(msg.station_id)
         if entry is None:
-            self._entries[msg.station_id] = LdmEntry(
-                msg.station_id, msg.scope, now, msg.position, msg.velocity
-            )
-        else:  # refresh in place; the entry keeps its slot in the table
-            entry.scope = msg.scope
+            self._entries[msg.station_id] = LdmEntry(msg.station_id, msg.scope, now)
+        else:  # refresh in place; a station id is bound to one scope
             entry.last_seen = now
-            entry.position = msg.position
-            entry.velocity = msg.velocity
 
     def evict_expired(self, now: float) -> int:
         dead = [
@@ -139,7 +125,7 @@ def ldm_quality(
     per_neighbor: dict[int, int] = dict.fromkeys(neighbor_ids, 0)
     timeout_s = ldm.timeout_s
     for e in ldm._entries.values():  # one pass; same liveness test as live_entries
-        if e.scope is not AppScope.CAM or now - e.last_seen > timeout_s:
+        if e.scope != "CAM" or now - e.last_seen > timeout_s:
             continue
         sid = e.station_id
         if sid not in active_station_ids:

@@ -40,6 +40,7 @@ from .strategy import (
 )
 
 MAX_CAM_FREQ_HZ = 10.0
+MAX_TICKS = 10**7  # a run must end: round(duration_s / tick_s) may not exceed this
 MAX_LOCK_EVENT_S = 255.0
 
 
@@ -309,7 +310,7 @@ _SCHEMA: dict[type, dict[str, _Kind]] = {
         "duration_s": _Num(gt=0.0, le=MAX_LOCK_EVENT_S),
     },
     AdversaryConfig: {
-        "sigma0_m": _Num(gt=0.0),
+        "sigma0_m": _Num(ge=1e-6),  # far above where sigma * sigma underflows to 0
         "beta_m_per_s": _Num(ge=0.0),
         "no_match_cost": _Num(gt=0.0),
         "max_gap_s": _Num(gt=0.0),
@@ -559,8 +560,8 @@ def load_scenario(
     duration_s, tick_s = top["duration_s"], top["tick_s"]
     if duration_s is not None and tick_s > duration_s:
         ctx.err("tick_s", "must not exceed duration_s")
-    elif duration_s is not None and math.isinf(_tick(duration_s, tick_s)):
-        ctx.err("tick_s", "must leave a finite number of ticks in duration_s")
+    elif duration_s is not None and not _tick(duration_s, tick_s) <= MAX_TICKS:
+        ctx.err("tick_s", f"must leave at most {MAX_TICKS} ticks in duration_s")
 
     road = _parse_road(raw.get("road"), ctx)
     fleet = _parse_fleet(raw.get("fleet"), road, duration_s, tick_s, ctx)

@@ -13,7 +13,6 @@ raise out of the loop; they become counters in the run summary.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -114,7 +113,7 @@ class SimulationEngine:
         # and every emission as (sender id, message, sender's true position)
         self.roster: list[_Vehicle] = []
         self.neighbors: dict[int, list[int]] = {}
-        self.outbox: list[tuple[int, bcn.Message, mob.Point]] = []
+        self.outbox: list[tuple[int, bcn.Observation | bcn.NoticeSighting, mob.Point]] = []
         self._departures: dict[int, list[VehicleSpec]] = {}
         for spec in config.fleet:
             tick = int(round(spec.depart_s / config.tick_s))
@@ -215,7 +214,7 @@ class SimulationEngine:
             self.active_ids.discard(sid)
             old_ids[scope.value] = sid
             if self.cfg.policy.notify_deactivation:
-                notice = bcn.DeactivationNotice(sid, now, scope)
+                notice = bcn.NoticeSighting(now, sid, scope.value)
                 self.outbox.append((veh.spec.vehicle_id, notice, veh.kin.position))
                 self.bump("notices_sent")
         return old_ids
@@ -421,26 +420,13 @@ class SimulationEngine:
 
     def _phase_beaconing(self, tick: int) -> None:
         now = tick * self.tick_s
-        sigma = self.cfg.beaconing.positioning_sigma_m
         for veh in self.roster:
             if veh.silent(tick):
                 continue
-            cam_due = (
-                veh.last_cam_tick is None
-                or tick - veh.last_cam_tick >= self.cam_period_ticks
-            )
-            if cam_due:
-                ticket = veh.active.get(AppScope.CAM)
-                if ticket is not None and ticket.is_valid_at(now):
-                    pos = mob.positioning_noise(veh.kin.position, sigma, self.rng_noise)
-                    cam = bcn.Cam(
-                        station_id=veh.station_ids[AppScope.CAM],
-                        t=now,
-                        position=pos,
-                        velocity=veh.kin.velocity,
-                        quasi_ids=(veh.spec.length_m, veh.spec.width_m),
-                    )
-                    self.outbox.append((veh.spec.vehicle_id, cam, veh.kin.position))
+            if veh.last_cam_tick is None or tick - veh.last_cam_tick >= self.cam_period_ticks:
+                quasi_ids = (veh.spec.length_m, veh.spec.width_m)
+                cam = self._emit(veh, AppScope.CAM, now, veh.kin.velocity, quasi_ids)
+                if cam is not None:
                     veh.last_cam_tick = tick
                     self.bump("cams_sent")
                     first, _ = self.emit_span.get(cam.station_id, (now, now))
@@ -449,57 +435,49 @@ class SimulationEngine:
                 self.denm_period_ticks is not None
                 and (tick - veh.depart_tick) % self.denm_period_ticks == 0
             ):
-                ticket = veh.active.get(AppScope.DENM)
-                if ticket is not None and ticket.is_valid_at(now):
-                    pos = mob.positioning_noise(veh.kin.position, sigma, self.rng_noise)
-                    denm = bcn.Denm(
-                        station_id=veh.station_ids[AppScope.DENM],
-                        t=now,
-                        position=pos,
-                        event_type="hazard",
-                    )
-                    self.outbox.append((veh.spec.vehicle_id, denm, veh.kin.position))
+                if self._emit(veh, AppScope.DENM, now) is not None:
                     self.bump("denms_sent")
+
+    def _emit(self, veh: _Vehicle, scope: AppScope, now: float, *motion):
+        """Broadcast under ``scope`` if its ticket is valid; returns the record or None.
+
+        ``motion`` is a CAM's velocity and quasi-identifiers; a DENM passes none.
+        """
+        ticket = veh.active.get(scope)
+        if ticket is None or not ticket.is_valid_at(now):
+            return None
+        pos = mob.positioning_noise(
+            veh.kin.position, self.cfg.beaconing.positioning_sigma_m, self.rng_noise
+        )
+        obs = bcn.Observation(now, veh.station_ids[scope], scope.value, pos, *motion)
+        self.outbox.append((veh.spec.vehicle_id, obs, veh.kin.position))
+        return obs
 
     def _phase_ingest(self, tick: int) -> None:
         now = tick * self.tick_s
         loss = self.cfg.beaconing.loss_rate
         rng = self.rng_loss
-        radio = self.cfg.beaconing.radio_range_m
-        # deletions land before refreshes; within a kind, sender id then emission order
-        kind_rank = {bcn.DeactivationNotice: 0, bcn.Cam: 1, bcn.Denm: 2}
+        # deletions land before refreshes (notices rank "" below "CAM" < "DENM");
+        # within a kind, sender id then emission order (the sort is stable)
         ordered = sorted(
-            enumerate(self.outbox),
-            key=lambda kv: (kind_rank[type(kv[1][1])], kv[1][0], kv[0]),
+            self.outbox,
+            key=lambda e: ("" if type(e[1]) is bcn.NoticeSighting else e[1].scope, e[0]),
         )
         self.outbox = []
-        for _, (sender_id, msg, sender_pos) in ordered:
-            if isinstance(msg, bcn.DeactivationNotice):
-                self.eavesdropper.hear_notice(
-                    adv.NoticeSighting(msg.t, msg.station_id, msg.scope.value),
-                    sender_pos,
-                )
+        for sender_id, msg, sender_pos in ordered:
+            if type(msg) is bcn.NoticeSighting:
+                self.eavesdropper.hear_notice(msg, sender_pos)
             else:
-                self.eavesdropper.hear(
-                    adv.Observation(
-                        t=msg.t,
-                        station_id=msg.station_id,
-                        scope=msg.scope.value,
-                        position=msg.position,
-                        velocity=msg.velocity,
-                        quasi_ids=msg.quasi_ids,
-                    ),
-                    sender_pos,
-                )
+                self.eavesdropper.hear(msg, sender_pos)
             if self.trace_rows is not None:
-                self.trace_rows.append(_trace_row(sender_id, msg))
+                self.trace_rows.append(adv.trace_row(sender_id, msg))
             in_range = self.neighbors.get(sender_id)
             if in_range is None:  # notice from a vehicle that finished this tick
-                in_range = [
-                    veh.spec.vehicle_id
-                    for veh in self.roster
-                    if math.dist(veh.kin.position, sender_pos) <= radio
-                ]
+                in_range = mob.region_query(
+                    {veh.spec.vehicle_id: veh.kin.position for veh in self.roster},
+                    sender_pos,
+                    self.cfg.beaconing.radio_range_m,
+                )
             for rid in in_range:
                 if loss > 0.0 and rng.random() < loss:
                     self.bump("messages_lost")
@@ -632,28 +610,6 @@ class SimulationEngine:
             },
             "counters": dict(sorted({**self.counters, **self.core.counters}.items())),
         }
-
-
-def _trace_row(sender_id: int, msg) -> dict:
-    if isinstance(msg, bcn.DeactivationNotice):
-        return {
-            "kind": "notice",
-            "t": msg.t,
-            "station_id": msg.station_id,
-            "scope": msg.scope.value,
-            "sender_vehicle_id": sender_id,
-        }
-    return {
-        "kind": msg.scope.value,
-        "t": msg.t,
-        "station_id": msg.station_id,
-        "x": msg.position[0],
-        "y": msg.position[1],
-        "vx": msg.velocity[0],
-        "vy": msg.velocity[1],
-        "sender_vehicle_id": sender_id,
-        "quasi_ids": None if msg.quasi_ids is None else list(msg.quasi_ids),
-    }
 
 
 def run_scenario(

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -593,6 +594,35 @@ def test_load_trace_roundtrip(tmp_path):
     denm = store.observations[1]
     assert denm.scope == "DENM" and denm.quasi_ids is None
     assert store.notices == [NoticeSighting(0.3, "aa", "CAM")]
+
+
+_num = st.floats(allow_nan=False, allow_infinity=False)
+_xy = st.tuples(_num, _num)
+_sid = st.text("0123456789abcdef", min_size=1, max_size=16)
+_broadcasts = st.lists(st.one_of(
+    st.builds(Observation, _num, _sid, st.just("CAM"), _xy, _xy, st.none() | _xy),
+    st.builds(Observation, _num, _sid, st.just("DENM"), _xy),
+    st.builds(NoticeSighting, _num, _sid, st.sampled_from(["CAM", "DENM"])),
+), max_size=30)
+
+
+@given(_broadcasts, st.integers(0, 99))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_trace_row_round_trips_through_load_trace(tmp_path_factory, records, sender):
+    # the rows as ``pseudosim run --trace`` writes them
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    path.write_text("".join(
+        json.dumps(adv.trace_row(sender, r), sort_keys=True, separators=(",", ":")) + "\n"
+        for r in records
+    ))
+    store = load_trace(str(path))
+    by_time_then_id = operator.attrgetter("t", "station_id")
+    assert store.observations == sorted(
+        (r for r in records if type(r) is Observation), key=by_time_then_id
+    )
+    assert store.notices == sorted(
+        (r for r in records if type(r) is NoticeSighting), key=by_time_then_id
+    )
 
 
 def _write_lines(tmp_path, lines):

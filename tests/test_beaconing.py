@@ -1,8 +1,7 @@
 from pseudosim.beaconing import (
-    Cam,
-    DeactivationNotice,
-    Denm,
     LocalDynamicMap,
+    NoticeSighting,
+    Observation,
     ldm_quality,
     station_id_for,
 )
@@ -20,7 +19,7 @@ def ticket(at_id="deadbeef00112233"):
 
 
 def cam(sid, t, pos=(0.0, 0.0)):
-    return Cam(station_id=sid, t=t, position=pos, velocity=(1.0, 0.0), quasi_ids=(4.5, 1.8))
+    return Observation(t, sid, "CAM", pos, velocity=(1.0, 0.0), quasi_ids=(4.5, 1.8))
 
 
 def test_station_id_scope_separation():
@@ -39,9 +38,7 @@ def test_ldm_upsert_and_timeout():
     ldm.receive(cam("s1", 0.0), now=0.0)
     ldm.receive(cam("s1", 0.5, pos=(5.0, 0.0)), now=0.5)
     assert len(ldm) == 1
-    entry = ldm.live_entries(0.5)[0]
-    assert entry.position == (5.0, 0.0)
-    assert entry.last_seen == 0.5
+    assert ldm.live_entries(0.5)[0].last_seen == 0.5
 
     # age == timeout is still live, strictly older is not
     assert len(ldm.live_entries(2.0)) == 1
@@ -54,19 +51,19 @@ def test_ldm_upsert_and_timeout():
 def test_ldm_notice_drops_entry():
     ldm = LocalDynamicMap()
     ldm.receive(cam("s1", 0.0), now=0.0)
-    ldm.receive(DeactivationNotice("s1", 0.1, AppScope.CAM), now=0.1)
+    ldm.receive(NoticeSighting(0.1, "s1", "CAM"), now=0.1)
     assert len(ldm) == 0
     # notice for an unknown id is a no-op
-    ldm.receive(DeactivationNotice("zz", 0.2, AppScope.CAM), now=0.2)
+    ldm.receive(NoticeSighting(0.2, "zz", "CAM"), now=0.2)
     assert len(ldm) == 0
 
 
-def test_ldm_denm_entry_has_no_velocity():
+def test_denm_record_has_no_motion_and_keeps_its_scope():
+    denm = Observation(0.0, "d1", "DENM", (9.0, 9.0))
+    assert denm.velocity == (0.0, 0.0) and denm.quasi_ids is None
     ldm = LocalDynamicMap()
-    ldm.receive(Denm("d1", 0.0, (9.0, 9.0), "hazard"), now=0.0)
-    e = ldm.live_entries(0.0)[0]
-    assert e.scope == AppScope.DENM
-    assert e.velocity == (0.0, 0.0)
+    ldm.receive(denm, now=0.0)
+    assert ldm.live_entries(0.0)[0].scope == "DENM"
 
 
 def test_quality_counts_ghost_and_missing():
@@ -104,7 +101,7 @@ def test_quality_no_neighbors_is_perfect():
 
 def test_quality_ignores_denm_entries():
     ldm = LocalDynamicMap()
-    ldm.receive(Denm("d1", 0.0, (0.0, 0.0), "hazard"), now=0.0)
+    ldm.receive(Observation(0.0, "d1", "DENM", (0.0, 0.0)), now=0.0)
     q = ldm_quality(ldm, [1], {"d1": 1}, frozenset(), now=0.0)
     # the DENM does not make vehicle 1 known, nor does it count as a ghost
     assert q.ghost_count == 0

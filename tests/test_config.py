@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pseudosim.config import ConfigError, load_scenario
+from pseudosim.config import MAX_TICKS, ConfigError, load_scenario
 from pseudosim.strategy import PeriodicPolicy, SegmentPolicy
 
 
@@ -146,8 +146,27 @@ def test_vanishing_tick_is_a_violation():
     cfg["locks"] = {"events": [{"vehicle_id": 1, "t": 2.0, "app_id": "a", "duration_s": 1.0}]}
     assert violations_of(cfg) == [
         "beaconing.cam_freq_hz: beacon period must be a whole number of ticks",
-        "tick_s: must leave a finite number of ticks in duration_s",
+        "tick_s: must leave at most 10000000 ticks in duration_s",
     ]
+
+
+def test_tick_count_is_capped():
+    # a finite but unbounded tick count would validate and then never finish
+    assert violations_of(minimal_config(tick_s=1e-300)) == [
+        "tick_s: must leave at most 10000000 ticks in duration_s"
+    ]
+    assert 1e6 / 0.1 == MAX_TICKS
+    load_scenario(minimal_config(duration_s=1e6))
+    assert violations_of(minimal_config(duration_s=1e6 + 0.1)) == [
+        "tick_s: must leave at most 10000000 ticks in duration_s"
+    ]
+
+
+def test_adversary_sigma0_lower_bound():
+    # sigma0_m * sigma0_m must not underflow to 0 when beta_m_per_s is 0
+    cfg = minimal_config(adversary={"sigma0_m": 1e-170, "beta_m_per_s": 0.0})
+    assert violations_of(cfg) == ["adversary.sigma0_m: must be >= 1e-06"]
+    load_scenario(minimal_config(adversary={"sigma0_m": 1e-6, "beta_m_per_s": 0.0}))
 
 
 def test_loss_rate_upper_bound():
