@@ -8,8 +8,10 @@ minimum-cost kinematic assignment across silence gaps. Scoring compares the
 stitched hypotheses against ground truth.
 
 The kinematic stage solves a rectangular assignment problem with a no-match
-option; among cost ties the lexicographically smallest assignment by station
-identifier wins, so results are reproducible bit for bit.
+option. Costs are compared on one integer grid (``_tie_grid``), which is the
+only definition of a tie; among tied optima the lexicographically smallest
+assignment by station identifier wins, so results are reproducible bit for
+bit whatever the input order.
 
 This module also owns the ``trace.jsonl`` row format: ``trace_row`` writes a
 row and ``load_trace`` reads a file of them back.
@@ -31,7 +33,7 @@ from .beaconing import NoticeSighting, Observation
 
 Point = tuple[float, float]
 
-_BIG = 1e15  # infeasible-edge sentinel; must dwarf any plausible no-match cost
+_INFEASIBLE = math.inf  # cost of a gap outside (0, max_gap_s]; the tie grid clips it
 _BY_TIME_THEN_ID = operator.attrgetter("t", "station_id")
 
 
@@ -176,7 +178,7 @@ def gap_cost(ending: Tracklet, starting: Tracklet, model: MotionModel) -> float:
     """Cost of hypothesizing that ``starting`` continues ``ending``."""
     gap = starting.t_first - ending.t_last
     if gap <= 0.0 or gap > model.max_gap_s:
-        return _BIG
+        return _INFEASIBLE
     return _extrapolation_cost(
         gap, *ending.pos_last, *ending.vel_last, *starting.pos_first, model
     )
@@ -194,16 +196,16 @@ def _cost_matrix(
         [(s.t_first, *s.pos_first) for s in startings], dtype=float
     ).T
     gap = t_first - t_last
-    # infeasible cells may overflow or divide by zero; they become _BIG below
+    # infeasible cells may overflow or divide by zero; they become _INFEASIBLE below
     with np.errstate(all="ignore"):
         cost = _extrapolation_cost(gap, x, y, vx, vy, first_x, first_y, model)
-    cost[(gap <= 0.0) | (gap > model.max_gap_s)] = _BIG
+    cost[(gap <= 0.0) | (gap > model.max_gap_s)] = _INFEASIBLE
     return cost
 
 
 @dataclass
 class GapAssignment:
-    """Outcome of one assignment subproblem (one connected component)."""
+    """Outcome of the assignment subproblem of one epoch."""
 
     ending_ids: list[str]
     starting_ids: list[str]
@@ -214,91 +216,58 @@ class GapAssignment:
     pair_costs: list[float]  # gap cost of each entry of ``pairs``
 
 
-def _tie_candidates(cost: np.ndarray, match: dict[int, Optional[int]]) -> bool:
-    """Whether ``_canonicalize_ties`` could find a rewrite in ``match``.
+def _tie_grid(cost: np.ndarray, no_match_cost: float) -> tuple[np.ndarray, int]:
+    """Gap costs in grid units, the one definition of a tie, and a no-match's cost.
 
-    Flags every state in which one of its three rewrites applies (it may
-    also flag some it then leaves alone): a matched row with an equal-cost
-    free column, an unmatched row tying a matched row on that row's column,
-    and two matched rows whose 2x2 minor is an exact tie. When none applies
-    to the starting state the tie pass changes nothing.
+    A unit is ``no_match_cost / 2**steps``. Costs clip just above two
+    no-matches, so a clipped pair (an infeasible gap among them) is never
+    matched. Any total over ``size = n_e + n_s`` rows, times ``size + 1``,
+    stays below 2**53, so float sums of grid values are exact.
     """
-    rows = [i for i, j in match.items() if j is not None]
-    if not rows:
-        return False
-    cols = [match[i] for i in rows]
-    n_rows, n_cols = cost.shape
-    mine = cost[rows]
-    held = cost[rows, cols]
-    if len(cols) < n_cols:
-        free = np.ones(n_cols, dtype=bool)
-        free[cols] = False
-        if (mine[:, free] == held[:, None]).any():
-            return True
-    if len(rows) < n_rows:
-        unmatched = [i for i, j in match.items() if j is None]
-        if (cost[unmatched][:, cols] == held).any():
-            return True
-    if len(rows) < 2:
-        return False
-    cross = mine[:, cols]  # cross[a, b]: row a on row b's column
-    feasible = cross < _BIG / 2
-    swap = (held[:, None] + held == cross + cross.T) & feasible & feasible.T
-    np.fill_diagonal(swap, False)
-    return bool(swap.any())
+    size = sum(cost.shape)
+    steps = min(30, 50 - 2 * size.bit_length())
+    pad = 2**steps
+    with np.errstate(over="ignore"):  # a cost too large to scale clips anyway
+        grid = np.rint(np.minimum(cost / (no_match_cost / pad), 2 * pad + 1))
+    return grid, pad
 
 
-def _canonicalize_ties(
-    cost: list[list[float]],
-    match: dict[int, Optional[int]],
-    starting_ids: Sequence[str],
-) -> None:
-    """Rewrite ``match`` in place to the lexicographically smallest optimum.
+def _lex_min_assignment(grid: np.ndarray, pad: int) -> list[int]:
+    """Each ending row's decision in the lexicographically least optimum.
 
-    Rows arrive sorted by ending id and columns by starting id. Among
-    assignments of exactly equal cost the preferred one gives earlier rows
-    matches over no-matches and smaller column ids; only exact float ties are
-    touched, so unique optima pass through untouched.
+    ``_tie_grid``'s output is padded to a square: ending rows, then pad rows;
+    starting columns, then pad columns. A decision is a starting column, or
+    ``n_s`` for no match. A probe marking a first optimum's decisions finds
+    whether another optimum decides otherwise; only then are ending rows
+    fixed in order, each to its least decision among the optima left
+    (Burkard, Dell'Amico and Martello, *Assignment Problems*, ch. 6).
     """
-    rows = sorted(match)
-    changed = True
-    guard = 0
-    while changed and guard < 4 * (len(rows) ** 2 + 1):
-        changed = False
-        guard += 1
-        matched_cols = {j for j in match.values() if j is not None}
-        # prefer smaller column id when a row could swap to an equal-cost free column
-        for i in rows:
-            j = match[i]
-            if j is None:
-                continue
-            for j2 in range(len(starting_ids)):
-                if j2 in matched_cols or j2 == j:
-                    continue
-                if cost[i][j2] == cost[i][j] and starting_ids[j2] < starting_ids[j]:
-                    match[i] = j2
-                    matched_cols.discard(j)
-                    matched_cols.add(j2)
-                    j = j2
-                    changed = True
-        # prefer assigning the earlier of two rows when costs tie
-        for a_idx in range(len(rows)):
-            for b_idx in range(a_idx + 1, len(rows)):
-                a, b = rows[a_idx], rows[b_idx]
-                ja, jb = match[a], match[b]
-                if ja is None and jb is not None and cost[a][jb] == cost[b][jb]:
-                    match[a], match[b] = jb, None
-                    changed = True
-                elif ja is not None and jb is not None:
-                    # swap targets when the 2x2 minor is an exact tie
-                    if (
-                        cost[a][ja] + cost[b][jb] == cost[a][jb] + cost[b][ja]
-                        and cost[a][jb] < _BIG / 2
-                        and cost[b][ja] < _BIG / 2
-                        and starting_ids[jb] < starting_ids[ja]
-                    ):
-                        match[a], match[b] = jb, ja
-                        changed = True
+    n_e, n_s = grid.shape
+    size = n_e + n_s
+    q = np.full((size, size), float(pad))
+    q[:n_e, :n_s] = grid
+    q[n_e:, n_s:] = 0.0
+    rank = np.minimum(np.arange(size), n_s)  # every pad column ranks after every starting
+    rows, cols = linear_sum_assignment(q)
+    decisions = rank[cols[:n_e]]
+    # scaled by size + 1 and marked, an optimum totals target less its ending
+    # rows deciding unlike this one, and any other assignment more than target
+    target = q[rows, cols].sum() * (size + 1) + n_e
+    q *= size + 1
+    mark = rank == decisions[:, None]
+    q[:n_e] += mark
+    if q[rows, linear_sum_assignment(q)[1]].sum() == target:
+        return decisions.tolist()
+    q[:n_e] -= mark
+    live = np.arange(size)
+    fixed = []
+    for i in range(n_e):
+        sub = q[i:, live]
+        sub[0] += rank[live]
+        j = linear_sum_assignment(sub)[1][0]
+        fixed.append(int(rank[live[j]]))
+        live = np.delete(live, j)
+    return fixed
 
 
 def associate_across_gap(
@@ -308,64 +277,54 @@ def associate_across_gap(
 ) -> GapAssignment:
     """Minimum-cost pairing of ending and starting tracklets.
 
-    Every tracklet may stay unmatched at ``no_match_cost``. The problem is
-    solved as a square assignment with padding rows/columns; ties between
-    equal-cost optima are broken toward lexicographically smaller station
-    identifiers.
+    Every tracklet may stay unmatched at ``no_match_cost``. Assignments are
+    compared on the integer grid of ``_tie_grid``, and among the optima there
+    the lexicographically least wins: taking endings in station-id order,
+    each prefers a match to no match, then the smaller starting id. So the
+    result does not depend on input order. ``pair_costs`` and ``total_cost``
+    are float gap costs, summed in ending-id order.
     """
     endings = sorted(endings, key=lambda tr: tr.station_id)
     startings = sorted(startings, key=lambda tr: tr.station_id)
+    ending_ids = [tr.station_id for tr in endings]
+    starting_ids = [tr.station_id for tr in startings]
     n_e, n_s = len(endings), len(startings)
     if n_e == 0 or n_s == 0:
         return GapAssignment(
-            ending_ids=[tr.station_id for tr in endings],
-            starting_ids=[tr.station_id for tr in startings],
+            ending_ids=ending_ids,
+            starting_ids=starting_ids,
             pairs=[],
-            unmatched_endings=[tr.station_id for tr in endings],
-            unmatched_startings=[tr.station_id for tr in startings],
+            unmatched_endings=list(ending_ids),
+            unmatched_startings=list(starting_ids),
             total_cost=model.no_match_cost * (n_e + n_s),
             pair_costs=[],
         )
 
     cost = _cost_matrix(endings, startings, model)
-    size = n_e + n_s
-    padded = np.full((size, size), model.no_match_cost, dtype=float)
-    padded[:n_e, :n_s] = cost
-    padded[n_e:, n_s:] = 0.0
-
-    row_ind, col_ind = linear_sum_assignment(padded)
-    match: dict[int, Optional[int]] = {i: None for i in range(n_e)}
-    for r, c in zip(row_ind.tolist(), col_ind.tolist()):
-        if r < n_e and c < n_s and cost[r, c] < _BIG / 2:
-            match[r] = c
-
-    starting_ids = [tr.station_id for tr in startings]
-    if _tie_candidates(cost, match):
-        _canonicalize_ties(cost.tolist(), match, starting_ids)
+    decisions = _lex_min_assignment(*_tie_grid(cost, model.no_match_cost))
 
     # sum in fixed row order so equal assignments give equal floats
     total = 0.0
     pairs: list[tuple[str, str]] = []
     pair_costs: list[float] = []
-    for i in range(n_e):
-        j = match[i]
-        if j is None:
+    unmatched_endings: list[str] = []
+    for i, j in enumerate(decisions):
+        if j == n_s:
             total += model.no_match_cost
+            unmatched_endings.append(ending_ids[i])
         else:
             pair_costs.append(float(cost[i, j]))
             total += pair_costs[-1]
-            pairs.append((endings[i].station_id, starting_ids[j]))
+            pairs.append((ending_ids[i], starting_ids[j]))
     total += model.no_match_cost * (n_s - len(pairs))
-    matched_cols = {j for j in match.values() if j is not None}
+    matched = set(decisions)
     return GapAssignment(
-        ending_ids=[tr.station_id for tr in endings],
+        ending_ids=ending_ids,
         starting_ids=starting_ids,
         pairs=pairs,
-        unmatched_endings=[
-            endings[i].station_id for i in range(n_e) if match[i] is None
-        ],
+        unmatched_endings=unmatched_endings,
         unmatched_startings=[
-            sid for j, sid in enumerate(starting_ids) if j not in matched_cols
+            sid for j, sid in enumerate(starting_ids) if j not in matched
         ],
         total_cost=total,
         pair_costs=pair_costs,
@@ -695,7 +654,8 @@ def relabel_station_ids(
     """Rename every station identifier with a random fresh label.
 
     Keeps structure and timing, randomizes which identifier string plays
-    which role; useful for measuring how often tie-breaks fall either way.
+    which role. Assignment ties go to the lexicographically smallest station
+    ids, so this measures how often a tie-break falls either way.
     Returns the relabeled store and the old-to-new mapping so ground truth
     can be carried across.
     """

@@ -242,6 +242,17 @@ class _Text(_Kind):
         return value
 
 
+class _Route(_Kind):
+    """A non-empty array of segment ids, stored as a tuple."""
+
+    missing = "must be a non-empty array of segment ids"
+
+    def convert(self, value):
+        if not isinstance(value, list) or not value or not all(isinstance(s, str) for s in value):
+            raise _Invalid(self.missing)
+        return tuple(value)
+
+
 _HOLDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 _POLICIES = {
@@ -250,7 +261,7 @@ _POLICIES = {
 }
 
 # One table per section: field name -> kind and bounds. Fields without a row
-# (routes, lock events, coverage, the policy object) are parsed by hand.
+# (lock events, coverage, the policy object) are parsed by hand.
 _SCHEMA: dict[type, dict[str, _Kind]] = {
     ScenarioConfig: {
         "name": _Text(),
@@ -260,6 +271,7 @@ _SCHEMA: dict[type, dict[str, _Kind]] = {
     },
     VehicleSpec: {
         "vehicle_id": _Int(ge=0),
+        "route": _Route(),
         "speed_mps": _Num(gt=0.0),
         "depart_s": _Num(ge=0.0),
         "length_m": _Num(gt=0.0),
@@ -371,12 +383,11 @@ def _rows(cls: type) -> tuple[tuple[str, _Kind, Any], ...]:
     return tuple((f.name, table[f.name], f.default) for f in fields(cls) if f.name in table)
 
 
-def _values(cls: type, obj: dict, path: str, ctx: _Ctx, *only: str) -> dict:
-    """Keyword arguments for ``cls`` from its table's fields, or just ``only``."""
+def _values(cls: type, obj: dict, path: str, ctx: _Ctx) -> dict:
+    """Keyword arguments for ``cls`` from its table's fields."""
     return {
         name: _field(kind, obj, name, path, ctx, default)
         for name, kind, default in _rows(cls)
-        if not only or name in only
     }
 
 
@@ -458,33 +469,25 @@ def _parse_fleet(
     fleet = []
     seen: set[int] = set()
     for i, row in enumerate(rows):
-        # each stage is read only if the one before it passed
         path = f"fleet[{i}]"
-        row = _section(row, path, _names(VehicleSpec), ctx)
-        vid = _values(VehicleSpec, row, path, ctx, "vehicle_id")["vehicle_id"]
-        if vid is None:
-            continue
+        spec = _read(VehicleSpec, row, path, ctx)
+        vid, route = spec["vehicle_id"], spec["route"]
+        whole = None not in spec.values()
         if vid in seen:
             ctx.err(f"{path}.vehicle_id", f"duplicate vehicle id {vid}")
-            continue
-        seen.add(vid)
-        route = row.get("route")
-        if not isinstance(route, list) or not all(isinstance(s, str) for s in route) or not route:
-            ctx.err(f"{path}.route", "must be a non-empty array of segment ids")
-            continue
-        if road is not None:
+            whole = False
+        elif vid is not None:
+            seen.add(vid)
+        if road is not None and route is not None:
             try:
                 road.validate_route(route)
             except RoadNetworkError as exc:
                 ctx.err(f"{path}.route", str(exc))
-                continue
-        spec = _values(VehicleSpec, row, path, ctx, "speed_mps", "depart_s")
+                whole = False
         if duration_s is not None and not _in_run(spec["depart_s"], duration_s, tick_s):
             ctx.err(f"{path}.depart_s", "must be before the end of the run")
-        if spec["speed_mps"] is None:
-            continue
-        spec.update(_values(VehicleSpec, row, path, ctx, "length_m", "width_m", "clock_skew_s"))
-        fleet.append(VehicleSpec(vehicle_id=vid, route=tuple(route), **spec))
+        if whole:
+            fleet.append(VehicleSpec(**spec))
     return tuple(fleet)
 
 

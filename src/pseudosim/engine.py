@@ -33,6 +33,7 @@ from .seeds import fork_generator
 
 TRIGGER_INITIAL = "initial"
 TRIGGER_TICKET_EXPIRY = "ticket_expiry"
+REPLENISH_ROUNDS = 16  # provisioning calls one replenishment may make
 
 
 @dataclass
@@ -222,13 +223,14 @@ class SimulationEngine:
     # --- pseudonym changes --------------------------------------------------
 
     def _replenish(self, veh: _Vehicle, scope: AppScope, now: float, *, to_target: bool) -> None:
-        guard = 0
-        while guard < 16:
-            guard += 1
+        for round_ in range(REPLENISH_ROUNDS + 1):
             if to_target:
                 if veh.pool.replenish_need(scope, now) <= 0:
                     return
             elif not veh.pool.needs_replenish(scope, now):
+                return
+            if round_ == REPLENISH_ROUNDS:  # still short after the last round
+                self.bump("replenish_gave_up")
                 return
             try:
                 added = strat.replenish_pool(veh.pool, scope, veh.cert, self.core, now)

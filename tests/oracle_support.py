@@ -3,9 +3,11 @@
 Hand-rolled brute force oracle for the gap assignment step.
 
 Independent of scipy on purpose: enumerates every injective partial
-matching between ending and starting tracklets and keeps the cheapest
-one, summing costs in the same row order as the production code so the
-float totals are comparable with == rather than a tolerance.
+matching between ending and starting tracklets and keeps the least one
+on the production tie grid (``adversary._tie_grid``, so a tie is defined
+once), ties going to the lexicographically least. Float totals are summed
+in the same row order as the production code, so they are comparable
+with == rather than a tolerance.
 
 Only usable for small instances (intended for up to 6 tracklets per
 side, about 13k matchings).
@@ -17,16 +19,17 @@ of the anonymity-set count and of ``link``'s candidate selection.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from pseudosim.adversary import (
     MotionModel,
     Tracklet,
+    _tie_grid,
     associate_across_gap,
     build_tracklets,
     gap_cost,
     semantic_match,
 )
-
-INFEASIBLE_CUTOFF = 1e15 / 2
 
 
 def mk_tracklet(
@@ -56,9 +59,10 @@ def mk_tracklet(
 @dataclass
 class OracleResult:
     pairs: list  # [(ending_id, starting_id)] of the canonical optimum
-    total: float
-    n_optima: int
+    total: float  # float total of the canonical optimum, in production order
+    n_optima: int  # assignments of least total on the tie grid
     assign: tuple  # per ending row: starting index or None
+    float_min: float  # least float total over every assignment
 
 
 def _all_assignments(n_e, n_s, feasible):
@@ -98,7 +102,29 @@ def production_order_total(cost_rows, assign, no_match, n_s):
     return total
 
 
+def rank_on_grid(grid, pad):
+    """Every assignment a grid can take, and its rank: the grid total, then
+    each ending row's decision in row order (a starting column, or the
+    number of columns for no match). ``grid`` holds the integer pair costs
+    and ``pad`` the cost of a no-match, as ``adversary._tie_grid`` gives them."""
+    n_e, n_s = grid.shape
+    grid = [[int(q) for q in row] for row in grid]
+    # a pair clipped by the grid loses to leaving both its sides unmatched
+    feasible = [[q <= 2 * pad for q in row] for row in grid]
+
+    def rank(assign):
+        grid_total = pad * (n_e + n_s)
+        for i, j in enumerate(assign):
+            if j is not None:
+                grid_total += grid[i][j] - 2 * pad
+        return grid_total, tuple(n_s if j is None else j for j in assign)
+
+    assigns = list(_all_assignments(n_e, n_s, feasible))
+    return assigns, [rank(assign) for assign in assigns]
+
+
 def solve_exhaustive(endings, startings, model: MotionModel) -> OracleResult:
+    """The least assignment by ``rank_on_grid`` on the production tie grid."""
     endings = sorted(endings, key=lambda tr: tr.station_id)
     startings = sorted(startings, key=lambda tr: tr.station_id)
     n_e, n_s = len(endings), len(startings)
@@ -106,42 +132,27 @@ def solve_exhaustive(endings, startings, model: MotionModel) -> OracleResult:
     cost_rows = [
         [gap_cost(e, s, model) for s in startings] for e in endings
     ]
-    feasible = [
-        [cost_rows[i][j] < INFEASIBLE_CUTOFF for j in range(n_s)]
-        for i in range(n_e)
-    ]
+    cost = np.array(cost_rows, dtype=float).reshape(n_e, n_s)
+    assigns, keys = rank_on_grid(*_tie_grid(cost, model.no_match_cost))
+    best = keys.index(min(keys))
+    best_assign = assigns[best]
+    float_min = min(
+        production_order_total(cost_rows, assign, model.no_match_cost, n_s)
+        for assign in assigns
+    )
 
     start_ids = [tr.station_id for tr in startings]
-
-    def lex_key(assign):
-        # "~" sorts after the hex station ids, so no-match ranks last
-        return tuple("~" if j is None else start_ids[j] for j in assign)
-
-    best_assign = None
-    best_total = None
-    best_key = None
-    n_optima = 0
-    for assign in _all_assignments(n_e, n_s, feasible):
-        total = production_order_total(cost_rows, assign, model.no_match_cost, n_s)
-        if best_total is None or total < best_total:
-            best_total = total
-            best_assign = assign
-            best_key = lex_key(assign)
-            n_optima = 1
-        elif total == best_total:
-            n_optima += 1
-            key = lex_key(assign)
-            if key < best_key:
-                best_assign = assign
-                best_key = key
-
     pairs = [
         (endings[i].station_id, start_ids[j])
         for i, j in enumerate(best_assign)
         if j is not None
     ]
     return OracleResult(
-        pairs=pairs, total=best_total, n_optima=n_optima, assign=best_assign
+        pairs=pairs,
+        total=production_order_total(cost_rows, best_assign, model.no_match_cost, n_s),
+        n_optima=sum(key[0] == keys[best][0] for key in keys),
+        assign=best_assign,
+        float_min=float_min,
     )
 
 

@@ -484,10 +484,10 @@ def test_criterion_11_assignment_optimality():
             endings, startings = random_instance(rng)
             prod = associate_across_gap(endings, startings, model)
             oracle = solve_exhaustive(endings, startings, model)
-            assert prod.total_cost == oracle.total  # exact float equality
+            assert prod.pairs == oracle.pairs  # ties included
+            assert prod.total_cost == oracle.total == oracle.float_min  # exact float equality
             if oracle.n_optima == 1:
                 unique += 1
-                assert sorted(prod.pairs) == sorted(oracle.pairs)
             else:
                 ties += 1
             if prod.pairs:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import pseudosim.adversary as adv
 from oracle_support import (
@@ -14,6 +15,7 @@ from oracle_support import (
     link_full_scan,
     mk_tracklet,
     random_instance,
+    rank_on_grid,
     solve_exhaustive,
 )
 from pseudosim.adversary import (
@@ -174,7 +176,7 @@ def test_cost_matrix_feasibility_edges():
     e = mk_tracklet("aa", 0.0, 10.0, pos_last=(3.0, 4.0), vel_last=(1.0, 0.0))
     starts = [10.0, 9.0, 40.0, math.nextafter(40.0, math.inf)]
     matrix = adv._cost_matrix([e], [mk_tracklet("s", t, t) for t in starts], model)
-    assert matrix[0].tolist() == [1e15, 1e15, (33.0**2 + 4.0**2) / 61.0**2, 1e15]
+    assert matrix[0].tolist() == [math.inf, math.inf, (33.0**2 + 4.0**2) / 61.0**2, math.inf]
 
 
 # --- assignment ------------------------------------------------------------------
@@ -200,6 +202,13 @@ def test_associate_prefers_no_match_when_too_costly():
     assert res.unmatched_endings == ["aa"]
     assert res.unmatched_startings == ["bb"]
     assert res.total_cost == 100.0
+
+
+def test_infeasible_gap_is_never_matched_whatever_the_no_match_cost():
+    e = mk_tracklet("aa", 0.0, 10.0)
+    for s in (mk_tracklet("bb", 5.0, 6.0), mk_tracklet("bb", 40.5, 41.0)):  # backwards, too late
+        res = associate_across_gap([e], [s], MotionModel(no_match_cost=1e300))
+        assert res.pairs == [] and res.total_cost == 2e300
 
 
 def test_associate_empty_sides():
@@ -257,39 +266,71 @@ def test_associate_matches_exhaustive_oracle():
         endings, startings = random_instance(rng)
         res = associate_across_gap(endings, startings, model)
         oracle = solve_exhaustive(endings, startings, model)
-        assert res.total_cost == oracle.total  # exact float equality
-        if oracle.n_optima == 1:
-            assert sorted(res.pairs) == sorted(oracle.pairs)
-            unique_checked += 1
+        assert res.pairs == oracle.pairs  # ties included
+        assert res.total_cost == oracle.total == oracle.float_min  # exact float equality
+        unique_checked += oracle.n_optima == 1
     assert unique_checked > 30
 
 
-def test_tie_pass_runs_whenever_it_would_change_the_match(monkeypatch):
-    # the vectorised check may skip the tie pass only where the pass is a no-op
+def test_lex_min_assignment_matches_enumeration_on_small_grids(monkeypatch):
+    # dense ties on a coarse grid, where a single solve often picks another optimum;
+    # the row-fixing solves run exactly when optima decide differently
+    solves = []
+    monkeypatch.setattr(adv, "linear_sum_assignment",
+                        lambda m: solves.append(m.shape) or linear_sum_assignment(m))
+    rng = np.random.default_rng(8)
+    exact_path = 0
+    for _ in range(300):
+        n_e, n_s = (int(n) for n in rng.integers(1, 5, size=2))
+        pad = 2
+        grid = rng.integers(0, 2 * pad + 2, size=(n_e, n_s)).astype(float)
+        _, keys = rank_on_grid(grid, pad)
+        least = min(keys)
+        tied = len({k[1] for k in keys if k[0] == least[0]}) > 1
+        solves.clear()
+        assert adv._lex_min_assignment(grid, pad) == list(least[1])
+        assert len(solves) == 2 + n_e * tied
+        padded = np.full((n_e + n_s, n_e + n_s), float(pad))
+        padded[:n_e, :n_s] = grid
+        padded[n_e:, n_s:] = 0.0
+        first = linear_sum_assignment(padded)[1][:n_e]
+        exact_path += np.minimum(first, n_s).tolist() != list(least[1])
+    assert exact_path >= 30
+
+
+def test_coincident_tracklets_pair_in_id_order_whatever_the_input_order():
+    # 40 x 40 exact ties, far beyond the exhaustive oracle: ending k takes starting k
     model = MotionModel()
-    rng = np.random.default_rng(5)
-    instances = [random_instance(rng) for _ in range(1500)]
-    gated = [associate_across_gap(e, s, model) for e, s in instances]
-    flagged = []
-    check = adv._tie_candidates
-    monkeypatch.setattr(adv, "_tie_candidates", lambda *a: flagged.append(check(*a)) or True)
-    forced = [associate_across_gap(e, s, model) for e, s in instances]
-    assert gated == forced
-    assert sum(flagged) >= 5  # tie candidates do occur
-    assert len(flagged) - sum(flagged) >= 500  # and most instances skip the pass
+    endings = [mk_tracklet(f"e{k:02d}", 0.0, 1.0, pos_last=(5.0, 0.0), vel_last=(10.0, 0.0))
+               for k in range(40)]
+    startings = [mk_tracklet(f"s{k:02d}", 2.0, 3.0, pos_first=(16.0, 0.0)) for k in range(40)]
+    rng = np.random.default_rng(40)
+    for _ in range(3):
+        res = associate_across_gap([endings[k] for k in rng.permutation(40)],
+                                   [startings[k] for k in rng.permutation(40)], model)
+        assert res.pairs == [(f"e{k:02d}", f"s{k:02d}") for k in range(40)]
+        assert res.unmatched_endings == [] and res.unmatched_startings == []
+        assert res.pair_costs == [1.0 / 9.0] * 40  # miss 1 m, sigma 3 m
 
 
-def test_tie_candidates_flags_each_rewrite():
-    # no ties at all
-    assert not adv._tie_candidates(np.array([[1.0, 2.0], [4.0, 8.0]]), {0: 0, 1: 1})
-    # a matched row with an equal-cost free column
-    assert adv._tie_candidates(np.array([[1.0, 1.0]]), {0: 1})
-    # an unmatched row tying the matched row on its column
-    assert adv._tie_candidates(np.array([[5.0], [5.0]]), {0: None, 1: 0})
-    # an exact 2x2 tie between two matched rows
-    assert adv._tie_candidates(np.array([[1.0, 2.0], [2.0, 3.0]]), {0: 1, 1: 0})
-    # nothing matched: no rewrite can apply
-    assert not adv._tie_candidates(np.array([[7.0, 7.0]]), {0: None})
+def test_pair_tying_two_no_matches_is_matched():
+    # the pair costs exactly as much as leaving both sides unmatched; a match ranks first
+    model = MotionModel(sigma0_m=1.0, beta_m_per_s=0.0, no_match_cost=50.0)
+    e = mk_tracklet("aa", 0.0, 0.0)
+    s = mk_tracklet("bb", 1.0, 1.0, pos_first=(10.0, 0.0))
+    assert gap_cost(e, s, model) == 2 * model.no_match_cost
+    res = associate_across_gap([e], [s], model)
+    assert res.pairs == [("aa", "bb")]
+    assert res.unmatched_endings == [] and res.unmatched_startings == []
+    assert res.total_cost == 100.0
+
+
+def test_tie_grid_totals_stay_exact():
+    # any total, scaled by size + 1 and plus a rank below size + 1, is an exact float
+    for size in range(1, 10**5 + 1):
+        _, pad = adv._tie_grid(np.empty((size, 0)), 50.0)
+        assert size * (size + 1) * (2 * pad + 1) + size < 2**53
+        assert pad >= 2**16  # a unit stays below no_match_cost / 65536
 
 
 # --- semantic matching ------------------------------------------------------------

@@ -193,6 +193,26 @@ def test_duplicate_vehicle_ids_rejected():
     assert "fleet[1].vehicle_id: duplicate vehicle id 1" in v
 
 
+def test_fleet_row_reports_every_violation_at_once():
+    cfg = minimal_config()
+    cfg["fleet"] = [
+        {"vehicle_id": -1, "route": ["a"], "speed_mps": 0.0, "length_m": 0.0},
+        {"vehicle_id": 1, "route": [], "speed_mps": 10.0, "depart_s": 10.0},
+        {"vehicle_id": 1, "route": ["zz"], "speed_mps": -1.0, "colour": "red"},
+    ]
+    assert violations_of(cfg) == [
+        "fleet[0].length_m: must be > 0.0",
+        "fleet[0].speed_mps: must be > 0.0",
+        "fleet[0].vehicle_id: must be >= 0",
+        "fleet[1].depart_s: must be before the end of the run",
+        "fleet[1].route: must be a non-empty array of segment ids",
+        "fleet[2].colour: unknown field",
+        "fleet[2].route: route references unknown segment 'zz'",
+        "fleet[2].speed_mps: must be > 0.0",
+        "fleet[2].vehicle_id: duplicate vehicle id 1",
+    ]
+
+
 def test_departure_inside_run():
     cfg = minimal_config()
     cfg["fleet"][0]["depart_s"] = 10.0  # duration is 10

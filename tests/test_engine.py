@@ -198,6 +198,16 @@ def test_lock_event_after_trip_end_is_counted():
     assert s["counters"]["lock_events_dropped"] == 1
 
 
+def test_replenish_counts_giving_up():
+    # 16 single-ticket batches leave a 20-ticket pool 4 short at admission
+    s = run_scenario(base_config(pool={"size": 20}, sba={"at_batch_cap": 1})).summary
+    assert s["counters"]["replenish_gave_up"] == 1
+    assert s["counters"]["tickets_issued"] == 16
+    s = run_scenario(base_config(pool={"size": 20}, sba={"at_batch_cap": 2})).summary
+    assert "replenish_gave_up" not in s["counters"]
+    assert s["counters"]["tickets_issued"] == 20
+
+
 def test_trip_completion():
     cfg = base_config(
         road=road(50.0),
