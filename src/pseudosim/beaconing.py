@@ -4,10 +4,10 @@ Cooperative awareness messages (CAMs) and event notifications (DENMs) are
 signed under per-application pseudonyms derived from authorization tickets.
 Each broadcast is one frozen record: an ``Observation`` for a CAM or DENM, a
 ``NoticeSighting`` for a deactivation notice. The sender emits it, receivers
-fold it into a local dynamic map (LDM) whose entries age out, and the
-eavesdropper and the trace keep the very same object. The quality metrics
-here (ghost, missing, awareness) measure what identifier churn does to the
-receivers' picture.
+fold its CAMs and notices into a local dynamic map (LDM) whose entries age
+out, and the eavesdropper and the trace keep the very same object. The
+quality metrics here (ghost, missing, awareness) measure what identifier
+churn does to the receivers' picture.
 """
 
 from __future__ import annotations
@@ -58,45 +58,39 @@ class NoticeSighting:
     scope: str
 
 
-@dataclass(slots=True)
-class LdmEntry:
-    station_id: str
-    scope: str
-    last_seen: float
-
-
 class LocalDynamicMap:
-    """Per-receiver table of currently known stations."""
+    """Per-receiver table of the stations it currently knows from their CAMs.
+
+    One dict maps each station id to the time its last CAM arrived. Only CAMs
+    describe neighbours, so a DENM leaves the table as it is; a deactivation
+    notice drops its station. Entries older than ``timeout_s`` are expired:
+    ``ldm_quality`` evicts them in the same pass that scores the rest.
+    """
 
     def __init__(self, timeout_s: float = 1.5):
         self.timeout_s = float(timeout_s)
-        self._entries: dict[str, LdmEntry] = {}
+        self.last_seen: dict[str, float] = {}
 
     def receive(self, msg: Observation | NoticeSighting, now: float) -> None:
         if type(msg) is NoticeSighting:
-            self._entries.pop(msg.station_id, None)
-            return
-        entry = self._entries.get(msg.station_id)
-        if entry is None:
-            self._entries[msg.station_id] = LdmEntry(msg.station_id, msg.scope, now)
-        else:  # refresh in place; a station id is bound to one scope
-            entry.last_seen = now
+            self.last_seen.pop(msg.station_id, None)
+        elif msg.scope == "CAM":
+            self.last_seen[msg.station_id] = now
 
     def evict_expired(self, now: float) -> int:
-        dead = [
-            sid for sid, e in self._entries.items() if now - e.last_seen > self.timeout_s
-        ]
+        dead = [sid for sid, seen in self.last_seen.items() if now - seen > self.timeout_s]
         for sid in dead:
-            del self._entries[sid]
+            del self.last_seen[sid]
         return len(dead)
 
-    def live_entries(self, now: float) -> list[LdmEntry]:
+    def live_entries(self, now: float) -> list[tuple[str, float]]:
+        """(station id, last seen) of every unexpired entry."""
         return [
-            e for e in self._entries.values() if now - e.last_seen <= self.timeout_s
+            (sid, seen) for sid, seen in self.last_seen.items() if now - seen <= self.timeout_s
         ]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.last_seen)
 
 
 @dataclass(frozen=True)
@@ -115,24 +109,27 @@ def ldm_quality(
 ) -> LdmQuality:
     """Score one receiver's LDM against ground truth at time ``now``.
 
-    Only cooperative-awareness entries count: DENMs describe events, not
-    neighbors. A ghost is a live entry whose identifier is no longer active
-    anywhere (its owner moved on). A neighbor is missing when no live entry
-    belongs to it, and awareness is the fraction of neighbors represented by
-    exactly one live entry. With no neighbors in range awareness is 1.0.
+    A ghost is a live entry whose identifier is no longer active anywhere
+    (its owner moved on). A neighbor is missing when no live entry belongs to
+    it, and awareness is the fraction of neighbors represented by exactly one
+    live entry. With no neighbors in range awareness is 1.0. Expired entries
+    are evicted in the same pass, so afterwards every entry left is live.
     """
     ghost = 0
     per_neighbor: dict[int, int] = dict.fromkeys(neighbor_ids, 0)
     timeout_s = ldm.timeout_s
-    for e in ldm._entries.values():  # one pass; same liveness test as live_entries
-        if e.scope != "CAM" or now - e.last_seen > timeout_s:
+    dead = []
+    for sid, seen in ldm.last_seen.items():
+        if now - seen > timeout_s:
+            dead.append(sid)
             continue
-        sid = e.station_id
         if sid not in active_station_ids:
             ghost += 1
         owner = owner_of.get(sid)
         if owner in per_neighbor:
             per_neighbor[owner] += 1
+    for sid in dead:
+        del ldm.last_seen[sid]
     counts = list(per_neighbor.values())
     missing = counts.count(0)
     ratio = counts.count(1) / len(counts) if counts else 1.0

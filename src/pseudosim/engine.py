@@ -13,6 +13,7 @@ raise out of the loop; they become counters in the run summary.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -51,6 +52,7 @@ class _Vehicle:
     trigger: strat.TriggerState = field(default_factory=strat.TriggerState)
     active: dict = field(default_factory=dict)  # AppScope -> AuthorizationTicket
     station_ids: dict = field(default_factory=dict)  # AppScope -> str
+    active_until: float = math.inf  # earliest valid_until among the active tickets
     ldm: bcn.LocalDynamicMap = None
     silence_until_tick: int = -1
     last_cam_tick: Optional[int] = None
@@ -276,6 +278,7 @@ class SimulationEngine:
             veh.active[scope] = ticket
             veh.station_ids[scope] = sid
             new_ids[scope.value] = sid
+        veh.active_until = min(t.valid_until for t in veh.active.values())
 
         silence_s = self.cfg.policy.silence_s
         if old_ids:
@@ -355,14 +358,11 @@ class SimulationEngine:
             for ev in events:
                 if ev.vehicle_id != veh.spec.vehicle_id:
                     continue
-                valid_until = min(
-                    (t.valid_until for t in veh.active.values()), default=now
-                )
                 decision = veh.locks.request(
                     ev.app_id,
                     ev.duration_s,
                     now,
-                    valid_until,
+                    veh.active_until if veh.active else now,
                     validator=self._awareness_validator(veh),
                 )
                 if decision.granted:
@@ -371,9 +371,8 @@ class SimulationEngine:
                     self.bump(f"lock_denied_{decision.reason}")
             if veh.silent(tick):
                 continue
-            expired = any(
-                not t.is_valid_at(now) for t in veh.active.values()
-            )
+            # active tickets were valid when chosen, so only valid_until can lapse
+            expired = now >= veh.active_until
             locked = veh.locks.locked(now)
             if expired and not locked:
                 self._execute_change(veh, tick, TRIGGER_TICKET_EXPIRY)
@@ -414,9 +413,11 @@ class SimulationEngine:
     def _phase_sba(self, tick: int) -> None:
         now = tick * self.tick_s
         for veh in self.roster:
-            for scope in self.scopes:
-                self._replenish(veh, scope, now, to_target=False)
             count = veh.pool.min_valid_count(now)
+            if count < veh.pool.min_concurrent_valid:  # some scope needs topping up
+                for scope in self.scopes:
+                    self._replenish(veh, scope, now, to_target=False)
+                count = veh.pool.min_valid_count(now)
             if self.min_valid_tickets is None or count < self.min_valid_tickets:
                 self.min_valid_tickets = count
 
@@ -510,10 +511,9 @@ class SimulationEngine:
     def _score_ldm(self, veh: _Vehicle, now: float):
         """(quality, neighbour count), or None with no neighbours and an empty LDM.
 
-        Serves both ingest and the lock validator. Expired entries are evicted
-        first, so every entry left in the LDM is live.
+        Serves both ingest and the lock validator. Scoring evicts the expired
+        entries, so every entry left in the LDM is live.
         """
-        veh.ldm.evict_expired(now)
         neighbors = self.neighbors[veh.spec.vehicle_id]
         if not neighbors and len(veh.ldm) == 0:
             return None

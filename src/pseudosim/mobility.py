@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -26,11 +27,11 @@ class RoadSegment:
     end: Point
     speed_limit_mps: float
 
-    @property
+    @cached_property
     def length_m(self) -> float:
         return math.dist(self.start, self.end)
 
-    @property
+    @cached_property
     def direction(self) -> Point:
         # unit vector; zero-length segments are rejected at network build
         dx = self.end[0] - self.start[0]

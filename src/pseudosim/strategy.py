@@ -209,6 +209,8 @@ class LockLedger:
 
     def sweep(self, now: float) -> None:
         """Housekeeping at a time step: drop expired locks, reset broken chains."""
+        if self.chain_end is None and not self.active:
+            return
         self.active = [l for l in self.active if l.expires_at > now]
         if self.chain_end is not None and now > self.chain_end + _EPS:
             self.chain_start = None
@@ -216,6 +218,8 @@ class LockLedger:
             self.renewal_counts = {}
 
     def locked(self, now: float) -> bool:
+        if not self.active:
+            return False
         return any(l.granted_at <= now < l.expires_at for l in self.active)
 
     def request(
@@ -275,6 +279,10 @@ class _ScopePool:
     live: list[AuthorizationTicket] = field(default_factory=list)
     pruned_at: float = -math.inf
     prune_due: float = math.inf  # earliest valid_until in live; -inf after a retirement
+    # valid_count is ``count`` for every now in [count_from, count_until)
+    count: int = 0
+    count_from: float = math.inf
+    count_until: float = -math.inf
 
 
 class PseudonymPool:
@@ -296,6 +304,16 @@ class PseudonymPool:
     prune. A query with ``now < pruned_at`` may need a dropped ticket, so it
     falls back to a full scan of every ticket ever issued and leaves the
     index as it is.
+
+    ``valid_count`` is cached per scope with the interval ``[count_from,
+    count_until)`` in which it holds. Counting from the index at ``now``
+    caches the count from ``now`` to the earliest next transition of an
+    indexed ticket: its ``valid_from`` if that is still ahead, else its
+    ``valid_until``. No ticket outside the index can become usable again, so
+    the count is the same at every time in the interval until the set of
+    tickets or of barred ones changes: ``add_batch`` resets the cache, and so
+    does ``activate`` under ``no_reuse``, where retiring a ticket bars it. A
+    count from the full-scan fallback is never cached.
     """
 
     def __init__(
@@ -329,6 +347,7 @@ class PseudonymPool:
             pool.tickets.append(t)
             pool.live.append(t)
             pool.prune_due = min(pool.prune_due, t.valid_until)
+        pool.count_until = -math.inf
 
     def _usable(self, pool: _ScopePool, t: AuthorizationTicket, now: float) -> bool:
         if not t.is_valid_at(now):
@@ -357,7 +376,19 @@ class PseudonymPool:
         return self._valid(self._scopes[scope], now)
 
     def valid_count(self, scope: AppScope, now: float) -> int:
-        return len(self.valid_tickets(scope, now))
+        pool = self._scopes[scope]
+        if pool.count_from <= now < pool.count_until:
+            return pool.count
+        from_index = now >= pool.pruned_at
+        count = len(self.valid_tickets(scope, now))
+        if from_index:
+            pool.count = count
+            pool.count_from = now
+            pool.count_until = min(
+                (t.valid_from if t.valid_from > now else t.valid_until for t in pool.live),
+                default=math.inf,
+            )
+        return count
 
     def min_valid_count(self, now: float) -> int:
         return min(self.valid_count(s, now) for s in self._scopes)
@@ -392,6 +423,7 @@ class PseudonymPool:
             pool.retired.add(pool.active_at_id)
             if self.selection == SELECTION_NO_REUSE:
                 pool.prune_due = -math.inf
+                pool.count_until = -math.inf
         pool.active_at_id = ticket.at_id
         pool.cursor = pool.position[ticket.at_id]
 

@@ -13,7 +13,9 @@ Only usable for small instances (intended for up to 6 tracklets per
 side, about 13k matchings).
 
 ``anonymity_sizes_loop`` and ``link_full_scan`` keep the original loop forms
-of the anonymity-set count and of ``link``'s candidate selection.
+of the anonymity-set count and of ``link``'s candidate selection;
+``EntryLdm`` and ``ldm_quality_loop`` keep the entry-per-station local dynamic
+map that stored DENMs too and was evicted in a pass of its own.
 """
 
 import math
@@ -30,6 +32,7 @@ from pseudosim.adversary import (
     gap_cost,
     semantic_match,
 )
+from pseudosim.beaconing import LdmQuality, NoticeSighting
 
 
 def mk_tracklet(
@@ -271,3 +274,59 @@ def link_full_scan(store, model, use_quasi_identifiers=True):
             predicted.extend(assignment.pairs)
             matched_endings.update(old for old, _ in assignment.pairs)
     return predicted, assignments
+
+
+@dataclass
+class LdmEntry:
+    station_id: str
+    scope: str
+    last_seen: float
+
+
+class EntryLdm:
+    """The original local dynamic map: one entry per station, DENMs included."""
+
+    def __init__(self, timeout_s=1.5):
+        self.timeout_s = float(timeout_s)
+        self._entries = {}
+
+    def receive(self, msg, now):
+        if type(msg) is NoticeSighting:
+            self._entries.pop(msg.station_id, None)
+            return
+        entry = self._entries.get(msg.station_id)
+        if entry is None:
+            self._entries[msg.station_id] = LdmEntry(msg.station_id, msg.scope, now)
+        else:  # refresh in place; a station id is bound to one scope
+            entry.last_seen = now
+
+    def evict_expired(self, now):
+        dead = [
+            sid for sid, e in self._entries.items() if now - e.last_seen > self.timeout_s
+        ]
+        for sid in dead:
+            del self._entries[sid]
+        return len(dead)
+
+    def live_entries(self, now):
+        return [
+            e for e in self._entries.values() if now - e.last_seen <= self.timeout_s
+        ]
+
+
+def ldm_quality_loop(ldm, neighbor_ids, owner_of, active_station_ids, now):
+    """Ghost, missing and awareness of an ``EntryLdm``, counting CAM entries only."""
+    ghost = 0
+    per_neighbor = dict.fromkeys(neighbor_ids, 0)
+    for e in ldm.live_entries(now):
+        if e.scope != "CAM":
+            continue
+        if e.station_id not in active_station_ids:
+            ghost += 1
+        owner = owner_of.get(e.station_id)
+        if owner in per_neighbor:
+            per_neighbor[owner] += 1
+    counts = list(per_neighbor.values())
+    missing = counts.count(0)
+    ratio = counts.count(1) / len(counts) if counts else 1.0
+    return LdmQuality(ghost_count=ghost, missing_count=missing, awareness_ratio=ratio)

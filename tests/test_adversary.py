@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import operator
@@ -695,3 +696,29 @@ def test_load_trace_skips_blank_lines_and_unknown_kinds(tmp_path):
     assert all(type(v) is float for v in (o.t, *o.position, *o.velocity))
     assert store.notices == [NoticeSighting(2.0, "aa", "CAM")]
     assert type(store.notices[0].t) is float
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_trace_leaves_the_collector_as_it_found_it(tmp_path, enabled, monkeypatch):
+    cam = json.dumps({"kind": "CAM", "t": 0.1, "station_id": "aa", "x": 1.0, "y": 2.0,
+                      "vx": 10.0, "vy": 0.0})
+    seen = []
+    real_decoder = json.JSONDecoder
+
+    class Spy(real_decoder):  # records the collector's state while rows are decoded
+        def raw_decode(self, s, idx=0):
+            seen.append(gc.isenabled())
+            return super().raw_decode(s, idx)
+
+    monkeypatch.setattr(adv.json, "JSONDecoder", Spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_trace(_write_lines(tmp_path, [cam]))
+        assert gc.isenabled() is enabled
+        with pytest.raises(json.JSONDecodeError):
+            load_trace(_write_lines(tmp_path, [cam, "{"]))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)  # paused while the store was built

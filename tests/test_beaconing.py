@@ -1,3 +1,7 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle_support import EntryLdm, ldm_quality_loop
 from pseudosim.beaconing import (
     LocalDynamicMap,
     NoticeSighting,
@@ -38,7 +42,7 @@ def test_ldm_upsert_and_timeout():
     ldm.receive(cam("s1", 0.0), now=0.0)
     ldm.receive(cam("s1", 0.5, pos=(5.0, 0.0)), now=0.5)
     assert len(ldm) == 1
-    assert ldm.live_entries(0.5)[0].last_seen == 0.5
+    assert ldm.live_entries(0.5) == [("s1", 0.5)]
 
     # age == timeout is still live, strictly older is not
     assert len(ldm.live_entries(2.0)) == 1
@@ -58,12 +62,12 @@ def test_ldm_notice_drops_entry():
     assert len(ldm) == 0
 
 
-def test_denm_record_has_no_motion_and_keeps_its_scope():
+def test_denm_record_has_no_motion_and_stays_out_of_the_ldm():
     denm = Observation(0.0, "d1", "DENM", (9.0, 9.0))
     assert denm.velocity == (0.0, 0.0) and denm.quasi_ids is None
     ldm = LocalDynamicMap()
     ldm.receive(denm, now=0.0)
-    assert ldm.live_entries(0.0)[0].scope == "DENM"
+    assert len(ldm) == 0 and ldm.live_entries(0.0) == []
 
 
 def test_quality_counts_ghost_and_missing():
@@ -106,3 +110,63 @@ def test_quality_ignores_denm_entries():
     # the DENM does not make vehicle 1 known, nor does it count as a ghost
     assert q.ghost_count == 0
     assert q.missing_count == 1
+
+
+def test_quality_evicts_expired_entries_as_it_scores():
+    ldm = LocalDynamicMap(timeout_s=1.5)
+    ldm.receive(cam("old", 0.0), now=0.0)
+    ldm.receive(cam("new", 0.5), now=0.5)
+    q = ldm_quality(ldm, [7], {"old": 7, "new": 7}, frozenset({"new"}), now=1.75)
+    assert (q.ghost_count, q.missing_count, q.awareness_ratio) == (0, 0, 1.0)
+    assert ldm.last_seen == {"new": 0.5}  # "old" aged 1.75 > 1.5 and is gone
+
+
+# --- the CAM-only LDM against the entry-per-station reference ----------------------
+
+_CAM_IDS = [f"c{i}" for i in range(6)]
+_DENM_IDS = [f"d{i}" for i in range(3)]  # a station id is bound to one scope
+_UNKNOWN_IDS = ["u0", "u1"]  # never broadcast; only ever retired by a notice
+_message = st.one_of(
+    st.tuples(st.just("CAM"), st.sampled_from(_CAM_IDS)),
+    st.tuples(st.just("DENM"), st.sampled_from(_DENM_IDS)),
+    st.tuples(st.just("notice"), st.sampled_from(_CAM_IDS + _DENM_IDS + _UNKNOWN_IDS)),
+)
+_ldm_step = st.fixed_dictionaries({
+    # half steps hit the timeout exactly (ages of 0.5, 1.0, 1.5, ... s)
+    "advance": st.integers(0, 4).map(lambda k: k / 2.0),
+    "messages": st.lists(_message, max_size=6),
+    "neighbors": st.lists(st.integers(0, 4), max_size=5, unique=True),
+    # ids missing from owner_of, and owners outside the neighbour list
+    "owner_of": st.dictionaries(st.sampled_from(_CAM_IDS + _DENM_IDS), st.integers(0, 5)),
+    "active": st.sets(st.sampled_from(_CAM_IDS + _DENM_IDS)),
+})
+
+
+@given(
+    timeout_s=st.sampled_from([0.5, 1.0, 1.5]),
+    steps=st.lists(_ldm_step, min_size=1, max_size=25),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_ldm_matches_entry_reference(timeout_s, steps):
+    ldm = LocalDynamicMap(timeout_s=timeout_s)
+    ref = EntryLdm(timeout_s=timeout_s)
+    now = 0.0
+    for step in steps:
+        now += step["advance"]
+        for kind, sid in step["messages"]:
+            if kind == "notice":
+                msg = NoticeSighting(now, sid, "CAM" if sid.startswith("c") else "DENM")
+            else:
+                msg = Observation(now, sid, kind, (0.0, 0.0))
+            ldm.receive(msg, now)
+            ref.receive(msg, now)
+        ref.evict_expired(now)  # the reference's separate eviction pass
+        args = (step["neighbors"], step["owner_of"], frozenset(step["active"]), now)
+        got = ldm_quality(ldm, *args)
+        want = ldm_quality_loop(ref, *args)
+        assert (got.ghost_count, got.missing_count, got.awareness_ratio) == (
+            want.ghost_count, want.missing_count, want.awareness_ratio
+        )
+        live = {sid for sid, _ in ldm.live_entries(now)}
+        assert live == {e.station_id for e in ref.live_entries(now) if e.scope == "CAM"}
+        assert set(ldm.last_seen) == live  # scoring left no expired entry behind

@@ -388,6 +388,7 @@ _pool_ops = st.lists(
         st.tuples(st.just("change"), st.booleans()),  # True: at an earlier now
         st.tuples(st.just("query"), _half_steps),  # advance the clock, then query
         st.tuples(st.just("past"), _half_steps),  # query this far before the clock
+        st.tuples(st.just("again"), st.none()),  # repeat the last query's now
     ),
     max_size=60,
 )
@@ -406,12 +407,21 @@ def test_pool_matches_full_scan_reference(selection, ops, back):
         return [t.at_id for t in tickets]
 
     def agree(now):
+        nonlocal last
+        last = now
+        # the counts first and twice: a cached count must match a fresh scan
+        count = len(ref.valid_tickets(now))
+        for _ in range(2):
+            assert pool.valid_count(AppScope.CAM, now) == count
+            assert pool.min_valid_count(now) == count
+            assert pool.needs_replenish(AppScope.CAM, now) == (count < 2)
         assert ids(pool.valid_tickets(AppScope.CAM, now)) == ids(ref.valid_tickets(now))
-        assert pool.valid_count(AppScope.CAM, now) == len(ref.valid_tickets(now))
+        assert pool.valid_count(AppScope.CAM, now) == count
         pick, expected = pool.select_next(AppScope.CAM, now), ref.select_next(now)
         assert (pick and pick.at_id) == (expected and expected.at_id)
         return pick
 
+    last = clock
     for op, arg in ops:
         if op == "add":
             batch = []
@@ -428,9 +438,26 @@ def test_pool_matches_full_scan_reference(selection, ops, back):
         elif op == "query":
             clock += arg
             agree(clock)
-        else:
+        elif op == "past":
             agree(clock - arg)
+        else:
+            agree(last)
     agree(clock)
+
+
+@pytest.mark.parametrize("selection", ["no_reuse", "round_robin"])
+def test_cached_count_sees_tickets_coming_due_and_retiring(selection):
+    pool = PseudonymPool(selection, 2, 5, [AppScope.CAM])
+    early, late = ticket("early", 0.0, 10.0), ticket("late", 2.0, 10.0)
+    pool.add_batch(AppScope.CAM, [early, late])
+    assert pool.valid_count(AppScope.CAM, 0.0) == 1
+    assert pool.valid_count(AppScope.CAM, 1.9) == 1
+    assert pool.valid_count(AppScope.CAM, 2.0) == 2  # "late" came due
+    pool.activate(AppScope.CAM, early)
+    pool.activate(AppScope.CAM, late)  # retires "early"
+    assert pool.valid_count(AppScope.CAM, 3.0) == (1 if selection == "no_reuse" else 2)
+    assert pool.valid_count(AppScope.CAM, 10.0) == 0
+    assert pool.valid_count(AppScope.CAM, 1.0) == (0 if selection == "no_reuse" else 1)
 
 
 def test_replenish_pool_via_core_respects_batch_cap():
