@@ -15,7 +15,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Union
+
+import numpy as np
 
 from . import adversary as adv
 from . import beaconing as bcn
@@ -54,6 +57,9 @@ class _Vehicle:
     station_ids: dict = field(default_factory=dict)  # AppScope -> str
     active_until: float = math.inf  # earliest valid_until among the active tickets
     ldm: bcn.LocalDynamicMap = None
+    # ((neighbour list, active-id version), earliest last_seen, sample) of the
+    # last LDM score; cleared when a delivery adds or removes an entry
+    ldm_score: Optional[tuple] = None
     silence_until_tick: int = -1
     last_cam_tick: Optional[int] = None
     last_change_tick: int = 0
@@ -116,6 +122,7 @@ class SimulationEngine:
         # and every emission as (sender id, message, sender's true position)
         self.roster: list[_Vehicle] = []
         self.neighbors: dict[int, list[int]] = {}
+        self.neighbors_until = -1.0  # the last tick no pair can have crossed the range
         self.outbox: list[tuple[int, bcn.Observation | bcn.NoticeSighting, mob.Point]] = []
         self._departures: dict[int, list[VehicleSpec]] = {}
         for spec in config.fleet:
@@ -128,6 +135,7 @@ class SimulationEngine:
         # ground truth
         self.owner_of: dict[str, int] = {}
         self.active_ids: set[str] = set()
+        self.active_version = 0  # bumped whenever active_ids changes
         self.change_records: list[strat.ChangeRecord] = []
         self.initial_activations = 0
         self.silence_of: dict[int, list] = {}
@@ -215,6 +223,7 @@ class SimulationEngine:
             if sid is None:
                 continue
             self.active_ids.discard(sid)
+            self.active_version += 1
             old_ids[scope.value] = sid
             if self.cfg.policy.notify_deactivation:
                 notice = bcn.NoticeSighting(now, sid, scope.value)
@@ -275,6 +284,7 @@ class SimulationEngine:
                 self.sybil_violations += 1  # the vehicle goes back to an id it used
             self.owner_of[sid] = vid
             self.active_ids.add(sid)
+            self.active_version += 1
             veh.active[scope] = ticket
             veh.station_ids[scope] = sid
             new_ids[scope.value] = sid
@@ -316,10 +326,12 @@ class SimulationEngine:
     # --- per-tick phases -----------------------------------------------------
 
     def _phase_mobility(self, tick: int) -> None:
-        for spec in self._departures.pop(tick, ()):
+        arrivals = self._departures.pop(tick, ())
+        for spec in arrivals:
             self._admit(spec, tick)
         roster = []
-        for vid in sorted(self.vehicles):
+        on_road = sorted(self.vehicles)
+        for vid in on_road:
             veh = self.vehicles[vid]
             if tick > veh.depart_tick:
                 speed = min(veh.spec.speed_mps, veh.cursor.segment.speed_limit_mps)
@@ -331,10 +343,15 @@ class SimulationEngine:
                     continue
             roster.append(veh)
         self.roster = roster
-        self.neighbors = mob.neighbor_lists(
-            {veh.spec.vehicle_id: veh.kin.position for veh in roster},
-            self.cfg.beaconing.radio_range_m,
-        )
+        if arrivals or len(roster) < len(on_road) or tick > self.neighbors_until:
+            # a vehicle moves at most its spec speed, whatever the speed limits
+            self.neighbors, safe_ticks = mob.kinetic_neighbor_lists(
+                {veh.spec.vehicle_id: veh.kin.position for veh in roster},
+                {veh.spec.vehicle_id: veh.spec.speed_mps * self.tick_s for veh in roster},
+                self.cfg.beaconing.radio_range_m,
+                self.cfg.road.extent_m,
+            )
+            self.neighbors_until = tick + safe_ticks
 
     def _awareness_validator(self, veh: _Vehicle):
         def validate(app_id: str, now: float) -> bool:
@@ -458,8 +475,6 @@ class SimulationEngine:
 
     def _phase_ingest(self, tick: int) -> None:
         now = tick * self.tick_s
-        loss = self.cfg.beaconing.loss_rate
-        rng = self.rng_loss
         # deletions land before refreshes (notices rank "" below "CAM" < "DENM");
         # within a kind, sender id then emission order (the sort is stable)
         ordered = sorted(
@@ -467,11 +482,15 @@ class SimulationEngine:
             key=lambda e: ("" if type(e[1]) is bcn.NoticeSighting else e[1].scope, e[0]),
         )
         self.outbox = []
-        for sender_id, msg, sender_pos in ordered:
+        receivers = []  # per message, ascending
+        cam_of, cam_at = {}, {}  # sender id -> its CAM's message index -> station id
+        for m, (sender_id, msg, sender_pos) in enumerate(ordered):
             if type(msg) is bcn.NoticeSighting:
                 self.eavesdropper.hear_notice(msg, sender_pos)
             else:
                 self.eavesdropper.hear(msg, sender_pos)
+                if msg.scope == "CAM":
+                    cam_of[sender_id], cam_at[m] = m, msg.station_id
             if self.trace_rows is not None:
                 self.trace_rows.append(adv.trace_row(sender_id, msg))
             in_range = self.neighbors.get(sender_id)
@@ -481,15 +500,42 @@ class SimulationEngine:
                     sender_pos,
                     self.cfg.beaconing.radio_range_m,
                 )
-            for rid in in_range:
-                if loss > 0.0 and rng.random() < loss:
-                    self.bump("messages_lost")
-                    continue
-                self.vehicles[rid].ldm.receive(msg, now)
-        # receiver-side upkeep and truth-referenced quality sampling
+            receivers.append(in_range)
+        # one batch of loss draws, one per delivery in message then receiver order
+        lost: dict[int, set] = {}  # receiver id -> indices of the messages it missed
+        if self.cfg.beaconing.loss_rate > 0.0:
+            counts = list(map(len, receivers))
+            draws = self.rng_loss.random(sum(counts)) < self.cfg.beaconing.loss_rate
+            hits = np.flatnonzero(draws)
+            flat = list(chain.from_iterable(receivers))
+            of_message = np.repeat(np.arange(len(counts)), counts)[hits].tolist()
+            for m, k in zip(of_message, hits.tolist()):
+                lost.setdefault(flat[k], set()).add(m)
+            if hits.size:
+                self.bump("messages_lost", hits.size)
+        # each receiver takes its notices before its CAMs, as sorted; a DENM
+        # leaves the LDM as it is
+        for m, (_, msg, _) in enumerate(ordered):
+            if type(msg) is not bcn.NoticeSighting:
+                break
+            for rid in receivers[m]:
+                seen = self.vehicles[rid].ldm.last_seen
+                if m not in lost.get(rid, ()) and seen.pop(msg.station_id, None) is not None:
+                    self.vehicles[rid].ldm_score = None
         any_ghost = False
         any_missing = False
         for veh in self.roster:
+            rid = veh.spec.vehicle_id
+            missed = lost.get(rid, ())
+            seen = veh.ldm.last_seen
+            size = len(seen)
+            for sender in self.neighbors[rid]:
+                m = cam_of.get(sender)
+                if m is not None and m not in missed:
+                    seen[cam_at[m]] = now
+            if len(seen) != size:
+                veh.ldm_score = None
+            # truth-referenced quality sampling
             sample = self._score_ldm(veh, now)
             if sample is None:
                 continue
@@ -512,13 +558,21 @@ class SimulationEngine:
         """(quality, neighbour count), or None with no neighbours and an empty LDM.
 
         Serves both ingest and the lock validator. Scoring evicts the expired
-        entries, so every entry left in the LDM is live.
+        entries, so every entry left in the LDM is live. A score is reused
+        while its inputs stand: equal neighbour lists, no change to the active
+        ids, no entry added or removed, and none old enough to expire.
         """
         neighbors = self.neighbors[veh.spec.vehicle_id]
-        if not neighbors and len(veh.ldm) == 0:
+        seen = veh.ldm.last_seen
+        if not neighbors and not seen:
             return None
+        cached, inputs = veh.ldm_score, (neighbors, self.active_version)
+        if cached and cached[0] == inputs and now - cached[1] <= veh.ldm.timeout_s:
+            return cached[2]
         quality = bcn.ldm_quality(veh.ldm, neighbors, self.owner_of, self.active_ids, now)
-        return quality, len(neighbors)
+        sample = (quality, len(neighbors))
+        veh.ldm_score = (inputs, min(seen.values(), default=math.inf), sample)
+        return sample
 
     # --- run -------------------------------------------------------------------
 

@@ -65,6 +65,11 @@ class RoadNetwork:
             raise RoadNetworkError("network has no segments")
         return RoadNetwork(segments=by_id)
 
+    @cached_property
+    def extent_m(self) -> float:
+        """The largest coordinate magnitude of any segment end."""
+        return max(abs(c) for seg in self.segments.values() for c in (*seg.start, *seg.end))
+
     def validate_route(self, route: Sequence[str]) -> None:
         """A route must exist and be contiguous end-to-start."""
         if not route:
@@ -186,23 +191,39 @@ def region_query(
     return sorted(out)
 
 
-def neighbor_lists(positions: Mapping[int, Point], radius_m: float) -> dict[int, list[int]]:
-    """Every vehicle's peers within the closed ball, ascending, self excluded.
+def kinetic_neighbor_lists(
+    positions: Mapping[int, Point], reach: Mapping[int, float], radius_m: float, extent_m: float
+) -> tuple[dict[int, list[int]], float]:
+    """Each vehicle's peers within range, and how many more ticks that holds.
 
-    Each unordered pair is measured once: ``math.dist`` is symmetric, so each
-    list equals ``region_query`` around that vehicle over the others.
+    Peers lie within the closed ball, ascending, self excluded. Each pair is
+    measured once: ``math.dist`` is symmetric, so each list equals
+    ``region_query`` around that vehicle over the others.
+
+    ``reach`` bounds each vehicle's move per tick, ``extent_m`` the road's
+    coordinates (``RoadNetwork.extent_m``). A pair at distance ``d`` cannot
+    cross ``radius_m`` within ``k`` ticks while ``k * (reach_a + reach_b +
+    margin) <= |d - radius_m| - margin``: the safe horizon of kinetic data
+    structures. The margin, 1e-7 of ``1 m + radius_m + extent_m``, absorbs
+    float rounding, which grows with the coordinates, and segment joins up to
+    1e-9 m apart. The horizon is 0 where the margin eats a pair's slack.
     """
+    margin = 1e-7 * (1.0 + radius_m + extent_m)
     ids = sorted(positions)
     out: dict[int, list[int]] = {vid: [] for vid in ids}
     dist = math.dist
+    horizon = math.inf  # fewer than two vehicles: no pair can cross
     for i, a in enumerate(ids):
-        pa = positions[a]
-        near_a = out[a]
+        pa, ra, near_a = positions[a], reach[a] + margin, out[a]
         for b in ids[i + 1:]:
-            if dist(pa, positions[b]) <= radius_m:
+            d = dist(pa, positions[b])
+            if d <= radius_m:
                 near_a.append(b)
                 out[b].append(a)
-    return out
+            ticks = (abs(d - radius_m) - margin) / (ra + reach[b])
+            if ticks < horizon:
+                horizon = ticks
+    return out, horizon if horizon == math.inf else max(0, math.floor(horizon))
 
 
 def positioning_noise(

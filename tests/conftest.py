@@ -1,6 +1,15 @@
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Every property test is seeded: examples derive from the test alone, so a run
+# repeats. The "ci" profile (HYPOTHESIS_PROFILE=ci) raises the budget of tests
+# that take theirs from the profile, such as the differential engine test.
+settings.register_profile("default", derandomize=True, deadline=None, max_examples=60)
+settings.register_profile("ci", settings.get_profile("default"), max_examples=300)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"

@@ -1,4 +1,4 @@
-"""Reference implementations the attacker's fast paths are checked against.
+"""Reference implementations the attacker's and the engine's fast paths are checked against.
 
 Hand-rolled brute force oracle for the gap assignment step.
 
@@ -16,6 +16,9 @@ side, about 13k matchings).
 of the anonymity-set count and of ``link``'s candidate selection;
 ``EntryLdm`` and ``ldm_quality_loop`` keep the entry-per-station local dynamic
 map that stored DENMs too and was evicted in a pass of its own.
+``neighbor_lists`` is the all-pairs pass the engine once made every tick, and
+``ReferenceEngine`` runs the radio layer in that per-tick form: every pair
+measured, loss drawn and ``receive`` called per delivery, every LDM rescored.
 """
 
 import math
@@ -23,6 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pseudosim import adversary as adv
+from pseudosim import beaconing as bcn
+from pseudosim import mobility as mob
 from pseudosim.adversary import (
     MotionModel,
     Tracklet,
@@ -33,6 +39,7 @@ from pseudosim.adversary import (
     semantic_match,
 )
 from pseudosim.beaconing import LdmQuality, NoticeSighting
+from pseudosim.engine import SimulationEngine
 
 
 def mk_tracklet(
@@ -330,3 +337,104 @@ def ldm_quality_loop(ldm, neighbor_ids, owner_of, active_station_ids, now):
     missing = counts.count(0)
     ratio = counts.count(1) / len(counts) if counts else 1.0
     return LdmQuality(ghost_count=ghost, missing_count=missing, awareness_ratio=ratio)
+
+
+def neighbor_lists(positions, radius_m):
+    """Every vehicle's peers within the closed ball, ascending, self excluded."""
+    ids = sorted(positions)
+    out = {vid: [] for vid in ids}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if math.dist(positions[a], positions[b]) <= radius_m:
+                out[a].append(b)
+                out[b].append(a)
+    return out
+
+
+class ReferenceEngine(SimulationEngine):
+    """The engine with the radio layer as it was before it became change-driven.
+
+    Each tick it recomputes every neighbour list, draws loss with one
+    ``rng_loss.random()`` per delivery and hands each delivery to
+    ``LocalDynamicMap.receive`` message by message, then scores every LDM
+    afresh. The production engine keeps lists until a pair can cross the
+    range, delivers receiver by receiver from one batch of draws and reuses
+    scores until their inputs change; it must give the same bytes.
+    """
+
+    def _phase_mobility(self, tick):
+        for spec in self._departures.pop(tick, ()):
+            self._admit(spec, tick)
+        roster = []
+        for vid in sorted(self.vehicles):
+            veh = self.vehicles[vid]
+            if tick > veh.depart_tick:
+                speed = min(veh.spec.speed_mps, veh.cursor.segment.speed_limit_mps)
+                veh.kin, moved = mob.step_kinematics(veh.cursor, speed, self.tick_s)
+                veh.trip.advance(moved, self.tick_s)
+                veh.trip.time_since_change_s = (tick - veh.last_change_tick) * self.tick_s
+                if veh.cursor.done:
+                    self._finish_trip(veh, tick)
+                    continue
+            roster.append(veh)
+        self.roster = roster
+        self.neighbors = neighbor_lists(
+            {veh.spec.vehicle_id: veh.kin.position for veh in roster},
+            self.cfg.beaconing.radio_range_m,
+        )
+
+    def _phase_ingest(self, tick):
+        now = tick * self.tick_s
+        loss = self.cfg.beaconing.loss_rate
+        rng = self.rng_loss
+        ordered = sorted(
+            self.outbox,
+            key=lambda e: ("" if type(e[1]) is bcn.NoticeSighting else e[1].scope, e[0]),
+        )
+        self.outbox = []
+        for sender_id, msg, sender_pos in ordered:
+            if type(msg) is bcn.NoticeSighting:
+                self.eavesdropper.hear_notice(msg, sender_pos)
+            else:
+                self.eavesdropper.hear(msg, sender_pos)
+            if self.trace_rows is not None:
+                self.trace_rows.append(adv.trace_row(sender_id, msg))
+            in_range = self.neighbors.get(sender_id)
+            if in_range is None:
+                in_range = mob.region_query(
+                    {veh.spec.vehicle_id: veh.kin.position for veh in self.roster},
+                    sender_pos,
+                    self.cfg.beaconing.radio_range_m,
+                )
+            for rid in in_range:
+                if loss > 0.0 and rng.random() < loss:
+                    self.bump("messages_lost")
+                    continue
+                self.vehicles[rid].ldm.receive(msg, now)
+        any_ghost = False
+        any_missing = False
+        for veh in self.roster:
+            sample = self._score_ldm(veh, now)
+            if sample is None:
+                continue
+            quality, n_neighbors = sample
+            if n_neighbors > 0:
+                self.awareness_sum += quality.awareness_ratio
+                self.awareness_samples += 1
+            if quality.ghost_count > 0:
+                any_ghost = True
+                self.ghost_entries_total += quality.ghost_count
+            if quality.missing_count > 0:
+                any_missing = True
+                self.missing_total += quality.missing_count
+        if any_ghost:
+            self.ghost_ticks += 1
+        if any_missing:
+            self.missing_ticks += 1
+
+    def _score_ldm(self, veh, now):
+        neighbors = self.neighbors[veh.spec.vehicle_id]
+        if not neighbors and len(veh.ldm) == 0:
+            return None
+        quality = bcn.ldm_quality(veh.ldm, neighbors, self.owner_of, self.active_ids, now)
+        return quality, len(neighbors)

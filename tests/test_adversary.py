@@ -162,7 +162,7 @@ def _gap_instance(draw):
 
 
 @given(_gap_instance())
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 def test_cost_matrix_equals_gap_cost_on_every_cell(instance):
     endings, startings, model = instance
     matrix = adv._cost_matrix(endings, startings, model)
@@ -433,7 +433,7 @@ def _multi_epoch_store(draw):
 
 
 @given(_multi_epoch_store(), st.sampled_from([30.0, 5.0, 2.5, 0.5]), st.booleans())
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 def test_link_matches_full_candidate_scan(store, max_gap, use_quasi):
     model = MotionModel(max_gap_s=max_gap)
     result = link(store, model, use_quasi_identifiers=use_quasi)
@@ -557,7 +557,7 @@ def _silences(draw):
 
 
 @given(_silences(), st.sampled_from([500.0, 50.0, 1e-200, 1e300]))
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 def test_anonymity_set_sizes_match_the_interval_loop(silences, region_m):
     changes, silence_of = silences
     truth = truth_for({}, [], changes, silence_of)
@@ -649,7 +649,7 @@ _broadcasts = st.lists(st.one_of(
 
 
 @given(_broadcasts, st.integers(0, 99))
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 def test_trace_row_round_trips_through_load_trace(tmp_path_factory, records, sender):
     # the rows as ``pseudosim run --trace`` writes them
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"

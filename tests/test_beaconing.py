@@ -146,7 +146,7 @@ _ldm_step = st.fixed_dictionaries({
     timeout_s=st.sampled_from([0.5, 1.0, 1.5]),
     steps=st.lists(_ldm_step, min_size=1, max_size=25),
 )
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 def test_ldm_matches_entry_reference(timeout_s, steps):
     ldm = LocalDynamicMap(timeout_s=timeout_s)
     ref = EntryLdm(timeout_s=timeout_s)

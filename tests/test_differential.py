@@ -1,0 +1,171 @@
+"""The change-driven radio layer against its per-tick reference, byte for byte.
+
+``oracle_support.ReferenceEngine`` recomputes every neighbour list each tick,
+draws loss and calls ``LocalDynamicMap.receive`` per delivery and rescores
+every LDM. The production engine keeps lists until a pair could cross the
+range, delivers receiver by receiver from one batch of loss draws and reuses
+LDM scores until their inputs change. On generated scenarios both must write
+the same summary, trace and linkage.
+
+The scenarios sit on one east-west road, with lanes both ways and a turn
+north, dyadic ticks and integer speeds, so positions are exact. Each route
+starts on a slow segment and goes on at speed. Most scenarios are built
+around one event that a wrong shortcut would miss (``_motif``), with up to
+ten more vehicles around it. Example budget: the hypothesis profile
+(``conftest.py``).
+"""
+
+import json
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracle_support import ReferenceEngine
+from pseudosim.config import load_scenario
+from pseudosim.engine import SimulationEngine
+
+# (tick_s, cam_freq_hz): a CAM every 1, 2 or 4 ticks
+_CLOCKS = [(0.5, 2.0), (0.5, 1.0), (0.25, 4.0), (0.25, 1.0)]
+
+_QUIET = {"kind": "periodic", "interval_s": 60.0}  # no change after the initial ids
+_POLICIES = st.sampled_from([
+    {"kind": "periodic", "interval_s": 2.0},
+    _QUIET,
+    {"kind": "synchronized", "interval_s": 4.0, "window_s": 2.0},
+    {"kind": "network_triggered", "min_interval_s": 3.0, "coordination_interval_s": 1.0,
+     "max_silent_fraction": 0.5},
+    {"kind": "segment", "second_change_min_m": 20.0, "second_change_max_m": 60.0,
+     "subsequent_min_distance_m": 30.0, "subsequent_time_min_s": 2.0,
+     "subsequent_time_max_s": 6.0},
+])
+
+
+_SPEEDS = [1.0, 2.0, 3.0, 4.0, 8.0, 16.0, 24.0, 30.0]
+_MOTIFS = ["head_on", "speed_up", "ends_unheard", None, None]
+
+
+def _motif(draw, motif, tick_s, n_ticks, x1, x2, limits):
+    """Vehicles 1 and 2 of a scenario built around one event, and the radio range.
+
+    - ``head_on``: they drive at each other below every limit and meet the
+      range exactly, after a whole number of ticks;
+    - ``speed_up``: vehicle 1 crawls along a slow first segment at a fraction
+      of its own speed, then races on;
+    - ``ends_unheard``: vehicle 1 pulls away from vehicle 2, leaves its range
+      and ends its trip within the LDM timeout, so only the retired id tells
+      vehicle 2 its entry is a ghost. Other id changes would tell it too, so
+      this scenario keeps its ids and beacons every tick.
+
+    A scenario with a motif has at most two more vehicles: more pairs would
+    often force a fresh neighbour pass right at the event.
+    """
+    radius = float(draw(st.integers(10, 150)))
+    if motif == "head_on":
+        v1 = draw(st.sampled_from([v for v in _SPEEDS if v <= limits["e1"]]))
+        v2 = draw(st.sampled_from([v for v in _SPEEDS if v <= limits["w1"]]))
+        step = (v1 + v2) * tick_s
+        k = draw(st.integers(1, min(n_ticks - 1, int((x2 - 1.0) / step))))
+        return [(["e1", "e2"], v1), (["w1", "w2"], v2)], x2 - k * step
+    if motif == "speed_up":
+        limits["e1"] = 4.0  # vehicle 1 reaches the fast segment within the run
+        return [(["e1", "e2", "north"], 30.0), (["w1"], draw(st.sampled_from(_SPEEDS)))], radius
+    if motif == "ends_unheard":
+        limits["e1"] = 4.0
+        v1, v2 = draw(st.sampled_from([(4.0, 1.0), (4.0, 2.0), (2.0, 1.0)]))
+        # the gap reaches the range two ticks before the end and passes it a
+        # tick later; vehicle 2 heard vehicle 1 then, within the 1.5 s timeout
+        return [(["e1"], v1), (["e1", "e2"], v2)], (v1 - v2) * (x1 / v1 - 2 * tick_s)
+    return [], radius
+
+
+@st.composite
+def scenarios(draw):
+    tick_s, cam_freq_hz = draw(st.sampled_from(_CLOCKS))
+    n_ticks = draw(st.integers(30, 90))
+    x1 = float(draw(st.integers(10, 60)))
+    x2 = x1 + draw(st.integers(30, 150))
+    slow, fast = st.sampled_from([1.0, 2.0, 4.0]), st.integers(16, 30).map(float)
+    limits = {"e1": draw(slow), "e2": draw(fast), "north": draw(fast),
+              "w1": draw(slow), "w2": draw(fast)}
+    motif = draw(st.sampled_from(_MOTIFS))
+    pinned, radius = _motif(draw, motif, tick_s, n_ticks, x1, x2, limits)
+    lane = 0.0 if motif == "head_on" else draw(st.sampled_from([0.0, 3.0]))
+    segments = {  # each route's second segment is the faster one
+        "e1": ((0.0, 0.0), (x1, 0.0)), "e2": ((x1, 0.0), (x2, 0.0)),
+        "north": ((x2, 0.0), (x2, 100.0)),
+        "w1": ((x2, lane), (x1, lane)), "w2": ((x1, lane), (0.0, lane)),
+    }
+    road = {"segments": [
+        {"id": sid, "start": list(a), "end": list(b), "speed_limit_mps": limits[sid]}
+        for sid, (a, b) in segments.items()
+    ]}
+    routes = [["e1"], ["e1", "e2"], ["e1", "e2", "north"], ["w1"], ["w1", "w2"]]
+    fleet = [
+        {"vehicle_id": vid, "route": route, "speed_mps": speed}
+        for vid, (route, speed) in enumerate(pinned, start=1)
+    ]
+    quiet = motif == "ends_unheard"
+    for vid in range(len(fleet) + 1, draw(st.integers(2, 4 if motif else 12)) + 1):
+        fleet.append({
+            "vehicle_id": vid,
+            "route": draw(st.sampled_from(routes)),
+            "speed_mps": draw(st.sampled_from(_SPEEDS)),
+            "depart_s": draw(st.sampled_from([0, 0, n_ticks // 8, n_ticks // 4])) * tick_s,
+            "length_m": draw(st.sampled_from([4.0, 4.5, 5.0])),
+        })
+    events = []
+    for veh in draw(st.lists(st.sampled_from(fleet), max_size=3, unique_by=id)):
+        first = int(round(veh.get("depart_s", 0.0) / tick_s))
+        for tick in draw(st.lists(st.integers(first, n_ticks - 1), max_size=4, unique=True)):
+            events.append({"vehicle_id": veh["vehicle_id"], "t": tick * tick_s,
+                           "app_id": "hd-map", "duration_s": 1.0})
+    coverage = draw(st.sampled_from([
+        "full", [{"x": x1, "y": 0.0, "radius_m": 60.0}, {"x": 0.0, "y": 0.0, "radius_m": 40.0}],
+    ]))
+    return {
+        "name": f"differential-{motif}",
+        "seed": draw(st.integers(0, 2**16)),
+        "duration_s": n_ticks * tick_s,
+        "tick_s": tick_s,
+        "road": road,
+        "fleet": fleet,
+        "beaconing": {
+            "cam_freq_hz": 1.0 / tick_s if quiet else cam_freq_hz,
+            "radio_range_m": radius,
+            "ldm_timeout_s": 1.5 if quiet else draw(st.sampled_from([0.5, 1.0, 1.5])),
+            "positioning_sigma_m": draw(st.sampled_from([0.0, 1.0])),
+            "loss_rate": draw(st.sampled_from([0.0, 0.1, 0.4])),
+            "denm_interval_s": draw(st.sampled_from([None, 1.0])),
+        },
+        "policy": {**(_QUIET if quiet else draw(_POLICIES)),
+                   "silence_s": draw(st.sampled_from([0.0, 0.5, 1.0])),
+                   "notify_deactivation": draw(st.booleans())},
+        "pool": {"size": draw(st.sampled_from([3, 6])), "min_concurrent_valid": 2,
+                 "selection": draw(st.sampled_from(["no_reuse", "round_robin"]))},
+        "sba": {} if quiet else draw(st.sampled_from([{}, {"at_lifetime_s": 6.0,
+                                                            "at_stagger_s": 1.0}])),
+        "locks": {"renewal_threshold": 1,
+                  "validator_awareness_min": draw(st.sampled_from([0.5, 0.99])),
+                  "events": events},
+        "adversary": {"coverage": coverage},
+    }
+
+
+def outputs(engine_cls, config) -> tuple:
+    """The summary, the trace as ``pseudosim run`` writes it, and the linkage."""
+    result = engine_cls(config, collect_trace=True).run()
+    trace = "".join(
+        json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+        for row in result.trace_rows
+    )
+    return result.summary_json(), trace, result.linkage.to_json()
+
+
+@given(scenarios())
+def test_change_driven_radio_layer_matches_reference(raw):
+    config = load_scenario(raw)
+    got = outputs(SimulationEngine, config)
+    want = outputs(ReferenceEngine, config)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert got[2] == want[2]

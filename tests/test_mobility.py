@@ -1,15 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_support import neighbor_lists
 from pseudosim.mobility import (
     RoadNetwork,
     RoadNetworkError,
     RoadSegment,
     RouteCursor,
     TripState,
-    neighbor_lists,
+    kinetic_neighbor_lists,
     positioning_noise,
     region_query,
     step_kinematics,
@@ -137,13 +140,94 @@ _coords = st.tuples(st.integers(-12, 12).map(float), st.integers(-12, 12).map(fl
     positions=st.dictionaries(st.integers(0, 30), _coords, max_size=12),
     radius=st.sampled_from([0.0, 1.0, 5.0, 7.5, 10.0]),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_neighbor_lists_match_region_query(positions, radius):
-    lists = neighbor_lists(positions, radius)
+    lists, _ = kinetic_neighbor_lists(positions, dict.fromkeys(positions, 1.0), radius, 12.0)
     assert sorted(lists) == sorted(positions)
     for vid, pos in positions.items():
         others = {k: p for k, p in positions.items() if k != vid}
         assert lists[vid] == region_query(others, pos, radius)
+    assert neighbor_lists(positions, radius) == lists  # the reference agrees
+
+
+# --- neighbour lists kept for their safe horizon ------------------------------------
+
+
+@pytest.mark.parametrize("base", [0.0, 1234.5, 1e6])
+@pytest.mark.parametrize("radius", [300.0, 7.25])
+def test_horizon_is_zero_on_and_next_to_the_range(base, radius):
+    exact = base + radius
+    for x, inside in [
+        (exact, True),
+        (math.nextafter(exact, -math.inf), True),
+        (math.nextafter(exact, math.inf), False),
+    ]:
+        positions = {1: (base, -base), 2: (x, -base)}
+        lists, safe_ticks = kinetic_neighbor_lists(positions, {1: 1.0, 2: 1.0}, radius, 2e6)
+        assert lists == neighbor_lists(positions, radius)
+        assert lists[1] == ([2] if inside else [])
+        assert safe_ticks == 0  # within the float margin of the range
+
+
+def test_horizon_counts_whole_ticks_of_approach():
+    # 40 m of slack closing at up to 2 x 5 m per tick: 3 whole ticks, not 4
+    lists, safe_ticks = kinetic_neighbor_lists({1: (0.0, 0.0), 2: (140.0, 0.0)},
+                                               {1: 5.0, 2: 5.0}, 100.0, 1000.0)
+    assert lists == {1: [], 2: []}
+    assert safe_ticks == 3
+    assert kinetic_neighbor_lists({1: (0.0, 0.0)}, {1: 5.0}, 100.0, 0.0)[1] == math.inf
+
+
+@st.composite
+def _trajectories(draw):
+    """Vehicles on their own random polylines, up to 1e6 m from the origin.
+
+    Speed limits below a vehicle's speed slow it on some legs. The radius is
+    random, or exactly the first two vehicles' starting distance, or one ulp
+    either side of it.
+    """
+    tick_s = draw(st.sampled_from([0.05, 0.1, 0.5]))
+    scale = draw(st.sampled_from([0.0, 1e3, 1e6]))
+    segments, routes, speeds = [], {}, {}
+    for vid in range(draw(st.integers(2, 6))):
+        x = draw(st.floats(-scale, scale)) if scale else 0.0
+        y = draw(st.floats(-scale, scale)) if scale else 0.0
+        route = []
+        for leg in range(draw(st.integers(1, 4))):
+            angle = draw(st.floats(0.0, 2 * math.pi))
+            length = draw(st.floats(1.0, 300.0))
+            end = (x + length * math.cos(angle), y + length * math.sin(angle))
+            sid = f"{vid}-{leg}"
+            segments.append(RoadSegment(sid, (x, y), end, draw(st.floats(1.0, 40.0))))
+            route.append(sid)
+            x, y = end
+        routes[vid] = tuple(route)
+        speeds[vid] = draw(st.floats(0.5, 40.0))
+    network = RoadNetwork.build(segments)
+    cursors = {vid: RouteCursor(network, route) for vid, route in routes.items()}
+    start = math.dist(cursors[0].position(), cursors[1].position())
+    radius = draw(st.one_of(
+        st.floats(1.0, 400.0),
+        st.sampled_from([start, math.nextafter(start, 0.0), math.nextafter(start, math.inf)]),
+    ))
+    return network, cursors, speeds, tick_s, max(radius, 1e-3)
+
+
+@given(_trajectories(), st.integers(20, 120))
+@settings(max_examples=200)
+def test_kept_neighbor_lists_match_fresh_ones(case, n_ticks):
+    network, cursors, speeds, tick_s, radius = case
+    reach = {vid: speed * tick_s for vid, speed in speeds.items()}
+    until = -1
+    for tick in range(n_ticks):
+        if tick:
+            for vid, cur in cursors.items():
+                step_kinematics(cur, min(speeds[vid], cur.segment.speed_limit_mps), tick_s)
+        positions = {vid: cur.position() for vid, cur in cursors.items()}
+        if tick > until:
+            kept, safe_ticks = kinetic_neighbor_lists(positions, reach, radius, network.extent_m)
+            until = tick + safe_ticks
+        assert kept == neighbor_lists(positions, radius), tick
 
 
 def test_positioning_noise_sigma_zero_consumes_nothing():

@@ -227,7 +227,7 @@ def lock_request_seq(draw):
 
 
 @given(lock_request_seq())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_lock_invariants_fuzz(reqs):
     ledger = LockLedger(renewal_threshold=4)
     validity = 1e8
@@ -396,7 +396,7 @@ _pool_ops = st.lists(
 
 @pytest.mark.parametrize("selection", ["no_reuse", "round_robin"])
 @given(ops=_pool_ops, back=_half_steps)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_pool_matches_full_scan_reference(selection, ops, back):
     pool = PseudonymPool(selection, 2, 5, [AppScope.CAM])
     ref = _ScanPool(selection)
