@@ -11,7 +11,7 @@ The kinematic stage solves a rectangular assignment problem with a no-match
 option. Costs are compared on one integer grid (``_tie_grid``), which is the
 only definition of a tie; among tied optima the lexicographically smallest
 assignment by station identifier wins, so results are reproducible bit for
-bit whatever the input order.
+bit whatever the input order. Small epochs are solved without scipy.
 
 This module also owns the ``trace.jsonl`` row format: ``trace_row`` writes a
 row and ``load_trace`` reads a file of them back.
@@ -25,16 +25,16 @@ import json
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NoReturn, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .beaconing import NoticeSighting, Observation
 
 Point = tuple[float, float]
 
 _INFEASIBLE = math.inf  # cost of a gap outside (0, max_gap_s]; the tie grid clips it
+_SMALL_EPOCH = 6  # most tracklets (n_e + n_s) for which enumeration beats scipy
 _BY_TIME_THEN_ID = operator.attrgetter("t", "station_id")
 
 
@@ -225,12 +225,21 @@ def _tie_grid(cost: np.ndarray, no_match_cost: float) -> tuple[np.ndarray, int]:
     matched. Any total over ``size = n_e + n_s`` rows, times ``size + 1``,
     stays below 2**53, so float sums of grid values are exact.
     """
-    size = sum(cost.shape)
-    steps = min(30, 50 - 2 * size.bit_length())
-    pad = 2**steps
+    pad = _grid_pad(sum(cost.shape))
     with np.errstate(over="ignore"):  # a cost too large to scale clips anyway
         grid = np.rint(np.minimum(cost / (no_match_cost / pad), 2 * pad + 1))
     return grid, pad
+
+
+def _grid_pad(size: int) -> int:
+    """A no-match's cost in grid units for an epoch of ``size`` tracklets."""
+    return 2 ** min(30, 50 - 2 * size.bit_length())
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's solver, imported on first call: most runs never need it."""
+    from scipy.optimize import linear_sum_assignment as solve
+    return solve(cost)
 
 
 def _lex_min_assignment(grid: np.ndarray, pad: int) -> list[int]:
@@ -271,6 +280,34 @@ def _lex_min_assignment(grid: np.ndarray, pad: int) -> list[int]:
     return fixed
 
 
+def _lex_min_enumerated(grid: list[list[int]], pad: int) -> list[int]:
+    """``_lex_min_assignment`` of a small grid, by depth-first enumeration.
+
+    Ending rows decide in order, starting columns before no match (``n_s``),
+    so the first assignment of least total found wins. A match adds its cell
+    less the two no-matches it saves, and one adding more than 0 is skipped.
+    """
+    n_e, n_s = len(grid), len(grid[0])
+    decisions = [n_s] * n_e
+    best = (1, decisions)  # every assignment adds at most 0
+
+    def visit(i: int, used: int, added: int) -> None:
+        nonlocal best
+        if i == n_e:
+            if added < best[0]:
+                best = (added, decisions.copy())
+            return
+        for j, q in enumerate(grid[i]):
+            if q <= 2 * pad and not used >> j & 1:
+                decisions[i] = j
+                visit(i + 1, used | 1 << j, added + q - 2 * pad)
+        decisions[i] = n_s
+        visit(i + 1, used, added)
+
+    visit(0, 0, 0)
+    return best[1]
+
+
 def associate_across_gap(
     endings: Sequence[Tracklet],
     startings: Sequence[Tracklet],
@@ -301,8 +338,16 @@ def associate_across_gap(
             pair_costs=[],
         )
 
-    cost = _cost_matrix(endings, startings, model)
-    decisions = _lex_min_assignment(*_tie_grid(cost, model.no_match_cost))
+    if n_e + n_s <= _SMALL_EPOCH:
+        # the same costs and grid as the matrix path, one cell at a time
+        cost = [[gap_cost(e, s, model) for s in startings] for e in endings]
+        pad = _grid_pad(n_e + n_s)
+        unit = model.no_match_cost / pad
+        grid = [[round(min(c / unit, 2 * pad + 1)) for c in row] for row in cost]
+        decisions = _lex_min_enumerated(grid, pad)
+    else:
+        cost = _cost_matrix(endings, startings, model)
+        decisions = _lex_min_assignment(*_tie_grid(cost, model.no_match_cost))
 
     # sum in fixed row order so equal assignments give equal floats
     total = 0.0
@@ -314,7 +359,7 @@ def associate_across_gap(
             total += model.no_match_cost
             unmatched_endings.append(ending_ids[i])
         else:
-            pair_costs.append(float(cost[i, j]))
+            pair_costs.append(float(cost[i][j]))
             total += pair_costs[-1]
             pairs.append((ending_ids[i], starting_ids[j]))
     total += model.no_match_cost * (n_s - len(pairs))
@@ -701,21 +746,26 @@ def load_trace(path: str) -> ObservationStore:
 
     Ground-truth fields in the rows (sender vehicle id) are ignored; the
     attacker only gets what was broadcast. Rows are streamed one line at a
-    time; blank lines and rows of another ``kind`` are skipped, and a line
-    holding anything after its JSON object raises ``json.JSONDecodeError``.
+    time; blank lines and rows of another ``kind`` are skipped, a line
+    holding anything after its JSON object raises ``json.JSONDecodeError``,
+    and one holding ``NaN``, ``Infinity`` or ``-Infinity`` a ``ValueError``.
     The cyclic garbage collector is paused while the store is built and
     left as the caller had it.
     """
     store = ObservationStore()
     observations, notices = store.observations, store.notices
-    decode = json.JSONDecoder().raw_decode
+
+    def reject(constant: str) -> NoReturn:
+        raise ValueError(f"{path}, line {lineno}: non-finite number {constant}")
+
+    decode = json.JSONDecoder(parse_constant=reject).raw_decode
     # the store holds no reference cycles, so collection passes over the
     # growing list of records would only cost time
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue

@@ -2,6 +2,10 @@ import gc
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -332,6 +336,61 @@ def test_tie_grid_totals_stay_exact():
         _, pad = adv._tie_grid(np.empty((size, 0)), 50.0)
         assert size * (size + 1) * (2 * pad + 1) + size < 2**53
         assert pad >= 2**16  # a unit stays below no_match_cost / 65536
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_small_epochs_solve_exactly_like_the_matrix_path(seed):
+    # every shape the enumeration takes, on dense-tie grids with clipped cells and
+    # on random tracklets with infeasible gaps and exact ties; a no-match cost of
+    # 2**30 or 2**36 makes a grid unit 1 or 64, so grid totals tie where floats do not
+    rng = np.random.default_rng(seed)
+    models = [MotionModel(), MotionModel(no_match_cost=2.0**30),
+              MotionModel(no_match_cost=2.0**36)]
+    sizes = [(n_e, size - n_e) for size in range(2, adv._SMALL_EPOCH + 1)
+             for n_e in range(1, size)]
+    for n_e, n_s in sizes:
+        pad = 2
+        grid = rng.integers(0, 2 * pad + 2, size=(n_e, n_s))
+        assert adv._lex_min_enumerated(grid.tolist(), pad) == adv._lex_min_assignment(
+            grid.astype(float), pad)
+
+        endings, startings = [], []
+        while len(endings) < n_e or len(startings) < n_s:
+            endings, startings = random_instance(rng, max_side=adv._SMALL_EPOCH)
+        endings, startings = endings[:n_e], startings[:n_s]
+        for model in models:
+            small = associate_across_gap(endings, startings, model)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(adv, "_SMALL_EPOCH", 0)
+                matrix = associate_across_gap(endings, startings, model)
+            assert small == matrix
+            assert [c.hex() for c in small.pair_costs] == [c.hex() for c in matrix.pair_costs]
+            assert small.total_cost.hex() == matrix.total_cost.hex()
+
+
+_IMPORT_GUARD = """
+import sys
+import pseudosim, pseudosim.config, pseudosim.engine, pseudosim.cli
+from pseudosim import adversary as adv, run_scenario
+assert "scipy" not in sys.modules, "imported by import pseudosim"
+for name in ("latency_fleet.json", "symmetric_crossing.json"):
+    run_scenario(f"{sys.argv[1]}/{name}")
+    assert "scipy" not in sys.modules, f"imported by a run of {name}"
+ending = adv.Tracklet("e", "CAM", 0.0, 1.0, (0.0, 0.0), (0.0, 0.0), (1.0, 0.0), 2, None)
+startings = [adv.Tracklet(f"s{k}", "CAM", 2.0, 3.0, (k, 0.0), (k, 0.0), (1.0, 0.0), 2, None)
+             for k in range(adv._SMALL_EPOCH)]
+assert adv.associate_across_gap([ending], startings, adv.MotionModel()).pairs == [("e", "s1")]
+assert "scipy.optimize" in sys.modules, "not imported by a large epoch"
+"""
+
+
+def test_scipy_is_imported_by_the_first_large_epoch_only(scenarios_dir):
+    src = str(Path(adv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(scenarios_dir)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- semantic matching ------------------------------------------------------------
@@ -696,6 +755,17 @@ def test_load_trace_skips_blank_lines_and_unknown_kinds(tmp_path):
     assert all(type(v) is float for v in (o.t, *o.position, *o.velocity))
     assert store.notices == [NoticeSighting(2.0, "aa", "CAM")]
     assert type(store.notices[0].t) is float
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_load_trace_rejects_non_finite_numbers(tmp_path, constant):
+    # Python's json accepts these constants, and the solver would fail far from the file
+    cam = {"kind": "CAM", "t": 0.1, "station_id": "aa", "x": 1.0, "y": 2.0,
+           "vx": 10.0, "vy": 0.0}
+    bad = json.dumps(cam).replace('"x": 1.0', f'"x": {constant}')
+    path = _write_lines(tmp_path, [json.dumps(cam), "", bad])
+    with pytest.raises(ValueError, match=f"line 3: non-finite number {constant}$"):
+        load_trace(path)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
