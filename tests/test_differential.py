@@ -16,6 +16,7 @@ ten more vehicles around it. Example budget: the hypothesis profile
 """
 
 import json
+from bisect import bisect_right
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +39,29 @@ _POLICIES = st.sampled_from([
      "subsequent_min_distance_m": 30.0, "subsequent_time_min_s": 2.0,
      "subsequent_time_max_s": 6.0},
 ])
+
+
+@st.composite
+def _supply(draw, quiet):
+    """The ``pool`` and ``sba`` sections: how many tickets, lasting how long.
+
+    Pools sit at or just above ``min_concurrent_valid`` or hold a few spares,
+    with tickets as long-lived as the defaults, lapsing every few changes or
+    lapsing before a 2 s change interval. A 20-ticket pool keeps the default
+    lifetime; with a batch cap of 1 the 16 provisioning calls of one top-up
+    cannot fill it, so ``replenish_gave_up`` fires. ``quiet`` keeps the
+    default tickets, so no id lapses.
+    """
+    floor = draw(st.sampled_from([2, 3]))
+    size = draw(st.sampled_from([floor, floor + 1, 6, 20]))
+    pool = {"size": size, "min_concurrent_valid": floor,
+            "selection": draw(st.sampled_from(["no_reuse", "round_robin"]))}
+    if quiet:
+        return pool, {}
+    if size == 20:
+        return pool, draw(st.sampled_from([{}, {"at_batch_cap": 1}]))
+    return pool, draw(st.sampled_from([{}, {"at_lifetime_s": 6.0, "at_stagger_s": 1.0},
+                                       {"at_lifetime_s": 1.5, "at_stagger_s": 0.5}]))
 
 
 _SPEEDS = [1.0, 2.0, 3.0, 4.0, 8.0, 16.0, 24.0, 30.0]
@@ -122,6 +146,7 @@ def scenarios(draw):
     coverage = draw(st.sampled_from([
         "full", [{"x": x1, "y": 0.0, "radius_m": 60.0}, {"x": 0.0, "y": 0.0, "radius_m": 40.0}],
     ]))
+    pool, sba = draw(_supply(quiet))
     return {
         "name": f"differential-{motif}",
         "seed": draw(st.integers(0, 2**16)),
@@ -140,10 +165,8 @@ def scenarios(draw):
         "policy": {**(_QUIET if quiet else draw(_POLICIES)),
                    "silence_s": draw(st.sampled_from([0.0, 0.5, 1.0])),
                    "notify_deactivation": draw(st.booleans())},
-        "pool": {"size": draw(st.sampled_from([3, 6])), "min_concurrent_valid": 2,
-                 "selection": draw(st.sampled_from(["no_reuse", "round_robin"]))},
-        "sba": {} if quiet else draw(st.sampled_from([{}, {"at_lifetime_s": 6.0,
-                                                            "at_stagger_s": 1.0}])),
+        "pool": pool,
+        "sba": sba,
         "locks": {"renewal_threshold": 1,
                   "validator_awareness_min": draw(st.sampled_from([0.5, 0.99])),
                   "events": events},
@@ -151,9 +174,53 @@ def scenarios(draw):
     }
 
 
+def check_invariants(config, result) -> None:
+    """Engine contracts that hold on every run, whatever the radio layer does.
+
+    The beacon counters equal the trace's beacon rows, no station id comes
+    back under ``no_reuse``, the change records come one per vehicle and tick
+    in trace order, and they account for every beacon's station id: until a
+    vehicle's first change it beacons under that change's old ids, after a
+    change under its new ids, and not at all inside the change's silence.
+    """
+    summary, rows = result.summary, result.trace_rows
+    for kind, counter in (("CAM", "cams_sent"), ("DENM", "denms_sent")):
+        assert summary["counters"].get(counter, 0) == sum(row["kind"] == kind for row in rows)
+    assert summary["safety"]["sybil_violations"] == 0
+
+    def tick(t):
+        return int(round(t / config.tick_s))
+
+    keys = [(tick(rec.t), rec.vehicle_id) for rec in result.change_records]
+    assert keys == sorted(set(keys))
+    changes_of, ticks_of = {}, {}
+    for rec in result.change_records:
+        changes_of.setdefault(rec.vehicle_id, []).append(rec)
+        ticks_of.setdefault(rec.vehicle_id, []).append(tick(rec.t))
+    first_id = {}
+    for row in rows:
+        if row["kind"] == "notice":
+            continue
+        vid, scope, now = row["sender_vehicle_id"], row["kind"], tick(row["t"])
+        recs = changes_of.get(vid, [])
+        k = bisect_right(ticks_of.get(vid, []), now)
+        if k:
+            rec = recs[k - 1]
+            assert row["station_id"] == rec.new_ids[scope]
+            assert now >= ticks_of[vid][k - 1] + int(round(rec.silence_s / config.tick_s))
+        elif recs:
+            assert row["station_id"] == recs[0].old_ids[scope]
+        else:
+            assert first_id.setdefault((vid, scope), row["station_id"]) == row["station_id"]
+
+
 def outputs(engine_cls, config) -> tuple:
-    """The summary, the trace as ``pseudosim run`` writes it, and the linkage."""
+    """The summary, the trace as ``pseudosim run`` writes it, and the linkage.
+
+    Each run is checked against ``check_invariants`` on the way.
+    """
     result = engine_cls(config, collect_trace=True).run()
+    check_invariants(config, result)
     trace = "".join(
         json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
         for row in result.trace_rows
