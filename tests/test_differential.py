@@ -18,7 +18,7 @@ ten more vehicles around it. Example budget: the hypothesis profile
 import json
 from bisect import bisect_right
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_support import ReferenceEngine
@@ -31,6 +31,8 @@ _CLOCKS = [(0.5, 2.0), (0.5, 1.0), (0.25, 4.0), (0.25, 1.0)]
 _QUIET = {"kind": "periodic", "interval_s": 60.0}  # no change after the initial ids
 _POLICIES = st.sampled_from([
     {"kind": "periodic", "interval_s": 2.0},
+    # faster than the LDM timeout: a round-robin id comes back while still held
+    {"kind": "periodic", "interval_s": 1.0},
     _QUIET,
     {"kind": "synchronized", "interval_s": 4.0, "window_s": 2.0},
     {"kind": "network_triggered", "min_interval_s": 3.0, "coordination_interval_s": 1.0,
@@ -42,30 +44,33 @@ _POLICIES = st.sampled_from([
 
 
 @st.composite
-def _supply(draw, quiet):
+def _supply(draw):
     """The ``pool`` and ``sba`` sections: how many tickets, lasting how long.
 
     Pools sit at or just above ``min_concurrent_valid`` or hold a few spares,
     with tickets as long-lived as the defaults, lapsing every few changes or
-    lapsing before a 2 s change interval. A 20-ticket pool keeps the default
+    lapsing before a 2 s change interval, staggered or all at once (then a
+    change can find no valid ticket, and the vehicle's due CAMs are not sent
+    until a later change succeeds). A 20-ticket pool keeps the default
     lifetime; with a batch cap of 1 the 16 provisioning calls of one top-up
-    cannot fill it, so ``replenish_gave_up`` fires. ``quiet`` keeps the
-    default tickets, so no id lapses.
+    cannot fill it, so ``replenish_gave_up`` fires.
     """
     floor = draw(st.sampled_from([2, 3]))
     size = draw(st.sampled_from([floor, floor + 1, 6, 20]))
     pool = {"size": size, "min_concurrent_valid": floor,
             "selection": draw(st.sampled_from(["no_reuse", "round_robin"]))}
-    if quiet:
-        return pool, {}
     if size == 20:
         return pool, draw(st.sampled_from([{}, {"at_batch_cap": 1}]))
     return pool, draw(st.sampled_from([{}, {"at_lifetime_s": 6.0, "at_stagger_s": 1.0},
-                                       {"at_lifetime_s": 1.5, "at_stagger_s": 0.5}]))
+                                       {"at_lifetime_s": 1.5, "at_stagger_s": 0.5},
+                                       {"at_lifetime_s": 1.5}]))
 
 
 _SPEEDS = [1.0, 2.0, 3.0, 4.0, 8.0, 16.0, 24.0, 30.0]
-_MOTIFS = ["head_on", "speed_up", "ends_unheard", None, None]
+# the last three make an LDM event that a shortcut could lose, and
+# ``test_radio_events_match_reference`` draws only them
+_MOTIFS = [None, None, "head_on", "speed_up", "ends_unheard", "pulls_away", "comes_back", "lapses"]
+_EVENT_MOTIFS = _MOTIFS[-3:]
 
 
 def _motif(draw, motif, tick_s, n_ticks, x1, x2, limits):
@@ -79,6 +84,10 @@ def _motif(draw, motif, tick_s, n_ticks, x1, x2, limits):
       and ends its trip within the LDM timeout, so only the retired id tells
       vehicle 2 its entry is a ghost. Other id changes would tell it too, so
       this scenario keeps its ids and beacons every tick.
+    - ``pulls_away``: vehicle 1 leaves vehicle 2 behind, first on the slow
+      segment and then at speed, so the pair drops out of range while both
+      still beacon;
+    - ``comes_back`` and ``lapses`` fix settings, not vehicles (``scenarios``).
 
     A scenario with a motif has at most two more vehicles: more pairs would
     often force a fresh neighbour pass right at the event.
@@ -93,6 +102,9 @@ def _motif(draw, motif, tick_s, n_ticks, x1, x2, limits):
     if motif == "speed_up":
         limits["e1"] = 4.0  # vehicle 1 reaches the fast segment within the run
         return [(["e1", "e2", "north"], 30.0), (["w1"], draw(st.sampled_from(_SPEEDS)))], radius
+    if motif == "pulls_away":
+        limits["e1"] = 4.0
+        return [(["e1", "e2"], 30.0), (["e1", "e2"], 2.0)], radius
     if motif == "ends_unheard":
         limits["e1"] = 4.0
         v1, v2 = draw(st.sampled_from([(4.0, 1.0), (4.0, 2.0), (2.0, 1.0)]))
@@ -103,7 +115,7 @@ def _motif(draw, motif, tick_s, n_ticks, x1, x2, limits):
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, motifs=_MOTIFS):
     tick_s, cam_freq_hz = draw(st.sampled_from(_CLOCKS))
     n_ticks = draw(st.integers(30, 90))
     x1 = float(draw(st.integers(10, 60)))
@@ -111,7 +123,7 @@ def scenarios(draw):
     slow, fast = st.sampled_from([1.0, 2.0, 4.0]), st.integers(16, 30).map(float)
     limits = {"e1": draw(slow), "e2": draw(fast), "north": draw(fast),
               "w1": draw(slow), "w2": draw(fast)}
-    motif = draw(st.sampled_from(_MOTIFS))
+    motif = draw(st.sampled_from(motifs))
     pinned, radius = _motif(draw, motif, tick_s, n_ticks, x1, x2, limits)
     lane = 0.0 if motif == "head_on" else draw(st.sampled_from([0.0, 3.0]))
     segments = {  # each route's second segment is the faster one
@@ -128,7 +140,6 @@ def scenarios(draw):
         {"vehicle_id": vid, "route": route, "speed_mps": speed}
         for vid, (route, speed) in enumerate(pinned, start=1)
     ]
-    quiet = motif == "ends_unheard"
     for vid in range(len(fleet) + 1, draw(st.integers(2, 4 if motif else 12)) + 1):
         fleet.append({
             "vehicle_id": vid,
@@ -146,7 +157,33 @@ def scenarios(draw):
     coverage = draw(st.sampled_from([
         "full", [{"x": x1, "y": 0.0, "radius_m": 60.0}, {"x": 0.0, "y": 0.0, "radius_m": 40.0}],
     ]))
-    pool, sba = draw(_supply(quiet))
+    beaconing = {
+        "cam_freq_hz": cam_freq_hz,
+        "radio_range_m": radius,
+        "ldm_timeout_s": draw(st.sampled_from([0.5, 1.0, 1.5])),
+        "positioning_sigma_m": draw(st.sampled_from([0.0, 1.0])),
+        "loss_rate": draw(st.sampled_from([0.0, 0.1, 0.4])),
+        "denm_interval_s": draw(st.sampled_from([None, 1.0])),
+    }
+    policy = draw(_POLICIES)
+    change = {"silence_s": draw(st.sampled_from([0.0, 0.5, 1.0])),
+              "notify_deactivation": draw(st.booleans())}
+    pool, sba = draw(_supply())
+    if motif == "ends_unheard":  # ids kept, a CAM every tick
+        beaconing.update(cam_freq_hz=1.0 / tick_s, ldm_timeout_s=1.5)
+        policy, sba = _QUIET, {}
+    elif motif == "comes_back":
+        # a round-robin pool of two hands an id back while receivers still
+        # hold it, so it stops counting as a ghost there
+        beaconing["ldm_timeout_s"] = 1.5
+        policy, change["notify_deactivation"] = {"kind": "periodic", "interval_s": 1.0}, False
+        pool = {"size": 2, "min_concurrent_valid": 2, "selection": "round_robin"}
+    elif motif == "lapses":
+        # every ticket lapses at once: the change finds none valid, the due
+        # CAM is not sent, and an entry lives for one tick after its CAM
+        beaconing.update(cam_freq_hz=1.0 / tick_s, ldm_timeout_s=tick_s)
+        policy, sba = _QUIET, {"at_lifetime_s": 1.5}
+        pool["size"] = pool["min_concurrent_valid"]
     return {
         "name": f"differential-{motif}",
         "seed": draw(st.integers(0, 2**16)),
@@ -154,17 +191,8 @@ def scenarios(draw):
         "tick_s": tick_s,
         "road": road,
         "fleet": fleet,
-        "beaconing": {
-            "cam_freq_hz": 1.0 / tick_s if quiet else cam_freq_hz,
-            "radio_range_m": radius,
-            "ldm_timeout_s": 1.5 if quiet else draw(st.sampled_from([0.5, 1.0, 1.5])),
-            "positioning_sigma_m": draw(st.sampled_from([0.0, 1.0])),
-            "loss_rate": draw(st.sampled_from([0.0, 0.1, 0.4])),
-            "denm_interval_s": draw(st.sampled_from([None, 1.0])),
-        },
-        "policy": {**(_QUIET if quiet else draw(_POLICIES)),
-                   "silence_s": draw(st.sampled_from([0.0, 0.5, 1.0])),
-                   "notify_deactivation": draw(st.booleans())},
+        "beaconing": beaconing,
+        "policy": {**policy, **change},
         "pool": pool,
         "sba": sba,
         "locks": {"renewal_threshold": 1,
@@ -228,11 +256,22 @@ def outputs(engine_cls, config) -> tuple:
     return result.summary_json(), trace, result.linkage.to_json()
 
 
-@given(scenarios())
-def test_change_driven_radio_layer_matches_reference(raw):
+def assert_engines_agree(raw) -> None:
     config = load_scenario(raw)
     got = outputs(SimulationEngine, config)
     want = outputs(ReferenceEngine, config)
     assert got[0] == want[0]
     assert got[1] == want[1]
     assert got[2] == want[2]
+
+
+@given(scenarios())
+def test_change_driven_radio_layer_matches_reference(raw):
+    assert_engines_agree(raw)
+
+
+# a quarter of the profile's budget, on the scenarios built around an LDM event
+@given(scenarios(_EVENT_MOTIFS))
+@settings(max_examples=max(10, settings.default.max_examples // 4))
+def test_radio_events_match_reference(raw):
+    assert_engines_agree(raw)
