@@ -159,6 +159,14 @@ class MotionModel:
     no_match_cost: float = 50.0
     max_gap_s: float = 30.0
 
+    def __post_init__(self):
+        for name, ok in (("sigma0_m", 0.0 < self.sigma0_m < math.inf),
+                         ("beta_m_per_s", 0.0 <= self.beta_m_per_s < math.inf),
+                         ("no_match_cost", self.no_match_cost > 0.0),
+                         ("max_gap_s", self.max_gap_s > 0.0)):
+            if not ok:
+                raise ValueError(f"MotionModel.{name} out of range: {getattr(self, name)!r}")
+
 
 def _extrapolation_cost(gap, x, y, vx, vy, first_x, first_y, model: MotionModel):
     """Squared miss of a constant-velocity extrapolation over squared uncertainty.
@@ -748,7 +756,8 @@ def load_trace(path: str) -> ObservationStore:
     attacker only gets what was broadcast. Rows are streamed one line at a
     time; blank lines and rows of another ``kind`` are skipped, a line
     holding anything after its JSON object raises ``json.JSONDecodeError``,
-    and one holding ``NaN``, ``Infinity`` or ``-Infinity`` a ``ValueError``.
+    and one holding ``NaN``, ``Infinity``, ``-Infinity`` or, in a field read,
+    a number that overflows to infinity (``1e999``) a ``ValueError``.
     The cyclic garbage collector is paused while the store is built and
     left as the caller had it.
     """
@@ -774,19 +783,24 @@ def load_trace(path: str) -> ObservationStore:
                     raise json.JSONDecodeError("Extra data", line, end)
                 kind = row.get("kind")
                 if kind == "CAM" or kind == "DENM":
+                    t, x, y = float(row["t"]), float(row["x"]), float(row["y"])
+                    vx, vy = float(row["vx"]), float(row["vy"])
                     quasi = row.get("quasi_ids")
+                    quasi = tuple(quasi) if quasi is not None else None
+                    # a literal such as 1e999 decodes to inf: then some v - v is nan
+                    if (t - t) + (x - x) + (y - y) + (vx - vx) + (vy - vy) or (
+                        quasi is not None and not all(map(math.isfinite, quasi))
+                    ):
+                        reject(next(repr(v) for v in (t, x, y, vx, vy, *(quasi or ()))
+                                    if not math.isfinite(v)))
                     observations.append(Observation(
-                        float(row["t"]),
-                        row["station_id"],
-                        kind,
-                        (float(row["x"]), float(row["y"])),
-                        (float(row["vx"]), float(row["vy"])),
-                        tuple(quasi) if quasi is not None else None,
+                        t, row["station_id"], kind, (x, y), (vx, vy), quasi
                     ))
                 elif kind == "notice":
-                    notices.append(
-                        NoticeSighting(float(row["t"]), row["station_id"], row["scope"])
-                    )
+                    t = float(row["t"])
+                    if t - t:
+                        reject(repr(t))
+                    notices.append(NoticeSighting(t, row["station_id"], row["scope"]))
         store.finalize()
     finally:
         if gc_was_enabled:

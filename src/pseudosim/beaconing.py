@@ -134,3 +134,138 @@ def ldm_quality(
     missing = counts.count(0)
     ratio = counts.count(1) / len(counts) if counts else 1.0
     return LdmQuality(ghost_count=ghost, missing_count=missing, awareness_ratio=ratio)
+
+
+class _Node:
+    """One vehicle of a ``FleetLdm``, as a receiver and as a CAM sender."""
+
+    def __init__(self, near: Sequence[int]):
+        self.entries: dict[str, Optional[int]] = {}  # sid -> None if streamed, else CAM tick
+        self.count: dict[int, int] = {}  # owner -> live entries
+        self.near, self.ghost, self.n_zero, self.n_one = set(near), 0, len(near), 0
+        # the id and tick of its last CAM, and the receivers it keeps refreshing
+        self.sid, self.cam_tick, self.streamed = None, 0, set()
+
+
+class FleetLdm:
+    """Every receiver's LDM sample, as ``ldm_quality`` would score it, kept by events.
+
+    An entry that an unbroken CAM stream refreshes is not rewritten: its
+    last-seen time is the sender's last CAM. It gets an explicit time, and an
+    expiry bucket keyed by tick, only when a refresh is missed. ``owner_of``
+    and ``active_ids`` are the caller's. Each tick the caller runs ``drop``,
+    ``relink`` and ``expire`` before any read, and ``forget`` before ``heard``.
+    """
+
+    def __init__(self, timeout_s: float, tick_s: float, cam_period_ticks: int,
+                 owner_of: Mapping[str, int], active_ids: AbstractSet[str]):
+        self.timeout_s, self.tick_s, self.period = float(timeout_s), tick_s, cam_period_ticks
+        self.lag = int(self.timeout_s / tick_s)  # no entry ages out sooner after its CAM
+        self.owner_of, self.active = owner_of, active_ids
+        self.nodes: dict[int, _Node] = {}
+        self.holders: dict[str, set[int]] = {}  # station id -> receivers with an entry
+        self.due: dict[int, list] = {}  # tick -> [(sid, CAM tick, receivers to check)]
+        self.neighbors: dict[int, list[int]] = {}
+
+    def _tally(self, rid: int, sid: str, delta: int) -> None:
+        """Add (+1) or remove (-1) ``rid``'s entry for ``sid`` in every counter."""
+        node, owner = self.nodes[rid], self.owner_of[sid]
+        if delta > 0:
+            node.entries[sid] = None
+            self.holders.setdefault(sid, set()).add(rid)
+        else:
+            del node.entries[sid]
+            self._unhold(rid, sid)
+        node.ghost += delta * (sid not in self.active)
+        was = node.count.get(owner, 0)
+        node.count[owner] = was + delta
+        if owner in node.near:
+            node.n_zero += (was + delta == 0) - (was == 0)
+            node.n_one += (was + delta == 1) - (was == 1)
+
+    def _unhold(self, rid: int, sid: str) -> None:
+        holders = self.holders[sid]
+        holders.discard(rid)
+        if not holders:
+            del self.holders[sid]
+
+    def _freeze(self, tx: _Node, rids: AbstractSet[int]) -> None:
+        """``tx`` stops refreshing ``rids``: their entries keep its last CAM tick."""
+        for rid in rids:
+            self.nodes[rid].entries[tx.sid] = tx.cam_tick
+        seen, ends = tx.cam_tick * self.tick_s, tx.cam_tick + self.lag
+        while ends * self.tick_s - seen <= self.timeout_s:  # ldm_quality's float test
+            ends += 1
+        self.due.setdefault(ends, []).append((tx.sid, tx.cam_tick, rids))
+
+    def cut(self, vid: int) -> None:
+        """``vid`` misses a refresh: a due CAM is not sent, or its id retires."""
+        tx = self.nodes[vid]
+        if tx.streamed:
+            self._freeze(tx, tx.streamed)
+            tx.streamed = set()
+
+    def retire(self, sid: str) -> None:
+        """``sid`` has just left ``active_ids``."""
+        for rid in self.holders.get(sid, ()):
+            self.nodes[rid].ghost += 1
+        self.cut(self.owner_of[sid])
+
+    def activate(self, sid: str) -> None:
+        """``sid`` has just joined ``active_ids``; a round-robin pool may reuse it."""
+        for rid in self.holders.get(sid, ()):
+            self.nodes[rid].ghost -= 1
+
+    def forget(self, rid: int, sid: str) -> None:
+        """A deactivation notice for ``sid`` reached ``rid``."""
+        if sid in self.nodes[rid].entries:
+            self._tally(rid, sid, -1)
+
+    def heard(self, vid: int, sid: str, lost: AbstractSet[int], tick: int) -> None:
+        """``vid``'s CAM under ``sid`` reached its neighbours except ``lost``."""
+        tx = self.nodes[vid]
+        missed = tx.streamed & lost
+        if missed:
+            self._freeze(tx, missed)
+            tx.streamed -= missed
+        reached = tx.near - tx.streamed - lost
+        tx.sid, tx.cam_tick = sid, tick
+        tx.streamed |= reached
+        for rid in reached:
+            if sid in self.nodes[rid].entries:
+                self.nodes[rid].entries[sid] = None
+            else:
+                self._tally(rid, sid, 1)
+        if (tick + self.period) * self.tick_s - tick * self.tick_s > self.timeout_s:
+            self.cut(vid)  # every entry would age out before the next CAM
+
+    def expire(self, tick: int) -> None:
+        """Drop the entries that age out at ``tick`` and were not refreshed since."""
+        for sid, seen, rids in self.due.pop(tick, ()):
+            for rid in rids:
+                if rid in self.nodes and self.nodes[rid].entries.get(sid) == seen:
+                    self._tally(rid, sid, -1)
+
+    def relink(self, neighbors: dict[int, list[int]]) -> None:
+        """Take fresh neighbour lists; a pair that left range stops streaming."""
+        old, self.neighbors = self.neighbors, neighbors
+        for vid, near in neighbors.items():
+            node = self.nodes.get(vid)
+            if node is None:
+                self.nodes[vid] = _Node(near)
+            elif old[vid] != near:
+                node.near, count = set(near), node.count
+                left = node.streamed - node.near
+                if left:
+                    self._freeze(node, left)
+                    node.streamed -= left
+                node.n_zero = sum(not count.get(owner) for owner in near)
+                node.n_one = sum(count.get(owner) == 1 for owner in near)
+
+    def drop(self, vid: int) -> None:
+        """Forget a vehicle that left the road; its entries in other LDMs stay."""
+        node = self.nodes.pop(vid)
+        for sid in node.entries:
+            self._unhold(vid, sid)
+        for sender in node.near & self.nodes.keys():
+            self.nodes[sender].streamed.discard(vid)

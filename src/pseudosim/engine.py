@@ -38,6 +38,7 @@ from .seeds import fork_generator
 TRIGGER_INITIAL = "initial"
 TRIGGER_TICKET_EXPIRY = "ticket_expiry"
 REPLENISH_ROUNDS = 16  # provisioning calls one replenishment may make
+_NO_LOSS: frozenset = frozenset()
 
 
 @dataclass
@@ -56,10 +57,6 @@ class _Vehicle:
     active: dict = field(default_factory=dict)  # AppScope -> AuthorizationTicket
     station_ids: dict = field(default_factory=dict)  # AppScope -> str
     active_until: float = math.inf  # earliest valid_until among the active tickets
-    ldm: bcn.LocalDynamicMap = None
-    # ((neighbour list, active-id version), earliest last_seen, sample) of the
-    # last LDM score; cleared when a delivery adds or removes an entry
-    ldm_score: Optional[tuple] = None
     silence_until_tick: int = -1
     last_cam_tick: Optional[int] = None
     last_change_tick: int = 0
@@ -132,10 +129,11 @@ class SimulationEngine:
         for ev in config.locks.events:
             self._lock_events.setdefault(int(round(ev.t / config.tick_s)), []).append(ev)
 
-        # ground truth
+        # ground truth, and every receiver's LDM, told of each change to it
         self.owner_of: dict[str, int] = {}
         self.active_ids: set[str] = set()
-        self.active_version = 0  # bumped whenever active_ids changes
+        self.ldm = bcn.FleetLdm(config.beaconing.ldm_timeout_s, self.tick_s,
+                                self.cam_period_ticks, self.owner_of, self.active_ids)
         self.change_records: list[strat.ChangeRecord] = []
         self.initial_activations = 0
         self.silence_of: dict[int, list] = {}
@@ -193,7 +191,6 @@ class SimulationEngine:
             cert=cert,
             supi=supi,
             session_token=token,
-            ldm=bcn.LocalDynamicMap(timeout_s=self.cfg.beaconing.ldm_timeout_s),
             last_change_tick=tick,
         )
         seg = veh.cursor.segment
@@ -209,6 +206,7 @@ class SimulationEngine:
 
     def _finish_trip(self, veh: _Vehicle, tick: int) -> None:
         self._retire_ids(veh, tick * self.tick_s)
+        self.ldm.drop(veh.spec.vehicle_id)
         del self.vehicles[veh.spec.vehicle_id]
         self.bump("trips_completed")
 
@@ -223,7 +221,7 @@ class SimulationEngine:
             if sid is None:
                 continue
             self.active_ids.discard(sid)
-            self.active_version += 1
+            self.ldm.retire(sid)
             old_ids[scope.value] = sid
             if self.cfg.policy.notify_deactivation:
                 notice = bcn.NoticeSighting(now, sid, scope.value)
@@ -284,7 +282,7 @@ class SimulationEngine:
                 self.sybil_violations += 1  # the vehicle goes back to an id it used
             self.owner_of[sid] = vid
             self.active_ids.add(sid)
-            self.active_version += 1
+            self.ldm.activate(sid)
             veh.active[scope] = ticket
             veh.station_ids[scope] = sid
             new_ids[scope.value] = sid
@@ -352,15 +350,12 @@ class SimulationEngine:
                 self.cfg.road.extent_m,
             )
             self.neighbors_until = tick + safe_ticks
+            self.ldm.relink(self.neighbors)
+        self.ldm.expire(tick)
 
     def _awareness_validator(self, veh: _Vehicle):
-        def validate(app_id: str, now: float) -> bool:
-            sample = self._score_ldm(veh, now)
-            if sample is None or sample[1] == 0:
-                return True
-            return sample[0].awareness_ratio >= self.cfg.locks.validator_awareness_min
-
-        return validate
+        node, floor = self.ldm.nodes[veh.spec.vehicle_id], self.cfg.locks.validator_awareness_min
+        return lambda app_id, now: not node.near or node.n_one / len(node.near) >= floor
 
     def _phase_strategy(self, tick: int) -> None:
         now = tick * self.tick_s
@@ -440,6 +435,7 @@ class SimulationEngine:
 
     def _phase_beaconing(self, tick: int) -> None:
         now = tick * self.tick_s
+        start = len(self.outbox)  # after the notices of this tick's changes
         for veh in self.roster:
             if veh.silent(tick):
                 continue
@@ -451,30 +447,40 @@ class SimulationEngine:
                     self.bump("cams_sent")
                     first, _ = self.emit_span.get(cam.station_id, (now, now))
                     self.emit_span[cam.station_id] = (first, now)
+                else:
+                    self.ldm.cut(veh.spec.vehicle_id)  # its receivers miss a refresh
             if (
                 self.denm_period_ticks is not None
                 and (tick - veh.depart_tick) % self.denm_period_ticks == 0
             ):
                 if self._emit(veh, AppScope.DENM, now) is not None:
                     self.bump("denms_sent")
+        # positioning noise: one draw of two per emission, in emission order, as
+        # ``mob.positioning_noise`` would make them one at a time
+        sigma = self.cfg.beaconing.positioning_sigma_m
+        if sigma and len(self.outbox) > start:
+            emitted = self.outbox[start:]
+            noise = self.rng_noise.normal(0.0, sigma, size=(len(emitted), 2))
+            self.outbox[start:] = [
+                (vid, bcn.Observation(o.t, o.station_id, o.scope, (x + dx, y + dy),
+                                      o.velocity, o.quasi_ids), (x, y))
+                for (vid, o, (x, y)), (dx, dy) in zip(emitted, noise)
+            ]
 
     def _emit(self, veh: _Vehicle, scope: AppScope, now: float, *motion):
         """Broadcast under ``scope`` if its ticket is valid; returns the record or None.
 
         ``motion`` is a CAM's velocity and quasi-identifiers; a DENM passes none.
+        The record carries the true position until ``_phase_beaconing`` adds noise.
         """
         ticket = veh.active.get(scope)
         if ticket is None or not ticket.is_valid_at(now):
             return None
-        pos = mob.positioning_noise(
-            veh.kin.position, self.cfg.beaconing.positioning_sigma_m, self.rng_noise
-        )
-        obs = bcn.Observation(now, veh.station_ids[scope], scope.value, pos, *motion)
+        obs = bcn.Observation(now, veh.station_ids[scope], scope.value, veh.kin.position, *motion)
         self.outbox.append((veh.spec.vehicle_id, obs, veh.kin.position))
         return obs
 
     def _phase_ingest(self, tick: int) -> None:
-        now = tick * self.tick_s
         # deletions land before refreshes (notices rank "" below "CAM" < "DENM");
         # within a kind, sender id then emission order (the sort is stable)
         ordered = sorted(
@@ -483,14 +489,11 @@ class SimulationEngine:
         )
         self.outbox = []
         receivers = []  # per message, ascending
-        cam_of, cam_at = {}, {}  # sender id -> its CAM's message index -> station id
-        for m, (sender_id, msg, sender_pos) in enumerate(ordered):
+        for sender_id, msg, sender_pos in ordered:
             if type(msg) is bcn.NoticeSighting:
                 self.eavesdropper.hear_notice(msg, sender_pos)
             else:
                 self.eavesdropper.hear(msg, sender_pos)
-                if msg.scope == "CAM":
-                    cam_of[sender_id], cam_at[m] = m, msg.station_id
             if self.trace_rows is not None:
                 self.trace_rows.append(adv.trace_row(sender_id, msg))
             in_range = self.neighbors.get(sender_id)
@@ -502,7 +505,7 @@ class SimulationEngine:
                 )
             receivers.append(in_range)
         # one batch of loss draws, one per delivery in message then receiver order
-        lost: dict[int, set] = {}  # receiver id -> indices of the messages it missed
+        lost: dict[int, set] = {}  # message index -> the receivers that missed it
         if self.cfg.beaconing.loss_rate > 0.0:
             counts = list(map(len, receivers))
             draws = self.rng_loss.random(sum(counts)) < self.cfg.beaconing.loss_rate
@@ -510,69 +513,31 @@ class SimulationEngine:
             flat = list(chain.from_iterable(receivers))
             of_message = np.repeat(np.arange(len(counts)), counts)[hits].tolist()
             for m, k in zip(of_message, hits.tolist()):
-                lost.setdefault(flat[k], set()).add(m)
+                lost.setdefault(m, set()).add(flat[k])
             if hits.size:
                 self.bump("messages_lost", hits.size)
-        # each receiver takes its notices before its CAMs, as sorted; a DENM
-        # leaves the LDM as it is
-        for m, (_, msg, _) in enumerate(ordered):
-            if type(msg) is not bcn.NoticeSighting:
-                break
-            for rid in receivers[m]:
-                seen = self.vehicles[rid].ldm.last_seen
-                if m not in lost.get(rid, ()) and seen.pop(msg.station_id, None) is not None:
-                    self.vehicles[rid].ldm_score = None
-        any_ghost = False
-        any_missing = False
+        # notices land before CAMs, as sorted; a DENM leaves every LDM as it is
+        for m, (sender_id, msg, _) in enumerate(ordered):
+            missed = lost.get(m, _NO_LOSS)
+            if type(msg) is bcn.NoticeSighting:
+                for rid in receivers[m]:
+                    if rid not in missed:
+                        self.ldm.forget(rid, msg.station_id)
+            elif msg.scope == "CAM":
+                self.ldm.heard(sender_id, msg.station_id, missed, tick)
+        # truth-referenced quality samples, read in roster order
+        ghosts = missing = 0
         for veh in self.roster:
-            rid = veh.spec.vehicle_id
-            missed = lost.get(rid, ())
-            seen = veh.ldm.last_seen
-            size = len(seen)
-            for sender in self.neighbors[rid]:
-                m = cam_of.get(sender)
-                if m is not None and m not in missed:
-                    seen[cam_at[m]] = now
-            if len(seen) != size:
-                veh.ldm_score = None
-            # truth-referenced quality sampling
-            sample = self._score_ldm(veh, now)
-            if sample is None:
-                continue
-            quality, n_neighbors = sample
-            if n_neighbors > 0:
-                self.awareness_sum += quality.awareness_ratio
+            node = self.ldm.nodes[veh.spec.vehicle_id]
+            if node.near:
+                self.awareness_sum += node.n_one / len(node.near)
                 self.awareness_samples += 1
-            if quality.ghost_count > 0:
-                any_ghost = True
-                self.ghost_entries_total += quality.ghost_count
-            if quality.missing_count > 0:
-                any_missing = True
-                self.missing_total += quality.missing_count
-        if any_ghost:
-            self.ghost_ticks += 1
-        if any_missing:
-            self.missing_ticks += 1
-
-    def _score_ldm(self, veh: _Vehicle, now: float):
-        """(quality, neighbour count), or None with no neighbours and an empty LDM.
-
-        Serves both ingest and the lock validator. Scoring evicts the expired
-        entries, so every entry left in the LDM is live. A score is reused
-        while its inputs stand: equal neighbour lists, no change to the active
-        ids, no entry added or removed, and none old enough to expire.
-        """
-        neighbors = self.neighbors[veh.spec.vehicle_id]
-        seen = veh.ldm.last_seen
-        if not neighbors and not seen:
-            return None
-        cached, inputs = veh.ldm_score, (neighbors, self.active_version)
-        if cached and cached[0] == inputs and now - cached[1] <= veh.ldm.timeout_s:
-            return cached[2]
-        quality = bcn.ldm_quality(veh.ldm, neighbors, self.owner_of, self.active_ids, now)
-        sample = (quality, len(neighbors))
-        veh.ldm_score = (inputs, min(seen.values(), default=math.inf), sample)
-        return sample
+            ghosts += node.ghost
+            missing += node.n_zero
+        self.ghost_entries_total += ghosts
+        self.missing_total += missing
+        self.ghost_ticks += ghosts > 0
+        self.missing_ticks += missing > 0
 
     # --- run -------------------------------------------------------------------
 

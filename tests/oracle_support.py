@@ -351,16 +351,42 @@ def neighbor_lists(positions, radius_m):
     return out
 
 
+class _Unkept:
+    """Takes the calls the engine makes to its event-kept ``FleetLdm``, and drops them."""
+
+    def __getattr__(self, name):
+        return lambda *args: None
+
+
 class ReferenceEngine(SimulationEngine):
     """The engine with the radio layer as it was before it became change-driven.
 
     Each tick it recomputes every neighbour list, draws loss with one
-    ``rng_loss.random()`` per delivery and hands each delivery to
-    ``LocalDynamicMap.receive`` message by message, then scores every LDM
-    afresh. The production engine keeps lists until a pair can cross the
-    range, delivers receiver by receiver from one batch of draws and reuses
-    scores until their inputs change; it must give the same bytes.
+    ``rng_loss.random()`` per delivery and hands each delivery to its own
+    per-vehicle ``LocalDynamicMap.receive`` message by message, then scores
+    every LDM afresh with ``ldm_quality``, as does the lock validator. The
+    production engine keeps lists until a pair can cross the range, draws
+    loss in one batch and keeps LDM counters by events (``FleetLdm``, which
+    this engine does not feed); it must give the same bytes.
     """
+
+    def __init__(self, config, **kwargs):
+        super().__init__(config, **kwargs)
+        self.ldm = _Unkept()
+        self.ldms = {}  # vehicle id -> LocalDynamicMap
+
+    def _vehicle_ldm(self, vid):
+        timeout_s = self.cfg.beaconing.ldm_timeout_s
+        return self.ldms.setdefault(vid, bcn.LocalDynamicMap(timeout_s=timeout_s))
+
+    def _awareness_validator(self, veh):
+        def validate(app_id, now):
+            sample = self._score_ldm(veh, now)
+            if sample is None or sample[1] == 0:
+                return True
+            return sample[0].awareness_ratio >= self.cfg.locks.validator_awareness_min
+
+        return validate
 
     def _phase_mobility(self, tick):
         for spec in self._departures.pop(tick, ()):
@@ -410,7 +436,7 @@ class ReferenceEngine(SimulationEngine):
                 if loss > 0.0 and rng.random() < loss:
                     self.bump("messages_lost")
                     continue
-                self.vehicles[rid].ldm.receive(msg, now)
+                self._vehicle_ldm(rid).receive(msg, now)
         any_ghost = False
         any_missing = False
         for veh in self.roster:
@@ -434,7 +460,8 @@ class ReferenceEngine(SimulationEngine):
 
     def _score_ldm(self, veh, now):
         neighbors = self.neighbors[veh.spec.vehicle_id]
-        if not neighbors and len(veh.ldm) == 0:
+        ldm = self._vehicle_ldm(veh.spec.vehicle_id)
+        if not neighbors and len(ldm) == 0:
             return None
-        quality = bcn.ldm_quality(veh.ldm, neighbors, self.owner_of, self.active_ids, now)
+        quality = bcn.ldm_quality(ldm, neighbors, self.owner_of, self.active_ids, now)
         return quality, len(neighbors)

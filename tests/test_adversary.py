@@ -768,6 +768,22 @@ def test_load_trace_rejects_non_finite_numbers(tmp_path, constant):
         load_trace(path)
 
 
+@pytest.mark.parametrize("field, literal, shown", [
+    ('"x": 1.0', '"x": 1e999', "inf"), ('"vy": 0.0', '"vy": -1e999', "-inf"),
+    ('"t": 0.1', '"t": 1E400', "inf"), ("1.8]", "1e309]", "inf"),
+])
+def test_load_trace_rejects_numbers_that_overflow_to_infinity(tmp_path, field, literal, shown):
+    # json turns such literals into inf without calling parse_constant
+    cam = json.dumps({"kind": "CAM", "t": 0.1, "station_id": "aa", "x": 1.0, "y": 2.0,
+                      "vx": 10.0, "vy": 0.0, "quasi_ids": [4.5, 1.8]})
+    path = _write_lines(tmp_path, [cam, cam.replace(field, literal)])
+    with pytest.raises(ValueError, match=f"line 2: non-finite number {shown}$"):
+        load_trace(path)
+    notice = '{"kind": "notice", "t": 1e999, "station_id": "aa", "scope": "CAM"}'
+    with pytest.raises(ValueError, match="line 1: non-finite number inf$"):
+        load_trace(_write_lines(tmp_path, [notice]))
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_load_trace_leaves_the_collector_as_it_found_it(tmp_path, enabled, monkeypatch):
     cam = json.dumps({"kind": "CAM", "t": 0.1, "station_id": "aa", "x": 1.0, "y": 2.0,
@@ -792,3 +808,22 @@ def test_load_trace_leaves_the_collector_as_it_found_it(tmp_path, enabled, monke
     finally:
         (gc.enable if was else gc.disable)()
     assert seen and not any(seen)  # paused while the store was built
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sigma0_m", 0.0), ("sigma0_m", -1.0), ("sigma0_m", math.inf), ("sigma0_m", math.nan),
+    ("beta_m_per_s", -0.5), ("beta_m_per_s", math.inf), ("beta_m_per_s", math.nan),
+    ("no_match_cost", 0.0), ("no_match_cost", -1.0), ("no_match_cost", math.nan),
+    ("max_gap_s", 0.0), ("max_gap_s", -3.0), ("max_gap_s", math.nan),
+])
+def test_motion_model_rejects_out_of_range_parameters(field, value):
+    with pytest.raises(ValueError, match=f"MotionModel.{field} out of range"):
+        MotionModel(**{field: value})
+
+
+def test_motion_model_validates_before_any_cost_is_computed():
+    # a zero sigma used to divide by zero in gap_cost and in every small epoch
+    with pytest.raises(ValueError, match="sigma0_m"):
+        MotionModel(0.0, 0.0)
+    model = MotionModel(sigma0_m=1e-6, beta_m_per_s=0.0, no_match_cost=1e300, max_gap_s=1e-9)
+    assert model.beta_m_per_s == 0.0

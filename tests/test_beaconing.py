@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 
 from oracle_support import EntryLdm, ldm_quality_loop
 from pseudosim.beaconing import (
+    FleetLdm,
     LocalDynamicMap,
     NoticeSighting,
     Observation,
@@ -170,3 +171,113 @@ def test_ldm_matches_entry_reference(timeout_s, steps):
         live = {sid for sid, _ in ldm.live_entries(now)}
         assert live == {e.station_id for e in ref.live_entries(now) if e.scope == "CAM"}
         assert set(ldm.last_seen) == live  # scoring left no expired entry behind
+
+
+# --- the event-kept fleet LDM against per-vehicle reference maps ---------------------
+
+_FLEET = range(4)
+_vid = st.sampled_from(_FLEET)
+_ALL_PAIRS = frozenset((a, b) for a in _FLEET for b in _FLEET)
+_fleet_tick = st.fixed_dictionaries({
+    # fresh lists: all in range of all, some pairs, or the lists kept
+    "edges": st.none() | st.just(_ALL_PAIRS) | st.sets(st.tuples(_vid, _vid), max_size=6),
+    "finish": st.sampled_from([None] * 8 + list(_FLEET)),  # leaves the road
+    "changes": st.sets(_vid, max_size=2),
+    "reuse": st.booleans(),  # changes go back to the vehicle's oldest id (round robin)
+    "notify": st.booleans(),
+    "mute": st.sets(_vid, max_size=2),  # a due CAM is not sent
+    "lost": st.sets(st.tuples(_vid, _vid), max_size=6),  # (sender, receiver)
+    "deaf": st.sets(_vid, max_size=2),  # miss every delivery of the tick
+})
+
+
+@given(
+    # (tick_s, ldm_timeout_s); 3 ticks of 0.1 s come to just over 0.3 s
+    clock=st.sampled_from([(0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (0.25, 1.0), (0.1, 0.3)]),
+    period=st.integers(1, 4),  # CAM period in ticks, at times longer than the timeout
+    ticks=st.lists(_fleet_tick, min_size=8, max_size=20),
+)
+def test_fleet_ldm_matches_per_vehicle_reference(clock, period, ticks):
+    """``FleetLdm`` driven as the engine drives it, against one ``EntryLdm`` per vehicle.
+
+    Each tick: a vehicle may finish (its id retires, it is dropped), the
+    neighbour lists may be replaced, due entries expire and the counters are
+    read as the lock validator reads them. Then ids change (retire, notice,
+    activate a fresh or a reused id), due CAMs are sent or missed, notices and
+    CAMs are delivered but for the lost ones, and the counters are read again.
+    Every read must equal ``ldm_quality_loop`` on the reference.
+    """
+    tick_s, timeout_s = clock
+    owner_of, active = {}, set()
+    fleet = FleetLdm(timeout_s, tick_s, period, owner_of, active)
+    refs = {vid: EntryLdm(timeout_s) for vid in _FLEET}
+    ids = {vid: [f"v{vid}.0"] for vid in _FLEET}  # in activation order, current last
+    for vid in _FLEET:
+        owner_of[ids[vid][0]] = vid
+        active.add(ids[vid][0])
+        fleet.activate(ids[vid][0])
+    neighbors, last_cam = None, {}
+
+    def retire(vid, notices):
+        sid = ids[vid][-1]
+        active.discard(sid)
+        fleet.retire(sid)
+        notices.append((vid, sid, list(neighbors[vid])))
+
+    def check(now):
+        for vid, ref in refs.items():
+            ref.evict_expired(now)
+            want = ldm_quality_loop(ref, neighbors[vid], owner_of, frozenset(active), now)
+            node, n = fleet.nodes[vid], len(neighbors[vid])
+            assert (node.ghost, node.n_zero, node.n_one / n if n else 1.0) == (
+                want.ghost_count, want.missing_count, want.awareness_ratio
+            )
+            assert set(node.entries) == {e.station_id for e in ref.live_entries(now)}
+
+    for tick, step in enumerate(ticks):
+        now = tick * tick_s
+        notices = []
+        finished = step["finish"] in refs and tick > 0
+        if finished:
+            retire(step["finish"], notices)
+            fleet.drop(step["finish"])
+            del refs[step["finish"]]
+        if neighbors is None or finished or step["edges"] is not None:
+            edges = {(a, b) for a, b in step["edges"] or () if a != b and {a, b} <= refs.keys()}
+            neighbors = {vid: sorted({b for a, b in edges if a == vid}
+                                     | {a for a, b in edges if b == vid}) for vid in refs}
+            fleet.relink(neighbors)
+        fleet.expire(tick)
+        check(now)
+        for vid in sorted(step["changes"] & refs.keys()):
+            retire(vid, notices)
+            new = ids[vid][0] if step["reuse"] else f"v{vid}.{tick}"
+            if new in ids[vid]:
+                ids[vid].remove(new)
+            ids[vid].append(new)
+            owner_of[new] = vid
+            active.add(new)
+            fleet.activate(new)
+        cams = []
+        for vid in sorted(refs):
+            if vid in last_cam and tick - last_cam[vid] < period:
+                continue
+            if vid in step["mute"]:
+                fleet.cut(vid)
+            else:
+                last_cam[vid] = tick
+                cams.append(vid)
+        def lost(sender):
+            return {rid for s, rid in step["lost"] if s == sender} | step["deaf"]
+
+        for sender, sid, receivers in notices if step["notify"] else ():
+            for rid in receivers:
+                if rid in refs and rid not in lost(sender):
+                    refs[rid].receive(NoticeSighting(now, sid, "CAM"), now)
+                    fleet.forget(rid, sid)
+        for vid in cams:
+            for rid in neighbors[vid]:
+                if rid not in lost(vid):
+                    refs[rid].receive(Observation(now, ids[vid][-1], "CAM", (0.0, 0.0)), now)
+            fleet.heard(vid, ids[vid][-1], lost(vid), tick)
+        check(now)
