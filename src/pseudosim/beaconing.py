@@ -161,8 +161,12 @@ class FleetLdm:
                  owner_of: Mapping[str, int], active_ids: AbstractSet[str]):
         self.timeout_s, self.tick_s, self.period = float(timeout_s), tick_s, cam_period_ticks
         self.lag = int(self.timeout_s / tick_s)  # no entry ages out sooner after its CAM
+        # with a CAM period this far below the timeout no entry ages out between
+        # CAMs: rounding moves (tick + period) * tick_s - tick * tick_s by less
+        self.slow_cams = cam_period_ticks * tick_s > self.timeout_s - 1e-6 * tick_s
         self.owner_of, self.active = owner_of, active_ids
         self.nodes: dict[int, _Node] = {}
+        self.roster: list[_Node] = []  # the vehicles of the last neighbour lists, by id
         self.holders: dict[str, set[int]] = {}  # station id -> receivers with an entry
         self.due: dict[int, list] = {}  # tick -> [(sid, CAM tick, receivers to check)]
         self.neighbors: dict[int, list[int]] = {}
@@ -224,19 +228,22 @@ class FleetLdm:
     def heard(self, vid: int, sid: str, lost: AbstractSet[int], tick: int) -> None:
         """``vid``'s CAM under ``sid`` reached its neighbours except ``lost``."""
         tx = self.nodes[vid]
-        missed = tx.streamed & lost
-        if missed:
-            self._freeze(tx, missed)
-            tx.streamed -= missed
-        reached = tx.near - tx.streamed - lost
+        if lost or len(tx.streamed) < len(tx.near):  # else it streams to all in range
+            missed = tx.streamed & lost
+            if missed:
+                self._freeze(tx, missed)
+                tx.streamed -= missed
+            reached = tx.near - tx.streamed - lost
+            tx.streamed |= reached
+            for rid in reached:
+                if sid in self.nodes[rid].entries:
+                    self.nodes[rid].entries[sid] = None
+                else:
+                    self._tally(rid, sid, 1)
         tx.sid, tx.cam_tick = sid, tick
-        tx.streamed |= reached
-        for rid in reached:
-            if sid in self.nodes[rid].entries:
-                self.nodes[rid].entries[sid] = None
-            else:
-                self._tally(rid, sid, 1)
-        if (tick + self.period) * self.tick_s - tick * self.tick_s > self.timeout_s:
+        if self.slow_cams and (
+            (tick + self.period) * self.tick_s - tick * self.tick_s > self.timeout_s
+        ):
             self.cut(vid)  # every entry would age out before the next CAM
 
     def expire(self, tick: int) -> None:
@@ -261,6 +268,7 @@ class FleetLdm:
                     node.streamed -= left
                 node.n_zero = sum(not count.get(owner) for owner in near)
                 node.n_one = sum(count.get(owner) == 1 for owner in near)
+        self.roster = [self.nodes[vid] for vid in neighbors]
 
     def drop(self, vid: int) -> None:
         """Forget a vehicle that left the road; its entries in other LDMs stay."""

@@ -527,8 +527,7 @@ class SimulationEngine:
                 self.ldm.heard(sender_id, msg.station_id, missed, tick)
         # truth-referenced quality samples, read in roster order
         ghosts = missing = 0
-        for veh in self.roster:
-            node = self.ldm.nodes[veh.spec.vehicle_id]
+        for node in self.ldm.roster:
             if node.near:
                 self.awareness_sum += node.n_one / len(node.near)
                 self.awareness_samples += 1
