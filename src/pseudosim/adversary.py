@@ -768,6 +768,7 @@ def load_trace(path: str) -> ObservationStore:
         raise ValueError(f"{path}, line {lineno}: non-finite number {constant}")
 
     decode = json.JSONDecoder(parse_constant=reject).raw_decode
+    inf = math.inf
     # the store holds no reference cycles, so collection passes over the
     # growing list of records would only cost time
     gc_was_enabled = gc.isenabled()
@@ -787,18 +788,19 @@ def load_trace(path: str) -> ObservationStore:
                     vx, vy = float(row["vx"]), float(row["vy"])
                     quasi = row.get("quasi_ids")
                     quasi = tuple(quasi) if quasi is not None else None
-                    # a literal such as 1e999 decodes to inf: then some v - v is nan
-                    if (t - t) + (x - x) + (y - y) + (vx - vx) + (vy - vy) or (
-                        quasi is not None and not all(map(math.isfinite, quasi))
-                    ):
-                        reject(next(repr(v) for v in (t, x, y, vx, vy, *(quasi or ()))
-                                    if not math.isfinite(v)))
+                    # a literal such as 1e999 decodes to an infinity, which
+                    # leaves the sum infinite (so may a finite overflow)
+                    total = t + x + y + vx + vy
+                    if total - total or quasi is not None and (inf in quasi or -inf in quasi):
+                        for v in (t, x, y, vx, vy, *(quasi or ())):
+                            if v in (inf, -inf):
+                                reject(repr(v))
                     observations.append(Observation(
                         t, row["station_id"], kind, (x, y), (vx, vy), quasi
                     ))
                 elif kind == "notice":
                     t = float(row["t"])
-                    if t - t:
+                    if t in (inf, -inf):
                         reject(repr(t))
                     notices.append(NoticeSighting(t, row["station_id"], row["scope"]))
         store.finalize()
