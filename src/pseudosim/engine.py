@@ -435,50 +435,43 @@ class SimulationEngine:
 
     def _phase_beaconing(self, tick: int) -> None:
         now = tick * self.tick_s
-        start = len(self.outbox)  # after the notices of this tick's changes
+        sends = []  # (vehicle, scope, motion): a CAM's velocity and quasi-identifiers
         for veh in self.roster:
             if veh.silent(tick):
                 continue
             if veh.last_cam_tick is None or tick - veh.last_cam_tick >= self.cam_period_ticks:
-                quasi_ids = (veh.spec.length_m, veh.spec.width_m)
-                cam = self._emit(veh, AppScope.CAM, now, veh.kin.velocity, quasi_ids)
-                if cam is not None:
+                if self._can_send(veh, AppScope.CAM, now):
+                    quasi_ids = (veh.spec.length_m, veh.spec.width_m)
+                    sends.append((veh, AppScope.CAM, (veh.kin.velocity, quasi_ids)))
                     veh.last_cam_tick = tick
                     self.bump("cams_sent")
-                    first, _ = self.emit_span.get(cam.station_id, (now, now))
-                    self.emit_span[cam.station_id] = (first, now)
+                    sid = veh.station_ids[AppScope.CAM]
+                    first, _ = self.emit_span.get(sid, (now, now))
+                    self.emit_span[sid] = (first, now)
                 else:
                     self.ldm.cut(veh.spec.vehicle_id)  # its receivers miss a refresh
             if (
                 self.denm_period_ticks is not None
                 and (tick - veh.depart_tick) % self.denm_period_ticks == 0
+                and self._can_send(veh, AppScope.DENM, now)
             ):
-                if self._emit(veh, AppScope.DENM, now) is not None:
-                    self.bump("denms_sent")
+                sends.append((veh, AppScope.DENM, ()))
+                self.bump("denms_sent")
         # positioning noise: one draw of two per emission, in emission order, as
         # ``mob.positioning_noise`` would make them one at a time
         sigma = self.cfg.beaconing.positioning_sigma_m
-        if sigma and len(self.outbox) > start:
-            emitted = self.outbox[start:]
-            noise = self.rng_noise.normal(0.0, sigma, size=(len(emitted), 2))
-            self.outbox[start:] = [
-                (vid, bcn.Observation(o.t, o.station_id, o.scope, (x + dx, y + dy),
-                                      o.velocity, o.quasi_ids), (x, y))
-                for (vid, o, (x, y)), (dx, dy) in zip(emitted, noise)
-            ]
+        noise = self.rng_noise.normal(0.0, sigma, size=(len(sends), 2)) if sigma and sends else None
+        for i, (veh, scope, motion) in enumerate(sends):
+            pos = x, y = veh.kin.position
+            if noise is not None:
+                pos = (x + noise[i, 0], y + noise[i, 1])
+            obs = bcn.Observation(now, veh.station_ids[scope], scope.value, pos, *motion)
+            self.outbox.append((veh.spec.vehicle_id, obs, veh.kin.position))
 
-    def _emit(self, veh: _Vehicle, scope: AppScope, now: float, *motion):
-        """Broadcast under ``scope`` if its ticket is valid; returns the record or None.
-
-        ``motion`` is a CAM's velocity and quasi-identifiers; a DENM passes none.
-        The record carries the true position until ``_phase_beaconing`` adds noise.
-        """
+    @staticmethod
+    def _can_send(veh: _Vehicle, scope: AppScope, now: float) -> bool:
         ticket = veh.active.get(scope)
-        if ticket is None or not ticket.is_valid_at(now):
-            return None
-        obs = bcn.Observation(now, veh.station_ids[scope], scope.value, veh.kin.position, *motion)
-        self.outbox.append((veh.spec.vehicle_id, obs, veh.kin.position))
-        return obs
+        return ticket is not None and ticket.is_valid_at(now)
 
     def _phase_ingest(self, tick: int) -> None:
         # deletions land before refreshes (notices rank "" below "CAM" < "DENM");
