@@ -152,7 +152,9 @@ class FleetLdm:
 
     An entry that an unbroken CAM stream refreshes is not rewritten: its
     last-seen time is the sender's last CAM. It gets an explicit time, and an
-    expiry bucket keyed by tick, only when a refresh is missed. ``owner_of``
+    expiry bucket keyed by tick, only when a refresh is missed: a lost CAM,
+    the pair leaving range, the sender's id retiring, a due CAM unsent, or a
+    CAM period longer than the timeout. ``owner_of``
     and ``active_ids`` are the caller's. Each tick the caller runs ``drop``,
     ``relink`` and ``expire`` before any read, and ``forget`` before ``heard``.
     """
@@ -161,8 +163,9 @@ class FleetLdm:
                  owner_of: Mapping[str, int], active_ids: AbstractSet[str]):
         self.timeout_s, self.tick_s, self.period = float(timeout_s), tick_s, cam_period_ticks
         self.lag = int(self.timeout_s / tick_s)  # no entry ages out sooner after its CAM
-        # with a CAM period this far below the timeout no entry ages out between
-        # CAMs: rounding moves (tick + period) * tick_s - tick * tick_s by less
+        # heard's exact test can pass only if the CAM period comes within a
+        # millionth of a tick of the timeout: rounding moves (tick + period) *
+        # tick_s - tick * tick_s by far less, up to 10**7 ticks
         self.slow_cams = cam_period_ticks * tick_s > self.timeout_s - 1e-6 * tick_s
         self.owner_of, self.active = owner_of, active_ids
         self.nodes: dict[int, _Node] = {}

@@ -3,9 +3,10 @@
 ``oracle_support.ReferenceEngine`` recomputes every neighbour list each tick,
 draws loss and calls ``LocalDynamicMap.receive`` per delivery and rescores
 every LDM. The production engine keeps lists until a pair could cross the
-range, delivers receiver by receiver from one batch of loss draws and reuses
-LDM scores until their inputs change. On generated scenarios both must write
-the same summary, trace and linkage.
+range, draws loss in one batch and keeps every receiver's LDM sample as
+counters that events update (``beaconing.FleetLdm``). On generated
+scenarios both must write the same summary, trace and linkage, and every
+run must hold the engine invariants of ``check_invariants``.
 
 The scenarios sit on one east-west road, with lanes both ways and a turn
 north, dyadic ticks and integer speeds, so positions are exact. Each route
