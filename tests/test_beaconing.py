@@ -251,7 +251,7 @@ def test_fleet_ldm_matches_per_vehicle_reference(clock, period, ticks):
         check(now)
         for vid in sorted(step["changes"] & refs.keys()):
             retire(vid, notices)
-            new = ids[vid][0] if step["reuse"] else f"v{vid}.{tick}"
+            new = ids[vid][0] if step["reuse"] else f"v{vid}.{tick + 1}"
             if new in ids[vid]:
                 ids[vid].remove(new)
             ids[vid].append(new)
