@@ -6,6 +6,11 @@ named streams forked off the run seed, and all schedules live on the integer
 tick grid, so the same config and seed reproduce a run byte for byte, whatever
 the host or degree of parallelism around it.
 
+Per vehicle, state that only events change is kept: its ``mobility.Leg``,
+its strategy's wake tick, its pool's steady count and its CAM ticket's end.
+Each tick still steps it on its leg, runs its odometers and CAM due test,
+and reads its LDM counters.
+
 Failures inside a run (denied tokens, starved pools, rejected locks) never
 raise out of the loop; they become counters in the run summary.
 """
@@ -16,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Optional, Union
 
 import numpy as np
@@ -60,9 +66,11 @@ class _Vehicle:
     silence_until_tick: int = -1
     last_cam_tick: Optional[int] = None
     last_change_tick: int = 0
-
-    def silent(self, tick: int) -> bool:
-        return tick < self.silence_until_tick
+    leg: Optional[mob.Leg] = None
+    quasi_ids: tuple = ()
+    wake_tick: float = 0
+    cam_until: float = -math.inf
+    first_cam_tick: Optional[int] = None
 
 
 @dataclass
@@ -82,7 +90,6 @@ class RunResult:
 class SimulationEngine:
     def __init__(self, config: ScenarioConfig, *, collect_trace: bool = False):
         self.cfg = config
-        self.collect_trace = collect_trace
         self.tick_s = config.tick_s
         self.n_ticks = int(round(config.duration_s / config.tick_s))
         self.cam_period_ticks = int(round((1.0 / config.beaconing.cam_freq_hz) / config.tick_s))
@@ -121,6 +128,7 @@ class SimulationEngine:
         self.neighbors: dict[int, list[int]] = {}
         self.neighbors_until = -1.0  # the last tick no pair can have crossed the range
         self.outbox: list[tuple[int, bcn.Observation | bcn.NoticeSighting, mob.Point]] = []
+        self.notices: list[tuple[int, bcn.NoticeSighting, mob.Point]] = []
         self._departures: dict[int, list[VehicleSpec]] = {}
         for spec in config.fleet:
             tick = int(round(spec.depart_s / config.tick_s))
@@ -137,7 +145,7 @@ class SimulationEngine:
         self.change_records: list[strat.ChangeRecord] = []
         self.initial_activations = 0
         self.silence_of: dict[int, list] = {}
-        self.emit_span: dict[str, tuple[float, float]] = {}  # station -> first/last CAM t
+        self.emit_span: dict[str, tuple[float, float]] = {}  # sid -> first/last CAM t, at retiring
 
         self.counters: dict[str, int] = {}
         self.changes_by_trigger: dict[str, int] = {}
@@ -192,13 +200,10 @@ class SimulationEngine:
             supi=supi,
             session_token=token,
             last_change_tick=tick,
+            quasi_ids=(spec.length_m, spec.width_m),
         )
-        seg = veh.cursor.segment
-        speed = min(spec.speed_mps, seg.speed_limit_mps)
-        d = seg.direction
-        veh.kin = mob.Kinematics(
-            position=veh.cursor.position(), velocity=(d[0] * speed, d[1] * speed)
-        )
+        veh.leg = mob.leg_of(veh.cursor, spec.speed_mps, self.tick_s)
+        veh.kin = mob.Kinematics(position=veh.cursor.position(), velocity=veh.leg.velocity)
         self.vehicles[spec.vehicle_id] = veh
         for scope in self.scopes:
             self._replenish(veh, scope, now, to_target=True)
@@ -223,11 +228,21 @@ class SimulationEngine:
             self.active_ids.discard(sid)
             self.ldm.retire(sid)
             old_ids[scope.value] = sid
+            if scope is AppScope.CAM:
+                self._close_span(veh)
             if self.cfg.policy.notify_deactivation:
                 notice = bcn.NoticeSighting(now, sid, scope.value)
-                self.outbox.append((veh.spec.vehicle_id, notice, veh.kin.position))
+                self.notices.append((veh.spec.vehicle_id, notice, veh.kin.position))
                 self.bump("notices_sent")
         return old_ids
+
+    def _close_span(self, veh: _Vehicle) -> None:
+        """Write the CAM id's emit span; a reused id keeps its first-ever CAM."""
+        if veh.first_cam_tick is not None:
+            sid = veh.station_ids[AppScope.CAM]
+            first, _ = self.emit_span.get(sid, (veh.first_cam_tick * self.tick_s, None))
+            self.emit_span[sid] = (first, veh.last_cam_tick * self.tick_s)
+            veh.first_cam_tick = None
 
     # --- pseudonym changes --------------------------------------------------
 
@@ -287,6 +302,7 @@ class SimulationEngine:
             veh.station_ids[scope] = sid
             new_ids[scope.value] = sid
         veh.active_until = min(t.valid_until for t in veh.active.values())
+        veh.cam_until = veh.active[AppScope.CAM].valid_until
 
         silence_s = self.cfg.policy.silence_s
         if old_ids:
@@ -317,9 +333,30 @@ class SimulationEngine:
             self.cfg.policy.policy, veh.trip.changes_this_trip, self.rng_strategy
         )
         veh.last_change_tick = tick
+        veh.wake_tick = self._wake(veh, tick)
         for scope in self.scopes:
             self._replenish(veh, scope, now, to_target=False)
         return True
+
+    def _ticks_until(self, t: float) -> float:
+        """The least whole ``k >= 0`` with ``k * tick_s >= t`` in floats."""
+        if not 0.0 < t < math.inf:
+            return max(t, 0)
+        k = math.ceil(t / self.tick_s)
+        while (k - 1) * self.tick_s >= t:
+            k -= 1
+        while k * self.tick_s < t:
+            k += 1
+        return k
+
+    def _wake(self, veh: _Vehicle, tick: int) -> float:
+        """The first tick with ``tick * tick_s >= active_until`` or the policy's due tick
+        (early, never late), but not before the silence ends; polling changes no sooner."""
+        since_s, metres = strat.trigger_lower_bounds(self.cfg.policy.policy, veh.trip, veh.trigger)
+        due = veh.last_change_tick + self._ticks_until(since_s)
+        if metres > 0.0:  # a tick moves no vehicle farther than its spec speed
+            due = max(due, tick + int(metres / (veh.spec.speed_mps * self.tick_s)) - 1)
+        return max(veh.silence_until_tick, min(due, self._ticks_until(veh.active_until)))
 
     # --- per-tick phases -----------------------------------------------------
 
@@ -332,10 +369,14 @@ class SimulationEngine:
         for vid in on_road:
             veh = self.vehicles[vid]
             if tick > veh.depart_tick:
-                speed = min(veh.spec.speed_mps, veh.cursor.segment.speed_limit_mps)
-                veh.kin, moved = mob.step_kinematics(veh.cursor, speed, self.tick_s)
+                pos = mob.step_on_leg(veh.cursor, leg := veh.leg)
+                if pos is None:  # the tick that reaches the segment's end
+                    speed = min(veh.spec.speed_mps, leg.segment.speed_limit_mps)
+                    veh.kin, moved = mob.step_kinematics(veh.cursor, speed, self.tick_s)
+                    veh.leg = mob.leg_of(veh.cursor, veh.spec.speed_mps, self.tick_s)
+                else:
+                    veh.kin.position, veh.kin.velocity, moved = pos, leg.velocity, leg.step
                 veh.trip.advance(moved, self.tick_s)
-                veh.trip.time_since_change_s = (tick - veh.last_change_tick) * self.tick_s
                 if veh.cursor.done:
                     self._finish_trip(veh, tick)
                     continue
@@ -361,27 +402,21 @@ class SimulationEngine:
         now = tick * self.tick_s
         if self._coordination_ticks is not None and tick % self._coordination_ticks == 0:
             self._coordinate(tick)
-        events = self._lock_events.get(tick, ())
-        for ev in events:
-            if ev.vehicle_id not in self.vehicles:
+        # a request reads only its own vehicle; ``locked`` needs no sweep first
+        for ev in self._lock_events.get(tick, ()):
+            veh = self.vehicles.get(ev.vehicle_id)
+            if veh is None:
                 self.bump("lock_events_dropped")
+                continue
+            valid_until = veh.active_until if veh.active else now
+            decision = veh.locks.request(ev.app_id, ev.duration_s, now, valid_until,
+                                         validator=self._awareness_validator(veh))
+            if decision.granted:
+                self.bump("locks_granted")
+            else:
+                self.bump(f"lock_denied_{decision.reason}")
         for veh in self.roster:
-            veh.locks.sweep(now)
-            for ev in events:
-                if ev.vehicle_id != veh.spec.vehicle_id:
-                    continue
-                decision = veh.locks.request(
-                    ev.app_id,
-                    ev.duration_s,
-                    now,
-                    veh.active_until if veh.active else now,
-                    validator=self._awareness_validator(veh),
-                )
-                if decision.granted:
-                    self.bump("locks_granted")
-                else:
-                    self.bump(f"lock_denied_{decision.reason}")
-            if veh.silent(tick):
+            if tick < veh.wake_tick:  # a due vehicle stays due until it changes
                 continue
             # active tickets were valid when chosen, so only valid_until can lapse
             expired = now >= veh.active_until
@@ -389,6 +424,7 @@ class SimulationEngine:
             if expired and not locked:
                 self._execute_change(veh, tick, TRIGGER_TICKET_EXPIRY)
                 continue
+            veh.trip.time_since_change_s = (tick - veh.last_change_tick) * self.tick_s
             wants = strat.evaluate_change_trigger(
                 self.cfg.policy.policy,
                 veh.trip,
@@ -398,6 +434,7 @@ class SimulationEngine:
                 boundary_tol_s=self.tick_s / 2.0,
             )
             if not wants:
+                veh.wake_tick = self._wake(veh, tick)
                 continue
             if locked:
                 self.bump("change_deferred_lock")
@@ -414,17 +451,20 @@ class SimulationEngine:
                 last_change_time=veh.last_change_tick * self.tick_s,
                 ready=not veh.locks.locked(now),
                 due=(tick - veh.last_change_tick) * self.tick_s >= policy.min_interval_s - 1e-9,
-                silent=veh.silent(tick),
+                silent=tick < veh.silence_until_tick,
             )
             for veh in self.roster
         ]
         for vid in strat.coordinate_network_change(candidates, policy.max_silent_fraction):
             self.vehicles[vid].trigger.pending_command = True
+            self.vehicles[vid].wake_tick = tick
             self.bump("coordinator_commands")
 
     def _phase_sba(self, tick: int) -> None:
         now = tick * self.tick_s
         for veh in self.roster:
+            if now < veh.pool.steady_until:  # its count holds, and is in the minimum
+                continue
             count = veh.pool.min_valid_count(now)
             if count < veh.pool.min_concurrent_valid:  # some scope needs topping up
                 for scope in self.scopes:
@@ -435,52 +475,48 @@ class SimulationEngine:
 
     def _phase_beaconing(self, tick: int) -> None:
         now = tick * self.tick_s
-        sends = []  # (vehicle, scope, motion): a CAM's velocity and quasi-identifiers
+        sends = []  # (vehicle, scope)
         for veh in self.roster:
-            if veh.silent(tick):
+            if tick < veh.silence_until_tick:
                 continue
             if veh.last_cam_tick is None or tick - veh.last_cam_tick >= self.cam_period_ticks:
-                if self._can_send(veh, AppScope.CAM, now):
-                    quasi_ids = (veh.spec.length_m, veh.spec.width_m)
-                    sends.append((veh, AppScope.CAM, (veh.kin.velocity, quasi_ids)))
+                if now < veh.cam_until:  # the CAM ticket was valid when activated
+                    sends.append((veh, AppScope.CAM))
                     veh.last_cam_tick = tick
-                    self.bump("cams_sent")
-                    sid = veh.station_ids[AppScope.CAM]
-                    first, _ = self.emit_span.get(sid, (now, now))
-                    self.emit_span[sid] = (first, now)
+                    if veh.first_cam_tick is None:
+                        veh.first_cam_tick = tick
                 else:
                     self.ldm.cut(veh.spec.vehicle_id)  # its receivers miss a refresh
             if (
                 self.denm_period_ticks is not None
                 and (tick - veh.depart_tick) % self.denm_period_ticks == 0
-                and self._can_send(veh, AppScope.DENM, now)
+                and veh.active and veh.active[AppScope.DENM].is_valid_at(now)
             ):
-                sends.append((veh, AppScope.DENM, ()))
-                self.bump("denms_sent")
+                sends.append((veh, AppScope.DENM))
         # positioning noise: one draw of two per emission, in emission order, as
-        # ``mob.positioning_noise`` would make them one at a time
+        # ``mob.positioning_noise`` would; the empty outbox takes CAMs, then DENMs
         sigma = self.cfg.beaconing.positioning_sigma_m
         noise = self.rng_noise.normal(0.0, sigma, size=(len(sends), 2)) if sigma and sends else None
-        for i, (veh, scope, motion) in enumerate(sends):
+        denms = []
+        for i, (veh, scope) in enumerate(sends):
             pos = x, y = veh.kin.position
             if noise is not None:
                 pos = (x + noise[i, 0], y + noise[i, 1])
+            cam = scope is AppScope.CAM
+            motion = (veh.kin.velocity, veh.quasi_ids) if cam else ()
             obs = bcn.Observation(now, veh.station_ids[scope], scope.value, pos, *motion)
-            self.outbox.append((veh.spec.vehicle_id, obs, veh.kin.position))
-
-    @staticmethod
-    def _can_send(veh: _Vehicle, scope: AppScope, now: float) -> bool:
-        ticket = veh.active.get(scope)
-        return ticket is not None and ticket.is_valid_at(now)
+            (self.outbox if cam else denms).append((veh.spec.vehicle_id, obs, veh.kin.position))
+        if self.outbox:
+            self.bump("cams_sent", len(self.outbox))
+        if denms:
+            self.bump("denms_sent", len(denms))
+            self.outbox += denms
 
     def _phase_ingest(self, tick: int) -> None:
-        # deletions land before refreshes (notices rank "" below "CAM" < "DENM");
-        # within a kind, sender id then emission order (the sort is stable)
-        ordered = sorted(
-            self.outbox,
-            key=lambda e: ("" if type(e[1]) is bcn.NoticeSighting else e[1].scope, e[0]),
-        )
-        self.outbox = []
+        # deletions land before refreshes: the notices by sender id then in
+        # emission order (the sort is stable), then the beacons as emitted
+        ordered = sorted(self.notices, key=itemgetter(0)) + self.outbox if self.notices else self.outbox
+        self.notices, self.outbox = [], []
         receivers = []  # per message, ascending
         for sender_id, msg, sender_pos in ordered:
             if type(msg) is bcn.NoticeSighting:
@@ -540,6 +576,8 @@ class SimulationEngine:
             self._phase_sba(tick)
             self._phase_beaconing(tick)
             self._phase_ingest(tick)
+        for veh in self.vehicles.values():
+            self._close_span(veh)
 
         store = self.eavesdropper.store
         store.finalize()

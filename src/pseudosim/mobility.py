@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -118,9 +118,6 @@ class RouteCursor:
         d = seg.direction
         return (seg.start[0] + d[0] * self.offset_m, seg.start[1] + d[1] * self.offset_m)
 
-    def heading(self) -> Point:
-        return self.segment.direction
-
     def advance(self, distance_m: float) -> float:
         """Move forward, spilling over segment ends; returns distance moved.
 
@@ -153,9 +150,35 @@ class RouteCursor:
 def step_kinematics(cursor: RouteCursor, speed_mps: float, dt_s: float) -> tuple[Kinematics, float]:
     """Advance one tick at the given speed; returns new state and metres moved."""
     moved = cursor.advance(speed_mps * dt_s)
-    d = cursor.heading()
+    d = cursor.segment.direction
     vel = (0.0, 0.0) if cursor.done else (d[0] * speed_mps, d[1] * speed_mps)
     return Kinematics(position=cursor.position(), velocity=vel), moved
+
+
+class Leg(NamedTuple):
+    """A cursor's current segment, the metres a tick moves on it and the velocity."""
+
+    segment: RoadSegment
+    step: float
+    velocity: Point
+
+
+def leg_of(cursor: RouteCursor, speed_mps: float, dt_s: float) -> Leg:
+    """The cursor's leg at ``speed_mps`` capped by the segment's speed limit."""
+    seg = cursor.segment
+    speed, d = min(speed_mps, seg.speed_limit_mps), seg.direction
+    return Leg(seg, speed * dt_s, (d[0] * speed, d[1] * speed))
+
+
+def step_on_leg(cursor: RouteCursor, leg: Leg) -> Optional[Point]:
+    """``step_kinematics``'s float operations, in its order, on a tick inside the leg:
+    the new position, or None, moving nothing, on the tick that reaches its end."""
+    seg = leg.segment
+    if not leg.step < seg.length_m - cursor.offset_m:
+        return None
+    cursor.offset_m += leg.step
+    d, offset = seg.direction, cursor.offset_m
+    return (seg.start[0] + d[0] * offset, seg.start[1] + d[1] * offset)
 
 
 @dataclass

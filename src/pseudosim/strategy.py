@@ -172,6 +172,19 @@ def evaluate_change_trigger(
     raise TypeError(f"unknown policy {policy!r}")
 
 
+def trigger_lower_bounds(policy: ChangePolicy, trip, trigger: TriggerState) -> tuple[float, float]:
+    """(seconds since the last change, metres still to drive) that
+    ``evaluate_change_trigger`` needs; ``inf`` waits for a coordinator command."""
+    if trip.changes_this_trip == 0:
+        return -math.inf, 0.0
+    if isinstance(policy, SegmentPolicy):
+        if trip.changes_this_trip == 1:
+            return -math.inf, trigger.threshold_distance_m - _EPS - trip.odometer_trip_m
+        return (trigger.threshold_time_s - _EPS,
+                trigger.threshold_distance_m - _EPS - trip.odometer_since_change_m)
+    return getattr(policy, "interval_s", math.inf) - _EPS, 0.0  # network_triggered: none
+
+
 # --- identifier locks ---------------------------------------------------------
 
 
@@ -209,8 +222,6 @@ class LockLedger:
 
     def sweep(self, now: float) -> None:
         """Housekeeping at a time step: drop expired locks, reset broken chains."""
-        if self.chain_end is None and not self.active:
-            return
         self.active = [l for l in self.active if l.expires_at > now]
         if self.chain_end is not None and now > self.chain_end + _EPS:
             self.chain_start = None
@@ -314,6 +325,8 @@ class PseudonymPool:
     tickets or of barred ones changes: ``add_batch`` resets the cache, and so
     does ``activate`` under ``no_reuse``, where retiring a ticket bars it. A
     count from the full-scan fallback is never cached.
+    ``steady_until`` ends the last ``min_valid_count``'s cached intervals if it
+    reached ``min_concurrent_valid``, else is ``-inf``, as after any change.
     """
 
     def __init__(
@@ -333,6 +346,7 @@ class PseudonymPool:
         self.min_concurrent_valid = int(min_concurrent_valid)
         self.target_size = int(target_size)
         self._scopes: dict[AppScope, _ScopePool] = {s: _ScopePool() for s in scopes}
+        self.steady_until = -math.inf
 
     @property
     def scopes(self) -> list[AppScope]:
@@ -347,7 +361,7 @@ class PseudonymPool:
             pool.tickets.append(t)
             pool.live.append(t)
             pool.prune_due = min(pool.prune_due, t.valid_until)
-        pool.count_until = -math.inf
+        pool.count_until = self.steady_until = -math.inf
 
     def _usable(self, pool: _ScopePool, t: AuthorizationTicket, now: float) -> bool:
         if not t.is_valid_at(now):
@@ -391,7 +405,11 @@ class PseudonymPool:
         return count
 
     def min_valid_count(self, now: float) -> int:
-        return min(self.valid_count(s, now) for s in self._scopes)
+        count = min(self.valid_count(s, now) for s in self._scopes)
+        self.steady_until = -math.inf if count < self.min_concurrent_valid else min(
+            p.count_until if p.count_from <= now else -math.inf for p in self._scopes.values()
+        )
+        return count
 
     def active_ticket(self, scope: AppScope, now: float) -> Optional[AuthorizationTicket]:
         pool = self._scopes[scope]
@@ -426,6 +444,7 @@ class PseudonymPool:
                 pool.count_until = -math.inf
         pool.active_at_id = ticket.at_id
         pool.cursor = pool.position[ticket.at_id]
+        self.steady_until = -math.inf
 
     def needs_replenish(self, scope: AppScope, now: float) -> bool:
         return self.valid_count(scope, now) < self.min_concurrent_valid

@@ -17,8 +17,10 @@ of the anonymity-set count and of ``link``'s candidate selection;
 ``EntryLdm`` and ``ldm_quality_loop`` keep the entry-per-station local dynamic
 map that stored DENMs too and was evicted in a pass of its own.
 ``neighbor_lists`` is the all-pairs pass the engine once made every tick, and
-``ReferenceEngine`` runs the radio layer in that per-tick form: every pair
-measured, loss drawn and ``receive`` called per delivery, every LDM rescored.
+``ReferenceEngine`` runs the tick loop in that per-tick form: every vehicle
+stepped by ``step_kinematics``, its change trigger, ticket expiry and pool
+polled, every CAM checked against its ticket, every pair measured, loss drawn
+and ``receive`` called per delivery, every LDM rescored.
 """
 
 import math
@@ -29,6 +31,7 @@ import numpy as np
 from pseudosim import adversary as adv
 from pseudosim import beaconing as bcn
 from pseudosim import mobility as mob
+from pseudosim import strategy as strat
 from pseudosim.adversary import (
     MotionModel,
     Tracklet,
@@ -39,7 +42,8 @@ from pseudosim.adversary import (
     semantic_match,
 )
 from pseudosim.beaconing import LdmQuality, NoticeSighting
-from pseudosim.engine import SimulationEngine
+from pseudosim.engine import TRIGGER_TICKET_EXPIRY, SimulationEngine
+from pseudosim.sba import AppScope
 
 
 def mk_tracklet(
@@ -359,15 +363,20 @@ class _Unkept:
 
 
 class ReferenceEngine(SimulationEngine):
-    """The engine with the radio layer as it was before it became change-driven.
+    """The engine as it was before its per-vehicle and radio state became event-kept.
 
-    Each tick it recomputes every neighbour list, draws loss with one
-    ``rng_loss.random()`` per delivery and hands each delivery to its own
-    per-vehicle ``LocalDynamicMap.receive`` message by message, then scores
-    every LDM afresh with ``ldm_quality``, as does the lock validator. The
-    production engine keeps lists until a pair can cross the range, draws
-    loss in one batch and keeps LDM counters by events (``FleetLdm``, which
-    this engine does not feed); it must give the same bytes.
+    Each tick it steps every vehicle with ``step_kinematics``, polls every
+    vehicle's ticket expiry and change trigger, counts every pool's valid
+    tickets by a scan, checks each due CAM's ticket and writes its emit span,
+    and sorts the whole outbox. It recomputes every neighbour list, draws
+    loss with one ``rng_loss.random()`` per delivery and hands each delivery
+    to its own per-vehicle ``LocalDynamicMap.receive`` message by message,
+    then scores every LDM afresh with ``ldm_quality``, as does the lock
+    validator. The production engine keeps a ``Leg`` per vehicle, wakes its
+    strategy at events, skips pools whose counts hold, keeps CAM validity and
+    emit spans per vehicle, keeps lists until a pair can cross the range,
+    draws loss in one batch and keeps LDM counters by events (``FleetLdm``,
+    which this engine does not feed); it must give the same bytes.
     """
 
     def __init__(self, config, **kwargs):
@@ -409,15 +418,106 @@ class ReferenceEngine(SimulationEngine):
             self.cfg.beaconing.radio_range_m,
         )
 
+    def _phase_strategy(self, tick):
+        now = tick * self.tick_s
+        if self._coordination_ticks is not None and tick % self._coordination_ticks == 0:
+            self._coordinate(tick)
+        events = self._lock_events.get(tick, ())
+        for ev in events:
+            if ev.vehicle_id not in self.vehicles:
+                self.bump("lock_events_dropped")
+        for veh in self.roster:
+            veh.locks.sweep(now)
+            for ev in events:
+                if ev.vehicle_id != veh.spec.vehicle_id:
+                    continue
+                decision = veh.locks.request(
+                    ev.app_id,
+                    ev.duration_s,
+                    now,
+                    veh.active_until if veh.active else now,
+                    validator=self._awareness_validator(veh),
+                )
+                if decision.granted:
+                    self.bump("locks_granted")
+                else:
+                    self.bump(f"lock_denied_{decision.reason}")
+            if tick < veh.silence_until_tick:
+                continue
+            expired = any(not t.is_valid_at(now) for t in veh.active.values())
+            locked = veh.locks.locked(now)
+            if expired and not locked:
+                self._execute_change(veh, tick, TRIGGER_TICKET_EXPIRY)
+                continue
+            wants = strat.evaluate_change_trigger(
+                self.cfg.policy.policy,
+                veh.trip,
+                veh.trigger,
+                now,
+                clock_skew_s=veh.spec.clock_skew_s,
+                boundary_tol_s=self.tick_s / 2.0,
+            )
+            if not wants:
+                continue
+            if locked:
+                self.bump("change_deferred_lock")
+                continue
+            if self._execute_change(veh, tick, self.cfg.policy.policy.kind):
+                veh.trigger.pending_command = False
+
+    def _phase_sba(self, tick):
+        now = tick * self.tick_s
+        for veh in self.roster:
+            count = min(len(veh.pool.valid_tickets(s, now)) for s in self.scopes)
+            if count < veh.pool.min_concurrent_valid:
+                for scope in self.scopes:
+                    self._replenish(veh, scope, now, to_target=False)
+                count = min(len(veh.pool.valid_tickets(s, now)) for s in self.scopes)
+            if self.min_valid_tickets is None or count < self.min_valid_tickets:
+                self.min_valid_tickets = count
+
+    def _phase_beaconing(self, tick):
+        now = tick * self.tick_s
+        sends = []
+        for veh in self.roster:
+            if tick < veh.silence_until_tick:
+                continue
+            if veh.last_cam_tick is None or tick - veh.last_cam_tick >= self.cam_period_ticks:
+                if self._can_send(veh, AppScope.CAM, now):
+                    quasi_ids = (veh.spec.length_m, veh.spec.width_m)
+                    sends.append((veh, AppScope.CAM, (veh.kin.velocity, quasi_ids)))
+                    veh.last_cam_tick = tick
+                    self.bump("cams_sent")
+                    sid = veh.station_ids[AppScope.CAM]
+                    first, _ = self.emit_span.get(sid, (now, now))
+                    self.emit_span[sid] = (first, now)
+            if (
+                self.denm_period_ticks is not None
+                and (tick - veh.depart_tick) % self.denm_period_ticks == 0
+                and self._can_send(veh, AppScope.DENM, now)
+            ):
+                sends.append((veh, AppScope.DENM, ()))
+                self.bump("denms_sent")
+        sigma = self.cfg.beaconing.positioning_sigma_m
+        for veh, scope, motion in sends:
+            pos = mob.positioning_noise(veh.kin.position, sigma, self.rng_noise)
+            obs = bcn.Observation(now, veh.station_ids[scope], scope.value, pos, *motion)
+            self.outbox.append((veh.spec.vehicle_id, obs, veh.kin.position))
+
+    @staticmethod
+    def _can_send(veh, scope, now):
+        ticket = veh.active.get(scope)
+        return ticket is not None and ticket.is_valid_at(now)
+
     def _phase_ingest(self, tick):
         now = tick * self.tick_s
         loss = self.cfg.beaconing.loss_rate
         rng = self.rng_loss
         ordered = sorted(
-            self.outbox,
+            self.notices + self.outbox,
             key=lambda e: ("" if type(e[1]) is bcn.NoticeSighting else e[1].scope, e[0]),
         )
-        self.outbox = []
+        self.notices, self.outbox = [], []
         for sender_id, msg, sender_pos in ordered:
             if type(msg) is bcn.NoticeSighting:
                 self.eavesdropper.hear_notice(msg, sender_pos)

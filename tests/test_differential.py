@@ -1,24 +1,32 @@
-"""The change-driven radio layer against its per-tick reference, byte for byte.
+"""The event-kept tick loop against its per-tick reference, byte for byte.
 
-``oracle_support.ReferenceEngine`` recomputes every neighbour list each tick,
+``oracle_support.ReferenceEngine`` steps every vehicle with
+``step_kinematics``, polls every change trigger, ticket expiry and pool
+count, checks every CAM's ticket, recomputes every neighbour list each tick,
 draws loss and calls ``LocalDynamicMap.receive`` per delivery and rescores
-every LDM. The production engine keeps lists until a pair could cross the
-range, draws loss in one batch and keeps every receiver's LDM sample as
-counters that events update (``beaconing.FleetLdm``). On generated
-scenarios both must write the same summary, trace and linkage, and every
-run must hold the engine invariants of ``check_invariants``.
+every LDM. The production engine keeps that state between the events that
+change it (a ``Leg`` per vehicle, a strategy wake tick, a pool's steady
+count, the CAM ticket's end, neighbour lists until a pair could cross the
+range, and every receiver's LDM sample as counters in
+``beaconing.FleetLdm``) and draws loss in one batch. On generated scenarios
+both must write the same summary, trace and linkage, and every run must hold
+the engine invariants of ``check_invariants``.
 
 The scenarios sit on one east-west road, with lanes both ways and a turn
-north, dyadic ticks and integer speeds, so positions are exact. Each route
-starts on a slow segment and goes on at speed. Most scenarios are built
-around one event that a wrong shortcut would miss (``_motif``), with up to
-ten more vehicles around it. Example budget: the hypothesis profile
-(``conftest.py``).
+north. With a dyadic tick and integer speeds positions are exact; a
+scenario without a motif may also take a 0.1 s tick, whose float edges the
+wake ticks must match. Each route starts on a slow segment and goes on at
+speed. Most scenarios are built around one event that a wrong shortcut
+would miss (``_motif``), with up to ten more vehicles around it. Example
+budget: the hypothesis profile (``conftest.py``) and a quarter more, spread
+over the motifs by their weight in ``_MOTIFS``.
 """
 
 import json
+import math
 from bisect import bisect_right
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,14 +34,19 @@ from oracle_support import ReferenceEngine
 from pseudosim.config import load_scenario
 from pseudosim.engine import SimulationEngine
 
-# (tick_s, cam_freq_hz): a CAM every 1, 2 or 4 ticks
+# (tick_s, cam_freq_hz): a CAM every 1, 2 or 4 ticks; the non-dyadic tick
+# only without a motif, whose geometry needs exact positions
 _CLOCKS = [(0.5, 2.0), (0.5, 1.0), (0.25, 4.0), (0.25, 1.0)]
+_FLOAT_CLOCK = (0.1, 10.0)
 
 _QUIET = {"kind": "periodic", "interval_s": 60.0}  # no change after the initial ids
 _POLICIES = st.sampled_from([
     {"kind": "periodic", "interval_s": 2.0},
     # faster than the LDM timeout: a round-robin id comes back while still held
     {"kind": "periodic", "interval_s": 1.0},
+    # on the 0.1 s clock, due when 12 * 0.1 (1.2000000000000002) reaches the
+    # interval less 1e-9, a tick before ceil((interval - 1e-9) / 0.1) says
+    {"kind": "periodic", "interval_s": 1.2000000010000003},
     _QUIET,
     {"kind": "synchronized", "interval_s": 4.0, "window_s": 2.0},
     {"kind": "network_triggered", "min_interval_s": 3.0, "coordination_interval_s": 1.0,
@@ -68,10 +81,8 @@ def _supply(draw):
 
 
 _SPEEDS = [1.0, 2.0, 3.0, 4.0, 8.0, 16.0, 24.0, 30.0]
-# the last three make an LDM event that a shortcut could lose, and
-# ``test_radio_events_match_reference`` draws only them
+# the last three make an LDM event that a shortcut could lose; None weighs double
 _MOTIFS = [None, None, "head_on", "speed_up", "ends_unheard", "pulls_away", "comes_back", "lapses"]
-_EVENT_MOTIFS = _MOTIFS[-3:]
 
 
 def _motif(draw, motif, tick_s, n_ticks, x1, x2, limits):
@@ -117,14 +128,14 @@ def _motif(draw, motif, tick_s, n_ticks, x1, x2, limits):
 
 @st.composite
 def scenarios(draw, motifs=_MOTIFS):
-    tick_s, cam_freq_hz = draw(st.sampled_from(_CLOCKS))
+    motif = draw(st.sampled_from(motifs))
+    tick_s, cam_freq_hz = draw(st.sampled_from(_CLOCKS + [_FLOAT_CLOCK] * (motif is None)))
     n_ticks = draw(st.integers(30, 90))
     x1 = float(draw(st.integers(10, 60)))
     x2 = x1 + draw(st.integers(30, 150))
     slow, fast = st.sampled_from([1.0, 2.0, 4.0]), st.integers(16, 30).map(float)
     limits = {"e1": draw(slow), "e2": draw(fast), "north": draw(fast),
               "w1": draw(slow), "w2": draw(fast)}
-    motif = draw(st.sampled_from(motifs))
     pinned, radius = _motif(draw, motif, tick_s, n_ticks, x1, x2, limits)
     lane = 0.0 if motif == "head_on" else draw(st.sampled_from([0.0, 3.0]))
     segments = {  # each route's second segment is the faster one
@@ -266,13 +277,15 @@ def assert_engines_agree(raw) -> None:
     assert got[2] == want[2]
 
 
-@given(scenarios())
-def test_change_driven_radio_layer_matches_reference(raw):
-    assert_engines_agree(raw)
+@pytest.mark.parametrize("motif", list(dict.fromkeys(_MOTIFS)), ids=str)
+def test_event_kept_engine_matches_reference(motif):
+    # each motif gets its share of the profile's budget and a quarter more
+    budget = settings.default.max_examples * 5 / 4
+    share = math.ceil(budget * _MOTIFS.count(motif) / len(_MOTIFS))
 
+    @settings(max_examples=share)
+    @given(scenarios([motif]))
+    def agree(raw):
+        assert_engines_agree(raw)
 
-# a quarter of the profile's budget, on the scenarios built around an LDM event
-@given(scenarios(_EVENT_MOTIFS))
-@settings(max_examples=max(10, settings.default.max_examples // 4))
-def test_radio_events_match_reference(raw):
-    assert_engines_agree(raw)
+    agree()

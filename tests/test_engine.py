@@ -266,3 +266,18 @@ def test_sybil_counter_fires_on_reused_id(scenarios_dir, monkeypatch):
     s = run_scenario(str(scenarios_dir / "baseline_single.json")).summary
     assert s["n_changes"] == 2
     assert s["safety"]["sybil_violations"] > 0
+
+
+def test_switch_gap_counts_a_reused_id_from_its_first_ever_cam(scenarios_dir):
+    """``max_stack_switch_gap_s`` where a round-robin pool of three hands ids back.
+
+    The gap of a change runs from the old CAM id's last CAM to the new CAM
+    id's first CAM. An id that comes back keeps the first CAM of its first
+    activation, so its gap is negative; this pins the value.
+    """
+    raw = json.loads((scenarios_dir / "latency_fleet.json").read_text())
+    raw["duration_s"] = 60.0
+    raw["pool"] = {"size": 3, "min_concurrent_valid": 2, "selection": "round_robin"}
+    summary = run_scenario(load_scenario(raw)).summary
+    assert summary["n_changes"] == 186
+    assert summary["safety"]["max_stack_switch_gap_s"] == -44.900000000000006

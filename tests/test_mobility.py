@@ -13,9 +13,11 @@ from pseudosim.mobility import (
     RouteCursor,
     TripState,
     kinetic_neighbor_lists,
+    leg_of,
     positioning_noise,
     region_query,
     step_kinematics,
+    step_on_leg,
 )
 
 
@@ -107,6 +109,58 @@ def test_step_kinematics():
     kin, moved = step_kinematics(cur, 10.0, 0.5)
     assert moved == 0.0
     assert kin.velocity == (0.0, 0.0)
+
+
+@st.composite
+def _routes(draw):
+    """A route of 1-4 segments at any angle, some shorter than a tick's move.
+
+    Each limit lies below, at or above the spec speed; the tick is 0.1 s or
+    1/3 s, neither of them dyadic.
+    """
+    speed = draw(st.floats(2.0, 40.0))
+    x, y = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    segments = []
+    for i in range(draw(st.integers(1, 4))):
+        angle, length = draw(st.floats(0.0, 2 * math.pi)), draw(st.floats(0.05, 30.0))
+        end = (x + length * math.cos(angle), y + length * math.sin(angle))
+        limit = speed * draw(st.sampled_from([0.5, 1.0, 1.5])) * draw(st.floats(0.9, 1.1))
+        segments.append(RoadSegment(f"s{i}", (x, y), end, limit))
+        x, y = end
+    network = RoadNetwork.build(segments)
+    return network, tuple(seg.segment_id for seg in segments), speed, draw(st.sampled_from([0.1, 1 / 3]))
+
+
+def _bits(*values):
+    return [float.hex(v) for v in values]
+
+
+@given(_routes())
+def test_step_on_leg_equals_step_kinematics(case):
+    """The engine's legs move a vehicle bit for bit as ``step_kinematics`` alone does.
+
+    Along a leg ``step_on_leg`` moves the cursor; on the tick that reaches the
+    segment's end ``step_kinematics`` crosses it and a new leg starts, until
+    the route ends.
+    """
+    network, route, speed, tick_s = case
+    alone, kept = RouteCursor(network, route), RouteCursor(network, route)
+    leg = leg_of(kept, speed, tick_s)
+    crossings = 0
+    while not alone.done:
+        want, want_moved = step_kinematics(alone, min(speed, alone.segment.speed_limit_mps), tick_s)
+        pos = step_on_leg(kept, leg)
+        if pos is None:
+            got, moved = step_kinematics(kept, min(speed, leg.segment.speed_limit_mps), tick_s)
+            pos, velocity = got.position, got.velocity
+            crossings += 1
+            leg = leg_of(kept, speed, tick_s)
+        else:
+            velocity, moved = leg.velocity, leg.step
+        assert _bits(*pos, *velocity, moved) == _bits(*want.position, *want.velocity, want_moved)
+        assert (kept.seg_index, kept.done) == (alone.seg_index, alone.done)
+        assert _bits(kept.offset_m) == _bits(alone.offset_m)
+    assert kept.done and crossings <= len(route)
 
 
 def test_trip_state_odometers():

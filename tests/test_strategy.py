@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,6 +343,22 @@ def test_min_valid_count_spans_scopes():
     assert pool.min_valid_count(0.0) == 2
     assert pool.needs_replenish(AppScope.DENM, 0.0) is False
     assert pool.replenish_need(AppScope.DENM, 0.0) == 3
+
+
+@pytest.mark.parametrize("selection", ["no_reuse", "round_robin"])
+def test_steady_until_spans_the_cached_counts_above_the_floor(selection):
+    pool = PseudonymPool(selection, 2, 5, [AppScope.CAM, AppScope.DENM])
+    c1 = ticket("c1", 0.0, 10.0)
+    pool.add_batch(AppScope.CAM, [c1, ticket("c2", 0.0, 8.0), ticket("c3", 4.0, 10.0)])
+    pool.add_batch(AppScope.DENM, [ticket("d1", 0.0, 9.0), ticket("d2", 0.0, 9.0)])
+    assert pool.min_valid_count(0.0) == 2 and pool.steady_until == 4.0  # c3 comes due
+    assert pool.min_valid_count(4.0) == 2 and pool.steady_until == 8.0  # c2 lapses
+    pool.add_batch(AppScope.DENM, [ticket("d3", 0.0, 5.0)])  # lapses inside that window
+    assert pool.steady_until == -math.inf
+    assert pool.min_valid_count(4.5) == 3 and pool.steady_until == 5.0
+    pool.activate(AppScope.CAM, c1)
+    assert pool.steady_until == -math.inf
+    assert pool.min_valid_count(9.0) == 0 and pool.steady_until == -math.inf  # below the floor
 
 
 class _ScanPool:
