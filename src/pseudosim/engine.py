@@ -7,9 +7,8 @@ tick grid, so the same config and seed reproduce a run byte for byte, whatever
 the host or degree of parallelism around it.
 
 Per vehicle, state that only events change is kept: its ``mobility.Leg``,
-its strategy's wake tick, its pool's steady count and its CAM ticket's end.
-Each tick still steps it on its leg, runs its odometers and CAM due test,
-and reads its LDM counters.
+strategy wake tick, pool's steady count and CAM ticket end. Each tick still
+steps it on its leg, runs its odometers and CAM due test, reads its LDM counters.
 
 Failures inside a run (denied tokens, starved pools, rejected locks) never
 raise out of the loop; they become counters in the run summary.
@@ -66,11 +65,11 @@ class _Vehicle:
     silence_until_tick: int = -1
     last_cam_tick: Optional[int] = None
     last_change_tick: int = 0
-    leg: Optional[mob.Leg] = None
-    quasi_ids: tuple = ()
-    wake_tick: float = 0
-    cam_until: float = -math.inf
-    first_cam_tick: Optional[int] = None
+    leg: Optional[mob.Leg] = None  # rebuilt at each segment's end
+    quasi_ids: tuple = ()  # length and width, as every CAM carries them
+    wake_tick: float = 0  # the first tick the strategy phase must look at it
+    cam_until: float = -math.inf  # the active CAM ticket's valid_until
+    first_cam_tick: Optional[int] = None  # the CAM id's first CAM since its activation
 
 
 @dataclass
@@ -90,6 +89,7 @@ class RunResult:
 class SimulationEngine:
     def __init__(self, config: ScenarioConfig, *, collect_trace: bool = False):
         self.cfg = config
+        self.collect_trace = collect_trace
         self.tick_s = config.tick_s
         self.n_ticks = int(round(config.duration_s / config.tick_s))
         self.cam_period_ticks = int(round((1.0 / config.beaconing.cam_freq_hz) / config.tick_s))
@@ -145,7 +145,7 @@ class SimulationEngine:
         self.change_records: list[strat.ChangeRecord] = []
         self.initial_activations = 0
         self.silence_of: dict[int, list] = {}
-        self.emit_span: dict[str, tuple[float, float]] = {}  # sid -> first/last CAM t, at retiring
+        self.emit_span: dict[str, tuple[float, float]] = {}  # station -> first/last CAM t, on retiring
 
         self.counters: dict[str, int] = {}
         self.changes_by_trigger: dict[str, int] = {}
@@ -515,7 +515,7 @@ class SimulationEngine:
     def _phase_ingest(self, tick: int) -> None:
         # deletions land before refreshes: the notices by sender id then in
         # emission order (the sort is stable), then the beacons as emitted
-        ordered = sorted(self.notices, key=itemgetter(0)) + self.outbox if self.notices else self.outbox
+        ordered = sorted(self.notices, key=itemgetter(0)) + self.outbox
         self.notices, self.outbox = [], []
         receivers = []  # per message, ascending
         for sender_id, msg, sender_pos in ordered:

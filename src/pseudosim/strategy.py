@@ -182,7 +182,9 @@ def trigger_lower_bounds(policy: ChangePolicy, trip, trigger: TriggerState) -> t
             return -math.inf, trigger.threshold_distance_m - _EPS - trip.odometer_trip_m
         return (trigger.threshold_time_s - _EPS,
                 trigger.threshold_distance_m - _EPS - trip.odometer_since_change_m)
-    return getattr(policy, "interval_s", math.inf) - _EPS, 0.0  # network_triggered: none
+    if isinstance(policy, NetworkTriggeredPolicy):
+        return math.inf, 0.0
+    return policy.interval_s - _EPS, 0.0
 
 
 # --- identifier locks ---------------------------------------------------------
@@ -229,8 +231,6 @@ class LockLedger:
             self.renewal_counts = {}
 
     def locked(self, now: float) -> bool:
-        if not self.active:
-            return False
         return any(l.granted_at <= now < l.expires_at for l in self.active)
 
     def request(

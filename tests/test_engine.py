@@ -281,3 +281,12 @@ def test_switch_gap_counts_a_reused_id_from_its_first_ever_cam(scenarios_dir):
     summary = run_scenario(load_scenario(raw)).summary
     assert summary["n_changes"] == 186
     assert summary["safety"]["max_stack_switch_gap_s"] == -44.900000000000006
+
+
+def test_periodic_change_is_due_on_the_first_tick_the_float_test_passes():
+    # with 0.1 s ticks 12 * 0.1 is 1.2000000000000002, which already reaches
+    # this interval less 1e-9, though (interval - 1e-9) / 0.1 rounds above 12
+    cfg = base_config(duration_s=5.0, policy={"kind": "periodic", "silence_s": 0.0,
+                                               "interval_s": 1.2000000010000003})
+    result = run_scenario(cfg)
+    assert [int(round(rec.t / 0.1)) for rec in result.change_records] == [12, 24, 36, 48]
