@@ -24,7 +24,7 @@ import gc
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, NoReturn, Optional, Sequence
 
 import numpy as np
@@ -93,6 +93,16 @@ class Eavesdropper:
             return False
         self.store.add_notice(notice)
         return True
+
+    def hear_all(self, notices: Sequence[tuple], beacons: Sequence[tuple]) -> None:
+        """Hear a tick's notices and beacons, each a (sender id, record, true position)."""
+        store, records = self.store, operator.itemgetter(1)
+        if self.posts is None:
+            store.notices.extend(map(records, notices))
+            store.observations.extend(map(records, beacons))
+        else:
+            store.notices.extend(rec for _, rec, pos in notices if self.covers(pos))
+            store.observations.extend(rec for _, rec, pos in beacons if self.covers(pos))
 
 
 # --- tracklets ----------------------------------------------------------------
@@ -664,17 +674,23 @@ def _anonymity_set_sizes(truth: TruthData, region_m: float) -> list[int]:
     ``math.dist``. Squared distances decide every case farther than a
     relative 1e-9 from the radius (their rounding is about 1e-16), and
     ``math.dist`` decides the rest, so ``<=`` holds exactly as for the
-    per-interval loop.
+    per-interval loop. Only a window of the intervals, sorted by start, is
+    tested: one that overlaps ``[t, t + silence]`` starts in ``[t - longest,
+    t + silence]``, and the window's low end is widened by a relative 1e-9 so
+    that rounding never drops an interval.
     """
-    owners, spans, positions = [], [], []
-    for owner, intervals in enumerate(truth.silence_of.values()):
-        for s0, s1, pos in intervals:
-            owners.append(owner)
-            spans.append((s0, s1))
-            positions.append(pos)
-    owner = np.array(owners, dtype=np.intp)
-    s0, s1 = np.array(spans, dtype=float).reshape(-1, 2).T
+    rows = sorted(
+        ((s0, s1, pos, owner)
+         for owner, intervals in enumerate(truth.silence_of.values())
+         for s0, s1, pos in intervals),
+        key=operator.itemgetter(0),
+    )
+    starts = [row[0] for row in rows]
+    positions = [row[2] for row in rows]
+    owner = np.array([row[3] for row in rows], dtype=np.intp)
+    s0, s1 = np.array([row[:2] for row in rows], dtype=float).reshape(-1, 2).T
     x, y = np.array(positions, dtype=float).reshape(-1, 2).T
+    longest = float((s1 - s0).max(initial=0.0))
     r2 = region_m * region_m
     # below ~1e-290 subnormal rounding could exceed the band: math.dist decides all
     inside, outside = (r2 * (1 - 1e-9), r2 * (1 + 1e-9)) if r2 > 1e-290 else (-1.0, math.inf)
@@ -685,16 +701,18 @@ def _anonymity_set_sizes(truth: TruthData, region_m: float) -> list[int]:
         start = rec.t
         end = rec.t + rec.silence_s
         cx, cy = rec.position
-        overlap = (s0 <= end) & (start <= s1)
+        lo = bisect.bisect_left(starts, start - longest - 1e-9 * (abs(start) + longest))
+        w = slice(lo, bisect.bisect_right(starts, end))
+        overlap = (s0[w] <= end) & (start <= s1[w])
         with np.errstate(over="ignore"):  # d2 overflowing to inf is never near
-            dx = x - cx
-            dy = y - cy
+            dx = x[w] - cx
+            dy = y[w] - cy
             d2 = dx * dx + dy * dy
         near = d2 < inside
-        members = set(owner[overlap & near].tolist())
+        members = set(owner[w][overlap & near].tolist())
         for k in np.flatnonzero(overlap & ~near & ~(d2 > outside)).tolist():
-            if math.dist((cx, cy), positions[k]) <= region_m:
-                members.add(owners[k])
+            if math.dist((cx, cy), positions[lo + k]) <= region_m:
+                members.add(owner[lo + k].item())
         sizes.append(max(1, len(members)))
     return sizes
 
@@ -728,9 +746,9 @@ def relabel_station_ids(
                 break
     out = ObservationStore()
     for o in store.observations:
-        out.add(replace(o, station_id=mapping[o.station_id]))
+        out.add(o._replace(station_id=mapping[o.station_id]))
     for n in store.notices:
-        out.add_notice(replace(n, station_id=mapping[n.station_id]))
+        out.add_notice(n._replace(station_id=mapping[n.station_id]))
     out.finalize()
     return out, mapping
 

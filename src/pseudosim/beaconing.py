@@ -2,19 +2,20 @@
 
 Cooperative awareness messages (CAMs) and event notifications (DENMs) are
 signed under per-application pseudonyms derived from authorization tickets.
-Each broadcast is one frozen record: an ``Observation`` for a CAM or DENM, a
-``NoticeSighting`` for a deactivation notice. The sender emits it, receivers
-fold its CAMs and notices into a local dynamic map (LDM) whose entries age
-out, and the eavesdropper and the trace keep the very same object. The
-quality metrics here (ghost, missing, awareness) measure what identifier
-churn does to the receivers' picture.
+Each broadcast is one ``NamedTuple`` (so it equals the plain tuple of its
+fields): an ``Observation`` for a CAM or DENM, a ``NoticeSighting`` for a
+deactivation notice. The sender emits it, receivers fold its CAMs and notices
+into a local dynamic map (LDM) whose entries age out, and the eavesdropper
+and the trace keep the very same object. The quality metrics here (ghost,
+missing, awareness) measure what identifier churn does to the receivers'
+picture.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping, Optional, Sequence
+from typing import AbstractSet, Mapping, NamedTuple, Optional, Sequence
 
 from .sba import AppScope, AuthorizationTicket
 
@@ -31,8 +32,7 @@ def station_id_for(ticket: AuthorizationTicket, scope: AppScope) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
-@dataclass(frozen=True, slots=True)
-class Observation:
+class Observation(NamedTuple):
     """One broadcast beacon as transmitted (reported position, not truth).
 
     ``scope`` is the application (``"CAM"`` or ``"DENM"``); an event
@@ -47,8 +47,7 @@ class Observation:
     quasi_ids: Optional[tuple[float, float]] = None  # vehicle length, width
 
 
-@dataclass(frozen=True, slots=True)
-class NoticeSighting:
+class NoticeSighting(NamedTuple):
     """Tells receivers an identifier is retiring so they can drop its entry.
 
     Sent at the moment of a pseudonym change, before any silence starts."""

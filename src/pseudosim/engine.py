@@ -7,8 +7,9 @@ tick grid, so the same config and seed reproduce a run byte for byte, whatever
 the host or degree of parallelism around it.
 
 Per vehicle, state that only events change is kept: its ``mobility.Leg``,
-strategy wake tick, pool's steady count and CAM ticket end. Each tick still
-steps it on its leg, runs its odometers and CAM due test, reads its LDM counters.
+strategy wake tick, pool's steady count, CAM ticket end and CAM station id.
+Each tick still steps it on its leg, runs its odometers and CAM due test,
+reads its LDM counters.
 
 Failures inside a run (denied tokens, starved pools, rejected locks) never
 raise out of the loop; they become counters in the run summary.
@@ -69,6 +70,7 @@ class _Vehicle:
     quasi_ids: tuple = ()  # length and width, as every CAM carries them
     wake_tick: float = 0  # the first tick the strategy phase must look at it
     cam_until: float = -math.inf  # the active CAM ticket's valid_until
+    cam_sid: str = ""  # and its station id
     first_cam_tick: Optional[int] = None  # the CAM id's first CAM since its activation
 
 
@@ -239,7 +241,7 @@ class SimulationEngine:
     def _close_span(self, veh: _Vehicle) -> None:
         """Write the CAM id's emit span; a reused id keeps its first-ever CAM."""
         if veh.first_cam_tick is not None:
-            sid = veh.station_ids[AppScope.CAM]
+            sid = veh.cam_sid
             first, _ = self.emit_span.get(sid, (veh.first_cam_tick * self.tick_s, None))
             self.emit_span[sid] = (first, veh.last_cam_tick * self.tick_s)
             veh.first_cam_tick = None
@@ -303,6 +305,7 @@ class SimulationEngine:
             new_ids[scope.value] = sid
         veh.active_until = min(t.valid_until for t in veh.active.values())
         veh.cam_until = veh.active[AppScope.CAM].valid_until
+        veh.cam_sid = veh.station_ids[AppScope.CAM]
 
         silence_s = self.cfg.policy.silence_s
         if old_ids:
@@ -475,13 +478,17 @@ class SimulationEngine:
 
     def _phase_beaconing(self, tick: int) -> None:
         now = tick * self.tick_s
-        sends = []  # (vehicle, scope)
+        sends = []  # (sender id, record, true position), in emission order
+        n_denms = 0
         for veh in self.roster:
             if tick < veh.silence_until_tick:
                 continue
+            pos = veh.kin.position
             if veh.last_cam_tick is None or tick - veh.last_cam_tick >= self.cam_period_ticks:
                 if now < veh.cam_until:  # the CAM ticket was valid when activated
-                    sends.append((veh, AppScope.CAM))
+                    obs = bcn.Observation(now, veh.cam_sid, "CAM", pos, veh.kin.velocity,
+                                          veh.quasi_ids)
+                    sends.append((veh.spec.vehicle_id, obs, pos))
                     veh.last_cam_tick = tick
                     if veh.first_cam_tick is None:
                         veh.first_cam_tick = tick
@@ -492,41 +499,36 @@ class SimulationEngine:
                 and (tick - veh.depart_tick) % self.denm_period_ticks == 0
                 and veh.active and veh.active[AppScope.DENM].is_valid_at(now)
             ):
-                sends.append((veh, AppScope.DENM))
+                sid = veh.station_ids[AppScope.DENM]
+                obs = bcn.Observation(now, sid, AppScope.DENM.value, pos)
+                sends.append((veh.spec.vehicle_id, obs, pos))
+                n_denms += 1
         # positioning noise: one draw of two per emission, in emission order, as
-        # ``mob.positioning_noise`` would; the empty outbox takes CAMs, then DENMs
+        # ``mob.positioning_noise`` would, taken as Python floats
         sigma = self.cfg.beaconing.positioning_sigma_m
-        noise = self.rng_noise.normal(0.0, sigma, size=(len(sends), 2)) if sigma and sends else None
-        denms = []
-        for i, (veh, scope) in enumerate(sends):
-            pos = x, y = veh.kin.position
-            if noise is not None:
-                pos = (x + noise[i, 0], y + noise[i, 1])
-            cam = scope is AppScope.CAM
-            motion = (veh.kin.velocity, veh.quasi_ids) if cam else ()
-            obs = bcn.Observation(now, veh.station_ids[scope], scope.value, pos, *motion)
-            (self.outbox if cam else denms).append((veh.spec.vehicle_id, obs, veh.kin.position))
-        if self.outbox:
-            self.bump("cams_sent", len(self.outbox))
-        if denms:
-            self.bump("denms_sent", len(denms))
-            self.outbox += denms
+        if sigma and sends:
+            noise = self.rng_noise.normal(0.0, sigma, (len(sends), 2)).tolist()
+            sends = [(vid, obs._replace(position=(true[0] + dx, true[1] + dy)), true)
+                     for (vid, obs, true), (dx, dy) in zip(sends, noise)]
+        if len(sends) > n_denms:
+            self.bump("cams_sent", len(sends) - n_denms)
+        if n_denms:  # the outbox takes CAMs, then DENMs, each in sender order
+            self.bump("denms_sent", n_denms)
+            sends.sort(key=lambda send: send[1].scope == "DENM")
+        self.outbox = sends
 
     def _phase_ingest(self, tick: int) -> None:
         # deletions land before refreshes: the notices by sender id then in
         # emission order (the sort is stable), then the beacons as emitted
-        ordered = sorted(self.notices, key=itemgetter(0)) + self.outbox
+        notices, beacons = sorted(self.notices, key=itemgetter(0)), self.outbox
         self.notices, self.outbox = [], []
-        receivers = []  # per message, ascending
-        for sender_id, msg, sender_pos in ordered:
-            if type(msg) is bcn.NoticeSighting:
-                self.eavesdropper.hear_notice(msg, sender_pos)
-            else:
-                self.eavesdropper.hear(msg, sender_pos)
-            if self.trace_rows is not None:
-                self.trace_rows.append(adv.trace_row(sender_id, msg))
+        self.eavesdropper.hear_all(notices, beacons)
+        if self.trace_rows is not None:
+            self.trace_rows += [adv.trace_row(vid, msg) for vid, msg, _ in chain(notices, beacons)]
+        receivers = []  # per notice, then per beacon if loss is drawn; ascending
+        for sender_id, _, sender_pos in notices:
             in_range = self.neighbors.get(sender_id)
-            if in_range is None:  # notice from a vehicle that finished this tick
+            if in_range is None:  # from a vehicle that finished this tick
                 in_range = mob.region_query(
                     {veh.spec.vehicle_id: veh.kin.position for veh in self.roster},
                     sender_pos,
@@ -536,6 +538,7 @@ class SimulationEngine:
         # one batch of loss draws, one per delivery in message then receiver order
         lost: dict[int, set] = {}  # message index -> the receivers that missed it
         if self.cfg.beaconing.loss_rate > 0.0:
+            receivers += [self.neighbors[sender_id] for sender_id, _, _ in beacons]
             counts = list(map(len, receivers))
             draws = self.rng_loss.random(sum(counts)) < self.cfg.beaconing.loss_rate
             hits = np.flatnonzero(draws)
@@ -545,15 +548,15 @@ class SimulationEngine:
                 lost.setdefault(m, set()).add(flat[k])
             if hits.size:
                 self.bump("messages_lost", hits.size)
-        # notices land before CAMs, as sorted; a DENM leaves every LDM as it is
-        for m, (sender_id, msg, _) in enumerate(ordered):
+        # notices land before CAMs; a DENM leaves every LDM as it is
+        for m, (_, msg, _) in enumerate(notices):
             missed = lost.get(m, _NO_LOSS)
-            if type(msg) is bcn.NoticeSighting:
-                for rid in receivers[m]:
-                    if rid not in missed:
-                        self.ldm.forget(rid, msg.station_id)
-            elif msg.scope == "CAM":
-                self.ldm.heard(sender_id, msg.station_id, missed, tick)
+            for rid in receivers[m]:
+                if rid not in missed:
+                    self.ldm.forget(rid, msg.station_id)
+        for m, (sender_id, msg, _) in enumerate(beacons, len(notices)):
+            if msg.scope == "CAM":
+                self.ldm.heard(sender_id, msg.station_id, lost.get(m, _NO_LOSS), tick)
         # truth-referenced quality samples, read in roster order
         ghosts = missing = 0
         for node in self.ldm.roster:

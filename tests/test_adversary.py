@@ -642,6 +642,37 @@ def test_anonymity_set_counts_points_on_the_radius():
     assert anonymity_sizes_loop(changes, silence_of, 500.0) == [4]
 
 
+@st.composite
+def _silences_on_a_clock(draw):
+    """Changes on a 0.1 s clock, each with its silence interval as the engine keeps it.
+
+    Starts coincide, silences may all be zero, an interval may end on the
+    float another one starts at (0.1 + 0.2 is 3 * 0.1), and change positions
+    lie on, just inside and just outside the radius of one another.
+    """
+    silences = [0.0] if draw(st.booleans()) else [0.0, 0.1, 0.2, 1.2000000010000003, 2.0]
+    spot = st.sampled_from([(0.0, 0.0), *_RADIUS_OFFSETS])
+    changes, silence_of = [], {}
+    for vid in range(1, draw(st.integers(2, 6)) + 1):
+        for _ in range(draw(st.integers(1, 3))):
+            t = draw(st.integers(0, 12)) * 0.1
+            silence_s, pos = draw(st.sampled_from(silences)), draw(spot)
+            changes.append(SimpleNamespace(t=t, silence_s=silence_s, position=pos,
+                                           old_ids={"CAM": "x"}))
+            silence_of.setdefault(vid, []).append((t, t + silence_s, pos))
+    return changes, silence_of
+
+
+@given(_silences_on_a_clock())
+@settings(max_examples=settings.default.max_examples * 5 // 2)  # 150 at the default profile
+def test_anonymity_window_matches_the_interval_loop(silences):
+    changes, silence_of = silences
+    truth = truth_for({}, [], changes, silence_of)
+    assert adv._anonymity_set_sizes(truth, 500.0) == anonymity_sizes_loop(
+        changes, silence_of, 500.0
+    )
+
+
 # --- relabeling and trace replay ------------------------------------------------------
 
 
@@ -702,13 +733,14 @@ _xy = st.tuples(_num, _num)
 _sid = st.text("0123456789abcdef", min_size=1, max_size=16)
 _broadcasts = st.lists(st.one_of(
     st.builds(Observation, _num, _sid, st.just("CAM"), _xy, _xy, st.none() | _xy),
-    st.builds(Observation, _num, _sid, st.just("DENM"), _xy),
+    # a NamedTuple's defaulted fields would be drawn too: a DENM carries no motion
+    st.builds(Observation, _num, _sid, st.just("DENM"), _xy, st.just((0.0, 0.0)), st.none()),
     st.builds(NoticeSighting, _num, _sid, st.sampled_from(["CAM", "DENM"])),
 ), max_size=30)
 
 
 @given(_broadcasts, st.integers(0, 99))
-@settings(max_examples=150)
+@settings(max_examples=settings.default.max_examples * 5 // 2)  # 150 at the default profile
 def test_trace_row_round_trips_through_load_trace(tmp_path_factory, records, sender):
     # the rows as ``pseudosim run --trace`` writes them
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"

@@ -65,9 +65,12 @@ def _supply(draw):
     with tickets as long-lived as the defaults, lapsing every few changes or
     lapsing before a 2 s change interval, staggered or all at once (then a
     change can find no valid ticket, and the vehicle's due CAMs are not sent
-    until a later change succeeds). A 20-ticket pool keeps the default
-    lifetime; with a batch cap of 1 the 16 provisioning calls of one top-up
-    cannot fill it, so ``replenish_gave_up`` fires.
+    until a later change succeeds). An enrolment certificate may last 3 s,
+    less than most runs: once it expires every provisioning call fails, in a
+    change or in a top-up of ``_phase_sba``, and the pool runs dry. A
+    20-ticket pool keeps the default lifetime; with a batch cap of 1 the 16
+    provisioning calls of one top-up cannot fill it, so ``replenish_gave_up``
+    fires.
     """
     floor = draw(st.sampled_from([2, 3]))
     size = draw(st.sampled_from([floor, floor + 1, 6, 20]))
@@ -77,7 +80,9 @@ def _supply(draw):
         return pool, draw(st.sampled_from([{}, {"at_batch_cap": 1}]))
     return pool, draw(st.sampled_from([{}, {"at_lifetime_s": 6.0, "at_stagger_s": 1.0},
                                        {"at_lifetime_s": 1.5, "at_stagger_s": 0.5},
-                                       {"at_lifetime_s": 1.5}]))
+                                       {"at_lifetime_s": 1.5},
+                                       {"at_lifetime_s": 1.5, "at_stagger_s": 0.5,
+                                        "ec_lifetime_s": 3.0}]))
 
 
 _SPEEDS = [1.0, 2.0, 3.0, 4.0, 8.0, 16.0, 24.0, 30.0]
@@ -222,8 +227,14 @@ def check_invariants(config, result) -> None:
     in trace order, and they account for every beacon's station id: until a
     vehicle's first change it beacons under that change's old ids, after a
     change under its new ids, and not at all inside the change's silence.
+    Unless a provisioning call failed or gave up, or a change found no
+    ticket, every pool kept ``min_concurrent_valid`` valid tickets.
     """
     summary, rows = result.summary, result.trace_rows
+    short = [key for key in summary["counters"] if key.startswith("replenish_failed_")
+             or key in ("replenish_gave_up", "change_starved")]
+    if not short:
+        assert summary["safety"]["min_valid_tickets"] >= config.pool.min_concurrent_valid
     for kind, counter in (("CAM", "cams_sent"), ("DENM", "denms_sent")):
         assert summary["counters"].get(counter, 0) == sum(row["kind"] == kind for row in rows)
     assert summary["safety"]["sybil_violations"] == 0

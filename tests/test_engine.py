@@ -290,3 +290,14 @@ def test_periodic_change_is_due_on_the_first_tick_the_float_test_passes():
                                                "interval_s": 1.2000000010000003})
     result = run_scenario(cfg)
     assert [int(round(rec.t / 0.1)) for rec in result.change_records] == [12, 24, 36, 48]
+
+
+def test_noisy_positions_are_stored_as_python_floats():
+    # as ``load_trace`` reads them back: the noise draw's rows become floats
+    cfg = base_config(duration_s=2.0, beaconing={
+        "cam_freq_hz": 10.0, "positioning_sigma_m": 1.0, "loss_rate": 0.0, "denm_interval_s": 1.0,
+    })
+    store = run_scenario(cfg).store
+    assert {o.scope for o in store.observations} == {"CAM", "DENM"}
+    assert all(type(v) is float for o in store.observations for v in o.position)
+    assert any(o.position[1] != 0.0 for o in store.observations)
