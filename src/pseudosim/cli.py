@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 for I/O problems, 2 for validation problems.
 All outputs are deterministic byte for byte for a given input, including
 sweeps run with process parallelism: workers may finish in any order but
-results are written in configuration order.
+results are written in configuration order. Runs of one invocation that share
+a seed run as one task under one ``sba.shared_credentials`` scope.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, load_scenario
 from .engine import run_job, run_scenario
+from .sba import shared_credentials
 
 METRIC_COLUMNS = [
     "kind",
@@ -172,11 +174,11 @@ def _load_sweep_spec(path: str) -> tuple[dict, dict, int, int]:
         violations.append("axes: must map dotted config paths to non-empty arrays")
         axes = {}
     reps = spec.get("replications", 1)
-    if not isinstance(reps, int) or reps < 1:
+    if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
         violations.append("replications: must be a positive integer")
         reps = 1
     seed_base = spec.get("seed_base", 0)
-    if not isinstance(seed_base, int) or seed_base < 0:
+    if isinstance(seed_base, bool) or not isinstance(seed_base, int) or seed_base < 0:
         violations.append("seed_base: must be a non-negative integer")
         seed_base = 0
     if violations:
@@ -208,23 +210,45 @@ def plan_sweep(base: dict, axes: dict, reps: int, seed_base: int) -> list[dict]:
     return jobs
 
 
-def _execute_jobs(jobs: list[dict], parallel: int) -> list[tuple[str, dict]]:
+def plan_tasks(configs: list[dict], parallel: int) -> list[list[int]]:
+    """Config indices grouped by seed, groups in order of first appearance.
+
+    The largest task is halved until there are min(parallel, len(configs))
+    tasks, so a sweep with fewer seeds than workers keeps every worker busy.
+    """
+    by_seed: dict[int, list[int]] = {}
+    for i, config in enumerate(configs):
+        by_seed.setdefault(config["seed"], []).append(i)
+    tasks = list(by_seed.values())
+    while len(tasks) < min(parallel, len(configs)):
+        largest = max(tasks, key=len)
+        at, half = tasks.index(largest), len(largest) // 2
+        tasks[at : at + 1] = [largest[:half], largest[half:]]
+    return tasks
+
+
+def _run_task(configs: list[dict]) -> list[tuple[str, dict]]:
+    """Run ``configs`` in order under one credential scope, closed at the end."""
+    with shared_credentials():
+        return [run_job(config) for config in configs]
+
+
+def _execute_jobs(configs: list[dict], parallel: int) -> list[tuple[str, dict]]:
+    tasks = plan_tasks(configs, parallel)
+    task_configs = [[configs[i] for i in task] for task in tasks]
     if parallel <= 1:
-        return [run_job(job["config"]) for job in jobs]
-    results: list = [None] * len(jobs)
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
-        futures = {
-            pool.submit(run_job, job["config"]): i for i, job in enumerate(jobs)
-        }
-        for future in futures:
-            results[futures[future]] = future.result()
-    return results
+        outputs = map(_run_task, task_configs)
+    else:
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            outputs = list(pool.map(_run_task, task_configs))
+    done = dict(zip(itertools.chain(*tasks), itertools.chain.from_iterable(outputs)))
+    return [done[i] for i in range(len(configs))]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base, axes, reps, seed_base = _load_sweep_spec(args.spec)
     jobs = plan_sweep(base, axes, reps, seed_base)
-    results = _execute_jobs(jobs, args.parallel)
+    results = _execute_jobs([job["config"] for job in jobs], args.parallel)
 
     os.makedirs(args.out, exist_ok=True)
     summaries_dir = os.path.join(args.out, "summaries")
@@ -274,6 +298,8 @@ def _comparable_view(canonical: dict) -> dict:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if args.reps < 1:
+        raise ConfigError(["reps: must be a positive integer"])
     configs = [load_scenario(path) for path in args.configs]
     if len(configs) < 2:
         raise ConfigError(["compare: need at least two configs"])
@@ -284,24 +310,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 [f"compare: {path} differs from {args.configs[0]} outside policy fields"]
             )
 
+    results = _execute_jobs(
+        [{**cfg.canonical_dict(), "seed": cfg.seed + rep}
+         for cfg in configs for rep in range(args.reps)],
+        args.parallel,
+    )
+
     rows: list[dict] = []
     report = []
-    for path, cfg in zip(args.configs, configs):
-        jobs = []
-        for rep in range(args.reps):
-            obj = cfg.canonical_dict()
-            obj["seed"] = cfg.seed + rep
-            jobs.append({"cell_idx": 0, "rep": rep, "params": {}, "config": obj})
-        results = _execute_jobs(jobs, args.parallel)
-        cfg_rows = []
-        for job, (_, summary) in zip(jobs, results):
-            row = summary_to_row(
+    for k, (path, cfg) in enumerate(zip(args.configs, configs)):
+        cfg_rows = [
+            summary_to_row(
                 summary,
-                run_id=f"{cfg.name}-r{job['rep']:03d}",
+                run_id=f"{cfg.name}-r{rep:03d}",
                 cell=cfg.name,
                 params={"config": os.path.basename(path)},
             )
-            cfg_rows.append(row)
+            for rep, (_, summary) in enumerate(results[k * args.reps : (k + 1) * args.reps])
+        ]
         rows.extend(cfg_rows)
         aggregates = _aggregate_rows(cfg_rows, cfg.name, cfg_rows[0]["params"])
         rows.extend(aggregates)

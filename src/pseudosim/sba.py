@@ -18,9 +18,11 @@ import base64
 import hashlib
 import hmac as hmac_mod
 import json
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -100,6 +102,54 @@ class ProvisioningError(SbaError):
     pass
 
 
+# --- shared credential primitives ------------------------------------------
+
+_T = TypeVar("_T")
+
+
+class CredentialScope:
+    """Memo of Ed25519 and X25519 key loads, signatures and key exchanges.
+
+    Every entry is keyed by algorithm, private key bytes and the exact input
+    bytes, so a hit returns what the computation would. Verification has no
+    entry here: every check runs in every run.
+    """
+
+    def __init__(self):
+        self._results: dict[tuple, object] = {}
+
+    def once(self, key: tuple, compute: Callable[..., _T], *args) -> _T:
+        """``compute(*args)``, computed once per ``key`` while the scope lives."""
+        results = self._results
+        if key not in results:
+            results[key] = compute(*args)
+        return results[key]
+
+
+_ACTIVE_SCOPE: ContextVar[Optional[CredentialScope]] = ContextVar(
+    "pseudosim_credential_scope", default=None
+)
+
+
+@contextmanager
+def shared_credentials() -> Iterator[None]:
+    """Signers and keystores built inside share one :class:`CredentialScope`.
+
+    Open one per group of runs: the scope keeps every result until its last
+    signer or keystore is gone.
+    """
+    token = _ACTIVE_SCOPE.set(CredentialScope())
+    try:
+        yield
+    finally:
+        _ACTIVE_SCOPE.reset(token)
+
+
+def _current_scope() -> CredentialScope:
+    """The open scope, or a fresh one private to the caller."""
+    return _ACTIVE_SCOPE.get() or CredentialScope()
+
+
 # --- subscriber identity ----------------------------------------------------
 
 
@@ -143,25 +193,32 @@ class HomeNetworkKeystore:
     """
 
     def __init__(self, seed: int):
-        self._keys: dict[str, X25519PrivateKey] = {}
+        self._keys: dict[str, bytes] = {}  # key id -> X25519 private bytes
         self._seed = seed
+        self._scope = _current_scope()
 
     def create_key(self, key_id: str) -> HomeKey:
         if key_id in self._keys:
             raise ConcealmentError("duplicate_key_id", key_id)
-        priv = X25519PrivateKey.from_private_bytes(
-            derive_bytes(self._seed, f"home-key:{key_id}", 32)
-        )
-        self._keys[key_id] = priv
+        self._keys[key_id] = derive_bytes(self._seed, f"home-key:{key_id}", 32)
         return self.public_key(key_id)
 
     def public_key(self, key_id: str) -> HomeKey:
         if key_id not in self._keys:
             raise ConcealmentError("unknown_key_id", key_id)
-        raw = self._keys[key_id].public_key().public_bytes(
+        raw = self._load(self._keys[key_id]).public_key().public_bytes(
             Encoding.Raw, PublicFormat.Raw
         )
         return HomeKey(key_id=key_id, public_bytes=raw)
+
+    def _load(self, raw: bytes) -> X25519PrivateKey:
+        return self._scope.once(("x25519", raw), X25519PrivateKey.from_private_bytes, raw)
+
+    def _exchange(self, raw: bytes, peer_public: bytes) -> bytes:
+        return self._scope.once(
+            ("x25519-exchange", raw, peer_public),
+            lambda: self._load(raw).exchange(X25519PublicKey.from_public_bytes(peer_public)),
+        )
 
     def conceal_supi(self, supi: Supi, home_key: HomeKey, nonce: bytes) -> Suci:
         """Conceal ``supi`` under ``home_key`` using a caller-chosen nonce.
@@ -173,13 +230,9 @@ class HomeNetworkKeystore:
             raise ConcealmentError("unknown_key_id", home_key.key_id)
         if not nonce:
             raise ConcealmentError("empty_nonce")
-        eph_priv = X25519PrivateKey.from_private_bytes(
-            hashlib.sha256(b"ephemeral:" + nonce).digest()
-        )
-        eph_pub = eph_priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        shared = eph_priv.exchange(
-            X25519PublicKey.from_public_bytes(home_key.public_bytes)
-        )
+        eph_raw = hashlib.sha256(b"ephemeral:" + nonce).digest()
+        eph_pub = self._load(eph_raw).public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+        shared = self._exchange(eph_raw, home_key.public_bytes)
         stream = hashlib.sha256(shared + eph_pub).digest()[:SUPI_LEN]
         masked = bytes(a ^ b for a, b in zip(supi.value, stream))
         return Suci(ciphertext=eph_pub + masked, key_id=home_key.key_id)
@@ -191,9 +244,7 @@ class HomeNetworkKeystore:
             raise ConcealmentError("malformed_ciphertext")
         eph_pub = suci.ciphertext[:X25519_PUBLIC_LEN]
         masked = suci.ciphertext[X25519_PUBLIC_LEN:]
-        shared = self._keys[suci.key_id].exchange(
-            X25519PublicKey.from_public_bytes(eph_pub)
-        )
+        shared = self._exchange(self._keys[suci.key_id], eph_pub)
         stream = hashlib.sha256(shared + eph_pub).digest()[:SUPI_LEN]
         return Supi(bytes(a ^ b for a, b in zip(masked, stream)))
 
@@ -217,16 +268,20 @@ class MacTokenSigner:
 
 
 class AsymmetricTokenSigner:
-    """Ed25519; producers only need the public half."""
+    """Ed25519; producers only need the public half. Signing is memoized, verifying never."""
 
     scheme = SCHEME_ASYMMETRIC
 
     def __init__(self, private_bytes: bytes):
-        self._priv = Ed25519PrivateKey.from_private_bytes(private_bytes)
+        self._scope = _current_scope()
+        self._raw = private_bytes
+        self._priv = self._scope.once(
+            ("ed25519", private_bytes), Ed25519PrivateKey.from_private_bytes, private_bytes
+        )
         self._pub = self._priv.public_key()
 
     def sign(self, data: bytes) -> bytes:
-        return self._priv.sign(data)
+        return self._scope.once(("ed25519-sign", self._raw, data), self._priv.sign, data)
 
     def verify(self, data: bytes, signature: bytes) -> bool:
         try:
@@ -578,8 +633,13 @@ class EnrollmentCertificate:
     valid_until: float
     issuer_signature: bytes
 
+    @staticmethod
+    def payload(ec_id: str, subject_digest: str, issued_at: float, valid_until: float) -> bytes:
+        """The bytes the EA signs, from the fields before there is a signature."""
+        return f"{ec_id}|{subject_digest}|{issued_at:.6f}|{valid_until:.6f}".encode()
+
     def signed_payload(self) -> bytes:
-        return f"{self.ec_id}|{self.subject_digest}|{self.issued_at:.6f}|{self.valid_until:.6f}".encode()
+        return self.payload(self.ec_id, self.subject_digest, self.issued_at, self.valid_until)
 
 
 @dataclass(frozen=True)
@@ -592,9 +652,16 @@ class AuthorizationTicket:
     valid_until: float
     issuer_signature: bytes
 
+    @staticmethod
+    def payload(
+        at_id: str, app_permissions: tuple[str, ...], valid_from: float, valid_until: float
+    ) -> bytes:
+        """The bytes the AA signs, from the fields before there is a signature."""
+        perms = ",".join(app_permissions)
+        return f"{at_id}|{perms}|{valid_from:.6f}|{valid_until:.6f}".encode()
+
     def signed_payload(self) -> bytes:
-        perms = ",".join(self.app_permissions)
-        return f"{self.at_id}|{perms}|{self.valid_from:.6f}|{self.valid_until:.6f}".encode()
+        return self.payload(self.at_id, self.app_permissions, self.valid_from, self.valid_until)
 
     def is_valid_at(self, now: float) -> bool:
         return self.valid_from <= now < self.valid_until
@@ -640,16 +707,12 @@ class EnrolmentAuthority:
             raise EnrollmentError("replayed_concealment")
         self._seen_ephemerals.add(ephemeral)
         self._counter += 1
-        cert = EnrollmentCertificate(
-            ec_id=f"ec-{self._counter:06d}",
-            subject_digest=hashlib.sha256(b"subject:" + supi.value).hexdigest()[:32],
-            issued_at=now,
-            valid_until=now + self._ec_lifetime_s,
-            issuer_signature=b"",
-        )
-        cert = replace(cert, issuer_signature=self._signer.sign(cert.signed_payload()))
-        self._issued[cert.ec_id] = cert.subject_digest
-        return cert
+        ec_id = f"ec-{self._counter:06d}"
+        subject = hashlib.sha256(b"subject:" + supi.value).hexdigest()[:32]
+        until = now + self._ec_lifetime_s
+        signature = self._signer.sign(EnrollmentCertificate.payload(ec_id, subject, now, until))
+        self._issued[ec_id] = subject
+        return EnrollmentCertificate(ec_id, subject, now, until, signature)
 
 
 class AuthorizationAuthority:
@@ -705,19 +768,14 @@ class AuthorizationAuthority:
             raise ProvisioningError("batch_cap_exceeded", str(count))
         if not app_permissions:
             raise ProvisioningError("empty_permissions")
+        perms = tuple(app_permissions)
         batch: list[AuthorizationTicket] = []
         for i in range(count):
             at_id = self._next_at_id()
-            ticket = AuthorizationTicket(
-                at_id=at_id,
-                app_permissions=tuple(app_permissions),
-                valid_from=now,
-                valid_until=now + self._at_lifetime_s + i * self._at_stagger_s,
-                issuer_signature=b"",
-            )
-            ticket = replace(ticket, issuer_signature=self._signer.sign(ticket.signed_payload()))
+            until = now + self._at_lifetime_s + i * self._at_stagger_s
+            signature = self._signer.sign(AuthorizationTicket.payload(at_id, perms, now, until))
             self._ledger[at_id] = cert.ec_id
-            batch.append(ticket)
+            batch.append(AuthorizationTicket(at_id, perms, now, until, signature))
         return batch
 
 
@@ -741,8 +799,11 @@ class ServiceBasedCore:
 
     One instance per simulation run. All key material is derived from the run
     seed, so two cores built with the same seed and config behave identically.
-    The object is self-contained (no process-global state) and can be handed
-    between threads, though its methods are not themselves thread-safe.
+    Its only state outside itself is the :func:`shared_credentials` scope open
+    when it is built, which memoizes key loads, signatures and key exchanges
+    (never a verification, a ledger or a counter); outside any scope it gets
+    fresh memos of its own. It can be handed between threads, though its
+    methods are not themselves thread-safe.
     """
 
     def __init__(self, seed: int, config: Optional[SbaConfig] = None):

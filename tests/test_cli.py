@@ -1,8 +1,13 @@
+import collections
 import csv
 import json
 import math
 
-from pseudosim import cli, run_scenario
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pseudosim import cli, run_scenario, sba
 from pseudosim.adversary import link, load_trace
 
 
@@ -180,6 +185,133 @@ def test_sweep_parallel_matches_serial(tmp_path):
         ).read_bytes()
 
 
+def silence_sweep_jobs(scenarios_dir, tmp_path, replications):
+    """The checked-in silence sweep cut to ``replications``: (spec path, jobs)."""
+    path = scenarios_dir / "sweeps" / "silence_sweep.json"
+    spec = json.loads(path.read_text())
+    spec["base"] = str((path.parent / spec["base"]).resolve())
+    spec["replications"] = replications
+    spec_path = tmp_path / "silence.json"
+    spec_path.write_text(json.dumps(spec))
+    return str(spec_path), cli.plan_sweep(*cli._load_sweep_spec(str(spec_path)))
+
+
+def test_sweep_summaries_equal_runs_alone(silence_sweep, scenarios_dir, tmp_path):
+    spec, jobs = silence_sweep_jobs(scenarios_dir, tmp_path, replications=2)
+    serial = tmp_path / "serial"
+    assert cli.main(["sweep", "--spec", spec, "--out", str(serial)]) == 0
+    assert sba._ACTIVE_SCOPE.get() is None
+    assert {(job["cell_idx"], job["rep"]) for job in jobs} == {
+        (c, r) for c in range(4) for r in range(2)
+    }
+    for job in jobs:
+        alone = run_scenario(job["config"]).summary_json()
+        name = f"c{job['cell_idx']:03d}r{job['rep']:03d}.summary.json"
+        for out in (silence_sweep, serial):
+            assert (out / "summaries" / name).read_text(encoding="utf-8") == alone, name
+
+
+@pytest.fixture
+def ed25519_calls(monkeypatch):
+    """Counts the Ed25519 key loads, signatures and verifications sba makes."""
+    calls = collections.Counter()
+    real = sba.Ed25519PrivateKey
+
+    class CountingPublicKey:
+        def __init__(self, key):
+            self._key = key
+
+        def verify(self, signature, data):
+            calls["verify"] += 1
+            return self._key.verify(signature, data)
+
+    class CountingPrivateKey:
+        def __init__(self, key):
+            self._key = key
+
+        @classmethod
+        def from_private_bytes(cls, raw):
+            calls["load"] += 1
+            return cls(real.from_private_bytes(raw))
+
+        def sign(self, data):
+            calls["sign"] += 1
+            return self._key.sign(data)
+
+        def public_key(self):
+            return CountingPublicKey(self._key.public_key())
+
+    monkeypatch.setattr(sba, "Ed25519PrivateKey", CountingPrivateKey)
+    return calls
+
+
+def test_sweep_shares_signatures_but_verifies_every_run(
+    scenarios_dir, tmp_path, ed25519_calls
+):
+    spec, jobs = silence_sweep_jobs(scenarios_dir, tmp_path, replications=2)
+    alone = collections.Counter()
+    for job in jobs:
+        ed25519_calls.clear()
+        run_scenario(job["config"])
+        alone.update(ed25519_calls)
+
+    ed25519_calls.clear()
+    assert cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")]) == 0
+    assert ed25519_calls["verify"] == alone["verify"] > 0
+    # four cells per seed: each group signs and loads keys as one run does
+    assert ed25519_calls["sign"] * 4 == alone["sign"]
+    assert ed25519_calls["load"] * 4 == alone["load"]
+
+
+def test_credential_scope_ends_with_its_group(tmp_path, monkeypatch, ed25519_calls):
+    spec = write_sweep_spec(tmp_path)
+    scopes = []
+    run_job = cli.run_job
+
+    def recording_run_job(config):
+        scopes.append((config["seed"], sba._ACTIVE_SCOPE.get()))
+        return run_job(config)
+
+    monkeypatch.setattr(cli, "run_job", recording_run_job)
+    signs = []
+    for _ in range(2):
+        ed25519_calls.clear()
+        assert cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")]) == 0
+        signs.append(ed25519_calls["sign"])
+    assert signs[0] == signs[1] > 0  # the second sweep computes afresh
+    assert sba._ACTIVE_SCOPE.get() is None
+
+    # one scope per seed group: groups in order of first appearance, a new
+    # scope for each group of each sweep
+    assert [seed for seed, _ in scopes] == [7, 7, 8, 8] * 2
+    assert all(scope is not None for _, scope in scopes)
+    groups = [scopes[i][1] for i in range(0, 8, 2)]
+    assert [scopes[i + 1][1] for i in range(0, 8, 2)] == groups
+    assert len({id(scope) for scope in groups}) == 4
+
+    counts = []
+    for _ in range(2):
+        ed25519_calls.clear()
+        run_scenario(tiny_config())
+        counts.append(ed25519_calls["sign"])
+    assert counts[0] == counts[1] > 0
+
+
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=6), max_size=40),
+    parallel=st.integers(min_value=1, max_value=12),
+)
+def test_plan_tasks_groups_by_seed_without_losing_workers(seeds, parallel):
+    tasks = cli.plan_tasks([{"seed": seed} for seed in seeds], parallel)
+    assert sorted(i for task in tasks for i in task) == list(range(len(seeds)))
+    assert len(tasks) >= min(parallel, len(seeds))
+    assert all(len({seeds[i] for i in task}) == 1 for task in tasks)
+    if len(set(seeds)) >= parallel:
+        assert len(tasks) == len(set(seeds))
+        firsts = [task[0] for task in tasks]
+        assert firsts == sorted(firsts)  # order of first appearance
+
+
 def test_sweep_axis_path_must_exist(tmp_path, capsys):
     spec = write_sweep_spec(tmp_path, axes={"nosuch.deep": [1]})
     rc = cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")])
@@ -192,6 +324,15 @@ def test_sweep_rejects_unknown_spec_field(tmp_path, capsys):
     rc = cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "config error: bogus: unknown field" in capsys.readouterr().err
+
+
+def test_sweep_rejects_boolean_counts(tmp_path, capsys):
+    spec = write_sweep_spec(tmp_path, replications=True, seed_base=True)
+    rc = cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: replications: must be a positive integer" in err
+    assert "config error: seed_base: must be a non-negative integer" in err
 
 
 def test_sweep_missing_base_file(tmp_path, capsys):
@@ -209,6 +350,16 @@ def test_compare_needs_two_configs(tmp_path, capsys):
     rc = cli.main(["compare", "--configs", cfg_path, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "need at least two configs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_compare_rejects_non_positive_reps(tmp_path, capsys, reps):
+    a = write_config(tmp_path, "a.json", tiny_config(name="a"))
+    b = write_config(tmp_path, "b.json", tiny_config(name="b"))
+    rc = cli.main(["compare", "--configs", a, b, "--out", str(tmp_path / "out"),
+                   "--reps", reps])
+    assert rc == 2
+    assert "config error: reps: must be a positive integer" in capsys.readouterr().err
 
 
 def test_compare_rejects_non_policy_difference(tmp_path, capsys):

@@ -34,6 +34,7 @@ from pseudosim.sba import (
     authorize_service_request,
     issue_token,
     parse_token,
+    shared_credentials,
     verify_access_token,
 )
 
@@ -421,6 +422,33 @@ def test_provision_batch_denials():
     with pytest.raises(ProvisioningError) as err:
         core.provision_ticket_batch(cert, 1, (), now=1.0)
     assert err.value.reason == "empty_permissions"
+
+
+def test_shared_scope_never_serves_a_verification():
+    with shared_credentials():
+        first = ServiceBasedCore(seed=7)
+        second = ServiceBasedCore(seed=7)  # same keys, so it signs from the scope
+        supi = make_supi()
+        certs = []
+        for core in (first, second):
+            core.add_subscriber(supi)
+            cert = core.enroll_vehicle(supi, b"n", now=0.0)
+            core.provision_ticket_batch(cert, 1, ("CAM",), now=0.0)  # verifies
+            certs.append(cert)
+        assert certs[0] == certs[1]
+
+        cert = certs[0]
+        tampered = [
+            EnrollmentCertificate(cert.ec_id, "f" * 32, cert.issued_at,
+                                  cert.valid_until, cert.issuer_signature),
+            EnrollmentCertificate(cert.ec_id, cert.subject_digest, cert.issued_at,
+                                  cert.valid_until, bytes(64)),
+        ]
+        for core in (first, second):
+            for forged in tampered:
+                with pytest.raises(ProvisioningError) as err:
+                    core.provision_ticket_batch(forged, 1, ("CAM",), now=0.0)
+                assert err.value.reason == "bad_certificate_signature"
 
 
 def test_ea_token_cached_and_refreshed():
