@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import ConfigError, load_scenario
+from .config import ConfigError, ScenarioConfig, load_scenario
 from .engine import run_job, run_scenario
 from .sba import shared_credentials
 
@@ -187,7 +187,7 @@ def _load_sweep_spec(path: str) -> tuple[dict, dict, int, int]:
 
 
 def plan_sweep(base: dict, axes: dict, reps: int, seed_base: int) -> list[dict]:
-    """Every (cell, replication) as a config dict, in deterministic order."""
+    """Every (cell, replication) with its validated config, in deterministic order."""
     axis_names = sorted(axes)
     cells = list(itertools.product(*(axes[a] for a in axis_names))) or [()]
     jobs = []
@@ -198,43 +198,42 @@ def plan_sweep(base: dict, axes: dict, reps: int, seed_base: int) -> list[dict]:
             for dotted, value in params.items():
                 _apply_override(config, dotted, value)
             config["seed"] = seed_base + rep
-            load_scenario(config)  # validate before any run starts
             jobs.append(
                 {
                     "cell_idx": cell_idx,
                     "rep": rep,
                     "params": params,
-                    "config": config,
+                    "config": load_scenario(config),  # before any run starts
                 }
             )
     return jobs
 
 
-def plan_tasks(configs: list[dict], parallel: int) -> list[list[int]]:
-    """Config indices grouped by seed, groups in order of first appearance.
+def plan_tasks(seeds: list[int], parallel: int) -> list[list[int]]:
+    """Run indices grouped by seed, groups in order of first appearance.
 
-    The largest task is halved until there are min(parallel, len(configs))
+    The largest task is halved until there are min(parallel, len(seeds))
     tasks, so a sweep with fewer seeds than workers keeps every worker busy.
     """
     by_seed: dict[int, list[int]] = {}
-    for i, config in enumerate(configs):
-        by_seed.setdefault(config["seed"], []).append(i)
+    for i, seed in enumerate(seeds):
+        by_seed.setdefault(seed, []).append(i)
     tasks = list(by_seed.values())
-    while len(tasks) < min(parallel, len(configs)):
+    while len(tasks) < min(parallel, len(seeds)):
         largest = max(tasks, key=len)
         at, half = tasks.index(largest), len(largest) // 2
         tasks[at : at + 1] = [largest[:half], largest[half:]]
     return tasks
 
 
-def _run_task(configs: list[dict]) -> list[tuple[str, dict]]:
+def _run_task(configs: list[ScenarioConfig]) -> list[tuple[str, dict]]:
     """Run ``configs`` in order under one credential scope, closed at the end."""
     with shared_credentials():
         return [run_job(config) for config in configs]
 
 
-def _execute_jobs(configs: list[dict], parallel: int) -> list[tuple[str, dict]]:
-    tasks = plan_tasks(configs, parallel)
+def _execute_jobs(configs: list[ScenarioConfig], parallel: int) -> list[tuple[str, dict]]:
+    tasks = plan_tasks([config.seed for config in configs], parallel)
     task_configs = [[configs[i] for i in task] for task in tasks]
     if parallel <= 1:
         outputs = map(_run_task, task_configs)
@@ -311,8 +310,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
 
     results = _execute_jobs(
-        [{**cfg.canonical_dict(), "seed": cfg.seed + rep}
-         for cfg in configs for rep in range(args.reps)],
+        [cfg.with_seed(cfg.seed + rep) for cfg in configs for rep in range(args.reps)],
         args.parallel,
     )
 

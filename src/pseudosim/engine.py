@@ -679,7 +679,7 @@ def run_scenario(
     return SimulationEngine(config, collect_trace=collect_trace).run()
 
 
-def run_job(config_dict: dict) -> tuple[str, dict]:
+def run_job(config: ScenarioConfig) -> tuple[str, dict]:
     """Worker entry point for process pools: returns (summary json, summary)."""
-    result = run_scenario(config_dict)
+    result = run_scenario(config)
     return result.summary_json(), result.summary

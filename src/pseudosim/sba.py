@@ -20,8 +20,9 @@ import hmac as hmac_mod
 import json
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from cryptography.exceptions import InvalidSignature
@@ -268,7 +269,12 @@ class MacTokenSigner:
 
 
 class AsymmetricTokenSigner:
-    """Ed25519; producers only need the public half. Signing is memoized, verifying never."""
+    """Ed25519; producers only need the public half. Signing is memoized, verifying never.
+
+    The AA's signer signs a ticket only when its ``issuer_signature`` is first
+    read, so a run signs enrolment certificates, and tokens under
+    ``sig_scheme: asymmetric``, but no ticket.
+    """
 
     scheme = SCHEME_ASYMMETRIC
 
@@ -644,13 +650,19 @@ class EnrollmentCertificate:
 
 @dataclass(frozen=True)
 class AuthorizationTicket:
-    """Short-lived pseudonymous credential; at_id is the over-the-air handle."""
+    """Short-lived pseudonymous credential; at_id is the over-the-air handle.
+
+    The AA's signature is made on the first read of ``issuer_signature``, not
+    at issue: Ed25519 is deterministic, so it is the same bytes either way,
+    and a run reads none. ``signer`` takes no part in equality, hashing or
+    ``repr``, so none of them signs.
+    """
 
     at_id: str
     app_permissions: tuple[str, ...]
     valid_from: float
     valid_until: float
-    issuer_signature: bytes
+    signer: AsymmetricTokenSigner = field(repr=False, compare=False)
 
     @staticmethod
     def payload(
@@ -662,6 +674,10 @@ class AuthorizationTicket:
 
     def signed_payload(self) -> bytes:
         return self.payload(self.at_id, self.app_permissions, self.valid_from, self.valid_until)
+
+    @cached_property
+    def issuer_signature(self) -> bytes:
+        return self.signer.sign(self.signed_payload())
 
     def is_valid_at(self, now: float) -> bool:
         return self.valid_from <= now < self.valid_until
@@ -752,7 +768,8 @@ class AuthorizationAuthority:
 
         Ticket ids are opaque (salted hashes) so over-the-air identifiers
         carry no issue order. All tickets start now; the i-th expires at
-        ``now + lifetime + i*stagger``.
+        ``now + lifetime + i*stagger``. Each ticket holds this AA's signer and
+        is signed on the first read of its ``issuer_signature``.
 
         Raises ``ProvisioningError``: ``bad_certificate_signature``,
         ``certificate_expired``, ``invalid_count``, ``batch_cap_exceeded``,
@@ -773,9 +790,8 @@ class AuthorizationAuthority:
         for i in range(count):
             at_id = self._next_at_id()
             until = now + self._at_lifetime_s + i * self._at_stagger_s
-            signature = self._signer.sign(AuthorizationTicket.payload(at_id, perms, now, until))
             self._ledger[at_id] = cert.ec_id
-            batch.append(AuthorizationTicket(at_id, perms, now, until, signature))
+            batch.append(AuthorizationTicket(at_id, perms, now, until, self._signer))
         return batch
 
 
@@ -802,7 +818,10 @@ class ServiceBasedCore:
     Its only state outside itself is the :func:`shared_credentials` scope open
     when it is built, which memoizes key loads, signatures and key exchanges
     (never a verification, a ledger or a counter); outside any scope it gets
-    fresh memos of its own. It can be handed between threads, though its
+    fresh memos of its own. It signs each enrolment certificate, and each
+    token under ``sig_scheme: asymmetric``, when it issues it; a ticket is
+    signed, through the same scope, on the first read of its
+    ``issuer_signature``. It can be handed between threads, though its
     methods are not themselves thread-safe.
     """
 

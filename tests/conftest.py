@@ -1,3 +1,4 @@
+import collections
 import os
 from pathlib import Path
 
@@ -54,3 +55,39 @@ def silence_sweep(tmp_path_factory, scenarios_dir):
     spec = str(scenarios_dir / "sweeps" / "silence_sweep.json")
     assert cli.main(["sweep", "--spec", spec, "--out", str(out), "--parallel", "4"]) == 0
     return out
+
+
+@pytest.fixture
+def ed25519_calls(monkeypatch):
+    """Counts the Ed25519 key loads, signatures and verifications sba makes."""
+    from pseudosim import sba
+
+    calls = collections.Counter()
+    real = sba.Ed25519PrivateKey
+
+    class CountingPublicKey:
+        def __init__(self, key):
+            self._key = key
+
+        def verify(self, signature, data):
+            calls["verify"] += 1
+            return self._key.verify(signature, data)
+
+    class CountingPrivateKey:
+        def __init__(self, key):
+            self._key = key
+
+        @classmethod
+        def from_private_bytes(cls, raw):
+            calls["load"] += 1
+            return cls(real.from_private_bytes(raw))
+
+        def sign(self, data):
+            calls["sign"] += 1
+            return self._key.sign(data)
+
+        def public_key(self):
+            return CountingPublicKey(self._key.public_key())
+
+    monkeypatch.setattr(sba, "Ed25519PrivateKey", CountingPrivateKey)
+    return calls

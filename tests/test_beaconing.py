@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +15,17 @@ from pseudosim.beaconing import (
 from pseudosim.sba import AppScope, AuthorizationTicket
 
 
+# tickets here are never signed; a stub stands in for the AA's signer
+STUB_SIGNER = SimpleNamespace(sign=lambda data: b"")
+
+
 def ticket(at_id="deadbeef00112233"):
     return AuthorizationTicket(
         at_id=at_id,
         app_permissions=("CAM", "DENM"),
         valid_from=0.0,
         valid_until=600.0,
-        issuer_signature=b"",
+        signer=STUB_SIGNER,
     )
 
 

@@ -211,40 +211,6 @@ def test_sweep_summaries_equal_runs_alone(silence_sweep, scenarios_dir, tmp_path
             assert (out / "summaries" / name).read_text(encoding="utf-8") == alone, name
 
 
-@pytest.fixture
-def ed25519_calls(monkeypatch):
-    """Counts the Ed25519 key loads, signatures and verifications sba makes."""
-    calls = collections.Counter()
-    real = sba.Ed25519PrivateKey
-
-    class CountingPublicKey:
-        def __init__(self, key):
-            self._key = key
-
-        def verify(self, signature, data):
-            calls["verify"] += 1
-            return self._key.verify(signature, data)
-
-    class CountingPrivateKey:
-        def __init__(self, key):
-            self._key = key
-
-        @classmethod
-        def from_private_bytes(cls, raw):
-            calls["load"] += 1
-            return cls(real.from_private_bytes(raw))
-
-        def sign(self, data):
-            calls["sign"] += 1
-            return self._key.sign(data)
-
-        def public_key(self):
-            return CountingPublicKey(self._key.public_key())
-
-    monkeypatch.setattr(sba, "Ed25519PrivateKey", CountingPrivateKey)
-    return calls
-
-
 def test_sweep_shares_signatures_but_verifies_every_run(
     scenarios_dir, tmp_path, ed25519_calls
 ):
@@ -269,7 +235,7 @@ def test_credential_scope_ends_with_its_group(tmp_path, monkeypatch, ed25519_cal
     run_job = cli.run_job
 
     def recording_run_job(config):
-        scopes.append((config["seed"], sba._ACTIVE_SCOPE.get()))
+        scopes.append((config.seed, sba._ACTIVE_SCOPE.get()))
         return run_job(config)
 
     monkeypatch.setattr(cli, "run_job", recording_run_job)
@@ -302,7 +268,7 @@ def test_credential_scope_ends_with_its_group(tmp_path, monkeypatch, ed25519_cal
     parallel=st.integers(min_value=1, max_value=12),
 )
 def test_plan_tasks_groups_by_seed_without_losing_workers(seeds, parallel):
-    tasks = cli.plan_tasks([{"seed": seed} for seed in seeds], parallel)
+    tasks = cli.plan_tasks(seeds, parallel)
     assert sorted(i for task in tasks for i in task) == list(range(len(seeds)))
     assert len(tasks) >= min(parallel, len(seeds))
     assert all(len({seeds[i] for i in task}) == 1 for task in tasks)

@@ -283,6 +283,16 @@ def test_switch_gap_counts_a_reused_id_from_its_first_ever_cam(scenarios_dir):
     assert summary["safety"]["max_stack_switch_gap_s"] == -44.900000000000006
 
 
+def test_run_signs_once_per_enrolment(scenarios_dir, ed25519_calls):
+    raw = json.loads((scenarios_dir / "latency_fleet.json").read_text())
+    raw["duration_s"] = 20.0
+    summary = run_scenario(load_scenario(raw)).summary
+    enrolments = summary["counters"]["enrollments_ok"]
+    assert enrolments == len(raw["fleet"])
+    assert summary["counters"]["tickets_issued"] > enrolments
+    assert ed25519_calls["sign"] == enrolments
+
+
 def test_periodic_change_is_due_on_the_first_tick_the_float_test_passes():
     # with 0.1 s ticks 12 * 0.1 is 1.2000000000000002, which already reaches
     # this interval less 1e-9, though (interval - 1e-9) / 0.1 rounds above 12

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -10,8 +11,10 @@ from pseudosim.sba import (
     SERVICE_V2X_MESSAGING,
     AccessPolicy,
     AdditionalScope,
+    AppScope,
     AsymmetricTokenSigner,
     AuthorizationError,
+    AuthorizationTicket,
     ConcealmentError,
     EnrollmentCertificate,
     EnrollmentError,
@@ -37,6 +40,7 @@ from pseudosim.sba import (
     shared_credentials,
     verify_access_token,
 )
+from pseudosim.strategy import SELECTION_NO_REUSE, PseudonymPool
 
 _B64_ALPHABET = (
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
@@ -388,6 +392,64 @@ def test_same_seed_same_tickets():
 
     assert first_ids(9) == first_ids(9)
     assert first_ids(9) != first_ids(10)
+
+
+def provisioned_batch(count=3):
+    core = ServiceBasedCore(seed=5, config=SbaConfig(at_lifetime_s=100.0, at_stagger_s=2.0))
+    supi = make_supi()
+    core.add_subscriber(supi)
+    cert = core.enroll_vehicle(supi, b"n", now=0.0)
+    return core, core.provision_ticket_batch(cert, count, ("CAM", "DENM"), now=10.0)
+
+
+def test_fresh_batch_makes_no_signature(ed25519_calls):
+    core, batch = provisioned_batch(count=4)
+    assert len(batch) == 4 and core.counters["tickets_issued"] == 4
+    assert ed25519_calls["sign"] == 1  # the enrolment certificate
+    assert ed25519_calls["verify"] == 1  # the certificate check still runs
+
+
+def test_ticket_signed_once_on_first_read(ed25519_calls):
+    core, batch = provisioned_batch()
+    ed25519_calls.clear()
+    signatures = []
+    for ticket in batch:
+        signature = ticket.issuer_signature
+        assert ed25519_calls["sign"] == 1
+        assert ticket.issuer_signature is signature
+        assert ed25519_calls["sign"] == 1
+        ed25519_calls.clear()
+        payload = AuthorizationTicket.payload(
+            ticket.at_id, ("CAM", "DENM"), ticket.valid_from, ticket.valid_until
+        )
+        assert signature == core.aa._signer.sign(payload)
+        assert core.aa._signer.verify(payload, signature)
+        signatures.append(signature)
+    # each ticket signs its own payload
+    assert len(set(signatures)) == len(batch)
+    assert ed25519_calls["sign"] == 0
+
+
+def test_equality_hash_repr_and_pools_never_sign(ed25519_calls):
+    core, batch = provisioned_batch(count=4)
+    ed25519_calls.clear()
+    first = batch[0]
+    assert first == first and first != batch[1]
+    assert first == dataclasses.replace(first, signer=core.ea._signer)
+    assert len({hash(t) for t in batch}) == len(batch)
+    assert first in batch and first in set(batch)
+    assert "signer" not in repr(first) and first.at_id in repr(first)
+
+    pool = PseudonymPool(SELECTION_NO_REUSE, 2, 4, [AppScope.CAM])
+    pool.add_batch(AppScope.CAM, batch)
+    assert pool.valid_tickets(AppScope.CAM, 20.0) == batch
+    pool.activate(AppScope.CAM, pool.select_next(AppScope.CAM, 20.0))
+    pool.activate(AppScope.CAM, pool.select_next(AppScope.CAM, 20.0))
+    assert pool.active_ticket(AppScope.CAM, 20.0) == batch[1]
+    assert pool.valid_count(AppScope.CAM, 20.0) == 3
+
+    assert ed25519_calls["sign"] == 0
+    assert all("issuer_signature" not in vars(t) for t in batch)
 
 
 def test_provision_batch_denials():

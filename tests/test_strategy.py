@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,13 +29,17 @@ from pseudosim.strategy import (
 )
 
 
+# tickets here are never signed; a stub stands in for the AA's signer
+STUB_SIGNER = SimpleNamespace(sign=lambda data: b"")
+
+
 def ticket(at_id, valid_from=0.0, valid_until=1000.0):
     return AuthorizationTicket(
         at_id=at_id,
         app_permissions=("CAM",),
         valid_from=valid_from,
         valid_until=valid_until,
-        issuer_signature=b"",
+        signer=STUB_SIGNER,
     )
 
 
