@@ -23,13 +23,14 @@ import json
 import math
 import operator
 import os
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Any, Collection, Optional, Union
 
 from .adversary import CoveragePost
 from .mobility import RoadNetwork, RoadNetworkError, RoadSegment
 from .sba import SCHEME_ASYMMETRIC, SCHEME_MAC, SbaConfig
 from .strategy import (
+    MAX_SINGLE_LOCK_S,
     ChangePolicy,
     NetworkTriggeredPolicy,
     PeriodicPolicy,
@@ -41,7 +42,6 @@ from .strategy import (
 
 MAX_CAM_FREQ_HZ = 10.0
 MAX_TICKS = 10**7  # a run must end: round(duration_s / tick_s) may not exceed this
-MAX_LOCK_EVENT_S = 255.0
 
 
 class ConfigError(ValueError):
@@ -149,9 +149,12 @@ class ScenarioConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        obj = self.canonical_dict()
-        obj["seed"] = int(seed)
-        return load_scenario(obj)
+        """This config under another seed; only the seed needs validating."""
+        ctx = _Ctx()
+        seed = _field(_SCHEMA[ScenarioConfig]["seed"], {"seed": seed}, "seed", "", ctx)
+        if ctx.violations:
+            raise ConfigError(ctx.violations)
+        return replace(self, seed=seed)
 
 
 def _plain(value: Any) -> Any:
@@ -319,7 +322,7 @@ _SCHEMA: dict[type, dict[str, _Kind]] = {
         "vehicle_id": _Int(ge=0),
         "t": _Num(ge=0.0),
         "app_id": _Text(),
-        "duration_s": _Num(gt=0.0, le=MAX_LOCK_EVENT_S),
+        "duration_s": _Num(gt=0.0, le=MAX_SINGLE_LOCK_S),
     },
     AdversaryConfig: {
         "sigma0_m": _Num(ge=1e-6),  # far above where sigma * sigma underflows to 0

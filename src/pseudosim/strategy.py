@@ -142,39 +142,24 @@ def evaluate_change_trigger(
 
     ``trip`` supplies the odometers (see ``mobility.TripState``). The call is
     pure: executing the change and re-arming the trigger are separate steps.
+    Its thresholds are ``trigger_lower_bounds``, which also time the wake tick.
     """
-    if isinstance(policy, PeriodicPolicy):
-        if trip.changes_this_trip == 0:
-            return True
-        return trip.time_since_change_s >= policy.interval_s - _EPS
-    if isinstance(policy, SegmentPolicy):
-        if trip.changes_this_trip == 0:
-            return True
-        if trip.changes_this_trip == 1:
-            assert trigger.threshold_distance_m is not None
-            return trip.odometer_trip_m >= trigger.threshold_distance_m - _EPS
-        assert trigger.threshold_distance_m is not None
-        assert trigger.threshold_time_s is not None
-        return (
-            trip.odometer_since_change_m >= trigger.threshold_distance_m - _EPS
-            and trip.time_since_change_s >= trigger.threshold_time_s - _EPS
-        )
-    if isinstance(policy, SynchronizedPolicy):
-        if trip.changes_this_trip == 0:
-            return True
-        if trip.time_since_change_s < policy.interval_s - _EPS:
-            return False
-        return _at_window_boundary(now + clock_skew_s, policy.window_s, boundary_tol_s)
+    if trip.changes_this_trip == 0:
+        return True
     if isinstance(policy, NetworkTriggeredPolicy):
-        if trip.changes_this_trip == 0:
-            return True
         return trigger.pending_command
-    raise TypeError(f"unknown policy {policy!r}")
+    since_s, metres = trigger_lower_bounds(policy, trip, trigger)
+    if trip.time_since_change_s < since_s or metres > 0.0:
+        return False
+    if isinstance(policy, SynchronizedPolicy):
+        return _at_window_boundary(now + clock_skew_s, policy.window_s, boundary_tol_s)
+    return True
 
 
 def trigger_lower_bounds(policy: ChangePolicy, trip, trigger: TriggerState) -> tuple[float, float]:
-    """(seconds since the last change, metres still to drive) that
-    ``evaluate_change_trigger`` needs; ``inf`` waits for a coordinator command."""
+    """(seconds since the last change, metres still to drive) before a change
+    can be due; ``inf`` waits for a coordinator command. With gradual underflow
+    the metres are exact: ``(thr - _EPS) - odo > 0.0`` iff ``odo < thr - _EPS``."""
     if trip.changes_this_trip == 0:
         return -math.inf, 0.0
     if isinstance(policy, SegmentPolicy):
@@ -184,7 +169,9 @@ def trigger_lower_bounds(policy: ChangePolicy, trip, trigger: TriggerState) -> t
                 trigger.threshold_distance_m - _EPS - trip.odometer_since_change_m)
     if isinstance(policy, NetworkTriggeredPolicy):
         return math.inf, 0.0
-    return policy.interval_s - _EPS, 0.0
+    if isinstance(policy, (PeriodicPolicy, SynchronizedPolicy)):
+        return policy.interval_s - _EPS, 0.0
+    raise TypeError(f"unknown policy {policy!r}")
 
 
 # --- identifier locks ---------------------------------------------------------
@@ -286,14 +273,13 @@ class _ScopePool:
     retired: set = field(default_factory=set)
     active_at_id: Optional[str] = None
     cursor: int = -1
-    # index of the tickets that can still become usable, in issue order
+    # index of the tickets that can still become usable, in issue order: it
+    # holds every ticket usable at or after ``since``, and ``count`` of them
+    # are usable at every now in [since, until)
     live: list[AuthorizationTicket] = field(default_factory=list)
-    pruned_at: float = -math.inf
-    prune_due: float = math.inf  # earliest valid_until in live; -inf after a retirement
-    # valid_count is ``count`` for every now in [count_from, count_until)
+    since: float = -math.inf
+    until: float = -math.inf
     count: int = 0
-    count_from: float = math.inf
-    count_until: float = -math.inf
 
 
 class PseudonymPool:
@@ -305,27 +291,22 @@ class PseudonymPool:
     tickets on hand, and replenishment tops it back up to ``target_size``.
 
     Queries cost O(live tickets), not O(issued): each scope indexes the
-    tickets that can still become usable. The index holds every ticket usable
-    at any time at or after ``pruned_at``, the ``now`` of its last prune. A
-    query at ``now >= pruned_at`` prunes it lazily: it drops tickets with
-    ``valid_until <= now`` and, under ``no_reuse``, retired tickets. Neither
-    can be usable again later, so queries at non-decreasing ``now`` (the only
-    pattern the engine has) never miss a ticket. Pruning runs only once a
-    ticket in the index has expired or one has been retired since the last
-    prune. A query with ``now < pruned_at`` may need a dropped ticket, so it
-    falls back to a full scan of every ticket ever issued and leaves the
-    index as it is.
-
-    ``valid_count`` is cached per scope with the interval ``[count_from,
-    count_until)`` in which it holds. Counting from the index at ``now``
-    caches the count from ``now`` to the earliest next transition of an
-    indexed ticket: its ``valid_from`` if that is still ahead, else its
-    ``valid_until``. No ticket outside the index can become usable again, so
-    the count is the same at every time in the interval until the set of
-    tickets or of barred ones changes: ``add_batch`` resets the cache, and so
-    does ``activate`` under ``no_reuse``, where retiring a ticket bars it. A
-    count from the full-scan fallback is never cached.
-    ``steady_until`` ends the last ``min_valid_count``'s cached intervals if it
+    tickets that can still become usable, with one interval ``[since,
+    until)`` in which the index holds as it is. A query at ``now >= until``
+    prunes the index: it drops tickets with ``valid_until <= now`` and, under
+    ``no_reuse``, retired tickets, neither of which can be usable again. It
+    then sets ``since`` to ``now``, ``until`` to the earliest next transition
+    of an indexed ticket (its ``valid_from`` if that is still ahead, else its
+    ``valid_until``) and ``count`` to the number usable at ``now``. Inside the
+    interval no indexed ticket comes due or lapses, so ``valid_count`` is
+    ``count`` there, until the set of tickets or of barred ones changes:
+    ``add_batch`` ends the interval (``until = -inf``), and so does
+    ``activate`` under ``no_reuse``, where retiring a ticket bars it.
+    Queries at non-decreasing ``now`` (the only pattern the engine has)
+    therefore never miss a ticket. A query with ``now < since`` may need a
+    dropped ticket, so it falls back to a full scan of every ticket ever
+    issued and leaves the interval as it is.
+    ``steady_until`` ends the last ``min_valid_count``'s intervals if it
     reached ``min_concurrent_valid``, else is ``-inf``, as after any change.
     """
 
@@ -360,8 +341,7 @@ class PseudonymPool:
             pool.position[t.at_id] = len(pool.tickets)
             pool.tickets.append(t)
             pool.live.append(t)
-            pool.prune_due = min(pool.prune_due, t.valid_until)
-        pool.count_until = self.steady_until = -math.inf
+        pool.until = self.steady_until = -math.inf
 
     def _usable(self, pool: _ScopePool, t: AuthorizationTicket, now: float) -> bool:
         if not t.is_valid_at(now):
@@ -372,18 +352,24 @@ class PseudonymPool:
 
     def _valid(self, pool: _ScopePool, now: float) -> list[AuthorizationTicket]:
         """Usable tickets at ``now`` in issue order, from the index when it can serve."""
-        if now < pool.pruned_at:
+        if now < pool.since:
             return [t for t in pool.tickets if self._usable(pool, t, now)]
-        if now >= pool.prune_due:
+        if now >= pool.until:
             no_reuse = self.selection == SELECTION_NO_REUSE
             pool.live = [
                 t
                 for t in pool.live
                 if now < t.valid_until and not (no_reuse and t.at_id in pool.retired)
             ]
-            pool.pruned_at = now
-            pool.prune_due = min((t.valid_until for t in pool.live), default=math.inf)
-        # every indexed ticket now has valid_until > now and is not barred by retirement
+            pool.since = now
+            pool.until = min(
+                (t.valid_from if t.valid_from > now else t.valid_until for t in pool.live),
+                default=math.inf,
+            )
+            valid = [t for t in pool.live if t.valid_from <= now]
+            pool.count = len(valid)
+            return valid
+        # every indexed ticket has valid_until > now and is not barred by retirement
         return [t for t in pool.live if t.valid_from <= now]
 
     def valid_tickets(self, scope: AppScope, now: float) -> list[AuthorizationTicket]:
@@ -391,23 +377,14 @@ class PseudonymPool:
 
     def valid_count(self, scope: AppScope, now: float) -> int:
         pool = self._scopes[scope]
-        if pool.count_from <= now < pool.count_until:
+        if pool.since <= now < pool.until:
             return pool.count
-        from_index = now >= pool.pruned_at
-        count = len(self.valid_tickets(scope, now))
-        if from_index:
-            pool.count = count
-            pool.count_from = now
-            pool.count_until = min(
-                (t.valid_from if t.valid_from > now else t.valid_until for t in pool.live),
-                default=math.inf,
-            )
-        return count
+        return len(self._valid(pool, now))
 
     def min_valid_count(self, now: float) -> int:
         count = min(self.valid_count(s, now) for s in self._scopes)
         self.steady_until = -math.inf if count < self.min_concurrent_valid else min(
-            p.count_until if p.count_from <= now else -math.inf for p in self._scopes.values()
+            p.until if p.since <= now else -math.inf for p in self._scopes.values()
         )
         return count
 
@@ -440,8 +417,7 @@ class PseudonymPool:
         if pool.active_at_id is not None:
             pool.retired.add(pool.active_at_id)
             if self.selection == SELECTION_NO_REUSE:
-                pool.prune_due = -math.inf
-                pool.count_until = -math.inf
+                pool.until = -math.inf
         pool.active_at_id = ticket.at_id
         pool.cursor = pool.position[ticket.at_id]
         self.steady_until = -math.inf

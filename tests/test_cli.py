@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pseudosim import cli, run_scenario, sba
+from pseudosim import config as config_module
 from pseudosim.adversary import link, load_trace
 
 
@@ -94,6 +95,14 @@ def test_run_seed_override(tmp_path):
     rc = cli.main(["run", "--config", cfg_path, "--out", str(out), "--seed-override", "99"])
     assert rc == 0
     assert json.loads((out / "summary.json").read_text())["seed"] == 99
+
+
+def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "cfg.json", tiny_config())
+    rc = cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                   "--seed-override", "-1"])
+    assert rc == 2
+    assert "config error: seed: must be >= 0" in capsys.readouterr().err
 
 
 def test_run_strict_toggle(tmp_path, capsys):
@@ -368,3 +377,23 @@ def test_compare_outputs(tmp_path):
     assert (
         report[1]["metrics_mean"]["n_changes"] < report[0]["metrics_mean"]["n_changes"]
     )
+
+
+def test_compare_loads_each_config_once(tmp_path, monkeypatch):
+    loads = collections.Counter()
+    real = config_module.load_scenario
+
+    def counting(source, **kw):
+        loads[source if isinstance(source, str) else "dict"] += 1
+        return real(source, **kw)
+
+    monkeypatch.setattr(config_module, "load_scenario", counting)
+    monkeypatch.setattr(cli, "load_scenario", counting)
+    a = write_config(tmp_path, "a.json", tiny_config(name="a", duration_s=5.0))
+    b = write_config(tmp_path, "b.json", tiny_config(name="b", duration_s=5.0))
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--configs", a, b, "--out", str(out), "--reps", "3"]) == 0
+    # re-seeding a replication validates the seed alone
+    assert loads == {a: 1, b: 1}
+    runs = [r for r in read_csv(out / "comparison.csv") if r["kind"] == "run"]
+    assert [r["seed"] for r in runs] == ["3", "4", "5"] * 2

@@ -78,6 +78,20 @@ def test_with_seed_changes_only_seed():
     assert a == b
 
 
+def test_with_seed_validates_only_the_seed():
+    base = load_scenario(minimal_config())
+    reseeded = base.with_seed(7)
+    # the same config and digest as a full reload under the new seed
+    assert reseeded == load_scenario({**base.canonical_dict(), "seed": 7})
+    assert reseeded.digest() == load_scenario(minimal_config(seed=7)).digest()
+    assert base.seed == 1
+    for bad, message in [(-1, "seed: must be >= 0"), (True, "seed: must be an integer"),
+                         (2.0, "seed: must be an integer")]:
+        with pytest.raises(ConfigError) as err:
+            base.with_seed(bad)
+        assert err.value.violations == [message]
+
+
 def test_unknown_fields_strict_vs_lenient():
     cfg = minimal_config(extra_knob=1)
     cfg["beaconing"] = {"cam_freq_hz": 10.0, "mystery": 2}

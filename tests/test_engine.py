@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import SUITE
 from pseudosim import run_scenario
 from pseudosim import strategy as strat
 from pseudosim.engine import SimulationEngine
@@ -47,6 +48,21 @@ def test_baseline_run_links_perfectly(run_cached):
     # a lone vehicle has no neighbors, so awareness never samples
     assert s["safety"]["mean_awareness_ratio"] is None
     assert s["safety"]["awareness_samples"] == 0
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_pool_queries_never_go_back_in_time(scenarios_dir, monkeypatch, name):
+    """The engine queries every pool at non-decreasing times, so a pool never
+    takes its full-scan fallback for a query before its index's interval."""
+    backward, usable = set(), strat.PseudonymPool._usable
+
+    def recorded(pool, scope_pool, t, now):
+        backward.add(now)
+        return usable(pool, scope_pool, t, now)
+
+    monkeypatch.setattr(strat.PseudonymPool, "_usable", recorded)
+    run_scenario(str(scenarios_dir / name))
+    assert not backward
 
 
 def test_rerun_is_byte_identical(scenarios_dir):

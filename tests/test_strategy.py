@@ -26,6 +26,7 @@ from pseudosim.strategy import (
     rearm_trigger,
     replenish_pool,
     sample_segment_thresholds,
+    trigger_lower_bounds,
 )
 
 
@@ -147,6 +148,65 @@ def test_network_triggered_waits_for_command():
     policy = NetworkTriggeredPolicy()
     assert not evaluate_change_trigger(policy, trip(1, t_since=1e6), TriggerState(), 0.0)
     assert evaluate_change_trigger(policy, trip(1), TriggerState(pending_command=True), 0.0)
+
+
+def below(x):
+    return math.nextafter(x, -math.inf)
+
+
+EPS = 1e-9  # the slack every threshold allows for accumulated float error
+
+
+def test_no_change_yet_has_no_lower_bound():
+    for policy in (PeriodicPolicy(), SegmentPolicy(), SynchronizedPolicy(), NetworkTriggeredPolicy()):
+        assert trigger_lower_bounds(policy, trip(0), TriggerState()) == (-math.inf, 0.0)
+
+
+def test_segment_first_leg_bound_is_metres_from_trip_start():
+    policy, trig = SegmentPolicy(), TriggerState(threshold_distance_m=1000.0)
+    edge = 1000.0 - EPS
+    # the odometer since the change and the elapsed time play no part
+    assert trigger_lower_bounds(policy, trip(1, odo_trip=edge, odo_since=0.0), trig) == (-math.inf, 0.0)
+    assert trigger_lower_bounds(policy, trip(1, odo_trip=0.0, odo_since=edge), trig) == (-math.inf, edge)
+    since_s, metres = trigger_lower_bounds(policy, trip(1, odo_trip=below(edge)), trig)
+    assert since_s == -math.inf and metres == edge - below(edge) > 0.0
+    assert evaluate_change_trigger(policy, trip(1, odo_trip=edge), trig, 0.0)
+    assert not evaluate_change_trigger(policy, trip(1, odo_trip=below(edge)), trig, 0.0)
+
+
+def test_segment_later_leg_bounds_are_time_and_metres_since_the_change():
+    policy = SegmentPolicy()
+    trig = TriggerState(threshold_distance_m=800.0, threshold_time_s=200.0)
+    d_edge, t_edge = 800.0 - EPS, 200.0 - EPS
+    at_edge = trip(2, odo_trip=5000.0, odo_since=d_edge, t_since=t_edge)
+    assert trigger_lower_bounds(policy, at_edge, trig) == (t_edge, 0.0)
+    short = trip(2, odo_trip=5000.0, odo_since=below(d_edge), t_since=t_edge)
+    assert trigger_lower_bounds(policy, short, trig) == (t_edge, d_edge - below(d_edge))
+    early = trip(2, odo_trip=5000.0, odo_since=d_edge, t_since=below(t_edge))
+    assert evaluate_change_trigger(policy, at_edge, trig, 0.0)
+    assert not evaluate_change_trigger(policy, short, trig, 0.0)
+    assert not evaluate_change_trigger(policy, early, trig, 0.0)
+
+
+def test_interval_policies_bound_only_the_time_since_the_change():
+    edge = 30.0 - EPS
+    for policy in (PeriodicPolicy(interval_s=30.0), SynchronizedPolicy(interval_s=30.0, window_s=10.0)):
+        assert trigger_lower_bounds(policy, trip(1, odo_since=-1.0), TriggerState()) == (edge, 0.0)
+        # now=30.0 sits on a synchronized window boundary
+        assert evaluate_change_trigger(policy, trip(1, t_since=edge), TriggerState(), 30.0)
+        assert not evaluate_change_trigger(policy, trip(1, t_since=below(edge)), TriggerState(), 30.0)
+    bounds = trigger_lower_bounds(NetworkTriggeredPolicy(), trip(3, t_since=1e9), TriggerState())
+    assert bounds == (math.inf, 0.0)
+
+
+def test_trigger_rejects_an_unknown_policy():
+    class Custom:
+        kind = "custom"
+
+    with pytest.raises(TypeError, match="unknown policy"):
+        trigger_lower_bounds(Custom(), trip(1), TriggerState())
+    with pytest.raises(TypeError, match="unknown policy"):
+        evaluate_change_trigger(Custom(), trip(1), TriggerState(), 0.0)
 
 
 # --- locks ----------------------------------------------------------------------
@@ -419,7 +479,7 @@ _pool_ops = st.lists(
 
 @pytest.mark.parametrize("selection", ["no_reuse", "round_robin"])
 @given(ops=_pool_ops, back=_half_steps)
-@settings(max_examples=200)
+@settings(max_examples=max(200, settings.default.max_examples))
 def test_pool_matches_full_scan_reference(selection, ops, back):
     pool = PseudonymPool(selection, 2, 5, [AppScope.CAM])
     ref = _ScanPool(selection)
