@@ -20,6 +20,7 @@ row and ``load_trace`` reads a file of them back.
 from __future__ import annotations
 
 import bisect
+import collections
 import gc
 import json
 import math
@@ -35,7 +36,8 @@ Point = tuple[float, float]
 
 _INFEASIBLE = math.inf  # cost of a gap outside (0, max_gap_s]; the tie grid clips it
 _SMALL_EPOCH = 6  # most tracklets (n_e + n_s) for which enumeration beats scipy
-_BY_TIME_THEN_ID = operator.attrgetter("t", "station_id")
+_T, _STATION_ID = operator.attrgetter("t"), operator.attrgetter("station_id")
+_ANONYMITY_CELLS = 1 << 14  # (change, interval) cells and (change, owner) flags per chunk
 
 
 class ObservationStore:
@@ -52,8 +54,10 @@ class ObservationStore:
         self.notices.append(notice)
 
     def finalize(self) -> None:
-        self.observations.sort(key=_BY_TIME_THEN_ID)
-        self.notices.sort(key=_BY_TIME_THEN_ID)
+        """Order both logs by (t, station_id), stably: two stable single-key sorts."""
+        for log in (self.observations, self.notices):
+            log.sort(key=_STATION_ID)
+            log.sort(key=_T)
 
 
 @dataclass(frozen=True)
@@ -126,28 +130,21 @@ class Tracklet:
 
 
 def build_tracklets(store: ObservationStore) -> list[Tracklet]:
-    """Syntactic chaining: one tracklet per station identifier."""
-    by_id: dict[str, Tracklet] = {}
-    for obs in store.observations:
-        tr = by_id.get(obs.station_id)
-        if tr is None:
-            by_id[obs.station_id] = Tracklet(
-                station_id=obs.station_id,
-                scope=obs.scope,
-                t_first=obs.t,
-                t_last=obs.t,
-                pos_first=obs.position,
-                pos_last=obs.position,
-                vel_last=obs.velocity,
-                count=1,
-                quasi_ids=obs.quasi_ids,
-            )
-        else:
-            tr.t_last = obs.t
-            tr.pos_last = obs.position
-            tr.vel_last = obs.velocity
-            tr.count += 1
-    return sorted(by_id.values(), key=lambda tr: (tr.t_first, tr.station_id))
+    """Syntactic chaining: one tracklet per station identifier.
+
+    Scope and quasi-identifiers come from the id's first record, motion from its last."""
+    obs = store.observations
+    ids = list(map(_STATION_ID, obs))
+    last = dict(zip(ids, obs))
+    first = dict(zip(reversed(ids), reversed(obs)))
+    count = collections.Counter(ids)
+    tracklets = []
+    for sid in sorted(first):
+        head, tail = first[sid], last[sid]
+        tracklets.append(Tracklet(sid, head.scope, head.t, tail.t, head.position,
+                                  tail.position, tail.velocity, count[sid], head.quasi_ids))
+    tracklets.sort(key=operator.attrgetter("t_first"))  # ids are unique: (t_first, id) order
+    return tracklets
 
 
 # --- kinematic association -----------------------------------------------------
@@ -677,43 +674,59 @@ def _anonymity_set_sizes(truth: TruthData, region_m: float) -> list[int]:
     per-interval loop. Only a window of the intervals, sorted by start, is
     tested: one that overlaps ``[t, t + silence]`` starts in ``[t - longest,
     t + silence]``, and the window's low end is widened by a relative 1e-9 so
-    that rounding never drops an interval.
+    that rounding never drops an interval. Every (change, interval) cell of
+    every window is tested in one array pass, a chunk of changes at a time:
+    a chunk holds at most ``_ANONYMITY_CELLS`` cells (or one window) and as
+    many (change, owner) flags, so memory stays bounded for any fleet.
     """
-    rows = sorted(
-        ((s0, s1, pos, owner)
-         for owner, intervals in enumerate(truth.silence_of.values())
-         for s0, s1, pos in intervals),
-        key=operator.itemgetter(0),
+    changes = np.array(
+        [(rec.t, rec.silence_s, *rec.position) for rec in truth.changes if rec.old_ids],
+        dtype=float,
     )
-    starts = [row[0] for row in rows]
-    positions = [row[2] for row in rows]
-    owner = np.array([row[3] for row in rows], dtype=np.intp)
-    s0, s1 = np.array([row[:2] for row in rows], dtype=float).reshape(-1, 2).T
-    x, y = np.array(positions, dtype=float).reshape(-1, 2).T
-    longest = float((s1 - s0).max(initial=0.0))
+    if not len(changes):
+        return []
+    rows = np.array(
+        [(s0, s1, *pos, owner)
+         for owner, intervals in enumerate(truth.silence_of.values())
+         for s0, s1, pos in intervals],
+        dtype=float,
+    ).reshape(-1, 5)
+    s0, s1, x, y, owner = rows.take(rows[:, 0].argsort(kind="stable"), axis=0).T
+    owner = owner.astype(np.intp)
+    t, silence, cx, cy = changes.T
+    longest = np.maximum.reduce(s1 - s0, initial=0.0)
+    lo = s0.searchsorted(t - longest - 1e-9 * (abs(t) + longest))
+    width = np.maximum(s0.searchsorted(t + silence, "right") - lo, 0)
+    through = width.cumsum()  # cells up to and including each change
+    through_list = through.tolist()
+    shift = lo - through + width  # a change's cell number + shift = its interval's row
     r2 = region_m * region_m
     # below ~1e-290 subnormal rounding could exceed the band: math.dist decides all
     inside, outside = (r2 * (1 - 1e-9), r2 * (1 + 1e-9)) if r2 > 1e-290 else (-1.0, math.inf)
+    n_owners = len(truth.silence_of)
+    per_chunk = max(1, _ANONYMITY_CELLS // max(1, n_owners))
     sizes: list[int] = []
-    for rec in truth.changes:
-        if not rec.old_ids:
-            continue
-        start = rec.t
-        end = rec.t + rec.silence_s
-        cx, cy = rec.position
-        lo = bisect.bisect_left(starts, start - longest - 1e-9 * (abs(start) + longest))
-        w = slice(lo, bisect.bisect_right(starts, end))
-        overlap = (s0[w] <= end) & (start <= s1[w])
-        with np.errstate(over="ignore"):  # d2 overflowing to inf is never near
-            dx = x[w] - cx
-            dy = y[w] - cy
+    a = before = 0
+    with np.errstate(over="ignore"):  # d2 overflowing to inf is never near
+        while a < len(changes):
+            b = bisect.bisect_right(through_list, before + _ANONYMITY_CELLS)
+            b = min(max(b, a + 1), a + per_chunk)
+            k, after = width[a:b], through_list[b - 1]
+            change = np.arange(b - a).repeat(k)
+            row = np.arange(before, after) + shift[a:b].repeat(k)
+            overlap = t[a:b][change] <= s1[row]  # the window's end already bounds s0
+            dx = x[row] - cx[a:b][change]
+            dy = y[row] - cy[a:b][change]
             d2 = dx * dx + dy * dy
-        near = d2 < inside
-        members = set(owner[w][overlap & near].tolist())
-        for k in np.flatnonzero(overlap & ~near & ~(d2 > outside)).tolist():
-            if math.dist((cx, cy), positions[lo + k]) <= region_m:
-                members.add(owner[lo + k].item())
-        sizes.append(max(1, len(members)))
+            near = overlap & (d2 < inside)
+            members = np.zeros((b - a, n_owners), dtype=bool)
+            members[change[near], owner[row[near]]] = True
+            for j in (overlap & ~(near | (d2 > outside))).nonzero()[0].tolist():
+                c, r = change[j], row[j]
+                if math.dist((cx[a + c], cy[a + c]), (x[r], y[r])) <= region_m:
+                    members[c, owner[r]] = True
+            sizes += np.maximum(np.add.reduce(members, axis=1), 1).tolist()
+            a, before = b, after
     return sizes
 
 

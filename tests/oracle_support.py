@@ -12,8 +12,9 @@ with == rather than a tolerance.
 Only usable for small instances (intended for up to 6 tracklets per
 side, about 13k matchings).
 
-``anonymity_sizes_loop`` and ``link_full_scan`` keep the original loop forms
-of the anonymity-set count and of ``link``'s candidate selection;
+``anonymity_sizes_loop``, ``build_tracklets_loop`` and ``link_full_scan``
+keep the original loop forms of the anonymity-set count, of tracklet
+chaining and of ``link``'s candidate selection;
 ``EntryLdm`` and ``ldm_quality_loop`` keep the entry-per-station local dynamic
 map that stored DENMs too and was evicted in a pass of its own.
 ``neighbor_lists`` is the all-pairs pass the engine once made every tick, and
@@ -242,6 +243,31 @@ def anonymity_sizes_loop(changes, silence_of, anonymity_region_m=500.0):
                         break
         sizes.append(max(1, len(members)))
     return sizes
+
+
+def build_tracklets_loop(store):
+    """``build_tracklets`` by the original per-record loop."""
+    by_id: dict[str, Tracklet] = {}
+    for obs in store.observations:
+        tr = by_id.get(obs.station_id)
+        if tr is None:
+            by_id[obs.station_id] = Tracklet(
+                station_id=obs.station_id,
+                scope=obs.scope,
+                t_first=obs.t,
+                t_last=obs.t,
+                pos_first=obs.position,
+                pos_last=obs.position,
+                vel_last=obs.velocity,
+                count=1,
+                quasi_ids=obs.quasi_ids,
+            )
+        else:
+            tr.t_last = obs.t
+            tr.pos_last = obs.position
+            tr.vel_last = obs.velocity
+            tr.count += 1
+    return sorted(by_id.values(), key=lambda tr: (tr.t_first, tr.station_id))
 
 
 def link_full_scan(store, model, use_quasi_identifiers=True):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from scipy.optimize import linear_sum_assignment
 import pseudosim.adversary as adv
 from oracle_support import (
     anonymity_sizes_loop,
+    build_tracklets_loop,
     link_full_scan,
     mk_tracklet,
     random_instance,
@@ -78,6 +80,33 @@ def test_store_finalize_orders_by_time_then_id():
     ]
 
 
+# few ids and times, so that (t, station_id) keys repeat; -0.0 and 0.0 tie
+_key_t = st.one_of(st.sampled_from([-0.0, 0.0, 0.1, 1.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_key_id = st.sampled_from(["aa", "ab", "b", "c0"])
+_spot = st.tuples(st.sampled_from([-0.0, 0.0, 1.5]), st.floats(-1e3, 1e3))
+_heard = st.lists(st.one_of(
+    st.builds(Observation, _key_t, _key_id, st.just("CAM"), _spot, _spot, st.none() | _spot),
+    st.builds(Observation, _key_t, _key_id, st.just("DENM"), _spot, st.just((0.0, 0.0)),
+              st.none()),
+), max_size=40)
+
+
+@given(_heard, st.lists(st.builds(NoticeSighting, _key_t, _key_id, st.just("CAM")),
+                        max_size=20))
+def test_finalize_orders_like_a_stable_sort_by_time_then_id(observations, notices):
+    store = ObservationStore()
+    for o in observations:
+        store.add(o)
+    for n in notices:
+        store.add_notice(n)
+    store.finalize()
+    by_time_then_id = operator.attrgetter("t", "station_id")
+    # the very same records in the same order, so equal keys keep their order
+    for log, heard in ((store.observations, observations), (store.notices, notices)):
+        assert [id(r) for r in log] == [id(r) for r in sorted(heard, key=by_time_then_id)]
+
+
 def test_eavesdropper_full_coverage():
     ear = Eavesdropper(posts=None)
     assert ear.hear(obs("aa", 0.0, (1e6, 1e6)), true_position=(1e6, 1e6))
@@ -113,6 +142,14 @@ def test_build_tracklets_aggregates_per_id():
     assert aa.count == 3
     assert aa.duration == 2.0
     assert trs[1].count == 1
+
+
+@given(_heard)
+def test_build_tracklets_matches_the_record_loop(observations):
+    store = ObservationStore()
+    store.observations = observations  # not finalized: any order
+    # repr tells -0.0 from 0.0 where == would not
+    assert repr(build_tracklets(store)) == repr(build_tracklets_loop(store))
 
 
 # --- gap cost --------------------------------------------------------------------
@@ -615,14 +652,24 @@ def _silences(draw):
     return changes, silence_of
 
 
+_BUDGETS = (adv._ANONYMITY_CELLS, 1, 2, 5)
+
+
+def sizes_per_budget(changes, silence_of, region_m=500.0):
+    """Budget -> ``_anonymity_set_sizes`` with chunks of that many cells, per ``_BUDGETS``."""
+    out = {}
+    for budget in _BUDGETS:
+        with mock.patch.object(adv, "_ANONYMITY_CELLS", budget):
+            out[budget] = adv._anonymity_set_sizes(truth_for({}, [], changes, silence_of), region_m)
+    return out
+
+
 @given(_silences(), st.sampled_from([500.0, 50.0, 1e-200, 1e300]))
 @settings(max_examples=150)
 def test_anonymity_set_sizes_match_the_interval_loop(silences, region_m):
     changes, silence_of = silences
-    truth = truth_for({}, [], changes, silence_of)
-    assert adv._anonymity_set_sizes(truth, region_m) == anonymity_sizes_loop(
-        changes, silence_of, region_m
-    )
+    expected = anonymity_sizes_loop(changes, silence_of, region_m)
+    assert sizes_per_budget(changes, silence_of, region_m) == dict.fromkeys(_BUDGETS, expected)
 
 
 def test_anonymity_set_counts_points_on_the_radius():
@@ -667,10 +714,67 @@ def _silences_on_a_clock(draw):
 @settings(max_examples=settings.default.max_examples * 5 // 2)  # 150 at the default profile
 def test_anonymity_window_matches_the_interval_loop(silences):
     changes, silence_of = silences
-    truth = truth_for({}, [], changes, silence_of)
-    assert adv._anonymity_set_sizes(truth, 500.0) == anonymity_sizes_loop(
-        changes, silence_of, 500.0
-    )
+    expected = anonymity_sizes_loop(changes, silence_of, 500.0)
+    assert sizes_per_budget(changes, silence_of) == dict.fromkeys(_BUDGETS, expected)
+
+
+def change_at(t, position=(0.0, 0.0), silence_s=1.0, old_ids=None):
+    return SimpleNamespace(t=t, silence_s=silence_s, position=position,
+                           old_ids={"CAM": "x"} if old_ids is None else old_ids)
+
+
+def test_anonymity_sizes_without_an_old_id_are_empty():
+    silence_of = {1: [(0.0, 1.0, (0.0, 0.0))]}
+    assert adv._anonymity_set_sizes(truth_for({}, [], [], silence_of), 500.0) == []
+    changes = [change_at(0.0, old_ids={}), change_at(5.0, old_ids={})]
+    assert sizes_per_budget(changes, silence_of) == dict.fromkeys(_BUDGETS, [])
+
+
+def test_anonymity_empty_window_between_full_ones():
+    silence_of = {1: [(0.0, 1.0, (0.0, 0.0)), (9.0, 10.0, (0.0, 0.0))],
+                  2: [(0.0, 1.0, (10.0, 0.0))]}
+    # the middle change's window holds no interval at all, nor does one with no intervals
+    changes = [change_at(0.0), change_at(4.0), change_at(9.0)]
+    assert sizes_per_budget(changes, silence_of) == dict.fromkeys(_BUDGETS, [2, 1, 1])
+    assert sizes_per_budget(changes, {}) == dict.fromkeys(_BUDGETS, [1, 1, 1])
+
+
+def test_anonymity_window_larger_than_the_budget():
+    silence_of = {vid: [(0.0, 1.0, (float(vid), 0.0))] for vid in range(8)}
+    silence_of[8] = [(3.0, 4.0, (0.0, 0.0))]
+    changes = [change_at(0.0), change_at(3.0), change_at(0.5, position=(1e4, 0.0))]
+    expected = anonymity_sizes_loop(changes, silence_of)
+    assert expected == [8, 1, 1]
+    assert sizes_per_budget(changes, silence_of) == dict.fromkeys(_BUDGETS, expected)
+
+
+def test_anonymity_owner_split_across_chunks(monkeypatch):
+    # vehicle 1 is silent at 0 s and at 10 s (twice within the second window)
+    silence_of = {
+        1: [(0.0, 1.0, (0.0, 0.0)), (10.0, 11.0, (5.0, 0.0)), (10.5, 11.0, (6.0, 0.0))],
+        2: [(0.0, 1.0, (20.0, 0.0))],
+        3: [(10.0, 11.0, (30.0, 0.0))],
+    }
+    changes = [change_at(0.0), change_at(10.0)]
+    expected = anonymity_sizes_loop(changes, silence_of)
+    assert expected == [2, 2]
+    assert sizes_per_budget(changes, silence_of) == dict.fromkeys(_BUDGETS, expected)
+
+    # each chunk's (change, owner) flags stay within the budget
+    flags = []
+
+    def zeros(shape, dtype):
+        flags.append(shape)
+        return np.zeros(shape, dtype=dtype)
+
+    monkeypatch.setattr(adv, "_ANONYMITY_CELLS", 6)
+    monkeypatch.setattr(adv, "np", SimpleNamespace(**{**vars(np), "zeros": zeros}))
+    assert adv._anonymity_set_sizes(truth_for({}, [], changes, silence_of), 500.0) == expected
+    assert flags == [(2, 3)]
+    flags.clear()
+    monkeypatch.setattr(adv, "_ANONYMITY_CELLS", 5)
+    assert adv._anonymity_set_sizes(truth_for({}, [], changes, silence_of), 500.0) == expected
+    assert flags == [(1, 3), (1, 3)]
 
 
 # --- relabeling and trace replay ------------------------------------------------------

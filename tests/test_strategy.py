@@ -352,14 +352,17 @@ def test_round_robin_cycles_and_reuses():
 
 def test_no_reuse_never_reactivates():
     pool = PseudonymPool("no_reuse", 2, 5, [AppScope.CAM])
-    pool.add_batch(AppScope.CAM, [ticket("a"), ticket("b"), ticket("c")])
+    issued = [ticket("a"), ticket("b"), ticket("c")]
+    pool.add_batch(AppScope.CAM, issued)
     order = []
-    while True:
+    for _ in range(len(issued) + 1):  # a pool that hands back retired tickets fails, not hangs
         pick = pool.select_next(AppScope.CAM, now=0.0)
         if pick is None:
             break
         order.append(pick.at_id)
         pool.activate(AppScope.CAM, pick)
+    else:
+        pytest.fail(f"select_next still picks after {len(issued) + 1} changes: {order}")
     assert order == ["a", "b", "c"]
     # two retired plus one active: nothing left to change to
     assert pool.valid_count(AppScope.CAM, 0.0) == 1  # the active one
