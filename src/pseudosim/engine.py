@@ -57,11 +57,9 @@ class _Vehicle:
     pool: strat.PseudonymPool
     locks: strat.LockLedger
     cert: EnrollmentCertificate
-    supi: Supi
     session_token: object
     trigger: strat.TriggerState = field(default_factory=strat.TriggerState)
-    active: dict = field(default_factory=dict)  # AppScope -> AuthorizationTicket
-    station_ids: dict = field(default_factory=dict)  # AppScope -> str
+    ids: dict = field(default_factory=dict)  # scope value -> active station id
     active_until: float = math.inf  # earliest valid_until among the active tickets
     silence_until_tick: int = -1
     last_cam_tick: Optional[int] = None
@@ -71,7 +69,7 @@ class _Vehicle:
     wake_tick: float = 0  # the first tick the strategy phase must look at it
     cam_until: float = -math.inf  # the active CAM ticket's valid_until
     cam_sid: str = ""  # and its station id
-    first_cam_tick: Optional[int] = None  # the CAM id's first CAM since its activation
+    gap_from: Optional[int] = None  # the retired CAM id's last CAM tick, until the new id's first
 
 
 @dataclass
@@ -147,7 +145,7 @@ class SimulationEngine:
         self.change_records: list[strat.ChangeRecord] = []
         self.initial_activations = 0
         self.silence_of: dict[int, list] = {}
-        self.emit_span: dict[str, tuple[float, float]] = {}  # station -> first/last CAM t, on retiring
+        self.max_switch_gap: Optional[float] = None
 
         self.counters: dict[str, int] = {}
         self.changes_by_trigger: dict[str, int] = {}
@@ -199,7 +197,6 @@ class SimulationEngine:
             pool=pool,
             locks=strat.LockLedger(renewal_threshold=self.cfg.locks.renewal_threshold),
             cert=cert,
-            supi=supi,
             session_token=token,
             last_change_tick=tick,
             quasi_ids=(spec.length_m, spec.width_m),
@@ -222,29 +219,21 @@ class SimulationEngine:
 
         With ``notify_deactivation`` each retiring id is announced in the outbox.
         """
-        old_ids = {}
-        for scope in self.scopes:
-            sid = veh.station_ids.get(scope)
-            if sid is None:
-                continue
+        for scope_value, sid in veh.ids.items():
             self.active_ids.discard(sid)
             self.ldm.retire(sid)
-            old_ids[scope.value] = sid
-            if scope is AppScope.CAM:
-                self._close_span(veh)
             if self.cfg.policy.notify_deactivation:
-                notice = bcn.NoticeSighting(now, sid, scope.value)
+                notice = bcn.NoticeSighting(now, sid, scope_value)
                 self.notices.append((veh.spec.vehicle_id, notice, veh.kin.position))
                 self.bump("notices_sent")
-        return old_ids
+        return veh.ids
 
-    def _close_span(self, veh: _Vehicle) -> None:
-        """Write the CAM id's emit span; a reused id keeps its first-ever CAM."""
-        if veh.first_cam_tick is not None:
-            sid = veh.cam_sid
-            first, _ = self.emit_span.get(sid, (veh.first_cam_tick * self.tick_s, None))
-            self.emit_span[sid] = (first, veh.last_cam_tick * self.tick_s)
-            veh.first_cam_tick = None
+    def _close_gap(self, veh: _Vehicle, now: float) -> None:
+        """At the first CAM under a new id: the switch gap since the old id's last CAM."""
+        gap = now - veh.gap_from * self.tick_s
+        if self.max_switch_gap is None or gap > self.max_switch_gap:
+            self.max_switch_gap = gap
+        veh.gap_from = None
 
     # --- pseudonym changes --------------------------------------------------
 
@@ -286,8 +275,10 @@ class SimulationEngine:
             return False
         self._touch_session(veh, now)
         old_ids = self._retire_ids(veh, now)
+        sent = veh.last_cam_tick is not None and veh.last_cam_tick >= veh.last_change_tick
+        veh.gap_from = veh.last_cam_tick if sent else None  # the retired id sent a CAM
         vid = veh.spec.vehicle_id
-        new_ids = {}
+        veh.ids = new_ids = {}
         for scope in self.scopes:
             ticket = plan[scope]
             veh.pool.activate(scope, ticket)
@@ -300,12 +291,10 @@ class SimulationEngine:
             self.owner_of[sid] = vid
             self.active_ids.add(sid)
             self.ldm.activate(sid)
-            veh.active[scope] = ticket
-            veh.station_ids[scope] = sid
             new_ids[scope.value] = sid
-        veh.active_until = min(t.valid_until for t in veh.active.values())
-        veh.cam_until = veh.active[AppScope.CAM].valid_until
-        veh.cam_sid = veh.station_ids[AppScope.CAM]
+        veh.active_until = min(t.valid_until for t in veh.pool.active.values())
+        veh.cam_until = veh.pool.active[AppScope.CAM].valid_until
+        veh.cam_sid = new_ids[AppScope.CAM.value]
 
         silence_s = self.cfg.policy.silence_s
         if old_ids:
@@ -411,7 +400,7 @@ class SimulationEngine:
             if veh is None:
                 self.bump("lock_events_dropped")
                 continue
-            valid_until = veh.active_until if veh.active else now
+            valid_until = veh.active_until if veh.pool.active else now
             decision = veh.locks.request(ev.app_id, ev.duration_s, now, valid_until,
                                          validator=self._awareness_validator(veh))
             if decision.granted:
@@ -490,17 +479,16 @@ class SimulationEngine:
                                           veh.quasi_ids)
                     sends.append((veh.spec.vehicle_id, obs, pos))
                     veh.last_cam_tick = tick
-                    if veh.first_cam_tick is None:
-                        veh.first_cam_tick = tick
+                    if veh.gap_from is not None:
+                        self._close_gap(veh, now)
                 else:
                     self.ldm.cut(veh.spec.vehicle_id)  # its receivers miss a refresh
             if (
                 self.denm_period_ticks is not None
                 and (tick - veh.depart_tick) % self.denm_period_ticks == 0
-                and veh.active and veh.active[AppScope.DENM].is_valid_at(now)
+                and veh.pool.active and veh.pool.active[AppScope.DENM].is_valid_at(now)
             ):
-                sid = veh.station_ids[AppScope.DENM]
-                obs = bcn.Observation(now, sid, AppScope.DENM.value, pos)
+                obs = bcn.Observation(now, veh.ids[AppScope.DENM.value], AppScope.DENM.value, pos)
                 sends.append((veh.spec.vehicle_id, obs, pos))
                 n_denms += 1
         # positioning noise: one draw of two per emission, in emission order, as
@@ -579,8 +567,6 @@ class SimulationEngine:
             self._phase_sba(tick)
             self._phase_beaconing(tick)
             self._phase_ingest(tick)
-        for veh in self.vehicles.values():
-            self._close_span(veh)
 
         store = self.eavesdropper.store
         store.finalize()
@@ -615,20 +601,6 @@ class SimulationEngine:
             trace_rows=self.trace_rows,
         )
 
-    def _max_switch_gap(self) -> Optional[float]:
-        worst: Optional[float] = None
-        for rec in self.change_records:
-            old = rec.old_ids.get(AppScope.CAM.value)
-            new = rec.new_ids.get(AppScope.CAM.value)
-            if old is None or new is None:
-                continue
-            if old not in self.emit_span or new not in self.emit_span:
-                continue
-            gap = self.emit_span[new][0] - self.emit_span[old][1]
-            if worst is None or gap > worst:
-                worst = gap
-        return worst
-
     def _summary(self, metrics: adv.AttackMetrics) -> dict:
         mean_awareness = (
             self.awareness_sum / self.awareness_samples
@@ -654,7 +626,7 @@ class SimulationEngine:
                 "missing_ticks": self.missing_ticks,
                 "missing_total": self.missing_total,
                 "silence_blind_s": self._silence_ticks_total * self.tick_s,
-                "max_stack_switch_gap_s": self._max_switch_gap(),
+                "max_stack_switch_gap_s": self.max_switch_gap,
                 "min_valid_tickets": self.min_valid_tickets,
                 "sybil_violations": self.sybil_violations,
                 "locks_granted": self.counters.get("locks_granted", 0),

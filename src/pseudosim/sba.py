@@ -382,20 +382,28 @@ def _b64d(text: str) -> bytes:
 
 @dataclass(frozen=True)
 class AccessToken:
-    """Issued token plus the exact wire bytes the signature covers.
+    """A token is the bytes its signature covers, and that signature.
 
-    ``signing_input`` is the ASCII of ``b64(header).b64(claims)``; keeping it
-    alongside the parsed claims means verification always checks the bytes
-    that actually travelled, not a re-serialization.
+    ``signing_input`` is the ASCII of ``b64(header).b64(claims)``. ``claims``
+    is parsed from those bytes on first read, so the claims a token carries
+    are always the ones that were signed; a claims segment that does not
+    parse raises ``VerificationError('malformed')``.
     """
 
-    claims: TokenClaims
     signature: bytes
     sig_scheme: str
     signing_input: bytes
 
     def serialize(self) -> str:
         return self.signing_input.decode("ascii") + "." + _b64e(self.signature)
+
+    @cached_property
+    def claims(self) -> TokenClaims:
+        try:
+            claims_b64 = self.signing_input.decode("ascii").split(".")[1]
+            return TokenClaims.from_json(_b64d(claims_b64).decode("utf-8"))
+        except Exception as exc:
+            raise VerificationError("malformed", str(exc)) from exc
 
 
 def issue_token(claims: TokenClaims, signer: TokenSigner) -> AccessToken:
@@ -404,7 +412,6 @@ def issue_token(claims: TokenClaims, signer: TokenSigner) -> AccessToken:
         "ascii"
     )
     return AccessToken(
-        claims=claims,
         signature=signer.sign(signing_input),
         sig_scheme=signer.scheme,
         signing_input=signing_input,
@@ -414,7 +421,8 @@ def issue_token(claims: TokenClaims, signer: TokenSigner) -> AccessToken:
 def parse_token(wire: str) -> AccessToken:
     """Parse the three-segment wire form without trusting its contents.
 
-    Only splits and base64-decodes; claim bytes are not interpreted until the
+    Only splits and base64-decodes; claim bytes are not interpreted until
+    ``claims`` is read, which ``verify_access_token`` does only once the
     signature over them has been checked. Raises ``VerificationError
     ('malformed')`` for anything that is not three base64url segments.
     """
@@ -435,18 +443,7 @@ def parse_token(wire: str) -> AccessToken:
     if scheme not in (SCHEME_MAC, SCHEME_ASYMMETRIC):
         raise VerificationError("malformed", f"unknown alg {scheme!r}")
     signing_input = (header_b64 + "." + claims_b64).encode("ascii")
-    # Claims stay unparsed until the signature passes; stash a placeholder.
-    return AccessToken(
-        claims=_UNPARSED,
-        signature=signature,
-        sig_scheme=scheme,
-        signing_input=signing_input,
-    )
-
-
-_UNPARSED = TokenClaims(
-    issuer="", subject="", audience="", scope=(), expiration=float("-inf")
-)
+    return AccessToken(signature=signature, sig_scheme=scheme, signing_input=signing_input)
 
 
 @dataclass(frozen=True)
@@ -483,14 +480,7 @@ def verify_access_token(
         raise VerificationError("bad_signature", "no key for scheme")
     if not verifier.verify(token.signing_input, token.signature):
         raise VerificationError("bad_signature")
-    if token.claims is _UNPARSED:
-        try:
-            claims_b64 = token.signing_input.decode("ascii").split(".")[1]
-            claims = TokenClaims.from_json(_b64d(claims_b64).decode("utf-8"))
-        except Exception as exc:  # signed-yet-unparseable means issuer bug
-            raise VerificationError("malformed", str(exc)) from exc
-    else:
-        claims = token.claims
+    claims = token.claims  # signed-yet-unparseable (an issuer bug) is malformed
     if now >= claims.expiration:
         raise VerificationError("expired")
     if claims.audience != producer.nf_type.value:

@@ -268,16 +268,10 @@ class PoolError(ValueError):
 
 @dataclass
 class _ScopePool:
-    tickets: list[AuthorizationTicket] = field(default_factory=list)  # issue order
-    position: dict[str, int] = field(default_factory=dict)  # at_id -> index in tickets
-    retired: set = field(default_factory=set)
-    active_at_id: Optional[str] = None
-    cursor: int = -1
-    # index of the tickets that can still become usable, in issue order: it
-    # holds every ticket usable at or after ``since``, and ``count`` of them
-    # are usable at every now in [since, until)
+    position: dict[str, int] = field(default_factory=dict)  # at_id -> issue index
+    # the tickets that can still become usable, in issue order: ``count`` of
+    # them are usable at every now from the pool's latest query until ``until``
     live: list[AuthorizationTicket] = field(default_factory=list)
-    since: float = -math.inf
     until: float = -math.inf
     count: int = 0
 
@@ -285,27 +279,23 @@ class _ScopePool:
 class PseudonymPool:
     """Per-scope ticket inventory with a pluggable selection discipline.
 
-    ``round_robin`` cycles through still-valid tickets and may re-activate a
-    previously used one; ``no_reuse`` never re-activates a retired ticket.
-    Either way the pool must keep at least ``min_concurrent_valid`` valid
-    tickets on hand, and replenishment tops it back up to ``target_size``.
+    ``active`` maps each scope to its active ticket. ``round_robin`` cycles
+    through still-valid tickets and may re-activate a previously used one;
+    ``no_reuse`` never re-activates a retired ticket. Either way the pool must
+    keep at least ``min_concurrent_valid`` valid tickets on hand, and
+    replenishment tops it back up to ``target_size``.
 
-    Queries cost O(live tickets), not O(issued): each scope indexes the
-    tickets that can still become usable, with one interval ``[since,
-    until)`` in which the index holds as it is. A query at ``now >= until``
-    prunes the index: it drops tickets with ``valid_until <= now`` and, under
-    ``no_reuse``, retired tickets, neither of which can be usable again. It
-    then sets ``since`` to ``now``, ``until`` to the earliest next transition
-    of an indexed ticket (its ``valid_from`` if that is still ahead, else its
-    ``valid_until``) and ``count`` to the number usable at ``now``. Inside the
-    interval no indexed ticket comes due or lapses, so ``valid_count`` is
-    ``count`` there, until the set of tickets or of barred ones changes:
-    ``add_batch`` ends the interval (``until = -inf``), and so does
-    ``activate`` under ``no_reuse``, where retiring a ticket bars it.
-    Queries at non-decreasing ``now`` (the only pattern the engine has)
-    therefore never miss a ticket. A query with ``now < since`` may need a
-    dropped ticket, so it falls back to a full scan of every ticket ever
-    issued and leaves the interval as it is.
+    Queries go forward only: one at a ``now`` earlier than the pool's latest
+    query raises ``PoolError``. So each scope indexes only the tickets that
+    can still become usable, and queries cost O(live tickets), not O(issued).
+    A query at ``now >= until`` prunes the index of tickets with
+    ``valid_until <= now``, sets ``until`` to the earliest next transition of
+    an indexed ticket (its ``valid_from`` if that is still ahead, else its
+    ``valid_until``) and ``count`` to the number usable at ``now``. Before
+    ``until`` no indexed ticket comes due or lapses, so ``valid_count`` is
+    ``count`` there, until the set of tickets changes: ``add_batch`` ends the
+    interval (``until = -inf``), and so does ``activate`` under ``no_reuse``,
+    which drops the retired ticket from the index.
     ``steady_until`` ends the last ``min_valid_count``'s intervals if it
     reached ``min_concurrent_valid``, else is ``-inf``, as after any change.
     """
@@ -327,6 +317,8 @@ class PseudonymPool:
         self.min_concurrent_valid = int(min_concurrent_valid)
         self.target_size = int(target_size)
         self._scopes: dict[AppScope, _ScopePool] = {s: _ScopePool() for s in scopes}
+        self.active: dict[AppScope, AuthorizationTicket] = {}
+        self.latest = -math.inf  # the latest query's now
         self.steady_until = -math.inf
 
     @property
@@ -338,30 +330,17 @@ class PseudonymPool:
         for t in batch:
             if t.at_id in pool.position:
                 raise PoolError(f"duplicate ticket {t.at_id}")
-            pool.position[t.at_id] = len(pool.tickets)
-            pool.tickets.append(t)
+            pool.position[t.at_id] = len(pool.position)
             pool.live.append(t)
         pool.until = self.steady_until = -math.inf
 
-    def _usable(self, pool: _ScopePool, t: AuthorizationTicket, now: float) -> bool:
-        if not t.is_valid_at(now):
-            return False
-        if self.selection == SELECTION_NO_REUSE and t.at_id in pool.retired:
-            return False
-        return True
-
     def _valid(self, pool: _ScopePool, now: float) -> list[AuthorizationTicket]:
-        """Usable tickets at ``now`` in issue order, from the index when it can serve."""
-        if now < pool.since:
-            return [t for t in pool.tickets if self._usable(pool, t, now)]
+        """Usable tickets at ``now`` in issue order."""
+        if now < self.latest:
+            raise PoolError(f"query at {now} is before the pool's latest query at {self.latest}")
+        self.latest = now
         if now >= pool.until:
-            no_reuse = self.selection == SELECTION_NO_REUSE
-            pool.live = [
-                t
-                for t in pool.live
-                if now < t.valid_until and not (no_reuse and t.at_id in pool.retired)
-            ]
-            pool.since = now
+            pool.live = [t for t in pool.live if now < t.valid_until]
             pool.until = min(
                 (t.valid_from if t.valid_from > now else t.valid_until for t in pool.live),
                 default=math.inf,
@@ -369,7 +348,7 @@ class PseudonymPool:
             valid = [t for t in pool.live if t.valid_from <= now]
             pool.count = len(valid)
             return valid
-        # every indexed ticket has valid_until > now and is not barred by retirement
+        # every indexed ticket has valid_until > now
         return [t for t in pool.live if t.valid_from <= now]
 
     def valid_tickets(self, scope: AppScope, now: float) -> list[AuthorizationTicket]:
@@ -377,23 +356,17 @@ class PseudonymPool:
 
     def valid_count(self, scope: AppScope, now: float) -> int:
         pool = self._scopes[scope]
-        if pool.since <= now < pool.until:
+        if self.latest <= now < pool.until:
+            self.latest = now
             return pool.count
         return len(self._valid(pool, now))
 
     def min_valid_count(self, now: float) -> int:
         count = min(self.valid_count(s, now) for s in self._scopes)
         self.steady_until = -math.inf if count < self.min_concurrent_valid else min(
-            p.until if p.since <= now else -math.inf for p in self._scopes.values()
+            p.until for p in self._scopes.values()
         )
         return count
-
-    def active_ticket(self, scope: AppScope, now: float) -> Optional[AuthorizationTicket]:
-        pool = self._scopes[scope]
-        if pool.active_at_id is None:
-            return None
-        t = pool.tickets[pool.position[pool.active_at_id]]
-        return t if t.is_valid_at(now) else None
 
     def select_next(self, scope: AppScope, now: float) -> Optional[AuthorizationTicket]:
         """Pick the replacement ticket without activating it yet.
@@ -401,25 +374,25 @@ class PseudonymPool:
         Never returns the currently active ticket (a change must change the
         identifier). Returns None when the discipline has nothing to offer.
         ``no_reuse`` takes the first usable ticket in issue order;
-        ``round_robin`` the first one after the cursor, wrapping around.
+        ``round_robin`` the first one issued after the active one, wrapping around.
         """
         pool = self._scopes[scope]
-        candidates = [t for t in self._valid(pool, now) if t.at_id != pool.active_at_id]
+        active_id = self.active[scope].at_id if scope in self.active else None
+        candidates = [t for t in self._valid(pool, now) if t.at_id != active_id]
         if self.selection == SELECTION_ROUND_ROBIN:
-            after = [t for t in candidates if pool.position[t.at_id] > pool.cursor]
-            candidates = after or candidates
+            cursor = pool.position.get(active_id, -1)
+            candidates = [t for t in candidates if pool.position[t.at_id] > cursor] or candidates
         return candidates[0] if candidates else None
 
     def activate(self, scope: AppScope, ticket: AuthorizationTicket) -> None:
         pool = self._scopes[scope]
         if ticket.at_id not in pool.position:
             raise PoolError(f"ticket {ticket.at_id} not in pool")
-        if pool.active_at_id is not None:
-            pool.retired.add(pool.active_at_id)
-            if self.selection == SELECTION_NO_REUSE:
-                pool.until = -math.inf
-        pool.active_at_id = ticket.at_id
-        pool.cursor = pool.position[ticket.at_id]
+        retired = self.active.get(scope)
+        if retired is not None and self.selection == SELECTION_NO_REUSE:
+            pool.live = [t for t in pool.live if t.at_id != retired.at_id]
+            pool.until = -math.inf
+        self.active[scope] = ticket
         self.steady_until = -math.inf
 
     def needs_replenish(self, scope: AppScope, now: float) -> bool:

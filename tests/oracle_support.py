@@ -393,16 +393,17 @@ class ReferenceEngine(SimulationEngine):
 
     Each tick it steps every vehicle with ``step_kinematics``, polls every
     vehicle's ticket expiry and change trigger, counts every pool's valid
-    tickets by a scan, checks each due CAM's ticket and writes its emit span,
-    and sorts the whole outbox. It recomputes every neighbour list, draws
-    loss with one ``rng_loss.random()`` per delivery and hands each delivery
-    to its own per-vehicle ``LocalDynamicMap.receive`` message by message,
-    then scores every LDM afresh with ``ldm_quality``, as does the lock
-    validator. The production engine keeps a ``Leg`` per vehicle, wakes its
-    strategy at events, skips pools whose counts hold, keeps CAM validity and
-    emit spans per vehicle, keeps lists until a pair can cross the range,
-    draws loss in one batch and keeps LDM counters by events (``FleetLdm``,
-    which this engine does not feed); it must give the same bytes.
+    tickets with ``valid_tickets``, checks each due CAM's ticket, and sorts
+    the whole outbox. It recomputes every neighbour list, draws loss with one
+    ``rng_loss.random()`` per delivery and hands each delivery to its own
+    per-vehicle ``LocalDynamicMap.receive`` message by message, then scores
+    every LDM afresh with ``ldm_quality``, as does the lock validator. The
+    production engine keeps a ``Leg`` per vehicle, wakes its strategy at
+    events, skips pools whose counts hold, keeps CAM validity per vehicle,
+    keeps lists until a pair can cross the range, draws loss in one batch and
+    keeps LDM counters by events (``FleetLdm``, which this engine does not
+    feed); it must give the same bytes. Both close switch gaps with
+    ``_close_gap`` at a new id's first CAM.
     """
 
     def __init__(self, config, **kwargs):
@@ -461,7 +462,7 @@ class ReferenceEngine(SimulationEngine):
                     ev.app_id,
                     ev.duration_s,
                     now,
-                    veh.active_until if veh.active else now,
+                    veh.active_until if veh.pool.active else now,
                     validator=self._awareness_validator(veh),
                 )
                 if decision.granted:
@@ -470,7 +471,7 @@ class ReferenceEngine(SimulationEngine):
                     self.bump(f"lock_denied_{decision.reason}")
             if tick < veh.silence_until_tick:
                 continue
-            expired = any(not t.is_valid_at(now) for t in veh.active.values())
+            expired = any(not t.is_valid_at(now) for t in veh.pool.active.values())
             locked = veh.locks.locked(now)
             if expired and not locked:
                 self._execute_change(veh, tick, TRIGGER_TICKET_EXPIRY)
@@ -514,9 +515,8 @@ class ReferenceEngine(SimulationEngine):
                     sends.append((veh, AppScope.CAM, (veh.kin.velocity, quasi_ids)))
                     veh.last_cam_tick = tick
                     self.bump("cams_sent")
-                    sid = veh.station_ids[AppScope.CAM]
-                    first, _ = self.emit_span.get(sid, (now, now))
-                    self.emit_span[sid] = (first, now)
+                    if veh.gap_from is not None:
+                        self._close_gap(veh, now)
             if (
                 self.denm_period_ticks is not None
                 and (tick - veh.depart_tick) % self.denm_period_ticks == 0
@@ -527,12 +527,12 @@ class ReferenceEngine(SimulationEngine):
         sigma = self.cfg.beaconing.positioning_sigma_m
         for veh, scope, motion in sends:
             pos = mob.positioning_noise(veh.kin.position, sigma, self.rng_noise)
-            obs = bcn.Observation(now, veh.station_ids[scope], scope.value, pos, *motion)
+            obs = bcn.Observation(now, veh.ids[scope.value], scope.value, pos, *motion)
             self.outbox.append((veh.spec.vehicle_id, obs, veh.kin.position))
 
     @staticmethod
     def _can_send(veh, scope, now):
-        ticket = veh.active.get(scope)
+        ticket = veh.pool.active.get(scope)
         return ticket is not None and ticket.is_valid_at(now)
 
     def _phase_ingest(self, tick):

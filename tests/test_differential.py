@@ -228,7 +228,10 @@ def check_invariants(config, result) -> None:
     vehicle's first change it beacons under that change's old ids, after a
     change under its new ids, and not at all inside the change's silence.
     Unless a provisioning call failed or gave up, or a change found no
-    ticket, every pool kept ``min_concurrent_valid`` valid tickets.
+    ticket, every pool kept ``min_concurrent_valid`` valid tickets. The
+    largest switch gap is the largest over changes of the new id's first CAM
+    before the vehicle's next change less the old id's last CAM since its
+    previous change, where both were sent.
     """
     summary, rows = result.summary, result.trace_rows
     short = [key for key in summary["counters"] if key.startswith("replenish_failed_")
@@ -263,6 +266,21 @@ def check_invariants(config, result) -> None:
             assert row["station_id"] == recs[0].old_ids[scope]
         else:
             assert first_id.setdefault((vid, scope), row["station_id"]) == row["station_id"]
+    cams_of = {}  # vehicle -> its CAM ticks, ascending
+    for row in rows:
+        if row["kind"] == "CAM":
+            cams_of.setdefault(row["sender_vehicle_id"], []).append(tick(row["t"]))
+    gaps = []
+    for vid, changes in ticks_of.items():
+        cams = cams_of.get(vid, [])
+        for k, change in enumerate(changes):
+            previous = changes[k - 1] if k else -math.inf
+            following = changes[k + 1] if k + 1 < len(changes) else math.inf
+            last = [c for c in cams if previous <= c < change]
+            first = [c for c in cams if change <= c < following]
+            if last and first:
+                gaps.append(first[0] * config.tick_s - last[-1] * config.tick_s)
+    assert summary["safety"]["max_stack_switch_gap_s"] == max(gaps, default=None)
 
 
 def outputs(engine_cls, config) -> tuple:

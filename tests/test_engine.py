@@ -1,4 +1,6 @@
 import json
+import math
+import weakref
 
 import pytest
 
@@ -52,15 +54,18 @@ def test_baseline_run_links_perfectly(run_cached):
 
 @pytest.mark.parametrize("name", SUITE)
 def test_pool_queries_never_go_back_in_time(scenarios_dir, monkeypatch, name):
-    """The engine queries every pool at non-decreasing times, so a pool never
-    takes its full-scan fallback for a query before its index's interval."""
-    backward, usable = set(), strat.PseudonymPool._usable
+    """The engine queries every pool at non-decreasing times, as a pool needs:
+    its index drops tickets that no later query can use."""
+    latest, backward = weakref.WeakKeyDictionary(), []
+    for method in ("valid_tickets", "valid_count", "min_valid_count", "select_next"):
+        def recorded(pool, *args, query=getattr(strat.PseudonymPool, method)):
+            now = args[-1]
+            if now < latest.get(pool, -math.inf):
+                backward.append(now)
+            latest[pool] = now
+            return query(pool, *args)
 
-    def recorded(pool, scope_pool, t, now):
-        backward.add(now)
-        return usable(pool, scope_pool, t, now)
-
-    monkeypatch.setattr(strat.PseudonymPool, "_usable", recorded)
+        monkeypatch.setattr(strat.PseudonymPool, method, recorded)
     run_scenario(str(scenarios_dir / name))
     assert not backward
 
@@ -276,7 +281,7 @@ def test_sybil_counter_fires_on_reused_id(scenarios_dir, monkeypatch):
     select_next = strat.PseudonymPool.select_next
 
     def stale(pool, scope, now):
-        return pool.active_ticket(scope, now) or select_next(pool, scope, now)
+        return pool.active.get(scope) or select_next(pool, scope, now)
 
     monkeypatch.setattr(strat.PseudonymPool, "select_next", stale)
     s = run_scenario(str(scenarios_dir / "baseline_single.json")).summary
@@ -284,19 +289,19 @@ def test_sybil_counter_fires_on_reused_id(scenarios_dir, monkeypatch):
     assert s["safety"]["sybil_violations"] > 0
 
 
-def test_switch_gap_counts_a_reused_id_from_its_first_ever_cam(scenarios_dir):
+def test_switch_gap_counts_a_reused_id_from_its_first_cam_after_the_change(scenarios_dir):
     """``max_stack_switch_gap_s`` where a round-robin pool of three hands ids back.
 
     The gap of a change runs from the old CAM id's last CAM to the new CAM
-    id's first CAM. An id that comes back keeps the first CAM of its first
-    activation, so its gap is negative; this pins the value.
+    id's first CAM after the change, so an id that comes back is measured
+    from its new activation, not its first; this pins the value.
     """
     raw = json.loads((scenarios_dir / "latency_fleet.json").read_text())
     raw["duration_s"] = 60.0
     raw["pool"] = {"size": 3, "min_concurrent_valid": 2, "selection": "round_robin"}
     summary = run_scenario(load_scenario(raw)).summary
     assert summary["n_changes"] == 186
-    assert summary["safety"]["max_stack_switch_gap_s"] == -44.900000000000006
+    assert summary["safety"]["max_stack_switch_gap_s"] == 0.10000000000000142
 
 
 def test_run_signs_once_per_enrolment(scenarios_dir, ed25519_calls):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
@@ -209,6 +210,40 @@ def test_verify_order_expired_audience_scope():
     with pytest.raises(VerificationError) as err:
         verify_access_token(token, producer, SERVICE_V2X_MESSAGING, 0.0, verifiers)
     assert err.value.reason == "scope_mismatch"
+
+
+def test_a_token_is_its_signed_bytes():
+    core = ServiceBasedCore(1)
+    token = core.request_v2x_token(now=0.0)
+    claims = token.claims
+    signed = TokenClaims.from_json(_b64d(token.signing_input.split(b".")[1].decode()))
+    assert claims == signed and claims.audience == "V2X_AF"
+    # no token carries claims other than the ones its signature covers
+    for forged in (dataclasses.replace(claims, audience="AA", scope=(SERVICE_AT_PROVISION,)),
+                   dataclasses.replace(claims, expiration=1e12)):
+        with pytest.raises(TypeError):
+            dataclasses.replace(token, claims=forged)
+    got = verify_access_token(token, core.v2x_af_profile, SERVICE_V2X_MESSAGING, 1.0,
+                              core.token_verifiers)
+    assert got == signed
+    for sent in (token, token.serialize()):
+        with pytest.raises(VerificationError) as err:
+            verify_access_token(sent, core.aa_profile, SERVICE_AT_PROVISION, 1.0,
+                                core.token_verifiers)
+        assert err.value.reason == "audience_mismatch"
+    late = core.invoke_v2x_service(token, now=400.0)
+    assert isinstance(late, ServiceReject) and late.cause == "expired"
+
+
+def test_signed_claims_that_do_not_parse_are_malformed():
+    signer = MacTokenSigner(b"k" * 32)
+    producer = NfProfile("v2x-af-1", NfType.V2X_AF, services=(SERVICE_V2X_MESSAGING,))
+    header = _b64e(json.dumps({"alg": SCHEME_MAC}).encode())
+    signing_input = f"{header}.{_b64e(b'not json')}"
+    wire = f"{signing_input}.{_b64e(signer.sign(signing_input.encode()))}"
+    with pytest.raises(VerificationError) as err:
+        verify_access_token(wire, producer, SERVICE_V2X_MESSAGING, 0.0, {SCHEME_MAC: signer})
+    assert err.value.reason == "malformed"
 
 
 def test_expiration_boundary_is_dead():
@@ -445,7 +480,7 @@ def test_equality_hash_repr_and_pools_never_sign(ed25519_calls):
     assert pool.valid_tickets(AppScope.CAM, 20.0) == batch
     pool.activate(AppScope.CAM, pool.select_next(AppScope.CAM, 20.0))
     pool.activate(AppScope.CAM, pool.select_next(AppScope.CAM, 20.0))
-    assert pool.active_ticket(AppScope.CAM, 20.0) == batch[1]
+    assert pool.active[AppScope.CAM] == batch[1]
     assert pool.valid_count(AppScope.CAM, 20.0) == 3
 
     assert ed25519_calls["sign"] == 0

@@ -332,6 +332,26 @@ def test_pool_rejects_duplicate_tickets():
         pool.add_batch(AppScope.CAM, [ticket("t1")])
 
 
+def test_pool_queries_before_the_latest_raise():
+    pool = PseudonymPool("no_reuse", 2, 5, [AppScope.CAM, AppScope.DENM])
+    pool.add_batch(AppScope.CAM, [ticket("a", 0.0, 4.0), ticket("b", 2.0, 9.0)])
+    pool.add_batch(AppScope.DENM, [ticket("d", 0.0, 9.0)])
+    assert pool.valid_count(AppScope.DENM, 5.0) == 1
+    queries = [
+        lambda now: pool.valid_tickets(AppScope.CAM, now),
+        lambda now: pool.valid_count(AppScope.CAM, now),
+        lambda now: pool.min_valid_count(now),
+        lambda now: pool.select_next(AppScope.CAM, now),
+        lambda now: pool.needs_replenish(AppScope.CAM, now),
+        lambda now: pool.replenish_need(AppScope.CAM, now),
+    ]
+    for query in queries:  # the pool's latest query, on the other scope, was at 5.0
+        with pytest.raises(PoolError):
+            query(3.0)
+    assert [t.at_id for t in pool.valid_tickets(AppScope.CAM, 5.0)] == ["b"]
+    assert pool.min_valid_count(5.0) == 1 and pool.latest == 5.0
+
+
 def test_pool_validity_is_half_open():
     pool = PseudonymPool("no_reuse", 2, 5, [AppScope.CAM])
     pool.add_batch(AppScope.CAM, [ticket("t1", valid_until=50.0), ticket("t2")])
@@ -375,16 +395,8 @@ def test_select_never_returns_active():
     pool.activate(AppScope.CAM, pick)
     for _ in range(5):
         nxt = pool.select_next(AppScope.CAM, 0.0)
-        assert nxt.at_id != pool.active_ticket(AppScope.CAM, 0.0).at_id
+        assert nxt.at_id != pool.active[AppScope.CAM].at_id
         pool.activate(AppScope.CAM, nxt)
-
-
-def test_active_ticket_expires_away():
-    pool = PseudonymPool("no_reuse", 2, 5, [AppScope.CAM])
-    pool.add_batch(AppScope.CAM, [ticket("a", valid_until=10.0), ticket("b")])
-    pool.activate(AppScope.CAM, pool.valid_tickets(AppScope.CAM, 0.0)[0])
-    assert pool.active_ticket(AppScope.CAM, 5.0).at_id == "a"
-    assert pool.active_ticket(AppScope.CAM, 10.0) is None
 
 
 def test_plan_change_is_atomic_across_scopes():
@@ -401,7 +413,7 @@ def test_plan_change_is_atomic_across_scopes():
 
     # DENM is now exhausted; the whole change must refuse
     assert plan_change(pool, now=0.0) is None
-    assert pool.active_ticket(AppScope.CAM, 0.0).at_id == "c2"
+    assert pool.active[AppScope.CAM].at_id == "c2"
 
 
 def test_min_valid_count_spans_scopes():
@@ -493,8 +505,19 @@ def test_pool_matches_full_scan_reference(selection, ops, back):
         return [t.at_id for t in tickets]
 
     def agree(now):
-        nonlocal last
+        """Every query at ``now``; before the latest query each one raises."""
+        nonlocal last, latest
         last = now
+        if now < latest:
+            for query in (lambda: pool.valid_count(AppScope.CAM, now),
+                          lambda: pool.min_valid_count(now),
+                          lambda: pool.needs_replenish(AppScope.CAM, now),
+                          lambda: pool.valid_tickets(AppScope.CAM, now),
+                          lambda: pool.select_next(AppScope.CAM, now)):
+                with pytest.raises(PoolError):
+                    query()
+            return None
+        latest = now
         # the counts first and twice: a cached count must match a fresh scan
         count = len(ref.valid_tickets(now))
         for _ in range(2):
@@ -507,7 +530,7 @@ def test_pool_matches_full_scan_reference(selection, ops, back):
         assert (pick and pick.at_id) == (expected and expected.at_id)
         return pick
 
-    last = clock
+    last, latest = clock, -math.inf
     for op, arg in ops:
         if op == "add":
             batch = []
@@ -543,7 +566,8 @@ def test_cached_count_sees_tickets_coming_due_and_retiring(selection):
     pool.activate(AppScope.CAM, late)  # retires "early"
     assert pool.valid_count(AppScope.CAM, 3.0) == (1 if selection == "no_reuse" else 2)
     assert pool.valid_count(AppScope.CAM, 10.0) == 0
-    assert pool.valid_count(AppScope.CAM, 1.0) == (0 if selection == "no_reuse" else 1)
+    with pytest.raises(PoolError):  # queries go forward only
+        pool.valid_count(AppScope.CAM, 1.0)
 
 
 def test_replenish_pool_via_core_respects_batch_cap():
