@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import dataclasses
 import gc
 import json
 import math
@@ -223,8 +224,6 @@ def _cost_matrix(
 class GapAssignment:
     """Outcome of the assignment subproblem of one epoch."""
 
-    ending_ids: list[str]
-    starting_ids: list[str]
     pairs: list[tuple[str, str]]
     unmatched_endings: list[str]
     unmatched_startings: list[str]
@@ -344,11 +343,9 @@ def associate_across_gap(
     n_e, n_s = len(endings), len(startings)
     if n_e == 0 or n_s == 0:
         return GapAssignment(
-            ending_ids=ending_ids,
-            starting_ids=starting_ids,
             pairs=[],
-            unmatched_endings=list(ending_ids),
-            unmatched_startings=list(starting_ids),
+            unmatched_endings=ending_ids,
+            unmatched_startings=starting_ids,
             total_cost=model.no_match_cost * (n_e + n_s),
             pair_costs=[],
         )
@@ -380,8 +377,6 @@ def associate_across_gap(
     total += model.no_match_cost * (n_s - len(pairs))
     matched = set(decisions)
     return GapAssignment(
-        ending_ids=ending_ids,
-        starting_ids=starting_ids,
         pairs=pairs,
         unmatched_endings=unmatched_endings,
         unmatched_startings=[
@@ -591,14 +586,7 @@ class AttackMetrics:
     n_predicted_pairs: int
 
     def to_obj(self) -> dict:
-        return {
-            "link_accuracy": self.link_accuracy,
-            "traceability": self.traceability,
-            "mean_anonymity_set": self.mean_anonymity_set,
-            "n_truth_pairs": self.n_truth_pairs,
-            "n_correct_pairs": self.n_correct_pairs,
-            "n_predicted_pairs": self.n_predicted_pairs,
-        }
+        return dataclasses.asdict(self)
 
 
 def evaluate_attack(

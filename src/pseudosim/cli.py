@@ -22,30 +22,13 @@ from .config import ConfigError, ScenarioConfig, load_scenario
 from .engine import run_job, run_scenario
 from .sba import shared_credentials
 
-METRIC_COLUMNS = [
-    "kind",
-    "run_id",
-    "scenario",
-    "cell",
-    "params",
-    "seed",
-    "link_accuracy",
-    "traceability",
-    "mean_anonymity_set",
-    "mean_awareness_ratio",
-    "ghost_ticks",
-    "missing_ticks",
-    "silence_blind_s",
-    "max_stack_switch_gap_s",
-    "min_valid_tickets",
-    "sybil_violations",
-    "n_changes",
-    "config_digest",
-]
-
-# every column but a run's identity is a metric that sweeps average per cell
-_IDENTITY = ("kind", "run_id", "scenario", "cell", "params", "seed", "config_digest")
-_AGGREGATED = [c for c in METRIC_COLUMNS if c not in _IDENTITY]
+# the metric columns, by the summary block they come from; sweeps average them per cell
+_PRIVACY = ("link_accuracy", "traceability", "mean_anonymity_set")
+_SAFETY = ("mean_awareness_ratio", "ghost_ticks", "missing_ticks", "silence_blind_s",
+           "max_stack_switch_gap_s", "min_valid_tickets", "sybil_violations")
+_AGGREGATED = [*_PRIVACY, *_SAFETY, "n_changes"]
+METRIC_COLUMNS = ["kind", "run_id", "scenario", "cell", "params", "seed", *_AGGREGATED,
+                  "config_digest"]
 
 
 def _cell(value) -> str:
@@ -55,8 +38,6 @@ def _cell(value) -> str:
 
 
 def summary_to_row(summary: dict, *, run_id: str, cell: str, params: dict) -> dict:
-    p = summary["privacy"]
-    s = summary["safety"]
     return {
         "kind": "run",
         "run_id": run_id,
@@ -64,30 +45,21 @@ def summary_to_row(summary: dict, *, run_id: str, cell: str, params: dict) -> di
         "cell": cell,
         "params": json.dumps(params, sort_keys=True, separators=(",", ":")),
         "seed": summary["seed"],
-        "link_accuracy": p["link_accuracy"],
-        "traceability": p["traceability"],
-        "mean_anonymity_set": p["mean_anonymity_set"],
-        "mean_awareness_ratio": s["mean_awareness_ratio"],
-        "ghost_ticks": s["ghost_ticks"],
-        "missing_ticks": s["missing_ticks"],
-        "silence_blind_s": s["silence_blind_s"],
-        "max_stack_switch_gap_s": s["max_stack_switch_gap_s"],
-        "min_valid_tickets": s["min_valid_tickets"],
-        "sybil_violations": s["sybil_violations"],
+        **{c: summary["privacy"][c] for c in _PRIVACY},
+        **{c: summary["safety"][c] for c in _SAFETY},
         "n_changes": summary["n_changes"],
         "config_digest": summary["config_digest"],
     }
 
 
-def _aggregate_rows(rows: list[dict], cell: str, params_json: str) -> list[dict]:
+def _aggregate_rows(rows: list[dict]) -> list[dict]:
     """Mean and population-std rows over one cell's runs, fixed field order."""
     out = []
     for kind in ("mean", "std"):
-        agg = {c: "" for c in METRIC_COLUMNS}
+        agg = dict.fromkeys(METRIC_COLUMNS, "")
         agg["kind"] = kind
-        agg["scenario"] = rows[0]["scenario"]
-        agg["cell"] = cell
-        agg["params"] = params_json
+        for col in ("scenario", "cell", "params"):
+            agg[col] = rows[0][col]
         for col in _AGGREGATED:
             values = [r[col] for r in rows if r[col] is not None and r[col] != ""]
             if not values:
@@ -152,20 +124,28 @@ def _apply_override(obj: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _load_sweep_spec(path: str) -> tuple[dict, dict, int, int]:
+def _load_json(path: str, field: str):
     with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"{field}: {path}: {exc}"]) from exc
+
+
+def _load_sweep_spec(path: str) -> tuple[dict, dict, int, int]:
+    spec = _load_json(path, "spec")
+    if not isinstance(spec, dict):
+        raise ConfigError(["spec: must be a JSON object"])
     violations = []
     allowed = {"base", "axes", "replications", "seed_base"}
     for key in sorted(set(spec) - allowed):
         violations.append(f"{key}: unknown field")
     base = spec.get("base")
     if isinstance(base, str):
-        base_path = os.path.join(os.path.dirname(os.path.abspath(path)), base)
-        with open(base_path, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    elif not isinstance(base, dict):
-        violations.append("base: must be a path or an inline config object")
+        base = _load_json(os.path.join(os.path.dirname(os.path.abspath(path)), base), "base")
+    if not isinstance(base, dict):
+        violations.append("base: must be a config object, inline or in a file")
         base = {}
     axes = spec.get("axes", {})
     if not isinstance(axes, dict) or not all(
@@ -274,10 +254,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     all_rows = list(rows)
     for cell_idx in sorted(by_cell):
-        cell_rows = by_cell[cell_idx]
-        all_rows.extend(
-            _aggregate_rows(cell_rows, cell_rows[0]["cell"], cell_rows[0]["params"])
-        )
+        all_rows.extend(_aggregate_rows(by_cell[cell_idx]))
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), all_rows)
     with open(os.path.join(args.out, "sweep_manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -327,7 +304,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             for rep, (_, summary) in enumerate(results[k * args.reps : (k + 1) * args.reps])
         ]
         rows.extend(cfg_rows)
-        aggregates = _aggregate_rows(cfg_rows, cfg.name, cfg_rows[0]["params"])
+        aggregates = _aggregate_rows(cfg_rows)
         rows.extend(aggregates)
         mean_row, std_row = aggregates
         report.append(

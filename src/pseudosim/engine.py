@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -76,7 +77,6 @@ class _Vehicle:
 class RunResult:
     config: ScenarioConfig
     summary: dict
-    metrics: adv.AttackMetrics
     linkage: adv.LinkageResult
     store: adv.ObservationStore
     change_records: list
@@ -122,10 +122,9 @@ class SimulationEngine:
         )
 
         self.vehicles: dict[int, _Vehicle] = {}  # on the road only
-        # per-tick facts: the id-sorted vehicles after mobility, who hears whom,
-        # and every emission as (sender id, message, sender's true position)
+        # per-tick facts: the id-sorted vehicles after mobility, and every
+        # emission as (sender id, message, sender's true position)
         self.roster: list[_Vehicle] = []
-        self.neighbors: dict[int, list[int]] = {}
         self.neighbors_until = -1.0  # the last tick no pair can have crossed the range
         self.outbox: list[tuple[int, bcn.Observation | bcn.NoticeSighting, mob.Point]] = []
         self.notices: list[tuple[int, bcn.NoticeSighting, mob.Point]] = []
@@ -143,12 +142,10 @@ class SimulationEngine:
         self.ldm = bcn.FleetLdm(config.beaconing.ldm_timeout_s, self.tick_s,
                                 self.cam_period_ticks, self.owner_of, self.active_ids)
         self.change_records: list[strat.ChangeRecord] = []
-        self.initial_activations = 0
-        self.silence_of: dict[int, list] = {}
+        self.silence_ticks = int(round(config.policy.silence_s / config.tick_s))
         self.max_switch_gap: Optional[float] = None
 
         self.counters: dict[str, int] = {}
-        self.changes_by_trigger: dict[str, int] = {}
         self.min_valid_tickets: Optional[int] = None
         self.sybil_violations = 0
         self.awareness_sum = 0.0
@@ -158,7 +155,6 @@ class SimulationEngine:
         self.missing_ticks = 0
         self.missing_total = 0
         self.trace_rows: Optional[list] = [] if collect_trace else None
-        self._silence_ticks_total = 0
 
         ntp = config.policy.policy
         self._coordination_ticks = (
@@ -193,7 +189,7 @@ class SimulationEngine:
             depart_tick=tick,
             cursor=mob.RouteCursor(self.cfg.road, spec.route),
             kin=mob.Kinematics(position=(0.0, 0.0), velocity=(0.0, 0.0)),
-            trip=mob.TripState(trip_start_time=now),
+            trip=mob.TripState(),
             pool=pool,
             locks=strat.LockLedger(renewal_threshold=self.cfg.locks.renewal_threshold),
             cert=cert,
@@ -296,14 +292,8 @@ class SimulationEngine:
         veh.cam_until = veh.pool.active[AppScope.CAM].valid_until
         veh.cam_sid = new_ids[AppScope.CAM.value]
 
-        silence_s = self.cfg.policy.silence_s
         if old_ids:
-            if silence_s > 0.0:
-                veh.silence_until_tick = tick + int(round(silence_s / self.tick_s))
-                self._silence_ticks_total += veh.silence_until_tick - tick
-            self.silence_of.setdefault(vid, []).append(
-                (now, now + silence_s, veh.kin.position)
-            )
+            veh.silence_until_tick = tick + self.silence_ticks
             self.change_records.append(
                 strat.ChangeRecord(
                     t=now,
@@ -312,14 +302,9 @@ class SimulationEngine:
                     old_ids=old_ids,
                     new_ids=new_ids,
                     position=veh.kin.position,
-                    silence_s=silence_s,
-                    threshold_distance_m=veh.trigger.threshold_distance_m,
-                    threshold_time_s=veh.trigger.threshold_time_s,
+                    silence_s=self.cfg.policy.silence_s,
                 )
             )
-            self.changes_by_trigger[trigger] = self.changes_by_trigger.get(trigger, 0) + 1
-        else:
-            self.initial_activations += 1
         veh.trip.note_change()
         veh.trigger = strat.rearm_trigger(
             self.cfg.policy.policy, veh.trip.changes_this_trip, self.rng_strategy
@@ -376,14 +361,14 @@ class SimulationEngine:
         self.roster = roster
         if arrivals or len(roster) < len(on_road) or tick > self.neighbors_until:
             # a vehicle moves at most its spec speed, whatever the speed limits
-            self.neighbors, safe_ticks = mob.kinetic_neighbor_lists(
+            neighbors, safe_ticks = mob.kinetic_neighbor_lists(
                 {veh.spec.vehicle_id: veh.kin.position for veh in roster},
                 {veh.spec.vehicle_id: veh.spec.speed_mps * self.tick_s for veh in roster},
                 self.cfg.beaconing.radio_range_m,
                 self.cfg.road.extent_m,
             )
             self.neighbors_until = tick + safe_ticks
-            self.ldm.relink(self.neighbors)
+            self.ldm.relink(neighbors)
         self.ldm.expire(tick)
 
     def _awareness_validator(self, veh: _Vehicle):
@@ -513,9 +498,10 @@ class SimulationEngine:
         self.eavesdropper.hear_all(notices, beacons)
         if self.trace_rows is not None:
             self.trace_rows += [adv.trace_row(vid, msg) for vid, msg, _ in chain(notices, beacons)]
+        neighbors = self.ldm.neighbors
         receivers = []  # per notice, then per beacon if loss is drawn; ascending
         for sender_id, _, sender_pos in notices:
-            in_range = self.neighbors.get(sender_id)
+            in_range = neighbors.get(sender_id)
             if in_range is None:  # from a vehicle that finished this tick
                 in_range = mob.region_query(
                     {veh.spec.vehicle_id: veh.kin.position for veh in self.roster},
@@ -526,7 +512,7 @@ class SimulationEngine:
         # one batch of loss draws, one per delivery in message then receiver order
         lost: dict[int, set] = {}  # message index -> the receivers that missed it
         if self.cfg.beaconing.loss_rate > 0.0:
-            receivers += [self.neighbors[sender_id] for sender_id, _, _ in beacons]
+            receivers += [neighbors[sender_id] for sender_id, _, _ in beacons]
             counts = list(map(len, receivers))
             draws = self.rng_loss.random(sum(counts)) < self.cfg.beaconing.loss_rate
             hits = np.flatnonzero(draws)
@@ -575,8 +561,11 @@ class SimulationEngine:
             self.model,
             use_quasi_identifiers=self.cfg.adversary.use_quasi_identifiers,
         )
-        truth_pairs = []
+        truth_pairs, silence_of = [], {}
         for rec in self.change_records:
+            silence_of.setdefault(rec.vehicle_id, []).append(
+                (rec.t, rec.t + rec.silence_s, rec.position)
+            )
             for scope_value, old in sorted(rec.old_ids.items()):
                 new = rec.new_ids.get(scope_value)
                 if new is not None:
@@ -585,7 +574,7 @@ class SimulationEngine:
             owner_of=self.owner_of,
             truth_pairs=truth_pairs,
             changes=self.change_records,
-            silence_of=self.silence_of,
+            silence_of=silence_of,
         )
         metrics = adv.evaluate_attack(
             linkage, truth, anonymity_region_m=self.cfg.adversary.anonymity_region_m
@@ -594,7 +583,6 @@ class SimulationEngine:
         return RunResult(
             config=self.cfg,
             summary=summary,
-            metrics=metrics,
             linkage=linkage,
             store=store,
             change_records=self.change_records,
@@ -615,8 +603,10 @@ class SimulationEngine:
             "tick_s": self.tick_s,
             "n_vehicles": len(self.cfg.fleet),
             "n_changes": len(self.change_records),
-            "n_initial_activations": self.initial_activations,
-            "changes_by_trigger": dict(sorted(self.changes_by_trigger.items())),
+            # a vehicle's first successful change is its only one with no old ids
+            "n_initial_activations": len(set(self.owner_of.values())),
+            "changes_by_trigger": dict(sorted(Counter(
+                rec.trigger for rec in self.change_records).items())),
             "privacy": metrics.to_obj(),
             "safety": {
                 "mean_awareness_ratio": mean_awareness,
@@ -625,7 +615,7 @@ class SimulationEngine:
                 "ghost_entries_total": self.ghost_entries_total,
                 "missing_ticks": self.missing_ticks,
                 "missing_total": self.missing_total,
-                "silence_blind_s": self._silence_ticks_total * self.tick_s,
+                "silence_blind_s": len(self.change_records) * self.silence_ticks * self.tick_s,
                 "max_stack_switch_gap_s": self.max_switch_gap,
                 "min_valid_tickets": self.min_valid_tickets,
                 "sybil_violations": self.sybil_violations,

@@ -91,10 +91,6 @@ class Kinematics:
     position: Point
     velocity: Point
 
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.velocity[0], self.velocity[1])
-
 
 @dataclass
 class RouteCursor:
@@ -185,7 +181,6 @@ def step_on_leg(cursor: RouteCursor, leg: Leg) -> Optional[Point]:
 class TripState:
     """Odometers the change policies consult. Distances in metres, times in seconds."""
 
-    trip_start_time: float
     odometer_trip_m: float = 0.0
     odometer_since_change_m: float = 0.0
     time_since_change_s: float = 0.0

@@ -453,7 +453,6 @@ class NfProfile:
     nf_instance_id: str
     nf_type: NfType
     services: tuple[str, ...]
-    additional_scope: tuple[AdditionalScope, ...] = ()
 
 
 def verify_access_token(
@@ -676,9 +675,8 @@ class AuthorizationTicket:
 class EnrolmentAuthority:
     """Deconceals subscriber identity and issues enrolment certificates.
 
-    Keeps the only SUPI-to-certificate mapping in the system, plus a replay
-    ledger of seen concealment ephemerals so a recorded SUCI cannot be
-    enrolled twice.
+    Keeps a replay ledger of seen concealment ephemerals so a recorded SUCI
+    cannot be enrolled twice, and no record of the certificates it issues.
     """
 
     def __init__(
@@ -692,7 +690,6 @@ class EnrolmentAuthority:
         self._ec_lifetime_s = float(ec_lifetime_s)
         self._subscribers: set[str] = set()
         self._seen_ephemerals: set[bytes] = set()
-        self._issued: dict[str, str] = {}  # ec_id -> subject digest, never exported
         self._counter = 0
 
     def add_subscriber(self, supi: Supi) -> None:
@@ -717,7 +714,6 @@ class EnrolmentAuthority:
         subject = hashlib.sha256(b"subject:" + supi.value).hexdigest()[:32]
         until = now + self._ec_lifetime_s
         signature = self._signer.sign(EnrollmentCertificate.payload(ec_id, subject, now, until))
-        self._issued[ec_id] = subject
         return EnrollmentCertificate(ec_id, subject, now, until, signature)
 
 
@@ -740,7 +736,6 @@ class AuthorizationAuthority:
         self._at_lifetime_s = float(at_lifetime_s)
         self._at_stagger_s = float(at_stagger_s)
         self._counter = 0
-        self._ledger: dict[str, str] = {}  # at_id -> ec_id, stays inside the AA
 
     def _next_at_id(self) -> str:
         self._counter += 1
@@ -780,7 +775,6 @@ class AuthorizationAuthority:
         for i in range(count):
             at_id = self._next_at_id()
             until = now + self._at_lifetime_s + i * self._at_stagger_s
-            self._ledger[at_id] = cert.ec_id
             batch.append(AuthorizationTicket(at_id, perms, now, until, self._signer))
         return batch
 

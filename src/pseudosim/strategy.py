@@ -448,8 +448,6 @@ class ChangeRecord:
     new_ids: dict
     position: tuple[float, float]
     silence_s: float
-    threshold_distance_m: Optional[float] = None
-    threshold_time_s: Optional[float] = None
 
 
 # --- network coordination ------------------------------------------------------

@@ -414,7 +414,7 @@ def test_criterion_10_segment_thresholds():
         # event-driven: drive the odometers to exactly straddle each threshold
         for _ in range(1000):
             speed = float(rng.uniform(8.0, 25.0))
-            trip = TripState(trip_start_time=0.0)
+            trip = TripState()
             trigger = rearm_trigger(policy, 0, rng)
             assert evaluate_change_trigger(policy, trip, trigger, 0.0)
             trip.note_change()
@@ -455,7 +455,7 @@ def test_criterion_10_segment_thresholds():
         dt = 0.25
         for _ in range(150):
             speed = float(rng.uniform(8.0, 25.0))
-            trip = TripState(trip_start_time=0.0)
+            trip = TripState()
             assert evaluate_change_trigger(policy, trip, rearm_trigger(policy, 0, rng), 0.0)
             trip.note_change()
             for _k in range(3):

@@ -55,7 +55,13 @@ def test_run_writes_summary_and_metrics(tmp_path, capsys):
 
     with open(out / "metrics.csv", newline="") as fh:
         header = fh.readline().strip().split(",")
-    assert header == cli.METRIC_COLUMNS
+    assert header == [
+        "kind", "run_id", "scenario", "cell", "params", "seed",
+        "link_accuracy", "traceability", "mean_anonymity_set",
+        "mean_awareness_ratio", "ghost_ticks", "missing_ticks", "silence_blind_s",
+        "max_stack_switch_gap_s", "min_valid_tickets", "sybil_violations",
+        "n_changes", "config_digest",
+    ]
     rows = read_csv(out / "metrics.csv")
     assert len(rows) == 1
     assert rows[0]["kind"] == "run"
@@ -315,6 +321,33 @@ def test_sweep_missing_base_file(tmp_path, capsys):
     rc = cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_sweep_spec_must_be_an_object(tmp_path, capsys):
+    spec = tmp_path / "sweep.json"
+    spec.write_text("[1, 2]")
+    rc = cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error: spec: must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken", ["sweep", "base"])
+def test_sweep_file_that_is_not_json(tmp_path, capsys, broken):
+    (tmp_path / "base.json").write_text(json.dumps(tiny_config()))
+    spec = write_sweep_spec(tmp_path, base="base.json")
+    (tmp_path / f"{broken}.json").write_text('{"seed": 1,')
+    rc = cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    field = "spec" if broken == "sweep" else "base"
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_sweep_base_file_must_hold_an_object(tmp_path, capsys):
+    (tmp_path / "base.json").write_text("[]")
+    spec = write_sweep_spec(tmp_path, base="base.json")
+    rc = cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error: base: must be a config object" in capsys.readouterr().err
 
 
 # --- compare ---------------------------------------------------------------------

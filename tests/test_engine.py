@@ -276,6 +276,27 @@ def test_engine_requires_loaded_config():
     assert result.trace_rows is None  # not collected unless asked
 
 
+def test_initial_activations_count_vehicles_even_after_a_starved_start(
+    scenarios_dir, run_cached, monkeypatch
+):
+    s = run_cached("ghost_regression_notify_off.json").summary
+    assert s["n_initial_activations"] == 2
+    assert "change_starved" not in s["counters"]
+
+    # the first vehicle's pool has nothing to give at departure; it activates later
+    plan_change, calls = strat.plan_change, []
+
+    def starve_first(pool, now):
+        calls.append(now)
+        return None if len(calls) == 1 else plan_change(pool, now)
+
+    monkeypatch.setattr(strat, "plan_change", starve_first)
+    starved = run_scenario(str(scenarios_dir / "ghost_regression_notify_off.json")).summary
+    assert starved["n_initial_activations"] == 2
+    assert starved["counters"]["change_starved"] == 1
+    assert starved["changes_by_trigger"] == s["changes_by_trigger"] == {"periodic": 3}
+
+
 def test_sybil_counter_fires_on_reused_id(scenarios_dir, monkeypatch):
     # fault injection: a pool that hands back the active ticket on every change
     select_next = strat.PseudonymPool.select_next

@@ -46,7 +46,6 @@ def ticket(at_id, valid_from=0.0, valid_until=1000.0):
 
 def trip(changes=0, odo_trip=0.0, odo_since=0.0, t_since=0.0):
     return TripState(
-        trip_start_time=0.0,
         odometer_trip_m=odo_trip,
         odometer_since_change_m=odo_since,
         time_since_change_s=t_since,
