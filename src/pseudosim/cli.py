@@ -125,11 +125,10 @@ def _apply_override(obj: dict, dotted: str, value) -> None:
 
 
 def _load_json(path: str, field: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError([f"{field}: {path}: {exc}"]) from exc
 
 

@@ -548,15 +548,15 @@ def load_scenario(
     """
     raw: Any = source
     if not isinstance(source, dict):
-        text = source
-        if isinstance(source, os.PathLike) or (
-            isinstance(source, str) and not source.lstrip().startswith("{")
-        ):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
         try:
+            text = source
+            if isinstance(source, os.PathLike) or (
+                isinstance(source, str) and not source.lstrip().startswith("{")
+            ):
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError([f"json: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config: must be a JSON object"])

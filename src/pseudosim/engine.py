@@ -33,11 +33,11 @@ from . import mobility as mob
 from . import strategy as strat
 from .config import ScenarioConfig, VehicleSpec, load_scenario
 from .sba import (
+    AccessToken,
     AppScope,
     EnrollmentCertificate,
     SbaError,
     ServiceBasedCore,
-    ServiceReject,
     Supi,
 )
 from .seeds import fork_generator
@@ -58,7 +58,7 @@ class _Vehicle:
     pool: strat.PseudonymPool
     locks: strat.LockLedger
     cert: EnrollmentCertificate
-    session_token: object
+    session_token: AccessToken
     trigger: strat.TriggerState = field(default_factory=strat.TriggerState)
     ids: dict = field(default_factory=dict)  # scope value -> active station id
     active_until: float = math.inf  # earliest valid_until among the active tickets
@@ -174,10 +174,7 @@ class SimulationEngine:
         self.core.add_subscriber(supi)
         nonce = bytes(self.rng_identity.bytes(12))
         cert = self.core.enroll_vehicle(supi, nonce, now)
-        token = self.core.request_v2x_token(now)
-        outcome = self.core.invoke_v2x_service(token, now)
-        if isinstance(outcome, ServiceReject):  # fresh token; should not happen
-            self.bump("admission_service_rejects")
+        token = self.core.invoke_v2x_service(self.core.request_v2x_token(now), now)
         pool = strat.PseudonymPool(
             selection=self.cfg.pool.selection,
             min_concurrent_valid=self.cfg.pool.min_concurrent_valid,
@@ -252,24 +249,13 @@ class SimulationEngine:
                 return
             self.bump("pool_replenishments")
 
-    def _touch_session(self, veh: _Vehicle, now: float) -> None:
-        outcome = self.core.invoke_v2x_service(veh.session_token, now)
-        if isinstance(outcome, ServiceReject) and outcome.reregister:
-            try:
-                veh.session_token = self.core.request_v2x_token(now)
-            except SbaError:
-                self.bump("session_renewal_failed")
-                return
-            self.bump("session_renewals")
-            self.core.invoke_v2x_service(veh.session_token, now)
-
     def _execute_change(self, veh: _Vehicle, tick: int, trigger: str) -> bool:
         now = tick * self.tick_s
         plan = strat.plan_change(veh.pool, now)
         if plan is None:
             self.bump("change_starved")
             return False
-        self._touch_session(veh, now)
+        veh.session_token = self.core.invoke_v2x_service(veh.session_token, now)
         old_ids = self._retire_ids(veh, now)
         sent = veh.last_cam_tick is not None and veh.last_cam_tick >= veh.last_change_tick
         veh.gap_from = veh.last_cam_tick if sent else None  # the retired id sent a CAM

@@ -489,40 +489,9 @@ def verify_access_token(
     return claims
 
 
-@dataclass(frozen=True)
-class ServiceAccept:
-    claims: TokenClaims
-
-
-@dataclass(frozen=True)
-class ServiceReject:
-    cause: str
-    reregister: bool
-
-
-# Whether a rejected consumer should fetch a fresh token and come back.
-REJECT_POLICY = {
-    "expired": True,
-    "bad_signature": True,
-    "malformed": True,
-    "audience_mismatch": False,
-    "scope_mismatch": False,
-}
-
-
-def authorize_service_request(
-    token: Union[AccessToken, str],
-    service: str,
-    producer: NfProfile,
-    now: float,
-    verifiers: dict[str, TokenSigner],
-) -> Union[ServiceAccept, ServiceReject]:
-    """Gate one service invocation on token verification."""
-    try:
-        claims = verify_access_token(token, producer, service, now, verifiers)
-    except VerificationError as exc:
-        return ServiceReject(cause=exc.reason, reregister=REJECT_POLICY[exc.reason])
-    return ServiceAccept(claims=claims)
+# Rejects a consumer recovers from by fetching a fresh token; a token for the
+# wrong producer or service would only be refused again.
+RENEWABLE = frozenset({"expired", "bad_signature", "malformed"})
 
 
 # --- NF repository ----------------------------------------------------------
@@ -569,22 +538,16 @@ class NetworkRepository:
         self,
         consumer_id: str,
         scope: list[str],
-        target_nf_type: Union[NfType, str],
+        target_nf_type: NfType,
         now: float,
     ) -> AccessToken:
         """Grant an access token or raise ``AuthorizationError``.
 
-        Reasons: ``unknown_consumer``, ``unknown_target_type``,
-        ``empty_scope``, ``scope_not_granted``.
+        Reasons: ``unknown_consumer``, ``empty_scope``, ``scope_not_granted``.
         """
         consumer = self._profiles.get(consumer_id)
         if consumer is None:
             raise AuthorizationError("unknown_consumer", consumer_id)
-        if isinstance(target_nf_type, str):
-            try:
-                target_nf_type = NfType(target_nf_type)
-            except ValueError:
-                raise AuthorizationError("unknown_target_type", str(target_nf_type))
         if not scope:
             raise AuthorizationError("empty_scope")
         granted: set[str] = set()
@@ -797,7 +760,9 @@ class SbaConfig:
 class ServiceBasedCore:
     """Wires keystore, NRF, EA, AA and the V2X application function together.
 
-    One instance per simulation run. All key material is derived from the run
+    Every service call is verified and counted in one place, and it renews a
+    V2X session token rejected for a ``RENEWABLE`` reason at the NRF. One
+    instance per simulation run. All key material is derived from the run
     seed, so two cores built with the same seed and config behave identically.
     Its only state outside itself is the :func:`shared_credentials` scope open
     when it is built, which memoizes key loads, signatures and key exchanges
@@ -919,17 +884,35 @@ class ServiceBasedCore:
         self.bump("tokens_issued")
         return token
 
+    def _authorize(
+        self, token: Union[AccessToken, str], service: str, producer: NfProfile, now: float
+    ) -> Optional[str]:
+        """Gate one service call on its token; counts it and returns the reject reason."""
+        try:
+            verify_access_token(token, producer, service, now, self.token_verifiers)
+        except VerificationError as exc:
+            self.bump(f"service_reject_{exc.reason}")
+            return exc.reason
+        self.bump("service_accepts")
+        return None
+
     def invoke_v2x_service(
         self, token: Union[AccessToken, str], now: float
-    ) -> Union[ServiceAccept, ServiceReject]:
-        result = authorize_service_request(
-            token, SERVICE_V2X_MESSAGING, self.v2x_af_profile, now, self.token_verifiers
-        )
-        if isinstance(result, ServiceAccept):
-            self.bump("service_accepts")
-        else:
-            self.bump(f"service_reject_{result.cause}")
-        return result
+    ) -> Union[AccessToken, str]:
+        """Call the V2X messaging service and return the token to keep.
+
+        A ``RENEWABLE`` reject fetches a fresh token and calls once more with
+        it; if the NRF refuses the fresh token, the old one is kept.
+        """
+        if self._authorize(token, SERVICE_V2X_MESSAGING, self.v2x_af_profile, now) in RENEWABLE:
+            try:
+                token = self.request_v2x_token(now)
+            except SbaError:
+                self.bump("session_renewal_failed")
+                return token
+            self.bump("session_renewals")
+            self._authorize(token, SERVICE_V2X_MESSAGING, self.v2x_af_profile, now)
+        return token
 
     # - ticket provisioning (EA invokes AA under a token of its own) -
 
@@ -951,21 +934,10 @@ class ServiceBasedCore:
         app_permissions: tuple[str, ...],
         now: float,
     ) -> list[AuthorizationTicket]:
-        token = self._ea_access_token(now)
-        decision = authorize_service_request(
-            token, SERVICE_AT_PROVISION, self.aa_profile, now, self.token_verifiers
-        )
-        if isinstance(decision, ServiceReject):
-            self.bump(f"service_reject_{decision.cause}")
-            if decision.reregister:
-                self._ea_token = None
-                token = self._ea_access_token(now)
-                decision = authorize_service_request(
-                    token, SERVICE_AT_PROVISION, self.aa_profile, now, self.token_verifiers
-                )
-            if isinstance(decision, ServiceReject):
-                raise ProvisioningError("service_rejected", decision.cause)
-        self.bump("service_accepts")
+        reason = self._authorize(self._ea_access_token(now), SERVICE_AT_PROVISION,
+                                 self.aa_profile, now)
+        if reason is not None:
+            raise ProvisioningError("service_rejected", reason)
         try:
             batch = self.aa.provision_batch(cert, count, app_permissions, now)
         except ProvisioningError as exc:

@@ -134,6 +134,17 @@ def test_run_invalid_config(tmp_path, capsys):
     assert err.startswith("config error: ")
 
 
+NOT_UTF8 = b"\xff\xfe" + "{}".encode("utf-16-le")
+
+
+def test_run_config_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(NOT_UTF8)
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: json: ")
+
+
 # --- sweep -----------------------------------------------------------------------
 
 
@@ -333,13 +344,14 @@ def test_sweep_spec_must_be_an_object(tmp_path, capsys):
 
 @pytest.mark.parametrize("broken", ["sweep", "base"])
 def test_sweep_file_that_is_not_json(tmp_path, capsys, broken):
-    (tmp_path / "base.json").write_text(json.dumps(tiny_config()))
-    spec = write_sweep_spec(tmp_path, base="base.json")
-    (tmp_path / f"{broken}.json").write_text('{"seed": 1,')
-    rc = cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")])
-    assert rc == 2
     field = "spec" if broken == "sweep" else "base"
-    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    for content in (b'{"seed": 1,', NOT_UTF8):
+        (tmp_path / "base.json").write_text(json.dumps(tiny_config()))
+        spec = write_sweep_spec(tmp_path, base="base.json")
+        (tmp_path / f"{broken}.json").write_bytes(content)
+        rc = cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
 def test_sweep_base_file_must_hold_an_object(tmp_path, capsys):
@@ -368,6 +380,15 @@ def test_compare_rejects_non_positive_reps(tmp_path, capsys, reps):
                    "--reps", reps])
     assert rc == 2
     assert "config error: reps: must be a positive integer" in capsys.readouterr().err
+
+
+def test_compare_config_that_is_not_utf8(tmp_path, capsys):
+    good = write_config(tmp_path, "a.json", tiny_config())
+    bad = tmp_path / "b.json"
+    bad.write_bytes(NOT_UTF8)
+    rc = cli.main(["compare", "--configs", good, str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: json: ")
 
 
 def test_compare_rejects_non_policy_difference(tmp_path, capsys):

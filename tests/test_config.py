@@ -340,6 +340,12 @@ def test_bad_json_and_non_object(tmp_path):
         load_scenario(listy)
     assert err.value.violations == ["config: must be a JSON object"]
 
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    with pytest.raises(ConfigError) as err:
+        load_scenario(utf16)
+    assert err.value.violations[0].startswith("json: ")
+
 
 def test_config_error_message_joins_violations():
     try:

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from pseudosim.sba import (
-    REJECT_POLICY,
     SCHEME_ASYMMETRIC,
     SCHEME_MAC,
     SERVICE_AT_PROVISION,
@@ -27,15 +26,12 @@ from pseudosim.sba import (
     ProvisioningError,
     RegistrationError,
     SbaConfig,
-    ServiceAccept,
     ServiceBasedCore,
-    ServiceReject,
     Supi,
     TokenClaims,
     VerificationError,
     _b64d,
     _b64e,
-    authorize_service_request,
     issue_token,
     parse_token,
     shared_credentials,
@@ -231,8 +227,8 @@ def test_a_token_is_its_signed_bytes():
             verify_access_token(sent, core.aa_profile, SERVICE_AT_PROVISION, 1.0,
                                 core.token_verifiers)
         assert err.value.reason == "audience_mismatch"
-    late = core.invoke_v2x_service(token, now=400.0)
-    assert isinstance(late, ServiceReject) and late.cause == "expired"
+    assert core.invoke_v2x_service(token, now=400.0) is not token
+    assert core.counters["service_reject_expired"] == 1
 
 
 def test_signed_claims_that_do_not_parse_are_malformed():
@@ -270,41 +266,48 @@ def test_unknown_scheme_key_is_bad_signature():
     assert err.value.reason == "bad_signature"
 
 
-def test_reject_policy_reregister_split():
-    assert REJECT_POLICY == {
-        "expired": True,
-        "bad_signature": True,
-        "malformed": True,
-        "audience_mismatch": False,
-        "scope_mismatch": False,
-    }
+@pytest.mark.parametrize("reason", ["expired", "bad_signature", "malformed"])
+def test_a_renewable_reject_renews_the_session_token(reason):
+    core = ServiceBasedCore(seed=13)
+    if reason == "expired":
+        token, now = core.request_v2x_token(now=0.0), core.config.token_ttl_s
+    elif reason == "bad_signature":
+        token, now = issue_token(make_claims(), MacTokenSigner(b"other" * 8)), 1.0
+    else:
+        token, now = "not-a-token", 1.0
+    before = dict(core.counters)
+    renewed = core.invoke_v2x_service(token, now)
+    assert renewed is not token
+    verify_access_token(renewed, core.v2x_af_profile, SERVICE_V2X_MESSAGING, now,
+                        core.token_verifiers)
+    gained = {key: n - before.get(key, 0) for key, n in core.counters.items()}
+    assert gained == {f"service_reject_{reason}": 1, "session_renewals": 1,
+                      "tokens_issued": 1, "service_accepts": 1}
 
 
-def test_authorize_service_request_decisions():
-    signer = MacTokenSigner(b"k" * 32)
-    verifiers = {SCHEME_MAC: signer}
-    producer = NfProfile("v2x-af-1", NfType.V2X_AF, services=(SERVICE_V2X_MESSAGING,))
+@pytest.mark.parametrize("reason", ["audience_mismatch", "scope_mismatch"])
+def test_a_mismatch_reject_keeps_the_token(reason):
+    core = ServiceBasedCore(seed=13)
+    if reason == "audience_mismatch":  # the EA's provisioning token
+        token = core.nrf.request_access_token("ea-1", [SERVICE_AT_PROVISION], NfType.AA, 0.0)
+    else:
+        token = issue_token(make_claims(scope=("other",)), core.token_verifiers[SCHEME_MAC])
+    assert core.invoke_v2x_service(token, 1.0) is token
+    assert core.counters == {f"service_reject_{reason}": 1}
 
-    ok = authorize_service_request(
-        issue_token(make_claims(), signer),
-        SERVICE_V2X_MESSAGING, producer, 0.0, verifiers,
-    )
-    assert isinstance(ok, ServiceAccept)
-    assert ok.claims.subject == "amf-1"
 
-    dead = authorize_service_request(
-        issue_token(make_claims(expiration=1.0), signer),
-        SERVICE_V2X_MESSAGING, producer, 2.0, verifiers,
-    )
-    assert isinstance(dead, ServiceReject)
-    assert dead.cause == "expired" and dead.reregister is True
+def test_a_refused_renewal_keeps_the_old_token(monkeypatch):
+    core = ServiceBasedCore(seed=13)
+    token = core.request_v2x_token(now=0.0)
 
-    wrong = authorize_service_request(
-        issue_token(make_claims(scope=("other",)), signer),
-        SERVICE_V2X_MESSAGING, producer, 0.0, verifiers,
-    )
-    assert isinstance(wrong, ServiceReject)
-    assert wrong.cause == "scope_mismatch" and wrong.reregister is False
+    def refuse(*args, **kwargs):
+        raise AuthorizationError("scope_not_granted")
+
+    monkeypatch.setattr(core.nrf, "request_access_token", refuse)
+    assert core.invoke_v2x_service(token, core.config.token_ttl_s) is token
+    assert core.counters == {"tokens_issued": 1, "service_reject_expired": 1,
+                             "token_denied_scope_not_granted": 1,
+                             "session_renewal_failed": 1}
 
 
 # --- NF repository ------------------------------------------------------------
@@ -347,10 +350,6 @@ def test_token_grant_and_denials():
     with pytest.raises(AuthorizationError) as err:
         nrf.request_access_token("amf-1", ["made-up"], NfType.V2X_AF, 0.0)
     assert err.value.reason == "scope_not_granted"
-
-    with pytest.raises(AuthorizationError) as err:
-        nrf.request_access_token("amf-1", [SERVICE_V2X_MESSAGING], "BOGUS", 0.0)
-    assert err.value.reason == "unknown_target_type"
 
     token = nrf.request_access_token(
         "amf-1", [SERVICE_V2X_MESSAGING, SERVICE_V2X_MESSAGING], NfType.V2X_AF, 10.0
@@ -564,18 +563,35 @@ def test_ea_token_cached_and_refreshed():
     assert core.counters.get("service_reject_expired") is None
 
 
+def test_provisioning_under_a_dead_ea_token_is_rejected():
+    # token_ttl_s <= 0 never passes load_scenario; a core built with it
+    # issues EA tokens that are dead at issue
+    core = ServiceBasedCore(seed=11, config=SbaConfig(token_ttl_s=0.0))
+    supi = make_supi()
+    core.add_subscriber(supi)
+    cert = core.enroll_vehicle(supi, b"n", now=0.0)
+    with pytest.raises(ProvisioningError) as err:
+        core.provision_ticket_batch(cert, 1, ("CAM",), now=0.0)
+    assert (err.value.reason, err.value.detail) == ("service_rejected", "expired")
+    assert core.counters == {"enrollments_ok": 1, "tokens_issued": 1,
+                             "service_reject_expired": 1}
+
+
 def test_v2x_token_flow_and_counters():
     core = ServiceBasedCore(seed=13)
     token = core.request_v2x_token(now=0.0)
     assert token.claims.subject == "amf-1"
     assert token.claims.additional_scope[0].resource == "v2x-sessions"
 
-    assert isinstance(core.invoke_v2x_service(token, now=1.0), ServiceAccept)
-    reject = core.invoke_v2x_service(token, now=core.config.token_ttl_s + 1.0)
-    assert isinstance(reject, ServiceReject)
-    assert reject.cause == "expired" and reject.reregister
-    assert core.counters["service_accepts"] == 1
-    assert core.counters["service_reject_expired"] == 1
-
+    assert core.invoke_v2x_service(token, now=1.0) is token
     # wire form accepted as well as the object form
-    assert isinstance(core.invoke_v2x_service(token.serialize(), now=1.0), ServiceAccept)
+    wire = token.serialize()
+    assert core.invoke_v2x_service(wire, now=1.0) is wire
+    assert core.counters["service_accepts"] == 2
+
+    # a dead wire token is renewed like a dead object one
+    late = core.config.token_ttl_s + 1.0
+    renewed = core.invoke_v2x_service(wire, now=late)
+    assert renewed.claims.expiration == late + core.config.token_ttl_s
+    assert core.counters["service_reject_expired"] == 1
+    assert core.counters["session_renewals"] == 1
