@@ -42,7 +42,9 @@ _ANONYMITY_CELLS = 1 << 14  # (change, interval) cells and (change, owner) flags
 
 
 class ObservationStore:
-    """Time-ordered log of everything the eavesdropper heard."""
+    """Time-ordered log of everything the eavesdropper heard. Records of one
+    time keep their arrival order, which no linkage reads: an id sends at most
+    once per time, and ``build_tracklets`` reads each id's first and last record."""
 
     def __init__(self):
         self.observations: list[Observation] = []
@@ -55,9 +57,8 @@ class ObservationStore:
         self.notices.append(notice)
 
     def finalize(self) -> None:
-        """Order both logs by (t, station_id), stably: two stable single-key sorts."""
+        """Order both logs by time, stably: the engine's log and a trace arrive so."""
         for log in (self.observations, self.notices):
-            log.sort(key=_STATION_ID)
             log.sort(key=_T)
 
 

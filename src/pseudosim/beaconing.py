@@ -153,20 +153,21 @@ class FleetLdm:
     last-seen time is the sender's last CAM. It gets an explicit time, and an
     expiry bucket keyed by tick, only when a refresh is missed: a lost CAM,
     the pair leaving range, the sender's id retiring, a due CAM unsent, or a
-    CAM period longer than the timeout. ``owner_of``
-    and ``active_ids`` are the caller's. Each tick the caller runs ``drop``,
-    ``relink`` and ``expire`` before any read, and ``forget`` before ``heard``.
+    CAM period longer than the timeout. ``owner_of`` is the caller's;
+    ``active``, the station ids on the air, is kept here by ``activate`` and
+    ``retire``. Each tick the caller runs ``drop``, ``relink`` and ``expire``
+    before any read, and ``forget`` before ``heard``.
     """
 
     def __init__(self, timeout_s: float, tick_s: float, cam_period_ticks: int,
-                 owner_of: Mapping[str, int], active_ids: AbstractSet[str]):
+                 owner_of: Mapping[str, int]):
         self.timeout_s, self.tick_s, self.period = float(timeout_s), tick_s, cam_period_ticks
         self.lag = int(self.timeout_s / tick_s)  # no entry ages out sooner after its CAM
         # heard's exact test can pass only if the CAM period comes within a
         # millionth of a tick of the timeout: rounding moves (tick + period) *
         # tick_s - tick * tick_s by far less, up to 10**7 ticks
         self.slow_cams = cam_period_ticks * tick_s > self.timeout_s - 1e-6 * tick_s
-        self.owner_of, self.active = owner_of, active_ids
+        self.owner_of, self.active = owner_of, set()
         self.nodes: dict[int, _Node] = {}
         self.roster: list[_Node] = []  # the vehicles of the last neighbour lists, by id
         self.holders: dict[str, set[int]] = {}  # station id -> receivers with an entry
@@ -212,13 +213,15 @@ class FleetLdm:
             tx.streamed = set()
 
     def retire(self, sid: str) -> None:
-        """``sid`` has just left ``active_ids``."""
+        """Take ``sid`` off the air."""
+        self.active.discard(sid)
         for rid in self.holders.get(sid, ()):
             self.nodes[rid].ghost += 1
         self.cut(self.owner_of[sid])
 
     def activate(self, sid: str) -> None:
-        """``sid`` has just joined ``active_ids``; a round-robin pool may reuse it."""
+        """Put ``sid`` on the air; a round-robin pool may reuse it."""
+        self.active.add(sid)
         for rid in self.holders.get(sid, ()):
             self.nodes[rid].ghost -= 1
 

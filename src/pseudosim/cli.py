@@ -31,12 +31,6 @@ METRIC_COLUMNS = ["kind", "run_id", "scenario", "cell", "params", "seed", *_AGGR
                   "config_digest"]
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
-
-
 def summary_to_row(summary: dict, *, run_id: str, cell: str, params: dict) -> dict:
     return {
         "kind": "run",
@@ -61,7 +55,7 @@ def _aggregate_rows(rows: list[dict]) -> list[dict]:
         for col in ("scenario", "cell", "params"):
             agg[col] = rows[0][col]
         for col in _AGGREGATED:
-            values = [r[col] for r in rows if r[col] is not None and r[col] != ""]
+            values = [r[col] for r in rows if r[col] is not None]
             if not values:
                 continue
             values = [float(v) for v in values]
@@ -78,8 +72,7 @@ def write_metrics_csv(path: str, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _cell(row.get(k)) for k in METRIC_COLUMNS})
+        writer.writerows(rows)
 
 
 # --- run ----------------------------------------------------------------------
@@ -265,22 +258,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # --- compare ----------------------------------------------------------------------
 
 
-_POLICY_SUBTREES = {"policy", "name"}
-
-
-def _comparable_view(canonical: dict) -> dict:
-    return {k: v for k, v in canonical.items() if k not in _POLICY_SUBTREES}
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ConfigError(["reps: must be a positive integer"])
     configs = [load_scenario(path) for path in args.configs]
     if len(configs) < 2:
         raise ConfigError(["compare: need at least two configs"])
-    reference = _comparable_view(configs[0].canonical_dict())
-    for path, cfg in zip(args.configs[1:], configs[1:]):
-        if _comparable_view(cfg.canonical_dict()) != reference:
+    views = [{k: v for k, v in cfg.canonical_dict().items() if k not in ("policy", "name")}
+             for cfg in configs]
+    for path, view in zip(args.configs[1:], views[1:]):
+        if view != views[0]:
             raise ConfigError(
                 [f"compare: {path} differs from {args.configs[0]} outside policy fields"]
             )

@@ -53,6 +53,7 @@ class _Vehicle:
     spec: VehicleSpec
     depart_tick: int
     cursor: mob.RouteCursor
+    leg: mob.Leg  # rebuilt at each segment's end
     kin: mob.Kinematics
     trip: mob.TripState
     pool: strat.PseudonymPool
@@ -65,7 +66,6 @@ class _Vehicle:
     silence_until_tick: int = -1
     last_cam_tick: Optional[int] = None
     last_change_tick: int = 0
-    leg: Optional[mob.Leg] = None  # rebuilt at each segment's end
     quasi_ids: tuple = ()  # length and width, as every CAM carries them
     wake_tick: float = 0  # the first tick the strategy phase must look at it
     cam_until: float = -math.inf  # the active CAM ticket's valid_until
@@ -89,7 +89,6 @@ class RunResult:
 class SimulationEngine:
     def __init__(self, config: ScenarioConfig, *, collect_trace: bool = False):
         self.cfg = config
-        self.collect_trace = collect_trace
         self.tick_s = config.tick_s
         self.n_ticks = int(round(config.duration_s / config.tick_s))
         self.cam_period_ticks = int(round((1.0 / config.beaconing.cam_freq_hz) / config.tick_s))
@@ -138,9 +137,8 @@ class SimulationEngine:
 
         # ground truth, and every receiver's LDM, told of each change to it
         self.owner_of: dict[str, int] = {}
-        self.active_ids: set[str] = set()
         self.ldm = bcn.FleetLdm(config.beaconing.ldm_timeout_s, self.tick_s,
-                                self.cam_period_ticks, self.owner_of, self.active_ids)
+                                self.cam_period_ticks, self.owner_of)
         self.change_records: list[strat.ChangeRecord] = []
         self.silence_ticks = int(round(config.policy.silence_s / config.tick_s))
         self.max_switch_gap: Optional[float] = None
@@ -175,27 +173,27 @@ class SimulationEngine:
         nonce = bytes(self.rng_identity.bytes(12))
         cert = self.core.enroll_vehicle(supi, nonce, now)
         token = self.core.invoke_v2x_service(self.core.request_v2x_token(now), now)
-        pool = strat.PseudonymPool(
-            selection=self.cfg.pool.selection,
-            min_concurrent_valid=self.cfg.pool.min_concurrent_valid,
-            target_size=self.cfg.pool.size,
-            scopes=self.scopes,
-        )
+        cursor = mob.RouteCursor(self.cfg.road, spec.route)
+        leg = mob.leg_of(cursor, spec.speed_mps, self.tick_s)
         veh = _Vehicle(
             spec=spec,
             depart_tick=tick,
-            cursor=mob.RouteCursor(self.cfg.road, spec.route),
-            kin=mob.Kinematics(position=(0.0, 0.0), velocity=(0.0, 0.0)),
+            cursor=cursor,
+            leg=leg,
+            kin=mob.Kinematics(position=cursor.position(), velocity=leg.velocity),
             trip=mob.TripState(),
-            pool=pool,
+            pool=strat.PseudonymPool(
+                selection=self.cfg.pool.selection,
+                min_concurrent_valid=self.cfg.pool.min_concurrent_valid,
+                target_size=self.cfg.pool.size,
+                scopes=self.scopes,
+            ),
             locks=strat.LockLedger(renewal_threshold=self.cfg.locks.renewal_threshold),
             cert=cert,
             session_token=token,
             last_change_tick=tick,
             quasi_ids=(spec.length_m, spec.width_m),
         )
-        veh.leg = mob.leg_of(veh.cursor, spec.speed_mps, self.tick_s)
-        veh.kin = mob.Kinematics(position=veh.cursor.position(), velocity=veh.leg.velocity)
         self.vehicles[spec.vehicle_id] = veh
         for scope in self.scopes:
             self._replenish(veh, scope, now, to_target=True)
@@ -213,7 +211,6 @@ class SimulationEngine:
         With ``notify_deactivation`` each retiring id is announced in the outbox.
         """
         for scope_value, sid in veh.ids.items():
-            self.active_ids.discard(sid)
             self.ldm.retire(sid)
             if self.cfg.policy.notify_deactivation:
                 notice = bcn.NoticeSighting(now, sid, scope_value)
@@ -249,12 +246,12 @@ class SimulationEngine:
                 return
             self.bump("pool_replenishments")
 
-    def _execute_change(self, veh: _Vehicle, tick: int, trigger: str) -> bool:
+    def _execute_change(self, veh: _Vehicle, tick: int, trigger: str) -> None:
         now = tick * self.tick_s
         plan = strat.plan_change(veh.pool, now)
         if plan is None:
             self.bump("change_starved")
-            return False
+            return
         veh.session_token = self.core.invoke_v2x_service(veh.session_token, now)
         old_ids = self._retire_ids(veh, now)
         sent = veh.last_cam_tick is not None and veh.last_cam_tick >= veh.last_change_tick
@@ -271,7 +268,6 @@ class SimulationEngine:
             if owner == vid and self.cfg.pool.selection == strat.SELECTION_NO_REUSE:
                 self.sybil_violations += 1  # the vehicle goes back to an id it used
             self.owner_of[sid] = vid
-            self.active_ids.add(sid)
             self.ldm.activate(sid)
             new_ids[scope.value] = sid
         veh.active_until = min(t.valid_until for t in veh.pool.active.values())
@@ -299,7 +295,6 @@ class SimulationEngine:
         veh.wake_tick = self._wake(veh, tick)
         for scope in self.scopes:
             self._replenish(veh, scope, now, to_target=False)
-        return True
 
     def _ticks_until(self, t: float) -> float:
         """The least whole ``k >= 0`` with ``k * tick_s >= t`` in floats."""
@@ -402,8 +397,7 @@ class SimulationEngine:
             if locked:
                 self.bump("change_deferred_lock")
                 continue
-            if self._execute_change(veh, tick, self.cfg.policy.policy.kind):
-                veh.trigger.pending_command = False
+            self._execute_change(veh, tick, self.cfg.policy.policy.kind)
 
     def _coordinate(self, tick: int) -> None:
         now = tick * self.tick_s

@@ -86,18 +86,19 @@ class TriggerState:
     pending_command: bool = False
 
 
-def sample_segment_thresholds(
-    rng: np.random.Generator, changes_done: int, policy: SegmentPolicy
+def rearm_trigger(
+    policy: ChangePolicy, changes_done: int, rng: np.random.Generator
 ) -> TriggerState:
-    """Draw the thresholds that arm the next segment-policy change.
+    """A fresh state for the next change decision, drawn right after a change.
 
-    After the trip-start change the next trigger is a distance from trip
-    start, uniform on [second_change_min_m, second_change_max_m]. After the
-    second change every subsequent trigger needs the fixed minimum distance
-    plus an elapsed time uniform on [subsequent_time_min_s,
-    subsequent_time_max_s], both measured since the last change.
+    Only ``segment`` draws thresholds. After the trip-start change the next
+    trigger is a distance from trip start, uniform on [second_change_min_m,
+    second_change_max_m]. After the second change every subsequent trigger
+    needs the fixed minimum distance plus an elapsed time uniform on
+    [subsequent_time_min_s, subsequent_time_max_s], both measured since the
+    last change.
     """
-    if changes_done <= 0:
+    if not isinstance(policy, SegmentPolicy) or changes_done <= 0:
         return TriggerState()
     if changes_done == 1:
         return TriggerState(
@@ -111,15 +112,6 @@ def sample_segment_thresholds(
             rng.uniform(policy.subsequent_time_min_s, policy.subsequent_time_max_s)
         ),
     )
-
-
-def rearm_trigger(
-    policy: ChangePolicy, changes_done: int, rng: np.random.Generator
-) -> TriggerState:
-    """State for the next change decision, sampled right after a change."""
-    if isinstance(policy, SegmentPolicy):
-        return sample_segment_thresholds(rng, changes_done, policy)
-    return TriggerState()
 
 
 def _at_window_boundary(local_time: float, window_s: float, tol_s: float) -> bool:
@@ -199,26 +191,26 @@ class LockLedger:
     ``renewal_threshold`` consecutive grants to the same application inside
     one run, further grants need the network validator's approval. Both the
     run clock and the renewal counts reset once a strict gap in coverage
-    appears.
+    appears. Only the run's ends are kept: queries come in time order, as the
+    engine makes them, and a grant starts at its request, so from the latest
+    request on ``locked`` is ``now < chain_end``.
     """
 
     def __init__(self, renewal_threshold: int = 3):
         self.renewal_threshold = int(renewal_threshold)
-        self.active: list[LockGrant] = []
         self.renewal_counts: dict[str, int] = {}
         self.chain_start: Optional[float] = None
         self.chain_end: Optional[float] = None
 
     def sweep(self, now: float) -> None:
-        """Housekeeping at a time step: drop expired locks, reset broken chains."""
-        self.active = [l for l in self.active if l.expires_at > now]
+        """Housekeeping at a time step: reset a chain that a strict gap broke."""
         if self.chain_end is not None and now > self.chain_end + _EPS:
             self.chain_start = None
             self.chain_end = None
             self.renewal_counts = {}
 
     def locked(self, now: float) -> bool:
-        return any(l.granted_at <= now < l.expires_at for l in self.active)
+        return self.chain_end is not None and now < self.chain_end
 
     def request(
         self,
@@ -249,7 +241,6 @@ class LockLedger:
             if validator is None or not validator(app_id, now):
                 return LockDecision(False, reason="network_rejected")
         grant = LockGrant(app_id=app_id, granted_at=now, expires_at=expires)
-        self.active.append(grant)
         self.chain_start = start
         self.chain_end = expires if self.chain_end is None else max(self.chain_end, expires)
         self.renewal_counts[app_id] = count + 1

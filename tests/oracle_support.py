@@ -397,7 +397,8 @@ class ReferenceEngine(SimulationEngine):
     the whole outbox. It recomputes every neighbour list, draws loss with one
     ``rng_loss.random()`` per delivery and hands each delivery to its own
     per-vehicle ``LocalDynamicMap.receive`` message by message, then scores
-    every LDM afresh with ``ldm_quality``, as does the lock validator. The
+    every LDM afresh with ``ldm_quality`` against the station ids of the
+    vehicles on the road, as does the lock validator. The
     production engine keeps a ``Leg`` per vehicle, wakes its strategy at
     events, skips pools whose counts hold, keeps CAM validity per vehicle,
     keeps lists until a pair can cross the range, draws loss in one batch and
@@ -489,8 +490,7 @@ class ReferenceEngine(SimulationEngine):
             if locked:
                 self.bump("change_deferred_lock")
                 continue
-            if self._execute_change(veh, tick, self.cfg.policy.policy.kind):
-                veh.trigger.pending_command = False
+            self._execute_change(veh, tick, self.cfg.policy.policy.kind)
 
     def _phase_sba(self, tick):
         now = tick * self.tick_s
@@ -589,5 +589,7 @@ class ReferenceEngine(SimulationEngine):
         ldm = self._vehicle_ldm(veh.spec.vehicle_id)
         if not neighbors and len(ldm) == 0:
             return None
-        quality = bcn.ldm_quality(ldm, neighbors, self.owner_of, self.active_ids, now)
+        # the ids on the air, read off the vehicles on the road
+        on_air = {sid for v in self.vehicles.values() for sid in v.ids.values()}
+        quality = bcn.ldm_quality(ldm, neighbors, self.owner_of, on_air, now)
         return quality, len(neighbors)

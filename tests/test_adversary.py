@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import operator
@@ -71,16 +72,16 @@ def linear_track(sid, t0, t1, x0, vx=10.0, dt=1.0, quasi=None):
 # --- observation plumbing -------------------------------------------------------
 
 
-def test_store_finalize_orders_by_time_then_id():
+def test_store_finalize_orders_by_time_keeping_arrival_order():
     store = store_of(
         obs("bb", 2.0, (0, 0)), obs("aa", 2.0, (0, 0)), obs("cc", 1.0, (0, 0))
     )
     assert [(o.t, o.station_id) for o in store.observations] == [
-        (1.0, "cc"), (2.0, "aa"), (2.0, "bb")
+        (1.0, "cc"), (2.0, "bb"), (2.0, "aa")
     ]
 
 
-# few ids and times, so that (t, station_id) keys repeat; -0.0 and 0.0 tie
+# few ids and times, so that times and (t, station_id) keys repeat; -0.0 and 0.0 tie
 _key_t = st.one_of(st.sampled_from([-0.0, 0.0, 0.1, 1.0]),
                    st.floats(allow_nan=False, allow_infinity=False))
 _key_id = st.sampled_from(["aa", "ab", "b", "c0"])
@@ -94,17 +95,17 @@ _heard = st.lists(st.one_of(
 
 @given(_heard, st.lists(st.builds(NoticeSighting, _key_t, _key_id, st.just("CAM")),
                         max_size=20))
-def test_finalize_orders_like_a_stable_sort_by_time_then_id(observations, notices):
+def test_finalize_orders_like_a_stable_sort_by_time(observations, notices):
     store = ObservationStore()
     for o in observations:
         store.add(o)
     for n in notices:
         store.add_notice(n)
     store.finalize()
-    by_time_then_id = operator.attrgetter("t", "station_id")
-    # the very same records in the same order, so equal keys keep their order
+    by_time = operator.attrgetter("t")
+    # the very same records in the same order, so records of one time keep their order
     for log, heard in ((store.observations, observations), (store.notices, notices)):
-        assert [id(r) for r in log] == [id(r) for r in sorted(heard, key=by_time_then_id)]
+        assert [id(r) for r in log] == [id(r) for r in sorted(heard, key=by_time)]
 
 
 def test_eavesdropper_full_coverage():
@@ -547,6 +548,24 @@ def test_link_matches_full_candidate_scan(store, max_gap, use_quasi):
         assert chain.score == score
 
 
+@given(_multi_epoch_store(), st.randoms(use_true_random=False),
+       st.sampled_from([30.0, 2.5]), st.booleans())
+@settings(max_examples=settings.default.max_examples * 5 // 2)  # 150 at the default profile
+def test_link_is_unchanged_by_the_order_of_one_times_records(store, rnd, max_gap, use_quasi):
+    """An id sends at most once per time, so no linkage reads the order within a time."""
+    shuffled = ObservationStore()
+    for _, records in itertools.groupby(store.observations, key=operator.attrgetter("t")):
+        records = list(records)
+        rnd.shuffle(records)
+        shuffled.observations += records
+    arrived = list(shuffled.observations)
+    shuffled.finalize()
+    assert shuffled.observations == arrived
+    model = MotionModel(max_gap_s=max_gap)
+    linked = [link(s, model, use_quasi_identifiers=use_quasi).to_json() for s in (shuffled, store)]
+    assert linked[0] == linked[1]
+
+
 # --- scoring ------------------------------------------------------------------------
 
 
@@ -853,12 +872,12 @@ def test_trace_row_round_trips_through_load_trace(tmp_path_factory, records, sen
         for r in records
     ))
     store = load_trace(str(path))
-    by_time_then_id = operator.attrgetter("t", "station_id")
+    by_time = operator.attrgetter("t")  # records of one time stay in file order
     assert store.observations == sorted(
-        (r for r in records if type(r) is Observation), key=by_time_then_id
+        (r for r in records if type(r) is Observation), key=by_time
     )
     assert store.notices == sorted(
-        (r for r in records if type(r) is NoticeSighting), key=by_time_then_id
+        (r for r in records if type(r) is NoticeSighting), key=by_time
     )
 
 

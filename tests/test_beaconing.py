@@ -211,11 +211,12 @@ def test_fleet_ldm_matches_per_vehicle_reference(clock, period, ticks):
     read as the lock validator reads them. Then ids change (retire, notice,
     activate a fresh or a reused id), due CAMs are sent or missed, notices and
     CAMs are delivered but for the lost ones, and the counters are read again.
-    Every read must equal ``ldm_quality_loop`` on the reference.
+    Every read must equal ``ldm_quality_loop`` on the reference, and the
+    fleet's on-air ids the test's own.
     """
     tick_s, timeout_s = clock
-    owner_of, active = {}, set()
-    fleet = FleetLdm(timeout_s, tick_s, period, owner_of, active)
+    owner_of, active = {}, set()  # the ground truth, kept by the test
+    fleet = FleetLdm(timeout_s, tick_s, period, owner_of)
     refs = {vid: EntryLdm(timeout_s) for vid in _FLEET}
     ids = {vid: [f"v{vid}.0"] for vid in _FLEET}  # in activation order, current last
     for vid in _FLEET:
@@ -231,6 +232,7 @@ def test_fleet_ldm_matches_per_vehicle_reference(clock, period, ticks):
         notices.append((vid, sid, list(neighbors[vid])))
 
     def check(now):
+        assert fleet.active == active
         for vid, ref in refs.items():
             ref.evict_expired(now)
             want = ldm_quality_loop(ref, neighbors[vid], owner_of, frozenset(active), now)

@@ -25,7 +25,6 @@ from pseudosim.strategy import (
     plan_change,
     rearm_trigger,
     replenish_pool,
-    sample_segment_thresholds,
     trigger_lower_bounds,
 )
 
@@ -60,15 +59,15 @@ def test_segment_threshold_sampling_ranges():
     rng = np.random.default_rng(1)
     policy = SegmentPolicy()
 
-    assert sample_segment_thresholds(rng, 0, policy) == TriggerState()
+    assert rearm_trigger(policy, 0, rng) == TriggerState()
 
-    second = [sample_segment_thresholds(rng, 1, policy) for _ in range(500)]
+    second = [rearm_trigger(policy, 1, rng) for _ in range(500)]
     dists = [s.threshold_distance_m for s in second]
     assert all(800.0 <= d <= 1500.0 for d in dists)
     assert max(dists) - min(dists) > 300.0  # actually spread out
     assert all(s.threshold_time_s is None for s in second)
 
-    later = [sample_segment_thresholds(rng, k, policy) for k in (2, 3, 7) for _ in range(200)]
+    later = [rearm_trigger(policy, k, rng) for k in (2, 3, 7) for _ in range(200)]
     assert all(s.threshold_distance_m == 800.0 for s in later)
     assert all(120.0 <= s.threshold_time_s <= 360.0 for s in later)
 
@@ -293,13 +292,24 @@ def lock_request_seq(draw):
 
 
 @given(lock_request_seq())
-@settings(max_examples=150)
+@settings(max_examples=settings.default.max_examples * 5 // 2)  # 150 at the default profile
 def test_lock_invariants_fuzz(reqs):
     ledger = LockLedger(renewal_threshold=4)
     validity = 1e8
     spans = []  # merged coverage, rebuilt independently of the ledger
+    grants = []  # (granted_at, expires_at) of every grant, kept by the test
+
+    def locked_by_scan(t):
+        return any(s <= t < e for s, e in grants)
+
     for now, duration in reqs:
+        assert ledger.locked(now) == locked_by_scan(now)
         d = ledger.request("app", duration, now, validity, validator=lambda a, t: True)
+        if d.granted:
+            grants.append((d.lock.granted_at, d.lock.expires_at))
+        # queries go forward: any time from this request on, each grant's end among them
+        for t in (now, *(e for _, e in grants if e >= now)):
+            assert ledger.locked(t) == locked_by_scan(t)
         if not d.granted:
             continue
         lock = d.lock
