@@ -11,7 +11,9 @@ The kinematic stage solves a rectangular assignment problem with a no-match
 option. Costs are compared on one integer grid (``_tie_grid``), which is the
 only definition of a tie; among tied optima the lexicographically smallest
 assignment by station identifier wins, so results are reproducible bit for
-bit whatever the input order. Small epochs are solved without scipy.
+bit whatever the input order. An epoch splits into the connected components
+of its matchable pairs: small ones are enumerated, larger ones share one
+shortest-augmenting-path solve, then each walks down its optimal face.
 
 This module also owns the ``trace.jsonl`` row format: ``trace_row`` writes a
 row and ``load_trace`` reads a file of them back.
@@ -23,6 +25,7 @@ import bisect
 import collections
 import dataclasses
 import gc
+import heapq
 import json
 import math
 import operator
@@ -36,7 +39,7 @@ from .beaconing import NoticeSighting, Observation
 Point = tuple[float, float]
 
 _INFEASIBLE = math.inf  # cost of a gap outside (0, max_gap_s]; the tie grid clips it
-_SMALL_EPOCH = 6  # most tracklets (n_e + n_s) for which enumeration beats scipy
+_SMALL_EPOCH = 6  # most tracklets (n_e + n_s) for which enumeration beats the solver
 _T, _STATION_ID = operator.attrgetter("t"), operator.attrgetter("station_id")
 _ANONYMITY_CELLS = 1 << 14  # (change, interval) cells and (change, owner) flags per chunk
 
@@ -251,48 +254,164 @@ def _grid_pad(size: int) -> int:
     return 2 ** min(30, 50 - 2 * size.bit_length())
 
 
-def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's solver, imported on first call: most runs never need it."""
-    from scipy.optimize import linear_sum_assignment as solve
-    return solve(cost)
-
-
 def _lex_min_assignment(grid: np.ndarray, pad: int) -> list[int]:
     """Each ending row's decision in the lexicographically least optimum.
 
-    ``_tie_grid``'s output is padded to a square: ending rows, then pad rows;
-    starting columns, then pad columns. A decision is a starting column, or
-    ``n_s`` for no match. A probe marking a first optimum's decisions finds
-    whether another optimum decides otherwise; only then are ending rows
-    fixed in order, each to its least decision among the optima left
-    (Burkard, Dell'Amico and Martello, *Assignment Problems*, ch. 6).
+    ``grid`` and ``pad`` are ``_tie_grid``'s output. A decision is a starting
+    column, or ``n_s`` for no match. A pair is matchable when its cell is at
+    most ``2 * pad``, two no-matches. The components of matchable pairs are
+    independent: up to ``_SMALL_EPOCH`` tracklets are enumerated, the rest
+    share one solve (``_augmenting_paths``), then walk their optimal faces.
     """
+    if np.isnan(grid).any():
+        raise ValueError("tie grid contains NaN")
     n_e, n_s = grid.shape
-    size = n_e + n_s
-    q = np.full((size, size), float(pad))
-    q[:n_e, :n_s] = grid
-    q[n_e:, n_s:] = 0.0
-    rank = np.minimum(np.arange(size), n_s)  # every pad column ranks after every starting
-    rows, cols = linear_sum_assignment(q)
-    decisions = rank[cols[:n_e]]
-    # scaled by size + 1 and marked, an optimum totals target less its ending
-    # rows deciding unlike this one, and any other assignment more than target
-    target = q[rows, cols].sum() * (size + 1) + n_e
-    q *= size + 1
-    mark = rank == decisions[:, None]
-    q[:n_e] += mark
-    if q[rows, linear_sum_assignment(q)[1]].sum() == target:
-        return decisions.tolist()
-    q[:n_e] -= mark
-    live = np.arange(size)
-    fixed = []
-    for i in range(n_e):
-        sub = q[i:, live]
-        sub[0] += rank[live]
-        j = linear_sum_assignment(sub)[1][0]
-        fixed.append(int(rank[live[j]]))
-        live = np.delete(live, j)
-    return fixed
+    matchable = grid <= 2 * pad
+    rows, cols = np.nonzero(matchable)
+    # options[i]: (column, cell - 2 * pad) of each matchable pair, columns ascending
+    pairs = list(zip(cols.tolist(), (grid[rows, cols] - 2 * pad).astype(np.int64).tolist()))
+    by_row = [0, *np.cumsum(matchable.sum(1)).tolist()]
+    options = [pairs[a:b] for a, b in zip(by_row, by_row[1:])]
+    by_col = [0, *np.cumsum(matchable.sum(0)).tolist()]
+    by_col_rows = rows[np.argsort(cols, kind="stable")].tolist()
+    col_rows = [by_col_rows[a:b] for a, b in zip(by_col, by_col[1:])]
+    decisions = [n_s] * n_e
+    seen, taken, large = [False] * n_e, [False] * n_s, []
+    for r in range(n_e):
+        if seen[r] or not options[r]:
+            continue
+        seen[r], ends, starts = True, [r], []
+        for i in ends:  # breadth first: ``ends`` grows while it is read
+            for j, _ in options[i]:
+                if not taken[j]:
+                    taken[j] = True
+                    starts.append(j)
+                    for k in col_rows[j]:
+                        if not seen[k]:
+                            seen[k] = True
+                            ends.append(k)
+        ends, starts = sorted(ends), sorted(starts)
+        if len(ends) + len(starts) > _SMALL_EPOCH:
+            large.append((ends, starts))
+            continue
+        sub = grid[np.ix_(ends, starts)].astype(np.int64).tolist()
+        for i, d in zip(ends, _lex_min_enumerated(sub, pad)):
+            decisions[i] = starts[d] if d < len(starts) else n_s
+    match, owner, u, v = _augmenting_paths([i for ends, _ in large for i in ends], options, n_s)
+    for ends, starts in large:
+        columns, fixed = starts + [n_s + i for i in ends], set()
+        moves = {x: [owner[y] for y in _tight(x, columns, options, owner, u, v)
+                     if owner[y] != x] for x in [*ends, -1]}
+        indegree = collections.Counter(z for zs in moves.values() for z in zs)
+        acyclic = [x for x in moves if not indegree[x]]
+        for x in acyclic:  # peel off the moves no cycle passes through
+            for z in moves[x]:
+                indegree[z] -= 1
+                if not indegree[z]:
+                    acyclic.append(z)
+        if len(acyclic) == len(moves):
+            continue  # no alternating cycle of moves: the optimum is unique
+        for i in ends:  # fix endings in id order
+            for j, c in options[i]:
+                if j >= match[i]:
+                    break
+                if c - u[i] - v[j] == 0 and owner[j] not in fixed and _restore(
+                        i, j, columns, options, match, owner, u, v, fixed):
+                    break
+            fixed.add(i)
+    for i, j in match.items():
+        decisions[i] = min(j, n_s)
+    return decisions
+
+
+def _augmenting_paths(rows, options, n_s):
+    """A least-cost assignment of ``rows``, each to one of its ``options`` or to
+    no match, which becomes the row's own column ``n_s + i``, ranked last.
+
+    Shortest augmenting paths (Jonker and Volgenant, Computing 38, 1987):
+    after a greedy start on reduced costs, Dijkstra runs from one free row at
+    a time and stops at the first free column, preferring a free one on equal
+    distance. Returns ``match`` (row -> column), ``owner`` (column -> row,
+    -1 if free) and dual potentials: ``c - u[i] - v[j] >= 0`` on every
+    option, 0 on every match, and ``v[j] <= 0``, 0 on every free column.
+    """
+    n_cols = n_s + len(options)
+    match, owner, u, v, queue = {}, [-1] * n_cols, {}, [0] * n_cols, []
+    for i in rows:
+        options[i].append((n_s + i, 0))
+        u[i] = least = min(map(operator.itemgetter(1), options[i]))
+        j = next((j for j, c in options[i] if c == least and owner[j] < 0), None)
+        if j is None:
+            queue.append(i)
+        else:
+            match[i], owner[j] = j, i
+    for r in queue:
+        # heap keys: twice the distance, plus 1 for a column some row holds
+        heap = [(2 * (c - u[r] - v[j]) + (owner[j] >= 0), j) for j, c in options[r]]
+        best, done = {j: key for key, j in heap}, []
+        via = dict.fromkeys(best, r)
+        heapq.heapify(heap)
+        while True:
+            key, j = heapq.heappop(heap)
+            if key > best[j]:
+                continue
+            done.append(j)
+            k = owner[j]
+            if k < 0:
+                break
+            base = (key >> 1) - u[k]
+            for j2, c in options[k]:
+                key2 = 2 * (base + c - v[j2]) + (owner[j2] >= 0)
+                if key2 < best.get(j2, key2 + 1):
+                    best[j2], via[j2] = key2, k
+                    heapq.heappush(heap, (key2, j2))
+        u[r] += key >> 1
+        for j2 in done:  # keep every option's reduced cost >= 0 and the path's at 0
+            slack = (key >> 1) - (best[j2] >> 1)
+            v[j2] -= slack
+            if owner[j2] >= 0:
+                u[owner[j2]] += slack
+        while True:  # flip the path back to r
+            i = via[j]
+            owner[j] = i
+            match[i], j = j, match.get(i)
+            if i == r:
+                break
+    return match, owner, u, v
+
+
+def _tight(x, cols, options, owner, u, v) -> list[int]:
+    """Columns that ``x`` may hold in an optimum: a row's tight options, or for
+    the holder of the free columns, -1, every column of ``cols`` held at ``v == 0``."""
+    if x < 0:
+        return [y for y in cols if v[y] == 0 and owner[y] >= 0]
+    return [y for y, c in options[x] if c - u[x] - v[y] == 0]
+
+
+def _restore(i, j, cols, options, match, owner, u, v, fixed) -> bool:
+    """Give ending ``i`` column ``j`` if an optimum still keeps the ``fixed`` endings.
+
+    An optimum uses tight options only (reduced cost 0) and leaves free only
+    columns at ``v == 0`` (Burkard, Dell'Amico and Martello, *Assignment
+    Problems*, SIAM 2009, ch. 4 and 6): a breadth-first search over them for
+    an alternating path from the row that loses ``j`` to the column ``i`` leaves.
+    """
+    vacated, root = match[i], owner[j]
+    back, frontier = {root: None}, [root]
+    for x in frontier:
+        for y in _tight(x, cols, options, owner, u, v):
+            if y == vacated:
+                while x is not None:  # x takes y; the row x displaced takes x's old column
+                    if x >= 0:
+                        match[x] = y
+                    owner[y], (x, y) = x, back[x] or (None, None)
+                match[i], owner[j] = j, i
+                return True
+            z = owner[y]
+            if z not in back and z not in fixed:
+                back[z] = (x, y)
+                frontier.append(z)
+    return False
 
 
 def _lex_min_enumerated(grid: list[list[int]], pad: int) -> list[int]:
