@@ -200,9 +200,8 @@ def gap_cost(ending: Tracklet, starting: Tracklet, model: MotionModel) -> float:
     gap = starting.t_first - ending.t_last
     if gap <= 0.0 or gap > model.max_gap_s:
         return _INFEASIBLE
-    return _extrapolation_cost(
-        gap, *ending.pos_last, *ending.vel_last, *starting.pos_first, model
-    )
+    cost = _extrapolation_cost(gap, *ending.pos_last, *ending.vel_last, *starting.pos_first, model)
+    return _INFEASIBLE if math.isnan(cost) else cost  # miss and sigma overflowed: inf / inf
 
 
 def _cost_matrix(
@@ -217,10 +216,11 @@ def _cost_matrix(
         [(s.t_first, *s.pos_first) for s in startings], dtype=float
     ).T
     gap = t_first - t_last
-    # infeasible cells may overflow or divide by zero; they become _INFEASIBLE below
+    # infeasible cells may overflow or divide by zero, and a miss and a sigma
+    # that both overflow give NaN; all become _INFEASIBLE below, as in gap_cost
     with np.errstate(all="ignore"):
         cost = _extrapolation_cost(gap, x, y, vx, vy, first_x, first_y, model)
-    cost[(gap <= 0.0) | (gap > model.max_gap_s)] = _INFEASIBLE
+    cost[(gap <= 0.0) | (gap > model.max_gap_s) | np.isnan(cost)] = _INFEASIBLE
     return cost
 
 

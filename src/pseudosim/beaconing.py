@@ -21,6 +21,10 @@ from .sba import AppScope, AuthorizationTicket
 
 Point = tuple[float, float]
 
+# No run reaches tick 2**52 (config caps a run at 10**7 ticks). Near it, tick
+# times stop being distinct floats, so an expiry that far out is never kept.
+_NEVER = 2**52
+
 
 def station_id_for(ticket: AuthorizationTicket, scope: AppScope) -> str:
     """Over-the-air identifier bound to (ticket, application).
@@ -63,7 +67,7 @@ class LocalDynamicMap:
     One dict maps each station id to the time its last CAM arrived. Only CAMs
     describe neighbours, so a DENM leaves the table as it is; a deactivation
     notice drops its station. Entries older than ``timeout_s`` are expired:
-    ``ldm_quality`` evicts them in the same pass that scores the rest.
+    ``ldm_quality`` evicts them before it scores the rest.
     """
 
     def __init__(self, timeout_s: float = 1.5):
@@ -112,23 +116,17 @@ def ldm_quality(
     (its owner moved on). A neighbor is missing when no live entry belongs to
     it, and awareness is the fraction of neighbors represented by exactly one
     live entry. With no neighbors in range awareness is 1.0. Expired entries
-    are evicted in the same pass, so afterwards every entry left is live.
+    are evicted first, so every entry left is live.
     """
+    ldm.evict_expired(now)
     ghost = 0
     per_neighbor: dict[int, int] = dict.fromkeys(neighbor_ids, 0)
-    timeout_s = ldm.timeout_s
-    dead = []
-    for sid, seen in ldm.last_seen.items():
-        if now - seen > timeout_s:
-            dead.append(sid)
-            continue
+    for sid in ldm.last_seen:
         if sid not in active_station_ids:
             ghost += 1
         owner = owner_of.get(sid)
         if owner in per_neighbor:
             per_neighbor[owner] += 1
-    for sid in dead:
-        del ldm.last_seen[sid]
     counts = list(per_neighbor.values())
     missing = counts.count(0)
     ratio = counts.count(1) / len(counts) if counts else 1.0
@@ -162,7 +160,8 @@ class FleetLdm:
     def __init__(self, timeout_s: float, tick_s: float, cam_period_ticks: int,
                  owner_of: Mapping[str, int]):
         self.timeout_s, self.tick_s, self.period = float(timeout_s), tick_s, cam_period_ticks
-        self.lag = int(self.timeout_s / tick_s)  # no entry ages out sooner after its CAM
+        # no entry expires sooner after its CAM
+        self.lag = int(min(self.timeout_s / tick_s, _NEVER))
         # heard's exact test can pass only if the CAM period comes within a
         # millionth of a tick of the timeout: rounding moves (tick + period) *
         # tick_s - tick * tick_s by far less, up to 10**7 ticks
@@ -201,9 +200,10 @@ class FleetLdm:
         for rid in rids:
             self.nodes[rid].entries[tx.sid] = tx.cam_tick
         seen, ends = tx.cam_tick * self.tick_s, tx.cam_tick + self.lag
-        while ends * self.tick_s - seen <= self.timeout_s:  # ldm_quality's float test
+        while ends < _NEVER and ends * self.tick_s - seen <= self.timeout_s:  # evict_expired's test
             ends += 1
-        self.due.setdefault(ends, []).append((tx.sid, tx.cam_tick, rids))
+        if ends < _NEVER:
+            self.due.setdefault(ends, []).append((tx.sid, tx.cam_tick, rids))
 
     def cut(self, vid: int) -> None:
         """``vid`` misses a refresh: a due CAM is not sent, or its id retires."""

@@ -79,7 +79,7 @@ def write_metrics_csv(path: str, rows: list[dict]) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = load_scenario(args.config, strict=args.strict)
+    config = load_scenario(args.config)
     result = run_scenario(
         config, seed_override=args.seed_override, collect_trace=args.trace
     )
@@ -328,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--trace", action="store_true", help="also write trace.jsonl and linkage.json")
     p_run.add_argument("--seed-override", type=int, default=None)
-    p_run.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
-                       help="reject unknown config fields (default on)")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid")

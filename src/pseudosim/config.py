@@ -7,11 +7,13 @@ defaults materialized, keys sorted) is what gets digested into run summaries,
 so two configs that mean the same thing hash the same.
 
 Each field is stated once. Its default lives on its dataclass (the change
-policies in ``strategy``, ``SbaConfig`` in ``sba``, the rest here); its kind
-and bounds live in that section's table in ``_SCHEMA``. One generic reader
-(``_read``) turns a JSON section into dataclass arguments from the two, and
-one generic walk (``ScenarioConfig.canonical_dict``) turns the dataclasses
-back into plain data. Rules that relate several fields are written out in
+policies in ``strategy``, ``SbaConfig`` in ``sba``, the attacker's motion
+model in ``adversary``, the rest here); its kind and bounds live in that
+section's table in ``_SCHEMA``. One generic reader (``_read``) turns a JSON
+section, a fleet row, a road segment, a lock event or a coverage post into
+dataclass arguments from the two, and one generic walk
+(``ScenarioConfig.canonical_dict``) turns the dataclasses back into plain
+data. Rules that relate several fields are written out in
 ``load_scenario`` and its section parsers.
 """
 
@@ -26,7 +28,7 @@ import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Any, Collection, Optional, Union
 
-from .adversary import CoveragePost
+from .adversary import CoveragePost, MotionModel
 from .mobility import RoadNetwork, RoadNetworkError, RoadSegment
 from .sba import SCHEME_ASYMMETRIC, SCHEME_MAC, SbaConfig
 from .strategy import (
@@ -103,12 +105,8 @@ class LockConfig:
 
 
 @dataclass(frozen=True)
-class AdversaryConfig:
-    coverage: Union[str, tuple] = "full"  # "full" or tuple of (x, y, radius_m)
-    sigma0_m: float = 1.0
-    beta_m_per_s: float = 2.0
-    no_match_cost: float = 50.0
-    max_gap_s: float = 30.0
+class AdversaryConfig(MotionModel):
+    coverage: Union[str, tuple[CoveragePost, ...]] = "full"
     use_quasi_identifiers: bool = True
     anonymity_region_m: float = 500.0
 
@@ -133,13 +131,8 @@ class ScenarioConfig:
         out = _plain(self)
         policy = out["policy"]
         policy.update(policy.pop("policy"), kind=self.policy.policy.kind)
-        segments = sorted(self.road.segments.values(), key=lambda s: s.segment_id)
+        segments = sorted(self.road.segments.values(), key=lambda s: s.id)
         out["road"] = {"segments": [_plain(seg) for seg in segments]}
-        for seg in out["road"]["segments"]:
-            seg["id"] = seg.pop("segment_id")
-        if self.adversary.coverage != "full":
-            posts = [_plain(CoveragePost(*post)) for post in self.adversary.coverage]
-            out["adversary"]["coverage"] = posts
         return out
 
     def canonical_json(self) -> str:
@@ -245,6 +238,20 @@ class _Text(_Kind):
         return value
 
 
+class _Point(_Kind):
+    """An [x, y] pair of finite numbers, stored as a tuple."""
+
+    missing = "must be an [x, y] pair of finite numbers"
+
+    def convert(self, value):
+        if not isinstance(value, list) or len(value) != 2:
+            raise _Invalid(self.missing)
+        try:
+            return tuple(_Num().convert(v) for v in value)
+        except _Invalid:
+            raise _Invalid(self.missing) from None
+
+
 class _Route(_Kind):
     """A non-empty array of segment ids, stored as a tuple."""
 
@@ -272,13 +279,20 @@ _SCHEMA: dict[type, dict[str, _Kind]] = {
         "duration_s": _Num(gt=0.0),
         "tick_s": _Num(gt=0.0),
     },
+    RoadSegment: {
+        "id": _Text(),
+        "start": _Point(),
+        "end": _Point(),
+        "speed_limit_mps": _Num(gt=0.0),
+    },
     VehicleSpec: {
         "vehicle_id": _Int(ge=0),
         "route": _Route(),
         "speed_mps": _Num(gt=0.0),
         "depart_s": _Num(ge=0.0),
-        "length_m": _Num(gt=0.0),
-        "width_m": _Num(gt=0.0),
+        # far below where the attacker's quasi-identifier key, metres / 0.01, overflows
+        "length_m": _Num(gt=0.0, le=1e6),
+        "width_m": _Num(gt=0.0, le=1e6),
         "clock_skew_s": _Num(),
     },
     BeaconingConfig: {
@@ -286,7 +300,7 @@ _SCHEMA: dict[type, dict[str, _Kind]] = {
         "denm_interval_s": _Num(gt=0.0),  # defaults to None, so null keeps DENMs off
         "radio_range_m": _Num(gt=0.0),
         "ldm_timeout_s": _Num(gt=0.0),
-        "positioning_sigma_m": _Num(ge=0.0),
+        "positioning_sigma_m": _Num(ge=0.0, le=1e6),  # far below where a position overflows
         "loss_rate": _Num(ge=0.0, le=0.999),
     },
     PolicyConfig: {"silence_s": _Num(ge=0.0), "notify_deactivation": _Bool()},
@@ -327,7 +341,7 @@ _SCHEMA: dict[type, dict[str, _Kind]] = {
     AdversaryConfig: {
         "sigma0_m": _Num(ge=1e-6),  # far above where sigma * sigma underflows to 0
         "beta_m_per_s": _Num(ge=0.0),
-        "no_match_cost": _Num(gt=0.0),
+        "no_match_cost": _Num(ge=1e-6),  # far above where a grid unit, it / 2**30, underflows to 0
         "max_gap_s": _Num(gt=0.0),
         "use_quasi_identifiers": _Bool(),
         "anonymity_region_m": _Num(gt=0.0),
@@ -340,8 +354,7 @@ _SCHEMA: dict[type, dict[str, _Kind]] = {
 
 
 class _Ctx:
-    def __init__(self, strict: bool = True):
-        self.strict = strict
+    def __init__(self):
         self.violations: list[str] = []
 
     def err(self, path: str, message: str) -> None:
@@ -360,7 +373,7 @@ def _section(obj: Any, path: str, allowed: Collection[str], ctx: _Ctx) -> dict:
         ctx.err(path, "must be an object")
         return {}
     for key in sorted(obj):
-        if key not in allowed and ctx.strict:
+        if key not in allowed:
             ctx.err(_join(path, key), "unknown field")
     return obj
 
@@ -399,8 +412,9 @@ def _read(cls: type, obj: Any, path: str, ctx: _Ctx) -> dict:
     return _values(cls, _section(obj, path, _names(cls), ctx), path, ctx)
 
 
-def _tick(t: float, tick_s: float) -> float:
-    """The tick ``t`` rounds to; inf where ``t / tick_s`` overflows."""
+def tick_of(t: float, tick_s: float) -> float:
+    """The tick ``t`` rounds to, in validation and the engine's schedules alike;
+    inf where ``t / tick_s`` overflows."""
     ticks = t / tick_s
     return round(ticks) if math.isfinite(ticks) else ticks
 
@@ -409,9 +423,9 @@ def _in_run(t: float, duration_s: float, tick_s: float) -> bool:
     """Whether ``t`` falls on one of the ``round(duration_s / tick_s)`` ticks run."""
     if t >= duration_s:
         return False
-    end = _tick(duration_s, tick_s)
+    end = tick_of(duration_s, tick_s)
     # a tick longer than the run, or too short to count, is reported on its own
-    return tick_s > duration_s or math.isinf(end) or _tick(t, tick_s) < end
+    return tick_s > duration_s or math.isinf(end) or tick_of(t, tick_s) < end
 
 
 def _parse_policy(obj: Optional[dict], ctx: _Ctx) -> PolicyConfig:
@@ -437,27 +451,12 @@ def _parse_road(obj: Optional[dict], ctx: _Ctx) -> Optional[RoadNetwork]:
     if not isinstance(rows, list) or not rows:
         ctx.err("road.segments", "must be a non-empty array")
         return None
-    segments = []
-    for i, row in enumerate(rows):
-        path = f"road.segments[{i}]"
-        row = _section(row, path, {"id", "start", "end", "speed_limit_mps"}, ctx)
-        sid = _field(_Text(), row, "id", path, ctx)
-        if sid is None:
-            continue
-        try:
-            start = (float(row["start"][0]), float(row["start"][1]))
-            end = (float(row["end"][0]), float(row["end"][1]))
-        except (KeyError, TypeError, ValueError, IndexError):
-            ctx.err(path, "start/end must be [x, y] pairs")
-            continue
-        limit = _field(_Num(gt=0.0), row, "speed_limit_mps", path, ctx)
-        if limit is not None:
-            segments.append(RoadSegment(sid, start, end, limit))
+    segments = [_read(RoadSegment, row, f"road.segments[{i}]", ctx) for i, row in enumerate(rows)]
     if ctx.violations:
         # cheap structural errors first; skip network build on broken input
         return None
     try:
-        return RoadNetwork.build(segments)
+        return RoadNetwork.build(RoadSegment(**seg) for seg in segments)
     except RoadNetworkError as exc:
         ctx.err("road", str(exc))
         return None
@@ -503,7 +502,7 @@ def _parse_locks(
     if not isinstance(rows, list):
         ctx.err("locks.events", "must be an array")
         rows = []
-    departs = {v.vehicle_id: _tick(v.depart_s, tick_s) for v in fleet}
+    departs = {v.vehicle_id: tick_of(v.depart_s, tick_s) for v in fleet}
     events = []
     for i, row in enumerate(rows):
         path = f"locks.events[{i}]"
@@ -515,7 +514,7 @@ def _parse_locks(
             continue
         elif duration_s is not None and not _in_run(ev["t"], duration_s, tick_s):
             ctx.err(f"{path}.t", "must be before the end of the run")
-        elif vid in departs and _tick(ev["t"], tick_s) < departs[vid]:
+        elif vid in departs and tick_of(ev["t"], tick_s) < departs[vid]:
             ctx.err(f"{path}.t", f"must not be before vehicle {vid} departs")
         else:
             events.append(LockEvent(**ev))
@@ -526,25 +525,20 @@ def _parse_adversary(obj: Optional[dict], ctx: _Ctx) -> AdversaryConfig:
     obj = _section(obj, "adversary", _names(AdversaryConfig), ctx)
     coverage = obj.get("coverage", "full")
     if isinstance(coverage, list):
-        posts = [
-            _read(CoveragePost, row, f"adversary.coverage[{i}]", ctx)
+        coverage = tuple(
+            CoveragePost(**_read(CoveragePost, row, f"adversary.coverage[{i}]", ctx))
             for i, row in enumerate(coverage)
-        ]
-        coverage = tuple(tuple(p.values()) for p in posts if None not in p.values())
+        )
     elif coverage != "full":
         ctx.err("adversary.coverage", 'must be "full" or an array of posts')
         coverage = "full"
     return AdversaryConfig(coverage=coverage, **_values(AdversaryConfig, obj, "adversary", ctx))
 
 
-def load_scenario(
-    source: Union[str, os.PathLike, dict], *, strict: bool = True
-) -> ScenarioConfig:
+def load_scenario(source: Union[str, os.PathLike, dict]) -> ScenarioConfig:
     """Parse and validate a scenario from a path, JSON text, or dict.
 
     Raises ``ConfigError`` listing every violation when anything is wrong.
-    With ``strict=False`` unknown fields are tolerated instead of rejected;
-    every other rule still applies.
     """
     raw: Any = source
     if not isinstance(source, dict):
@@ -561,12 +555,12 @@ def load_scenario(
     if not isinstance(raw, dict):
         raise ConfigError(["config: must be a JSON object"])
 
-    ctx = _Ctx(strict=strict)
+    ctx = _Ctx()
     top = _read(ScenarioConfig, raw, "", ctx)
     duration_s, tick_s = top["duration_s"], top["tick_s"]
     if duration_s is not None and tick_s > duration_s:
         ctx.err("tick_s", "must not exceed duration_s")
-    elif duration_s is not None and not _tick(duration_s, tick_s) <= MAX_TICKS:
+    elif duration_s is not None and not tick_of(duration_s, tick_s) <= MAX_TICKS:
         ctx.err("tick_s", f"must leave at most {MAX_TICKS} ticks in duration_s")
 
     road = _parse_road(raw.get("road"), ctx)
@@ -581,11 +575,15 @@ def load_scenario(
     if pool.size < pool.min_concurrent_valid:
         ctx.err("pool.size", "must be >= min_concurrent_valid")
 
+    policy = _parse_policy(raw.get("policy"), ctx)
+    if not tick_of(policy.silence_s, tick_s) <= MAX_TICKS:  # it outlasts every run
+        ctx.err("policy.silence_s", f"must last at most {MAX_TICKS} ticks")
+
     config = ScenarioConfig(
         road=road,
         fleet=fleet,
         beaconing=beaconing,
-        policy=_parse_policy(raw.get("policy"), ctx),
+        policy=policy,
         pool=pool,
         sba=SbaConfig(**_read(SbaConfig, raw.get("sba"), "sba", ctx)),
         locks=_parse_locks(raw.get("locks"), fleet, duration_s, tick_s, ctx),

@@ -31,7 +31,7 @@ from . import adversary as adv
 from . import beaconing as bcn
 from . import mobility as mob
 from . import strategy as strat
-from .config import ScenarioConfig, VehicleSpec, load_scenario
+from .config import ScenarioConfig, VehicleSpec, load_scenario, tick_of
 from .sba import (
     AccessToken,
     AppScope,
@@ -90,13 +90,10 @@ class SimulationEngine:
     def __init__(self, config: ScenarioConfig, *, collect_trace: bool = False):
         self.cfg = config
         self.tick_s = config.tick_s
-        self.n_ticks = int(round(config.duration_s / config.tick_s))
-        self.cam_period_ticks = int(round((1.0 / config.beaconing.cam_freq_hz) / config.tick_s))
-        self.denm_period_ticks = (
-            max(1, int(round(config.beaconing.denm_interval_s / config.tick_s)))
-            if config.beaconing.denm_interval_s is not None
-            else None
-        )
+        self.n_ticks = tick_of(config.duration_s, config.tick_s)
+        self.cam_period_ticks = tick_of(1.0 / config.beaconing.cam_freq_hz, config.tick_s)
+        denm_s = config.beaconing.denm_interval_s
+        self.denm_period_ticks = None if denm_s is None else max(1, tick_of(denm_s, config.tick_s))
         self.scopes = [AppScope.CAM] + (
             [AppScope.DENM] if self.denm_period_ticks is not None else []
         )
@@ -107,18 +104,8 @@ class SimulationEngine:
         self.rng_loss = fork_generator(config.seed, "loss")
 
         self.core = ServiceBasedCore(config.seed, config.sba)
-        posts = (
-            None
-            if config.adversary.coverage == "full"
-            else [adv.CoveragePost(x, y, r) for (x, y, r) in config.adversary.coverage]
-        )
-        self.eavesdropper = adv.Eavesdropper(posts)
-        self.model = adv.MotionModel(
-            sigma0_m=config.adversary.sigma0_m,
-            beta_m_per_s=config.adversary.beta_m_per_s,
-            no_match_cost=config.adversary.no_match_cost,
-            max_gap_s=config.adversary.max_gap_s,
-        )
+        coverage = config.adversary.coverage
+        self.eavesdropper = adv.Eavesdropper(None if coverage == "full" else coverage)
 
         self.vehicles: dict[int, _Vehicle] = {}  # on the road only
         # per-tick facts: the id-sorted vehicles after mobility, and every
@@ -129,18 +116,17 @@ class SimulationEngine:
         self.notices: list[tuple[int, bcn.NoticeSighting, mob.Point]] = []
         self._departures: dict[int, list[VehicleSpec]] = {}
         for spec in config.fleet:
-            tick = int(round(spec.depart_s / config.tick_s))
-            self._departures.setdefault(tick, []).append(spec)
+            self._departures.setdefault(tick_of(spec.depart_s, config.tick_s), []).append(spec)
         self._lock_events: dict[int, list] = {}
         for ev in config.locks.events:
-            self._lock_events.setdefault(int(round(ev.t / config.tick_s)), []).append(ev)
+            self._lock_events.setdefault(tick_of(ev.t, config.tick_s), []).append(ev)
 
         # ground truth, and every receiver's LDM, told of each change to it
         self.owner_of: dict[str, int] = {}
         self.ldm = bcn.FleetLdm(config.beaconing.ldm_timeout_s, self.tick_s,
                                 self.cam_period_ticks, self.owner_of)
         self.change_records: list[strat.ChangeRecord] = []
-        self.silence_ticks = int(round(config.policy.silence_s / config.tick_s))
+        self.silence_ticks = tick_of(config.policy.silence_s, config.tick_s)
         self.max_switch_gap: Optional[float] = None
 
         self.counters: dict[str, int] = {}
@@ -155,11 +141,8 @@ class SimulationEngine:
         self.trace_rows: Optional[list] = [] if collect_trace else None
 
         ntp = config.policy.policy
-        self._coordination_ticks = (
-            max(1, int(round(ntp.coordination_interval_s / config.tick_s)))
-            if isinstance(ntp, strat.NetworkTriggeredPolicy)
-            else None
-        )
+        self._coordination_ticks = (max(1, tick_of(ntp.coordination_interval_s, config.tick_s))
+                                    if isinstance(ntp, strat.NetworkTriggeredPolicy) else None)
 
     def bump(self, key: str, by: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + by
@@ -297,10 +280,14 @@ class SimulationEngine:
             self._replenish(veh, scope, now, to_target=False)
 
     def _ticks_until(self, t: float) -> float:
-        """The least whole ``k >= 0`` with ``k * tick_s >= t`` in floats."""
-        if not 0.0 < t < math.inf:
+        """The least whole ``k >= 0`` with ``k * tick_s >= t`` in floats, or inf
+        where that is past the run's last tick (so never reached)."""
+        if not t > 0.0:
             return max(t, 0)
-        k = math.ceil(t / self.tick_s)
+        k = t / self.tick_s
+        if k > self.n_ticks:  # never reached; far out, k * tick_s stops changing
+            return math.inf
+        k = math.ceil(k)
         while (k - 1) * self.tick_s >= t:
             k -= 1
         while k * self.tick_s < t:
@@ -313,7 +300,10 @@ class SimulationEngine:
         since_s, metres = strat.trigger_lower_bounds(self.cfg.policy.policy, veh.trip, veh.trigger)
         due = veh.last_change_tick + self._ticks_until(since_s)
         if metres > 0.0:  # a tick moves no vehicle farther than its spec speed
-            due = max(due, tick + int(metres / (veh.spec.speed_mps * self.tick_s)) - 1)
+            step = veh.spec.speed_mps * self.tick_s
+            # never, if the whole run cannot cover it (the step may underflow to 0)
+            far = metres >= step * self.n_ticks
+            due = math.inf if far else max(due, tick + int(metres / step) - 1)
         return max(veh.silence_until_tick, min(due, self._ticks_until(veh.active_until)))
 
     # --- per-tick phases -----------------------------------------------------
@@ -536,11 +526,8 @@ class SimulationEngine:
 
         store = self.eavesdropper.store
         store.finalize()
-        linkage = adv.link(
-            store,
-            self.model,
-            use_quasi_identifiers=self.cfg.adversary.use_quasi_identifiers,
-        )
+        adversary = self.cfg.adversary
+        linkage = adv.link(store, adversary, use_quasi_identifiers=adversary.use_quasi_identifiers)
         truth_pairs, silence_of = [], {}
         for rec in self.change_records:
             silence_of.setdefault(rec.vehicle_id, []).append(
@@ -556,9 +543,8 @@ class SimulationEngine:
             changes=self.change_records,
             silence_of=silence_of,
         )
-        metrics = adv.evaluate_attack(
-            linkage, truth, anonymity_region_m=self.cfg.adversary.anonymity_region_m
-        )
+        metrics = adv.evaluate_attack(linkage, truth,
+                                      anonymity_region_m=adversary.anonymity_region_m)
         summary = self._summary(metrics)
         return RunResult(
             config=self.cfg,

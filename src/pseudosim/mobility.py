@@ -22,7 +22,7 @@ _JOIN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RoadSegment:
-    segment_id: str
+    id: str
     start: Point
     end: Point
     speed_limit_mps: float
@@ -54,13 +54,15 @@ class RoadNetwork:
     def build(segments: Iterable[RoadSegment]) -> "RoadNetwork":
         by_id: dict[str, RoadSegment] = {}
         for seg in segments:
-            if seg.segment_id in by_id:
-                raise RoadNetworkError(f"duplicate segment id {seg.segment_id!r}")
+            if seg.id in by_id:
+                raise RoadNetworkError(f"duplicate segment id {seg.id!r}")
             if seg.length_m <= 0.0:
-                raise RoadNetworkError(f"segment {seg.segment_id!r} has zero length")
+                raise RoadNetworkError(f"segment {seg.id!r} has zero length")
+            if seg.length_m == math.inf:  # math.dist overflows; the direction would be NaN
+                raise RoadNetworkError(f"segment {seg.id!r} is too long to measure")
             if seg.speed_limit_mps <= 0.0:
-                raise RoadNetworkError(f"segment {seg.segment_id!r} speed limit must be positive")
-            by_id[seg.segment_id] = seg
+                raise RoadNetworkError(f"segment {seg.id!r} speed limit must be positive")
+            by_id[seg.id] = seg
         if not by_id:
             raise RoadNetworkError("network has no segments")
         return RoadNetwork(segments=by_id)

@@ -1,4 +1,5 @@
 import collections
+import faulthandler
 import os
 from pathlib import Path
 
@@ -11,6 +12,29 @@ from hypothesis import settings
 settings.register_profile("default", derandomize=True, deadline=None, max_examples=60)
 settings.register_profile("ci", settings.get_profile("default"), max_examples=300)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+# A hung test fails the suite: past HANG_S seconds in one test call,
+# faulthandler writes every thread's traceback, the test's own frame among
+# them, and ends pytest with exit code 1. It writes to the stderr pytest
+# started with, since the captured one dies with the process. The slowest
+# test takes 14 s under the "ci" profile on a 2-core host.
+HANG_S = 300
+_hang_log = None
+
+
+def pytest_configure(config):
+    global _hang_log
+    _hang_log = os.fdopen(os.dup(2), "w")  # pytest captures fd 2 only around tests
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    faulthandler.dump_traceback_later(HANG_S, exit=True, file=_hang_log)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"

@@ -105,15 +105,6 @@ def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
     assert "config error: seed: must be >= 0" in capsys.readouterr().err
 
 
-def test_run_strict_toggle(tmp_path, capsys):
-    cfg = tiny_config(extra_knob=True)
-    cfg_path = write_config(tmp_path, "cfg.json", cfg)
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 2
-    assert "config error: extra_knob: unknown field" in capsys.readouterr().err
-    assert cli.main(["run", "--config", cfg_path, "--out", str(out), "--no-strict"]) == 0
-
-
 def test_run_missing_config_is_io_error(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 1

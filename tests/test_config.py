@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pseudosim.adversary import CoveragePost, MotionModel
 from pseudosim.config import MAX_TICKS, ConfigError, load_scenario
 from pseudosim.strategy import PeriodicPolicy, SegmentPolicy
 
@@ -92,21 +93,12 @@ def test_with_seed_validates_only_the_seed():
         assert err.value.violations == [message]
 
 
-def test_unknown_fields_strict_vs_lenient():
+def test_unknown_fields_rejected():
     cfg = minimal_config(extra_knob=1)
     cfg["beaconing"] = {"cam_freq_hz": 10.0, "mystery": 2}
     v = violations_of(cfg)
     assert "extra_knob: unknown field" in v
     assert "beaconing.mystery: unknown field" in v
-
-    loaded = load_scenario(cfg, strict=False)
-    assert loaded.beaconing.cam_freq_hz == 10.0
-
-
-def test_lenient_mode_still_validates_values():
-    cfg = minimal_config(duration_s=-5.0)
-    v = violations_of(cfg, strict=False)
-    assert any(s.startswith("duration_s:") for s in v)
 
 
 def test_missing_required_fields():
@@ -181,6 +173,38 @@ def test_adversary_sigma0_lower_bound():
     cfg = minimal_config(adversary={"sigma0_m": 1e-170, "beta_m_per_s": 0.0})
     assert violations_of(cfg) == ["adversary.sigma0_m: must be >= 1e-06"]
     load_scenario(minimal_config(adversary={"sigma0_m": 1e-6, "beta_m_per_s": 0.0}))
+
+
+def test_motion_model_rows_reject_what_the_model_rejects():
+    # AdversaryConfig is a MotionModel: a value its check would refuse must be
+    # a violation, never a ValueError out of load_scenario
+    cfg = minimal_config(adversary={"sigma0_m": 0.0, "beta_m_per_s": -1.0,
+                                    "no_match_cost": 0.0, "max_gap_s": 0.0})
+    assert violations_of(cfg) == [
+        "adversary.beta_m_per_s: must be >= 0.0",
+        "adversary.max_gap_s: must be > 0.0",
+        "adversary.no_match_cost: must be >= 1e-06",
+        "adversary.sigma0_m: must be >= 1e-06",
+    ]
+    loaded = load_scenario(minimal_config(adversary={"no_match_cost": 7.5, "max_gap_s": 12.0}))
+    assert isinstance(loaded.adversary, MotionModel)
+    assert (loaded.adversary.no_match_cost, loaded.adversary.max_gap_s) == (7.5, 12.0)
+
+
+def test_road_points_are_pairs_of_finite_numbers():
+    for bad in ([float("nan"), 0.0], ["5", 0.0], [True, 0.0], [0.0, 0.0, 5.0], [0.0], None):
+        cfg = minimal_config()
+        cfg["road"]["segments"][0]["start"] = bad
+        assert violations_of(cfg) == [
+            "road.segments[0].start: must be an [x, y] pair of finite numbers"
+        ]
+    cfg = minimal_config()
+    del cfg["road"]["segments"][0]["end"]
+    cfg["road"]["segments"][0]["id"] = ""
+    assert violations_of(cfg) == [
+        "road.segments[0].end: must be an [x, y] pair of finite numbers",
+        "road.segments[0].id: must be a non-empty string",
+    ]
 
 
 def test_loss_rate_upper_bound():
@@ -311,7 +335,7 @@ def test_lock_event_validation():
 def test_adversary_coverage_posts():
     cfg = minimal_config(adversary={"coverage": [{"x": 0.0, "y": 0.0, "radius_m": 100.0}]})
     loaded = load_scenario(cfg)
-    assert loaded.adversary.coverage == ((0.0, 0.0, 100.0),)
+    assert loaded.adversary.coverage == (CoveragePost(0.0, 0.0, 100.0),)
 
     cfg = minimal_config(adversary={"coverage": "partial"})
     v = violations_of(cfg)

@@ -128,7 +128,7 @@ def _routes(draw):
         segments.append(RoadSegment(f"s{i}", (x, y), end, limit))
         x, y = end
     network = RoadNetwork.build(segments)
-    return network, tuple(seg.segment_id for seg in segments), speed, draw(st.sampled_from([0.1, 1 / 3]))
+    return network, tuple(seg.id for seg in segments), speed, draw(st.sampled_from([0.1, 1 / 3]))
 
 
 def _bits(*values):
