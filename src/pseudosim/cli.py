@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import ConfigError, ScenarioConfig, load_scenario
+from .config import ConfigError, ScenarioConfig, load_scenario, read_json
 from .engine import run_job, run_scenario
 from .sba import shared_credentials
 
@@ -118,11 +118,11 @@ def _apply_override(obj: dict, dotted: str, value) -> None:
 
 
 def _load_json(path: str, field: str):
+    """A sweep's spec or base file, read as ``load_scenario`` reads a scenario."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.loads(fh.read())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError([f"{field}: {path}: {exc}"]) from exc
+        return read_json(os.path.abspath(path))  # a path, never JSON text
+    except ConfigError as exc:
+        raise ConfigError([f"{field}: {path}: {v}" for v in exc.violations]) from exc
 
 
 def _load_sweep_spec(path: str) -> tuple[dict, dict, int, int]:

@@ -535,23 +535,26 @@ def _parse_adversary(obj: Optional[dict], ctx: _Ctx) -> AdversaryConfig:
     return AdversaryConfig(coverage=coverage, **_values(AdversaryConfig, obj, "adversary", ctx))
 
 
+def read_json(source: Union[str, os.PathLike]) -> Any:
+    """A scenario path's or text's JSON value; bad UTF-8 or JSON is a ``ConfigError``."""
+    try:
+        text = source
+        if isinstance(source, os.PathLike) or (
+            isinstance(source, str) and not source.lstrip().startswith("{")
+        ):
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"json: {exc}"]) from exc
+
+
 def load_scenario(source: Union[str, os.PathLike, dict]) -> ScenarioConfig:
     """Parse and validate a scenario from a path, JSON text, or dict.
 
     Raises ``ConfigError`` listing every violation when anything is wrong.
     """
-    raw: Any = source
-    if not isinstance(source, dict):
-        try:
-            text = source
-            if isinstance(source, os.PathLike) or (
-                isinstance(source, str) and not source.lstrip().startswith("{")
-            ):
-                with open(source, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            raw = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError([f"json: {exc}"]) from exc
+    raw = source if isinstance(source, dict) else read_json(source)
     if not isinstance(raw, dict):
         raise ConfigError(["config: must be a JSON object"])
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -693,6 +694,26 @@ def test_evaluate_attack_traceability_longest_run():
     assert m.traceability == pytest.approx(20.0 / 30.0)
 
 
+def test_evaluate_attack_traceability_reads_only_cam_tracklets():
+    cams = (
+        linear_track("aa", 0.0, 10.0, 0.0)
+        + linear_track("bb", 11.0, 21.0, 110.0)
+        + linear_track("cc", 60.0, 70.0, 600.0)
+    )
+    denms = [obs("dd", t, (300.0, 0.0), (0.0, 0.0), scope="DENM", quasi=None)
+             for t in (30.0, 50.0)]
+    model = MotionModel(max_gap_s=30.0)
+    with_denm = link(store_of(*cams, *denms), model, use_quasi_identifiers=False)
+    cam_only = link(store_of(*cams), model, use_quasi_identifiers=False)
+    assert [tr.scope for tr in with_denm.tracklets].count("DENM") == 1
+    owners = {"aa": 1, "bb": 1, "cc": 1, "dd": 1}  # the DENM's owner is known
+    m = evaluate_attack(with_denm, truth_for(owners, [("aa", "bb"), ("bb", "cc")]))
+    # aa+bb = 20 s of the 30 s of CAM tracklets; counting dd's 20 s would give 0.4
+    assert m.traceability == pytest.approx(20.0 / 30.0)
+    assert m.traceability == evaluate_attack(
+        cam_only, truth_for(owners, [("aa", "bb"), ("bb", "cc")])).traceability
+
+
 def test_evaluate_attack_degenerate_cases_score_one():
     empty = link(ObservationStore(), MotionModel())
     m = evaluate_attack(empty, truth_for({}, []))
@@ -960,12 +981,13 @@ def test_trace_row_round_trips_through_load_trace(tmp_path_factory, records, sen
     ))
     store = load_trace(str(path))
     by_time = operator.attrgetter("t")  # records of one time stay in file order
-    assert store.observations == sorted(
+    # repr, not ==: a -0.0 read back as 0.0 compares equal
+    assert repr(store.observations) == repr(sorted(
         (r for r in records if type(r) is Observation), key=by_time
-    )
-    assert store.notices == sorted(
+    ))
+    assert repr(store.notices) == repr(sorted(
         (r for r in records if type(r) is NoticeSighting), key=by_time
-    )
+    ))
 
 
 def _write_lines(tmp_path, lines):
@@ -997,6 +1019,81 @@ def test_load_trace_skips_blank_lines_and_unknown_kinds(tmp_path):
     assert all(type(v) is float for v in (o.t, *o.position, *o.velocity))
     assert store.notices == [NoticeSighting(2.0, "aa", "CAM")]
     assert type(store.notices[0].t) is float
+
+
+def _unshared_read(path):
+    """``load_trace``'s records built with nothing shared: each line's own
+    ``json.loads`` values, with ``float`` where ``load_trace`` converts."""
+    observations, notices = [], []
+    with open(path, encoding="utf-8") as fh:
+        for row in map(json.loads, filter(str.strip, fh)):
+            if row["kind"] == "notice":
+                notices.append(NoticeSighting(float(row["t"]), row["station_id"], row["scope"]))
+                continue
+            quasi = row.get("quasi_ids")
+            observations.append(Observation(
+                float(row["t"]), row["station_id"], row["kind"],
+                (float(row["x"]), float(row["y"])), (float(row["vx"]), float(row["vy"])),
+                None if quasi is None else tuple(quasi),
+            ))
+    by_time = operator.attrgetter("t")
+    return sorted(observations, key=by_time), sorted(notices, key=by_time)
+
+
+def test_load_trace_shares_only_values_that_are_identical(tmp_path):
+    # equal is not identical: -0.0 == 0.0, 4 == 4.0 and 1 == True, so a store
+    # that shared every equal value would print differently from the file
+    def cam(sid, t, vx, vy, quasi):
+        return json.dumps({"kind": "CAM", "t": t, "station_id": sid, "x": 1.0, "y": 2.0,
+                           "vx": vx, "vy": vy, "quasi_ids": quasi})
+
+    path = _write_lines(tmp_path, [
+        cam("aa", 0.0, 0.0, -0.0, [0.0, -0.0]),
+        cam("bb", -0.0, -0.0, 0.0, [-0.0, 0.0]),
+        cam("aa", -0.0, -0.0, -0.0, [-0.0, -0.0]),
+        cam("bb", 0.0, 0.0, 0.0, [0.0, 0.0]),
+        cam("cc", 1.0, 10.0, 0.0, [4.0, 2.0]),
+        cam("cc", 1.0, 10.0, 0.0, [4, 2]),
+        cam("1", 2.0, 10.0, 0.0, [4.0, 2.0]),
+        cam(1, 2.0, 10.0, 0.0, None),
+        cam(True, 2.0, 10.0, 0.0, [4.5, 1.8]),
+        '{"kind": "notice", "t": -0.0, "station_id": 1, "scope": "CAM"}',
+        '{"kind": "notice", "t": 0.0, "station_id": true, "scope": "CAM"}',
+    ])
+    store = load_trace(path)
+    assert repr((store.observations, store.notices)) == repr(_unshared_read(path))
+    o = store.observations  # in file order: no time is out of order
+    assert o[0].station_id is o[2].station_id and o[1].station_id is o[3].station_id
+    assert o[4].t is o[5].t and o[4].velocity is o[5].velocity is o[6].velocity
+    assert o[4].quasi_ids is o[6].quasi_ids
+
+
+def test_load_trace_holds_a_few_hundred_bytes_per_row(tmp_path):
+    # 40 vehicles x 150 ticks, a new id every 30 ticks, noisy positions: what
+    # repeats (ids, times, velocities, quasi-ids) is held once
+    rng = np.random.default_rng(3)
+    rows = []
+    for tick in range(150):
+        noise = rng.normal(0.0, 1.0, size=(40, 2)).tolist()
+        for vid in range(40):
+            record = obs(f"{vid:04x}{tick // 30:012x}", tick / 10,
+                         (vid * 40.0 + tick + noise[vid][0], 3.5 + noise[vid][1]),
+                         (10.0 + vid / 4, 0.0), quasi=(4.0 + vid / 100, 1.8))
+            rows.append(json.dumps(adv.trace_row(vid, record), sort_keys=True,
+                                   separators=(",", ":")))
+    path = _write_lines(tmp_path, rows)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = load_trace(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(store.observations) == 6000
+    assert held / len(store.observations) <= 300  # about 557 with nothing shared
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
@@ -1061,6 +1158,22 @@ def test_load_trace_leaves_the_collector_as_it_found_it(tmp_path, enabled, monke
 def test_motion_model_rejects_out_of_range_parameters(field, value):
     with pytest.raises(ValueError, match=f"MotionModel.{field} out of range"):
         MotionModel(**{field: value})
+
+
+@pytest.mark.parametrize("no_match_cost", [math.inf, 5e-324, 2.0**-1045])
+def test_motion_model_rejects_a_no_match_cost_without_a_grid_unit(no_match_cost):
+    # a grid unit, no_match_cost / 2**30, of inf or 0 made an infeasible or a
+    # zero cost NaN on the tie grid: every grid is now free of NaN
+    with pytest.raises(ValueError, match="MotionModel.no_match_cost out of range"):
+        MotionModel(no_match_cost=no_match_cost)
+    model = MotionModel(no_match_cost=2.0**-1044)  # the least unit left: 2**-1074
+    endings = [mk_tracklet(f"e{i}", 0.0, 1.0, pos_last=(10.0 * i, 0.0)) for i in range(4)]
+    startings = [mk_tracklet(f"s{i}", 0.5 if i == 1 else 2.0, 3.0, pos_first=(10.0 * i, 0.0))
+                 for i in range(4)]  # s1 starts before every ending ends
+    grid, _ = adv._tie_grid(adv._cost_matrix(endings, startings, model), model.no_match_cost)
+    assert not np.isnan(grid).any()
+    pairs = associate_across_gap(endings, startings, model).pairs
+    assert pairs == [("e0", "s0"), ("e2", "s2"), ("e3", "s3")]  # the zero-cost continuations
 
 
 def test_motion_model_validates_before_any_cost_is_computed():

@@ -82,7 +82,7 @@ def test_run_trace_roundtrip(tmp_path, scenarios_dir):
     loaded = load_trace(str(out / "trace.jsonl"))
 
     # both logs arrive in time order, records of one time as the run emitted them
-    assert loaded.observations == direct.store.observations
+    assert repr(loaded.observations) == repr(direct.store.observations)  # -0.0 stays -0.0
     assert loaded.notices == direct.store.notices
     # the attacker working from the exported trace reaches the same linkage
     assert link(loaded).to_json() == direct.linkage.to_json()
@@ -374,6 +374,20 @@ def test_compare_config_that_is_not_utf8(tmp_path, capsys):
     rc = cli.main(["compare", "--configs", good, str(bad), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: json: ")
+
+
+@pytest.mark.parametrize("content", [NOT_UTF8, b'{"seed": 1,'])
+def test_sweep_base_file_is_read_as_run_reads_a_config(tmp_path, capsys, content):
+    base = tmp_path / "base.json"
+    base.write_bytes(content)
+    assert cli.main(["run", "--config", str(base), "--out", str(tmp_path / "run")]) == 2
+    run_err = capsys.readouterr().err
+    assert run_err.startswith("config error: json: ")
+    spec = write_sweep_spec(tmp_path, base="base.json")
+    assert cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "sweep")]) == 2
+    # one reader: the same message, prefixed with the file's role and path
+    prefix = f"config error: base: {base}: "
+    assert capsys.readouterr().err == prefix + run_err.removeprefix("config error: ")
 
 
 def test_compare_rejects_non_policy_difference(tmp_path, capsys):
