@@ -11,9 +11,9 @@ The kinematic stage solves a rectangular assignment problem with a no-match
 option. Costs are compared on one integer grid (``_tie_grid``), which is the
 only definition of a tie; among tied optima the lexicographically smallest
 assignment by station identifier wins, so results are reproducible bit for
-bit whatever the input order. An epoch splits into the connected components
-of its matchable pairs: small ones are enumerated, larger ones share one
-shortest-augmenting-path solve, then each walks down its optimal face.
+bit whatever the input order. An epoch of at most ``_SMALL_EPOCH`` (6)
+tracklets is enumerated; a larger one splits into the connected components
+of its matchable pairs, which share one shortest-augmenting-path solve.
 
 This module also owns the ``trace.jsonl`` row format: ``trace_row`` writes a
 row and ``load_trace`` reads a file of them back.
@@ -42,6 +42,7 @@ _INFEASIBLE = math.inf  # cost of a gap outside (0, max_gap_s]; the tie grid cli
 _SMALL_EPOCH = 6  # most tracklets (n_e + n_s) for which enumeration beats the solver
 _T, _STATION_ID = operator.attrgetter("t"), operator.attrgetter("station_id")
 _ANONYMITY_CELLS = 1 << 14  # (change, interval) cells and (change, owner) flags per chunk
+_MOTION = ("t", "x", "y", "vx", "vy")  # a beacon row's number fields
 
 
 class ObservationStore:
@@ -126,7 +127,6 @@ class Tracklet:
     pos_first: Point
     pos_last: Point
     vel_last: Point
-    count: int
     quasi_ids: Optional[tuple[float, float]]
 
     @property
@@ -137,17 +137,17 @@ class Tracklet:
 def build_tracklets(store: ObservationStore) -> list[Tracklet]:
     """Syntactic chaining: one tracklet per station identifier.
 
-    Scope and quasi-identifiers come from the id's first record, motion from its last."""
+    Scope and quasi-identifiers come from the id's first record, motion from
+    its last; a linkage reads no record between, so none is kept or counted."""
     obs = store.observations
     ids = list(map(_STATION_ID, obs))
     last = dict(zip(ids, obs))
     first = dict(zip(reversed(ids), reversed(obs)))
-    count = collections.Counter(ids)
     tracklets = []
     for sid in sorted(first):
         head, tail = first[sid], last[sid]
         tracklets.append(Tracklet(sid, head.scope, head.t, tail.t, head.position,
-                                  tail.position, tail.velocity, count[sid], head.quasi_ids))
+                                  tail.position, tail.velocity, head.quasi_ids))
     tracklets.sort(key=operator.attrgetter("t_first"))  # ids are unique: (t_first, id) order
     return tracklets
 
@@ -230,9 +230,6 @@ class GapAssignment:
     """Outcome of the assignment subproblem of one epoch."""
 
     pairs: list[tuple[str, str]]
-    unmatched_endings: list[str]
-    unmatched_startings: list[str]
-    total_cost: float
     pair_costs: list[float]  # gap cost of each entry of ``pairs``
 
 
@@ -261,8 +258,8 @@ def _lex_min_assignment(grid: np.ndarray, pad: int) -> list[int]:
     ``grid`` and ``pad`` are ``_tie_grid``'s output. A decision is a starting
     column, or ``n_s`` for no match. A pair is matchable when its cell is at
     most ``2 * pad``, two no-matches. The components of matchable pairs are
-    independent: up to ``_SMALL_EPOCH`` tracklets are enumerated, the rest
-    share one solve (``_augmenting_paths``), then walk their optimal faces.
+    independent: they share one solve (``_augmenting_paths``), then each
+    walks its own optimal face.
     """
     n_e, n_s = grid.shape
     matchable = grid <= 2 * pad
@@ -275,7 +272,7 @@ def _lex_min_assignment(grid: np.ndarray, pad: int) -> list[int]:
     by_col_rows = rows[np.argsort(cols, kind="stable")].tolist()
     col_rows = [by_col_rows[a:b] for a, b in zip(by_col, by_col[1:])]
     decisions = [n_s] * n_e
-    seen, taken, large = [False] * n_e, [False] * n_s, []
+    seen, taken, components = [False] * n_e, [False] * n_s, []
     for r in range(n_e):
         if seen[r] or not options[r]:
             continue
@@ -289,15 +286,10 @@ def _lex_min_assignment(grid: np.ndarray, pad: int) -> list[int]:
                         if not seen[k]:
                             seen[k] = True
                             ends.append(k)
-        ends, starts = sorted(ends), sorted(starts)
-        if len(ends) + len(starts) > _SMALL_EPOCH:
-            large.append((ends, starts))
-            continue
-        sub = grid[np.ix_(ends, starts)].astype(np.int64).tolist()
-        for i, d in zip(ends, _lex_min_enumerated(sub, pad)):
-            decisions[i] = starts[d] if d < len(starts) else n_s
-    match, owner, u, v = _augmenting_paths([i for ends, _ in large for i in ends], options, n_s)
-    for ends, starts in large:
+        components.append((sorted(ends), sorted(starts)))
+    match, owner, u, v = _augmenting_paths([i for ends, _ in components for i in ends],
+                                           options, n_s)
+    for ends, starts in components:
         columns, fixed = starts + [n_s + i for i in ends], set()
         moves = {x: [owner[y] for y in _tight(x, columns, options, owner, u, v)
                      if owner[y] != x] for x in [*ends, -1]}
@@ -414,7 +406,7 @@ def _restore(i, j, cols, options, match, owner, u, v, fixed) -> bool:
 
 
 def _lex_min_enumerated(grid: list[list[int]], pad: int) -> list[int]:
-    """``_lex_min_assignment`` of a small grid, by depth-first enumeration.
+    """``_lex_min_assignment`` of a small epoch's grid, by depth-first enumeration.
 
     Ending rows decide in order, starting columns before no match (``n_s``),
     so the first assignment of least total found wins. A match adds its cell
@@ -452,22 +444,14 @@ def associate_across_gap(
     compared on the integer grid of ``_tie_grid``, and among the optima there
     the lexicographically least wins: taking endings in station-id order,
     each prefers a match to no match, then the smaller starting id. So the
-    result does not depend on input order. ``pair_costs`` and ``total_cost``
-    are float gap costs, summed in ending-id order.
+    result does not depend on input order. ``pairs`` and their float gap
+    costs ``pair_costs`` are listed in ending-id order.
     """
     endings = sorted(endings, key=lambda tr: tr.station_id)
     startings = sorted(startings, key=lambda tr: tr.station_id)
-    ending_ids = [tr.station_id for tr in endings]
-    starting_ids = [tr.station_id for tr in startings]
     n_e, n_s = len(endings), len(startings)
     if n_e == 0 or n_s == 0:
-        return GapAssignment(
-            pairs=[],
-            unmatched_endings=ending_ids,
-            unmatched_startings=starting_ids,
-            total_cost=model.no_match_cost * (n_e + n_s),
-            pair_costs=[],
-        )
+        return GapAssignment(pairs=[], pair_costs=[])
 
     if n_e + n_s <= _SMALL_EPOCH:
         # the same costs and grid as the matrix path, one cell at a time
@@ -480,29 +464,10 @@ def associate_across_gap(
         cost = _cost_matrix(endings, startings, model)
         decisions = _lex_min_assignment(*_tie_grid(cost, model.no_match_cost))
 
-    # sum in fixed row order so equal assignments give equal floats
-    total = 0.0
-    pairs: list[tuple[str, str]] = []
-    pair_costs: list[float] = []
-    unmatched_endings: list[str] = []
-    for i, j in enumerate(decisions):
-        if j == n_s:
-            total += model.no_match_cost
-            unmatched_endings.append(ending_ids[i])
-        else:
-            pair_costs.append(float(cost[i][j]))
-            total += pair_costs[-1]
-            pairs.append((ending_ids[i], starting_ids[j]))
-    total += model.no_match_cost * (n_s - len(pairs))
-    matched = set(decisions)
+    matched = [(i, j) for i, j in enumerate(decisions) if j < n_s]
     return GapAssignment(
-        pairs=pairs,
-        unmatched_endings=unmatched_endings,
-        unmatched_startings=[
-            sid for j, sid in enumerate(starting_ids) if j not in matched
-        ],
-        total_cost=total,
-        pair_costs=pair_costs,
+        pairs=[(endings[i].station_id, startings[j].station_id) for i, j in matched],
+        pair_costs=[float(cost[i][j]) for i, j in matched],
     )
 
 
@@ -837,40 +802,7 @@ def _anonymity_set_sizes(truth: TruthData, region_m: float) -> list[int]:
     return sizes
 
 
-# --- helpers for experiments and trace replay ------------------------------------
-
-
-def relabel_station_ids(
-    store: ObservationStore, rng: np.random.Generator
-) -> tuple[ObservationStore, dict[str, str]]:
-    """Rename every station identifier with a random fresh label.
-
-    Keeps structure and timing, randomizes which identifier string plays
-    which role. Assignment ties go to the lexicographically smallest station
-    ids, so this measures how often a tie-break falls either way.
-    Returns the relabeled store and the old-to-new mapping so ground truth
-    can be carried across.
-    """
-    old_ids = sorted(
-        {o.station_id for o in store.observations}
-        | {n.station_id for n in store.notices}
-    )
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-    for old in old_ids:
-        while True:
-            candidate = f"{rng.integers(0, 2**64, dtype=np.uint64):016x}"
-            if candidate not in used:
-                used.add(candidate)
-                mapping[old] = candidate
-                break
-    out = ObservationStore()
-    for o in store.observations:
-        out.add(o._replace(station_id=mapping[o.station_id]))
-    for n in store.notices:
-        out.add_notice(n._replace(station_id=mapping[n.station_id]))
-    out.finalize()
-    return out, mapping
+# --- trace rows ------------------------------------------------------------------
 
 
 def trace_row(sender_id: int, record: Observation | NoticeSighting) -> dict:
@@ -895,6 +827,25 @@ def _exact(values: tuple) -> bool:
     return True
 
 
+def _unreadable(row: dict, names: tuple) -> Optional[str]:
+    """Why ``row``'s ``names`` and ``quasi_ids`` are not finite numbers, or None.
+
+    A number is what ``* 1.0`` takes, an int or a float but not a string such
+    as ``"nan"``, and ``quasi_ids`` are null or a pair of numbers."""
+    quasi = row.get("quasi_ids")
+    if quasi is not None and (type(quasi) is not list or len(quasi) != 2):
+        return f"quasi_ids is not a pair of finite numbers: {quasi!r}"
+    fields = [(name, row[name]) for name in names]
+    for name, value in fields + [(f"quasi_ids[{i}]", v) for i, v in enumerate(quasi or ())]:
+        try:
+            number = value * 1.0
+        except (TypeError, OverflowError):
+            return f"{name} is not a finite number: {value!r}"
+        if number - number:
+            return f"non-finite number {number!r}"
+    return None
+
+
 def load_trace(path: str) -> ObservationStore:
     """Rebuild an observation store from an exported trace file.
 
@@ -903,7 +854,9 @@ def load_trace(path: str) -> ObservationStore:
     time; blank lines and rows of another ``kind`` are skipped, a line
     holding anything after its JSON object raises ``json.JSONDecodeError``,
     and one holding ``NaN``, ``Infinity``, ``-Infinity`` or, in a field read,
-    a number that overflows to infinity (``1e999``) a ``ValueError``.
+    a number that overflows to infinity (``1e999``), a value that is not a
+    number (such as the string ``"1.5"``) or ``quasi_ids`` that are not a
+    pair of finite numbers, a ``ValueError`` naming the file and line.
     The cyclic garbage collector is paused while the store is built and
     left as the caller had it.
 
@@ -917,11 +870,11 @@ def load_trace(path: str) -> ObservationStore:
     observations, notices = store.observations, store.notices
     share = {}.setdefault  # one object per distinct shareable value
 
-    def reject(constant: str) -> NoReturn:
-        raise ValueError(f"{path}, line {lineno}: non-finite number {constant}")
+    def reject(problem: str) -> NoReturn:
+        raise ValueError(f"{path}, line {lineno}: {problem}")
 
-    decode = json.JSONDecoder(parse_constant=reject).raw_decode
-    inf, copysign = math.inf, math.copysign
+    decode = json.JSONDecoder(parse_constant=lambda c: reject(f"non-finite number {c}")).raw_decode
+    copysign = math.copysign
     # the store holds no reference cycles, so collection passes over the
     # growing list of records would only cost time
     gc_was_enabled = gc.isenabled()
@@ -937,17 +890,19 @@ def load_trace(path: str) -> ObservationStore:
                     raise json.JSONDecodeError("Extra data", line, end)
                 kind = row.get("kind")
                 if kind == "CAM" or kind == "DENM":
-                    t, x, y = float(row["t"]), float(row["x"]), float(row["y"])
-                    vx, vy = float(row["vx"]), float(row["vy"])
-                    quasi = row.get("quasi_ids")
-                    quasi = tuple(quasi) if quasi is not None else None
-                    # a literal such as 1e999 decodes to an infinity, which
-                    # leaves the sum infinite (so may a finite overflow)
-                    total = t + x + y + vx + vy
-                    if total - total or quasi is not None and (inf in quasi or -inf in quasi):
-                        for v in (t, x, y, vx, vy, *(quasi or ())):
-                            if v in (inf, -inf):
-                                reject(repr(v))
+                    try:  # unlike float(), ``* 1.0`` and ``+`` refuse a string such as "nan"
+                        t, x, y = row["t"] * 1.0, row["x"] * 1.0, row["y"] * 1.0
+                        vx, vy = row["vx"] * 1.0, row["vy"] * 1.0
+                        quasi = row.get("quasi_ids")
+                        quasi = tuple(quasi) if quasi is not None else None
+                        q0, q1 = (0.0, 0.0) if quasi is None else quasi
+                        # a literal such as 1e999 decodes to an infinity, which
+                        # leaves the sum infinite (so may a finite overflow)
+                        total = t + x + y + vx + vy + q0 + q1
+                    except (TypeError, ValueError, OverflowError):
+                        reject(_unreadable(row, _MOTION))
+                    if total - total and (problem := _unreadable(row, _MOTION)):
+                        reject(problem)
                     sid, velocity = row["station_id"], (vx, vy)
                     sid = share(sid, sid) if type(sid) is str else sid
                     t = share(t, t) if t or copysign(1.0, t) > 0.0 else t
@@ -959,10 +914,9 @@ def load_trace(path: str) -> ObservationStore:
                         t, sid, "CAM" if kind == "CAM" else "DENM", (x, y), velocity, quasi
                     ))
                 elif kind == "notice":
-                    t = float(row["t"])
-                    if t in (inf, -inf):
-                        reject(repr(t))
-                    notices.append(NoticeSighting(t, row["station_id"], row["scope"]))
+                    if problem := _unreadable(row, ("t",)):
+                        reject(problem)
+                    notices.append(NoticeSighting(row["t"] * 1.0, row["station_id"], row["scope"]))
         store.finalize()
     finally:
         if gc_was_enabled:

@@ -12,6 +12,11 @@ with == rather than a tolerance.
 Only usable for small instances (intended for up to 6 tracklets per
 side, about 13k matchings).
 
+``production_order_total`` is the one definition of an assignment's float
+total, and ``assignment_outcome`` reads it, with the unmatched ids, off a
+``GapAssignment``. ``relabel_station_ids`` renames every station id at
+random, to see a tie-break fall either way.
+
 ``anonymity_sizes_loop``, ``build_tracklets_loop`` and ``link_full_scan``
 keep the original loop forms of the anonymity-set count, of tracklet
 chaining and of ``link``'s candidate selection;
@@ -56,7 +61,6 @@ def mk_tracklet(
     vel_last=(0.0, 0.0),
     scope="CAM",
     quasi_ids=None,
-    count=1,
 ):
     return Tracklet(
         station_id=station_id,
@@ -66,7 +70,6 @@ def mk_tracklet(
         pos_first=(float(pos_first[0]), float(pos_first[1])),
         pos_last=(float(pos_last[0]), float(pos_last[1])),
         vel_last=(float(vel_last[0]), float(vel_last[1])),
-        count=count,
         quasi_ids=quasi_ids,
     )
 
@@ -102,9 +105,10 @@ def _all_assignments(n_e, n_s, feasible):
 
 
 def production_order_total(cost_rows, assign, no_match, n_s):
-    """Sum exactly like the production canonical total: matched rows in
-    row order, one no_match per unmatched row, then a single product for
-    the unmatched starting columns."""
+    """The float total of an assignment, summed in one fixed order so that
+    equal assignments give equal floats: matched rows in row order, one
+    no_match per unmatched row, then a single product for the unmatched
+    starting columns."""
     total = 0.0
     matched = 0
     for i, j in enumerate(assign):
@@ -115,6 +119,26 @@ def production_order_total(cost_rows, assign, no_match, n_s):
             matched += 1
     total += no_match * (n_s - matched)
     return total
+
+
+def assignment_outcome(assignment, endings, startings, model: MotionModel):
+    """(unmatched ending ids, unmatched starting ids, total) of a ``GapAssignment``
+    of ``endings`` and ``startings``, ids ascending, the total by
+    ``production_order_total``."""
+    ending_ids = sorted(tr.station_id for tr in endings)
+    starting_ids = sorted(tr.station_id for tr in startings)
+    column = {sid: j for j, sid in enumerate(starting_ids)}
+    partner = dict(assignment.pairs)
+    cost = dict(zip(assignment.pairs, assignment.pair_costs))
+    assign = [column[partner[e]] if e in partner else None for e in ending_ids]
+    cost_rows = [{j: cost[e, starting_ids[j]]} if j is not None else {}
+                 for e, j in zip(ending_ids, assign)]
+    matched = set(partner.values())
+    return (
+        [e for e in ending_ids if e not in partner],
+        [s for s in starting_ids if s not in matched],
+        production_order_total(cost_rows, assign, model.no_match_cost, len(starting_ids)),
+    )
 
 
 def rank_on_grid(grid, pad):
@@ -169,6 +193,37 @@ def solve_exhaustive(endings, startings, model: MotionModel) -> OracleResult:
         assign=best_assign,
         float_min=float_min,
     )
+
+
+def relabel_station_ids(store, rng):
+    """Rename every station identifier with a random fresh label.
+
+    Keeps structure and timing, randomizes which identifier string plays
+    which role. Assignment ties go to the lexicographically smallest station
+    ids, so this measures how often a tie-break falls either way.
+    Returns the relabeled store and the old-to-new mapping so ground truth
+    can be carried across.
+    """
+    old_ids = sorted(
+        {o.station_id for o in store.observations}
+        | {n.station_id for n in store.notices}
+    )
+    mapping = {}
+    used = set()
+    for old in old_ids:
+        while True:
+            candidate = f"{rng.integers(0, 2**64, dtype=np.uint64):016x}"
+            if candidate not in used:
+                used.add(candidate)
+                mapping[old] = candidate
+                break
+    out = adv.ObservationStore()
+    for o in store.observations:
+        out.add(o._replace(station_id=mapping[o.station_id]))
+    for n in store.notices:
+        out.add_notice(n._replace(station_id=mapping[n.station_id]))
+    out.finalize()
+    return out, mapping
 
 
 def random_instance(rng, max_side=6):
@@ -259,14 +314,12 @@ def build_tracklets_loop(store):
                 pos_first=obs.position,
                 pos_last=obs.position,
                 vel_last=obs.velocity,
-                count=1,
                 quasi_ids=obs.quasi_ids,
             )
         else:
             tr.t_last = obs.t
             tr.pos_last = obs.position
             tr.vel_last = obs.velocity
-            tr.count += 1
     return sorted(by_id.values(), key=lambda tr: (tr.t_first, tr.station_id))
 
 

@@ -164,8 +164,8 @@ def test_a_number_no_run_can_use_is_rejected(scenarios_dir, section, values, vio
 def test_an_overflowing_miss_over_an_overflowing_sigma_is_never_matched():
     # the miss and the uncertainty both overflow after a 2 s gap: inf / inf
     model = MotionModel(beta_m_per_s=1e308)
-    ending = Tracklet("a", "CAM", 0.0, 1.0, (0.0, 0.0), (0.0, 0.0), (1e308, 0.0), 2, None)
-    starting = Tracklet("b", "CAM", 3.0, 4.0, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 2, None)
+    ending = Tracklet("a", "CAM", 0.0, 1.0, (0.0, 0.0), (0.0, 0.0), (1e308, 0.0), None)
+    starting = Tracklet("b", "CAM", 3.0, 4.0, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), None)
     assert gap_cost(ending, starting, model) == math.inf
     assert _cost_matrix([ending], [starting], model).tolist() == [[math.inf]]
     assert associate_across_gap([ending], [starting], model).pairs == []

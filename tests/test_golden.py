@@ -4,10 +4,11 @@
 ``summary_json()`` and of the silence sweep's ``metrics.csv`` and
 ``sweep_manifest.json``. Under ``branch_runs`` it also holds the summary,
 trace and linkage digests of the configs in ``BRANCH_RUNS``, which reach
-engine paths the suite scenarios miss. ``attacker_replay`` pins the linkage
-and attack metrics of a generated trace with large kinematic epochs, and
-``random_instance_assignments`` every gap assignment, ties included, of
-``oracle_support.random_instance`` seeds 0-5. A change that alters any of
+engine and core paths the suite scenarios miss. ``attacker_replay`` pins
+the linkage and attack metrics of a generated trace with large kinematic
+epochs, and ``random_instance_assignments`` every gap assignment, ties
+included, of ``oracle_support.random_instance`` seeds 0-5 (its pairs,
+unmatched ids and total). A change that alters any of
 these bytes on purpose must regenerate the file and say why.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import SUITE
-from oracle_support import random_instance
+from oracle_support import assignment_outcome, random_instance
 from pseudosim import run_scenario
 from pseudosim.adversary import (
     MotionModel,
@@ -101,6 +102,17 @@ BRANCH_RUNS = {
         "sba": {"at_lifetime_s": 20.0, "at_stagger_s": 1.0},
         "adversary": {"coverage": [{"x": 0.0, "y": 0.0, "radius_m": 150.0},
                                    {"x": 400.0, "y": 200.0, "radius_m": 120.0}]},
+    },
+    # the core signs access tokens with Ed25519, not the shared-secret MAC, and a
+    # short token lifetime makes it sign fresh ones through the run
+    "asymmetric_tokens": {
+        "name": "branch-asymmetric", "seed": 5, "duration_s": 30.0, "tick_s": 0.1,
+        "road": _road(300.0), "fleet": _fleet(3, short=(2,)),
+        "beaconing": {"cam_freq_hz": 5.0, "radio_range_m": 200.0},
+        "policy": {"kind": "periodic", "interval_s": 5.0, "silence_s": 0.5},
+        "pool": {"size": 4, "min_concurrent_valid": 2},
+        "sba": {"sig_scheme": "asymmetric", "token_ttl_s": 8.0, "at_lifetime_s": 12.0},
+        "adversary": {"coverage": "full"},
     },
 }
 
@@ -205,8 +217,9 @@ def test_random_instance_assignments_digest():
     for seed in range(6):
         rng = np.random.default_rng(seed)
         for _ in range(2000):
-            a = associate_across_gap(*random_instance(rng), model)
+            instance = random_instance(rng)
+            a = associate_across_gap(*instance, model)
             digest.update(json.dumps(
-                [a.pairs, a.unmatched_endings, a.unmatched_startings, a.total_cost]
+                [a.pairs, *assignment_outcome(a, *instance, model)]
             ).encode())
     assert digest.hexdigest() == GOLDEN["random_instance_assignments"]
