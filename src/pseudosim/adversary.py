@@ -12,11 +12,11 @@ option. Costs are compared on one integer grid (``_tie_grid``), which is the
 only definition of a tie; among tied optima the lexicographically smallest
 assignment by station identifier wins, so results are reproducible bit for
 bit whatever the input order. An epoch of at most ``_SMALL_EPOCH`` (6)
-tracklets is enumerated; a larger one splits into the connected components
+tracklets is enumerated on that grid; a larger one splits into the components
 of its matchable pairs, which share one shortest-augmenting-path solve.
 
 This module also owns the ``trace.jsonl`` row format: ``trace_row`` writes a
-row and ``load_trace`` reads a file of them back.
+row and ``load_trace`` reads a file of them back, naming any row it refuses.
 """
 
 from __future__ import annotations
@@ -405,7 +405,7 @@ def _restore(i, j, cols, options, match, owner, u, v, fixed) -> bool:
     return False
 
 
-def _lex_min_enumerated(grid: list[list[int]], pad: int) -> list[int]:
+def _lex_min_enumerated(grid: list[list[float]], pad: int) -> list[int]:
     """``_lex_min_assignment`` of a small epoch's grid, by depth-first enumeration.
 
     Ending rows decide in order, starting columns before no match (``n_s``),
@@ -454,12 +454,10 @@ def associate_across_gap(
         return GapAssignment(pairs=[], pair_costs=[])
 
     if n_e + n_s <= _SMALL_EPOCH:
-        # the same costs and grid as the matrix path, one cell at a time
+        # the matrix path's costs, one cell at a time, on its grid
         cost = [[gap_cost(e, s, model) for s in startings] for e in endings]
-        pad = _grid_pad(n_e + n_s)
-        unit = model.no_match_cost / pad
-        grid = [[round(min(c / unit, 2 * pad + 1)) for c in row] for row in cost]
-        decisions = _lex_min_enumerated(grid, pad)
+        grid, pad = _tie_grid(np.array(cost), model.no_match_cost)
+        decisions = _lex_min_enumerated(grid.tolist(), pad)
     else:
         cost = _cost_matrix(endings, startings, model)
         decisions = _lex_min_assignment(*_tie_grid(cost, model.no_match_cost))
@@ -827,11 +825,18 @@ def _exact(values: tuple) -> bool:
     return True
 
 
-def _unreadable(row: dict, names: tuple) -> Optional[str]:
-    """Why ``row``'s ``names`` and ``quasi_ids`` are not finite numbers, or None.
+def _unreadable(row: dict, names: tuple, required: tuple = ("station_id",)) -> Optional[str]:
+    """Why ``row`` is not a record, or None: a field of ``required`` or ``names``
+    missing, a ``station_id`` that is not a string, or ``names`` and
+    ``quasi_ids`` that are not finite numbers.
 
     A number is what ``* 1.0`` takes, an int or a float but not a string such
     as ``"nan"``, and ``quasi_ids`` are null or a pair of numbers."""
+    for name in required + names:
+        if name not in row:
+            return f"missing field {name}"
+    if type(row["station_id"]) is not str:
+        return f"station_id is not a string: {row['station_id']!r}"
     quasi = row.get("quasi_ids")
     if quasi is not None and (type(quasi) is not list or len(quasi) != 2):
         return f"quasi_ids is not a pair of finite numbers: {quasi!r}"
@@ -855,16 +860,17 @@ def load_trace(path: str) -> ObservationStore:
     holding anything after its JSON object raises ``json.JSONDecodeError``,
     and one holding ``NaN``, ``Infinity``, ``-Infinity`` or, in a field read,
     a number that overflows to infinity (``1e999``), a value that is not a
-    number (such as the string ``"1.5"``) or ``quasi_ids`` that are not a
-    pair of finite numbers, a ``ValueError`` naming the file and line.
-    The cyclic garbage collector is paused while the store is built and
-    left as the caller had it.
+    number (such as the string ``"1.5"``), ``quasi_ids`` that are not a pair
+    of finite numbers, a station id that is not a string (such as ``1``) or
+    a missing field, a ``ValueError`` naming the file and line. The cyclic
+    garbage collector is paused while the store is built and left as the
+    caller had it.
 
     Beacons share one object per distinct station id, time, velocity pair
     and quasi-id tuple, and a literal scope: about 210 bytes per row on a
     53k-row trace of 300 vehicles, not 557. As ``-0.0 == 0.0``, ``4 == 4.0``
-    and ``1 == True``, only ``str`` ids and floats or tuples of floats with
-    no ``-0.0`` are shared; anything else is kept as it was read.
+    and ``1 == True``, only times, velocities and quasi-id tuples that are
+    floats with no ``-0.0`` are shared; any other is kept as it was read.
     """
     store = ObservationStore()
     observations, notices = store.observations, store.notices
@@ -893,18 +899,20 @@ def load_trace(path: str) -> ObservationStore:
                     try:  # unlike float(), ``* 1.0`` and ``+`` refuse a string such as "nan"
                         t, x, y = row["t"] * 1.0, row["x"] * 1.0, row["y"] * 1.0
                         vx, vy = row["vx"] * 1.0, row["vy"] * 1.0
+                        sid = row["station_id"]
                         quasi = row.get("quasi_ids")
                         quasi = tuple(quasi) if quasi is not None else None
                         q0, q1 = (0.0, 0.0) if quasi is None else quasi
                         # a literal such as 1e999 decodes to an infinity, which
                         # leaves the sum infinite (so may a finite overflow)
                         total = t + x + y + vx + vy + q0 + q1
-                    except (TypeError, ValueError, OverflowError):
+                    except (KeyError, TypeError, ValueError, OverflowError):
                         reject(_unreadable(row, _MOTION))
-                    if total - total and (problem := _unreadable(row, _MOTION)):
+                    if (total - total or type(sid) is not str) and (
+                        problem := _unreadable(row, _MOTION)
+                    ):
                         reject(problem)
-                    sid, velocity = row["station_id"], (vx, vy)
-                    sid = share(sid, sid) if type(sid) is str else sid
+                    sid, velocity = share(sid, sid), (vx, vy)
                     t = share(t, t) if t or copysign(1.0, t) > 0.0 else t
                     if (vx or copysign(1.0, vx) > 0.0) and (vy or copysign(1.0, vy) > 0.0):
                         velocity = share(velocity, velocity)
@@ -914,7 +922,7 @@ def load_trace(path: str) -> ObservationStore:
                         t, sid, "CAM" if kind == "CAM" else "DENM", (x, y), velocity, quasi
                     ))
                 elif kind == "notice":
-                    if problem := _unreadable(row, ("t",)):
+                    if problem := _unreadable(row, ("t",), ("station_id", "scope")):
                         reject(problem)
                     notices.append(NoticeSighting(row["t"] * 1.0, row["station_id"], row["scope"]))
         store.finalize()

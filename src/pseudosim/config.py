@@ -30,7 +30,7 @@ from typing import Any, Collection, Optional, Union
 
 from .adversary import CoveragePost, MotionModel
 from .mobility import RoadNetwork, RoadNetworkError, RoadSegment
-from .sba import SCHEME_ASYMMETRIC, SCHEME_MAC, SbaConfig
+from .sba import TOKEN_SCHEMES, SbaConfig
 from .strategy import (
     MAX_SINGLE_LOCK_S,
     ChangePolicy,
@@ -44,6 +44,7 @@ from .strategy import (
 
 MAX_CAM_FREQ_HZ = 10.0
 MAX_TICKS = 10**7  # a run must end: round(duration_s / tick_s) may not exceed this
+MAX_TICKETS = 10**4  # a pool's size and floor, and a provisioning batch, may not exceed this
 
 
 class ConfigError(ValueError):
@@ -319,17 +320,17 @@ _SCHEMA: dict[type, dict[str, _Kind]] = {
         "max_silent_fraction": _Num(ge=0.0, le=1.0),
     },
     PoolConfig: {
-        "size": _Int(ge=1),
-        "min_concurrent_valid": _Int(ge=2),
+        "size": _Int(ge=1, le=MAX_TICKETS),
+        "min_concurrent_valid": _Int(ge=2, le=MAX_TICKETS),
         "selection": _Choice(SELECTION_NO_REUSE, SELECTION_ROUND_ROBIN),
     },
     SbaConfig: {
         "token_ttl_s": _Num(gt=0.0),
-        "sig_scheme": _Choice(SCHEME_MAC, SCHEME_ASYMMETRIC),
+        "sig_scheme": _Choice(*TOKEN_SCHEMES),
         "ec_lifetime_s": _Num(gt=0.0),
         "at_lifetime_s": _Num(gt=0.0),
         "at_stagger_s": _Num(ge=0.0),
-        "at_batch_cap": _Int(ge=1),
+        "at_batch_cap": _Int(ge=1, le=MAX_TICKETS),
     },
     LockConfig: {"renewal_threshold": _Int(ge=1), "validator_awareness_min": _Num(ge=0.0, le=1.0)},
     LockEvent: {

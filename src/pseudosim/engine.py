@@ -129,7 +129,7 @@ class SimulationEngine:
         self.silence_ticks = tick_of(config.policy.silence_s, config.tick_s)
         self.max_switch_gap: Optional[float] = None
 
-        self.counters: dict[str, int] = {}
+        self.counters: Counter[str] = Counter()
         self.min_valid_tickets: Optional[int] = None
         self.sybil_violations = 0
         self.awareness_sum = 0.0
@@ -143,9 +143,6 @@ class SimulationEngine:
         ntp = config.policy.policy
         self._coordination_ticks = (max(1, tick_of(ntp.coordination_interval_s, config.tick_s))
                                     if isinstance(ntp, strat.NetworkTriggeredPolicy) else None)
-
-    def bump(self, key: str, by: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + by
 
     # --- vehicle lifecycle ------------------------------------------------
 
@@ -186,7 +183,7 @@ class SimulationEngine:
         self._retire_ids(veh, tick * self.tick_s)
         self.ldm.drop(veh.spec.vehicle_id)
         del self.vehicles[veh.spec.vehicle_id]
-        self.bump("trips_completed")
+        self.counters["trips_completed"] += 1
 
     def _retire_ids(self, veh: _Vehicle, now: float) -> dict:
         """Take the vehicle's station ids off the air; returns them by scope value.
@@ -198,7 +195,7 @@ class SimulationEngine:
             if self.cfg.policy.notify_deactivation:
                 notice = bcn.NoticeSighting(now, sid, scope_value)
                 self.notices.append((veh.spec.vehicle_id, notice, veh.kin.position))
-                self.bump("notices_sent")
+                self.counters["notices_sent"] += 1
         return veh.ids
 
     def _close_gap(self, veh: _Vehicle, now: float) -> None:
@@ -218,22 +215,20 @@ class SimulationEngine:
             elif not veh.pool.needs_replenish(scope, now):
                 return
             if round_ == REPLENISH_ROUNDS:  # still short after the last round
-                self.bump("replenish_gave_up")
+                self.counters["replenish_gave_up"] += 1
                 return
-            try:
-                added = strat.replenish_pool(veh.pool, scope, veh.cert, self.core, now)
+            try:  # a need seen above at this ``now`` adds at least one ticket
+                strat.replenish_pool(veh.pool, scope, veh.cert, self.core, now)
             except SbaError as exc:
-                self.bump(f"replenish_failed_{exc.reason}")
+                self.counters[f"replenish_failed_{exc.reason}"] += 1
                 return
-            if added <= 0:
-                return
-            self.bump("pool_replenishments")
+            self.counters["pool_replenishments"] += 1
 
     def _execute_change(self, veh: _Vehicle, tick: int, trigger: str) -> None:
         now = tick * self.tick_s
         plan = strat.plan_change(veh.pool, now)
         if plan is None:
-            self.bump("change_starved")
+            self.counters["change_starved"] += 1
             return
         veh.session_token = self.core.invoke_v2x_service(veh.session_token, now)
         old_ids = self._retire_ids(veh, now)
@@ -354,15 +349,15 @@ class SimulationEngine:
         for ev in self._lock_events.get(tick, ()):
             veh = self.vehicles.get(ev.vehicle_id)
             if veh is None:
-                self.bump("lock_events_dropped")
+                self.counters["lock_events_dropped"] += 1
                 continue
             valid_until = veh.active_until if veh.pool.active else now
             decision = veh.locks.request(ev.app_id, ev.duration_s, now, valid_until,
                                          validator=self._awareness_validator(veh))
             if decision.granted:
-                self.bump("locks_granted")
+                self.counters["locks_granted"] += 1
             else:
-                self.bump(f"lock_denied_{decision.reason}")
+                self.counters[f"lock_denied_{decision.reason}"] += 1
         for veh in self.roster:
             if tick < veh.wake_tick:  # a due vehicle stays due until it changes
                 continue
@@ -385,7 +380,7 @@ class SimulationEngine:
                 veh.wake_tick = self._wake(veh, tick)
                 continue
             if locked:
-                self.bump("change_deferred_lock")
+                self.counters["change_deferred_lock"] += 1
                 continue
             self._execute_change(veh, tick, self.cfg.policy.policy.kind)
 
@@ -405,7 +400,7 @@ class SimulationEngine:
         for vid in strat.coordinate_network_change(candidates, policy.max_silent_fraction):
             self.vehicles[vid].trigger.pending_command = True
             self.vehicles[vid].wake_tick = tick
-            self.bump("coordinator_commands")
+            self.counters["coordinator_commands"] += 1
 
     def _phase_sba(self, tick: int) -> None:
         now = tick * self.tick_s
@@ -454,9 +449,9 @@ class SimulationEngine:
             sends = [(vid, obs._replace(position=(true[0] + dx, true[1] + dy)), true)
                      for (vid, obs, true), (dx, dy) in zip(sends, noise)]
         if len(sends) > n_denms:
-            self.bump("cams_sent", len(sends) - n_denms)
+            self.counters["cams_sent"] += len(sends) - n_denms
         if n_denms:  # the outbox takes CAMs, then DENMs, each in sender order
-            self.bump("denms_sent", n_denms)
+            self.counters["denms_sent"] += n_denms
             sends.sort(key=lambda send: send[1].scope == "DENM")
         self.outbox = sends
 
@@ -491,7 +486,7 @@ class SimulationEngine:
             for m, k in zip(of_message, hits.tolist()):
                 lost.setdefault(m, set()).add(flat[k])
             if hits.size:
-                self.bump("messages_lost", hits.size)
+                self.counters["messages_lost"] += hits.size
         # notices land before CAMs; a DENM leaves every LDM as it is
         for m, (_, msg, _) in enumerate(notices):
             missed = lost.get(m, _NO_LOSS)
@@ -585,7 +580,7 @@ class SimulationEngine:
                 "max_stack_switch_gap_s": self.max_switch_gap,
                 "min_valid_tickets": self.min_valid_tickets,
                 "sybil_violations": self.sybil_violations,
-                "locks_granted": self.counters.get("locks_granted", 0),
+                "locks_granted": self.counters["locks_granted"],
                 "locks_denied": sum(
                     n for key, n in self.counters.items() if key.startswith("lock_denied_")
                 ),

@@ -15,6 +15,7 @@ in seconds, supplied by the caller.
 from __future__ import annotations
 
 import base64
+import collections
 import hashlib
 import hmac as hmac_mod
 import json
@@ -108,47 +109,38 @@ class ProvisioningError(SbaError):
 _T = TypeVar("_T")
 
 
-class CredentialScope:
-    """Memo of Ed25519 and X25519 key loads, signatures and key exchanges.
-
-    Every entry is keyed by algorithm, private key bytes and the exact input
-    bytes, so a hit returns what the computation would. Verification has no
-    entry here: every check runs in every run.
-    """
-
-    def __init__(self):
-        self._results: dict[tuple, object] = {}
-
-    def once(self, key: tuple, compute: Callable[..., _T], *args) -> _T:
-        """``compute(*args)``, computed once per ``key`` while the scope lives."""
-        results = self._results
-        if key not in results:
-            results[key] = compute(*args)
-        return results[key]
+# The open :func:`shared_credentials` memo of Ed25519 and X25519 key loads,
+# signatures and key exchanges, each keyed by algorithm, private key bytes and
+# the exact input bytes, so a hit returns what the computation would. No
+# verification has an entry: every check runs in every run.
+_ACTIVE_SCOPE: ContextVar[Optional[dict]] = ContextVar("pseudosim_credential_scope", default=None)
 
 
-_ACTIVE_SCOPE: ContextVar[Optional[CredentialScope]] = ContextVar(
-    "pseudosim_credential_scope", default=None
-)
+def _once(memo: dict, key: tuple, compute: Callable[..., _T], *args) -> _T:
+    """``compute(*args)``, computed once per ``key`` while ``memo`` lives."""
+    if key not in memo:
+        memo[key] = compute(*args)
+    return memo[key]
 
 
 @contextmanager
 def shared_credentials() -> Iterator[None]:
-    """Signers and keystores built inside share one :class:`CredentialScope`.
+    """Signers and keystores built inside share one credential memo.
 
-    Open one per group of runs: the scope keeps every result until its last
+    Open one per group of runs: the memo keeps every result until its last
     signer or keystore is gone.
     """
-    token = _ACTIVE_SCOPE.set(CredentialScope())
+    token = _ACTIVE_SCOPE.set({})
     try:
         yield
     finally:
         _ACTIVE_SCOPE.reset(token)
 
 
-def _current_scope() -> CredentialScope:
-    """The open scope, or a fresh one private to the caller."""
-    return _ACTIVE_SCOPE.get() or CredentialScope()
+def _current_scope() -> dict:
+    """The open scope's memo, or a fresh one private to the caller."""
+    memo = _ACTIVE_SCOPE.get()
+    return {} if memo is None else memo  # not ``or``: an empty open memo is still shared
 
 
 # --- subscriber identity ----------------------------------------------------
@@ -213,11 +205,11 @@ class HomeNetworkKeystore:
         return HomeKey(key_id=key_id, public_bytes=raw)
 
     def _load(self, raw: bytes) -> X25519PrivateKey:
-        return self._scope.once(("x25519", raw), X25519PrivateKey.from_private_bytes, raw)
+        return _once(self._scope, ("x25519", raw), X25519PrivateKey.from_private_bytes, raw)
 
     def _exchange(self, raw: bytes, peer_public: bytes) -> bytes:
-        return self._scope.once(
-            ("x25519-exchange", raw, peer_public),
+        return _once(
+            self._scope, ("x25519-exchange", raw, peer_public),
             lambda: self._load(raw).exchange(X25519PublicKey.from_public_bytes(peer_public)),
         )
 
@@ -281,13 +273,12 @@ class AsymmetricTokenSigner:
     def __init__(self, private_bytes: bytes):
         self._scope = _current_scope()
         self._raw = private_bytes
-        self._priv = self._scope.once(
-            ("ed25519", private_bytes), Ed25519PrivateKey.from_private_bytes, private_bytes
-        )
+        self._priv = _once(self._scope, ("ed25519", private_bytes),
+                           Ed25519PrivateKey.from_private_bytes, private_bytes)
         self._pub = self._priv.public_key()
 
     def sign(self, data: bytes) -> bytes:
-        return self._scope.once(("ed25519-sign", self._raw, data), self._priv.sign, data)
+        return _once(self._scope, ("ed25519-sign", self._raw, data), self._priv.sign, data)
 
     def verify(self, data: bytes, signature: bytes) -> bool:
         try:
@@ -298,6 +289,12 @@ class AsymmetricTokenSigner:
 
 
 TokenSigner = Union[MacTokenSigner, AsymmetricTokenSigner]
+
+# every token scheme: its signer class, and the label its key derives from under the run seed
+TOKEN_SCHEMES: dict[str, tuple[type, str]] = {
+    SCHEME_MAC: (MacTokenSigner, "token-mac-secret"),
+    SCHEME_ASYMMETRIC: (AsymmetricTokenSigner, "token-ed25519"),
+}
 
 
 # --- access tokens ----------------------------------------------------------
@@ -440,7 +437,7 @@ def parse_token(wire: str) -> AccessToken:
     if _b64e(signature) != sig_b64:
         raise VerificationError("malformed", "non-canonical signature encoding")
     scheme = header.get("alg") if isinstance(header, dict) else None
-    if scheme not in (SCHEME_MAC, SCHEME_ASYMMETRIC):
+    if type(scheme) is not str or scheme not in TOKEN_SCHEMES:  # a list is unhashable
         raise VerificationError("malformed", f"unknown alg {scheme!r}")
     signing_input = (header_b64 + "." + claims_b64).encode("ascii")
     return AccessToken(signature=signature, sig_scheme=scheme, signing_input=signing_input)
@@ -776,21 +773,11 @@ class ServiceBasedCore:
 
     def __init__(self, seed: int, config: Optional[SbaConfig] = None):
         self.config = config or SbaConfig()
-        self.counters: dict[str, int] = {}
+        self.counters: collections.Counter[str] = collections.Counter()
 
-        if self.config.sig_scheme == SCHEME_MAC:
-            token_signer: TokenSigner = MacTokenSigner(
-                derive_bytes(seed, "token-mac-secret", 32)
-            )
-        elif self.config.sig_scheme == SCHEME_ASYMMETRIC:
-            token_signer = AsymmetricTokenSigner(
-                derive_bytes(seed, "token-ed25519", 32)
-            )
-        else:
-            raise ValueError(f"unknown sig scheme {self.config.sig_scheme!r}")
-        self.token_verifiers: dict[str, TokenSigner] = {
-            token_signer.scheme: token_signer
-        }
+        signer_class, key_label = TOKEN_SCHEMES[self.config.sig_scheme]
+        token_signer: TokenSigner = signer_class(derive_bytes(seed, key_label, 32))
+        self.token_verifiers: dict[str, TokenSigner] = {token_signer.scheme: token_signer}
 
         policies = [
             AccessPolicy(
@@ -848,9 +835,6 @@ class ServiceBasedCore:
 
         self._ea_token: Optional[AccessToken] = None
 
-    def bump(self, counter: str, by: int = 1) -> None:
-        self.counters[counter] = self.counters.get(counter, 0) + by
-
     # - subscriber lifecycle -
 
     def add_subscriber(self, supi: Supi) -> None:
@@ -862,27 +846,27 @@ class ServiceBasedCore:
             suci = self.keystore.conceal_supi(supi, self.home_key, nonce)
             cert = self.ea.enroll(suci, now)
         except SbaError as exc:
-            self.bump(f"enroll_denied_{exc.reason}")
+            self.counters[f"enroll_denied_{exc.reason}"] += 1
             raise
-        self.bump("enrollments_ok")
+        self.counters["enrollments_ok"] += 1
         return cert
 
     # - token flows -
 
+    def _fetch_token(self, consumer: NfProfile, service: str, target: NfType,
+                     now: float) -> AccessToken:
+        """A token from the NRF; counts it, or the refusal's reason before re-raising."""
+        try:
+            token = self.nrf.request_access_token(consumer.nf_instance_id, [service], target, now)
+        except AuthorizationError as exc:
+            self.counters[f"token_denied_{exc.reason}"] += 1
+            raise
+        self.counters["tokens_issued"] += 1
+        return token
+
     def request_v2x_token(self, now: float) -> AccessToken:
         """AMF-side token for the V2X messaging service."""
-        try:
-            token = self.nrf.request_access_token(
-                consumer_id=self.amf_profile.nf_instance_id,
-                scope=[SERVICE_V2X_MESSAGING],
-                target_nf_type=NfType.V2X_AF,
-                now=now,
-            )
-        except AuthorizationError as exc:
-            self.bump(f"token_denied_{exc.reason}")
-            raise
-        self.bump("tokens_issued")
-        return token
+        return self._fetch_token(self.amf_profile, SERVICE_V2X_MESSAGING, NfType.V2X_AF, now)
 
     def _authorize(
         self, token: Union[AccessToken, str], service: str, producer: NfProfile, now: float
@@ -891,9 +875,9 @@ class ServiceBasedCore:
         try:
             verify_access_token(token, producer, service, now, self.token_verifiers)
         except VerificationError as exc:
-            self.bump(f"service_reject_{exc.reason}")
+            self.counters[f"service_reject_{exc.reason}"] += 1
             return exc.reason
-        self.bump("service_accepts")
+        self.counters["service_accepts"] += 1
         return None
 
     def invoke_v2x_service(
@@ -908,9 +892,9 @@ class ServiceBasedCore:
             try:
                 token = self.request_v2x_token(now)
             except SbaError:
-                self.bump("session_renewal_failed")
+                self.counters["session_renewal_failed"] += 1
                 return token
-            self.bump("session_renewals")
+            self.counters["session_renewals"] += 1
             self._authorize(token, SERVICE_V2X_MESSAGING, self.v2x_af_profile, now)
         return token
 
@@ -918,13 +902,8 @@ class ServiceBasedCore:
 
     def _ea_access_token(self, now: float) -> AccessToken:
         if self._ea_token is None or now >= self._ea_token.claims.expiration:
-            self._ea_token = self.nrf.request_access_token(
-                consumer_id=self.ea_profile.nf_instance_id,
-                scope=[SERVICE_AT_PROVISION],
-                target_nf_type=NfType.AA,
-                now=now,
-            )
-            self.bump("tokens_issued")
+            self._ea_token = self._fetch_token(self.ea_profile, SERVICE_AT_PROVISION,
+                                               NfType.AA, now)
         return self._ea_token
 
     def provision_ticket_batch(
@@ -941,7 +920,7 @@ class ServiceBasedCore:
         try:
             batch = self.aa.provision_batch(cert, count, app_permissions, now)
         except ProvisioningError as exc:
-            self.bump(f"provision_denied_{exc.reason}")
+            self.counters[f"provision_denied_{exc.reason}"] += 1
             raise
-        self.bump("tickets_issued", by=len(batch))
+        self.counters["tickets_issued"] += len(batch)
         return batch

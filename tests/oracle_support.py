@@ -506,7 +506,7 @@ class ReferenceEngine(SimulationEngine):
         events = self._lock_events.get(tick, ())
         for ev in events:
             if ev.vehicle_id not in self.vehicles:
-                self.bump("lock_events_dropped")
+                self.counters["lock_events_dropped"] += 1
         for veh in self.roster:
             veh.locks.sweep(now)
             for ev in events:
@@ -520,9 +520,9 @@ class ReferenceEngine(SimulationEngine):
                     validator=self._awareness_validator(veh),
                 )
                 if decision.granted:
-                    self.bump("locks_granted")
+                    self.counters["locks_granted"] += 1
                 else:
-                    self.bump(f"lock_denied_{decision.reason}")
+                    self.counters[f"lock_denied_{decision.reason}"] += 1
             if tick < veh.silence_until_tick:
                 continue
             expired = any(not t.is_valid_at(now) for t in veh.pool.active.values())
@@ -541,7 +541,7 @@ class ReferenceEngine(SimulationEngine):
             if not wants:
                 continue
             if locked:
-                self.bump("change_deferred_lock")
+                self.counters["change_deferred_lock"] += 1
                 continue
             self._execute_change(veh, tick, self.cfg.policy.policy.kind)
 
@@ -567,7 +567,7 @@ class ReferenceEngine(SimulationEngine):
                     quasi_ids = (veh.spec.length_m, veh.spec.width_m)
                     sends.append((veh, AppScope.CAM, (veh.kin.velocity, quasi_ids)))
                     veh.last_cam_tick = tick
-                    self.bump("cams_sent")
+                    self.counters["cams_sent"] += 1
                     if veh.gap_from is not None:
                         self._close_gap(veh, now)
             if (
@@ -576,7 +576,7 @@ class ReferenceEngine(SimulationEngine):
                 and self._can_send(veh, AppScope.DENM, now)
             ):
                 sends.append((veh, AppScope.DENM, ()))
-                self.bump("denms_sent")
+                self.counters["denms_sent"] += 1
         sigma = self.cfg.beaconing.positioning_sigma_m
         for veh, scope, motion in sends:
             pos = mob.positioning_noise(veh.kin.position, sigma, self.rng_noise)
@@ -613,7 +613,7 @@ class ReferenceEngine(SimulationEngine):
                 )
             for rid in in_range:
                 if loss > 0.0 and rng.random() < loss:
-                    self.bump("messages_lost")
+                    self.counters["messages_lost"] += 1
                     continue
                 self._vehicle_ldm(rid).receive(msg, now)
         any_ghost = False

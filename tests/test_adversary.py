@@ -718,6 +718,19 @@ def test_evaluate_attack_traceability_reads_only_cam_tracklets():
         cam_only, truth_for(owners, [("aa", "bb"), ("bb", "cc")])).traceability
 
 
+def test_evaluate_attack_traceability_skips_a_tracklet_of_no_known_vehicle():
+    rows = (
+        linear_track("aa", 0.0, 10.0, 0.0)
+        + linear_track("bb", 11.0, 21.0, 110.0)
+        + linear_track("cc", 60.0, 70.0, 600.0)
+    )
+    result = link(store_of(*rows), MotionModel(max_gap_s=30.0), use_quasi_identifiers=False)
+    m = evaluate_attack(result, truth_for({"aa": 1, "bb": 1}, [("aa", "bb")]))
+    # "cc" has no owner, so it is no vehicle's: aa+bb is all of vehicle 1's 20 s
+    assert m.traceability == 1.0
+    assert (m.n_truth_pairs, m.n_correct_pairs) == (1, 1)
+
+
 def test_evaluate_attack_degenerate_cases_score_one():
     empty = link(ObservationStore(), MotionModel())
     m = evaluate_attack(empty, truth_for({}, []))
@@ -1060,10 +1073,8 @@ def test_load_trace_shares_only_values_that_are_identical(tmp_path):
         cam("cc", 1.0, 10.0, 0.0, [4.0, 2.0]),
         cam("cc", 1.0, 10.0, 0.0, [4, 2]),
         cam("1", 2.0, 10.0, 0.0, [4.0, 2.0]),
-        cam(1, 2.0, 10.0, 0.0, None),
-        cam(True, 2.0, 10.0, 0.0, [4.5, 1.8]),
-        '{"kind": "notice", "t": -0.0, "station_id": 1, "scope": "CAM"}',
-        '{"kind": "notice", "t": 0.0, "station_id": true, "scope": "CAM"}',
+        '{"kind": "notice", "t": -0.0, "station_id": "1", "scope": "CAM"}',
+        '{"kind": "notice", "t": 0.0, "station_id": "1", "scope": "CAM"}',
     ])
     store = load_trace(path)
     assert repr((store.observations, store.notices)) == repr(_unshared_read(path))
@@ -1154,6 +1165,40 @@ def test_load_trace_rejects_a_value_that_is_not_a_number(tmp_path, field, litera
     notice = '{"kind": "notice", "t": "nan", "station_id": "aa", "scope": "CAM"}'
     with pytest.raises(ValueError, match="line 1: t is not a finite number: 'nan'$"):
         load_trace(_write_lines(tmp_path, [notice]))
+
+
+def _readable_row(kind):
+    if kind == "notice":
+        return {"kind": kind, "t": 0.1, "station_id": "1", "scope": "CAM"}
+    return {"kind": kind, "t": 0.1, "station_id": "1", "x": 1.0, "y": 2.0, "vx": 10.0, "vy": 0.0}
+
+
+@pytest.mark.parametrize("kind", ["CAM", "DENM", "notice"])
+@pytest.mark.parametrize("change, message", [
+    # a file that mixed "1" and 1 once loaded, and link then failed in build_tracklets
+    ({"station_id": 1}, "station_id is not a string: 1"),
+    ({"station_id": True}, "station_id is not a string: True"),
+    ({"station_id": None}, "station_id is not a string: None"),
+    ({"station_id": ...}, "missing field station_id"),
+    ({"t": ...}, "missing field t"),
+], ids=["id-int", "id-true", "id-null", "no-id", "no-t"])
+def test_load_trace_rejects_a_station_id_that_is_not_a_string_or_a_missing_field(
+    tmp_path, kind, change, message
+):
+    good = _readable_row(kind)
+    bad = {key: change.get(key, value) for key, value in good.items() if change.get(key) is not ...}
+    path = _write_lines(tmp_path, [json.dumps(good), json.dumps(bad)])
+    with pytest.raises(ValueError, match=f"line 2: {re.escape(message)}$"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("kind, missing", [
+    ("CAM", "x"), ("CAM", "vy"), ("DENM", "y"), ("notice", "scope")])
+def test_load_trace_names_a_missing_field(tmp_path, kind, missing):
+    row = _readable_row(kind)
+    del row[missing]
+    with pytest.raises(ValueError, match=f"line 1: missing field {missing}$"):
+        load_trace(_write_lines(tmp_path, [json.dumps(row)]))
 
 
 @pytest.mark.parametrize("enabled", [True, False])

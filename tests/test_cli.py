@@ -263,7 +263,8 @@ def test_credential_scope_ends_with_its_group(tmp_path, monkeypatch, ed25519_cal
     assert [seed for seed, _ in scopes] == [7, 7, 8, 8] * 2
     assert all(scope is not None for _, scope in scopes)
     groups = [scopes[i][1] for i in range(0, 8, 2)]
-    assert [scopes[i + 1][1] for i in range(0, 8, 2)] == groups
+    # by identity: two memos of equal content would compare equal
+    assert all(scopes[i + 1][1] is group for i, group in zip(range(0, 8, 2), groups))
     assert len({id(scope) for scope in groups}) == 4
 
     counts = []
@@ -301,6 +302,16 @@ def test_sweep_rejects_unknown_spec_field(tmp_path, capsys):
     rc = cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "config error: bogus: unknown field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axes", [[["policy.interval_s", 5.0]], {"policy.interval_s": []},
+                                  {"policy.interval_s": 5.0}])
+def test_sweep_rejects_axes_that_are_not_a_map_of_value_lists(tmp_path, capsys, axes):
+    spec = write_sweep_spec(tmp_path, axes=axes)
+    assert cli.main(["sweep", "--spec", spec, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: axes: must map dotted config paths to non-empty arrays\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_rejects_boolean_counts(tmp_path, capsys):

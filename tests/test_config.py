@@ -4,7 +4,7 @@ import json
 import pytest
 
 from pseudosim.adversary import CoveragePost, MotionModel
-from pseudosim.config import MAX_TICKS, ConfigError, load_scenario
+from pseudosim.config import MAX_TICKETS, MAX_TICKS, ConfigError, load_scenario
 from pseudosim.strategy import PeriodicPolicy, SegmentPolicy
 
 
@@ -276,6 +276,10 @@ def test_policy_kind_specific_fields():
     v = violations_of(cfg)
     assert "policy.second_change_max_m: must be >= second_change_min_m" in v
 
+    cfg = minimal_config(policy={"kind": "segment", "subsequent_time_min_s": 90.0,
+                                 "subsequent_time_max_s": 60.0})
+    assert violations_of(cfg) == ["policy.subsequent_time_max_s: must be >= subsequent_time_min_s"]
+
     cfg = minimal_config(policy={"kind": "nope"})
     v = violations_of(cfg)
     assert any(s.startswith("policy.kind:") for s in v)
@@ -291,6 +295,17 @@ def test_network_triggered_fraction_bounds():
     assert "policy.max_silent_fraction: must be <= 1.0" in v
 
 
+def test_a_section_or_event_list_of_the_wrong_type_is_named():
+    cfg = minimal_config(beaconing=[10.0], pool="big", locks={"events": {"t": 1.0}},
+                         policy={"kind": "periodic", "notify_deactivation": 1})
+    assert violations_of(cfg) == [
+        "beaconing: must be an object",
+        "locks.events: must be an array",
+        "policy.notify_deactivation: must be a boolean",
+        "pool: must be an object",
+    ]
+
+
 def test_pool_bounds():
     cfg = minimal_config(pool={"size": 2, "min_concurrent_valid": 3})
     v = violations_of(cfg)
@@ -299,6 +314,13 @@ def test_pool_bounds():
     cfg = minimal_config(pool={"min_concurrent_valid": 1})
     v = violations_of(cfg)
     assert "pool.min_concurrent_valid: must be >= 2" in v
+
+    # a first admission would ask for 10**12 tickets in one batch
+    cfg = minimal_config(pool={"size": 10**12}, sba={"at_batch_cap": 10**12})
+    assert violations_of(cfg) == [f"pool.size: must be <= {MAX_TICKETS}",
+                                  f"sba.at_batch_cap: must be <= {MAX_TICKETS}"]
+    cfg = minimal_config(pool={"size": MAX_TICKETS, "min_concurrent_valid": MAX_TICKETS + 1})
+    assert violations_of(cfg) == [f"pool.min_concurrent_valid: must be <= {MAX_TICKETS}"]
 
 
 def test_lock_event_validation():

@@ -276,6 +276,24 @@ def test_engine_requires_loaded_config():
     assert result.trace_rows is None  # not collected unless asked
 
 
+def test_ticks_until_steps_up_where_ceil_falls_short():
+    engine = SimulationEngine(load_scenario(base_config(duration_s=30.0)))
+    t = 29.000000000000004
+    # t / 0.1 is 290.0, but 290 * 0.1 is 29.0 < t: the first tick at or past t is 291
+    assert math.ceil(t / 0.1) == 290 and 290 * 0.1 < t <= 291 * 0.1
+    assert engine._ticks_until(t) == 291
+    assert engine._ticks_until(29.0) == 290
+
+
+def test_two_vehicles_on_one_station_id_stop_the_run(monkeypatch):
+    from pseudosim import beaconing as bcn
+
+    monkeypatch.setattr(bcn, "station_id_for", lambda ticket, scope: f"one-{scope.value}")
+    fleet = [{"vehicle_id": vid, "route": ["main"], "speed_mps": 10.0} for vid in (1, 2)]
+    with pytest.raises(RuntimeError, match="^station id collision on one-CAM$"):
+        run_scenario(base_config(fleet=fleet))
+
+
 def test_initial_activations_count_vehicles_even_after_a_starved_start(
     scenarios_dir, run_cached, monkeypatch
 ):

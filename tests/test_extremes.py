@@ -120,6 +120,23 @@ def test_a_time_past_the_run_is_never(scenarios_dir, name, section, key):
     assert far == _outputs(_scenario(scenarios_dir, name, **{section: {key: 1e6}}))
 
 
+def test_pools_and_batches_at_the_ticket_budget_run(scenarios_dir):
+    # every row that sizes a provisioning call at its bound: the admission and
+    # each expiry of a whole pool provision MAX_TICKETS tickets per scope at once
+    budget = cfg.MAX_TICKETS
+    raw = _scenario(scenarios_dir, "baseline_single.json",
+                    pool={"size": budget, "min_concurrent_valid": budget},
+                    sba={"at_batch_cap": budget, "at_lifetime_s": 10.0},
+                    policy={"interval_s": 1.0})
+    raw["duration_s"] = 20.0
+    summary = SimulationEngine(load_scenario(raw)).run().summary
+    counters = summary["counters"]
+    assert "replenish_gave_up" not in counters
+    assert summary["safety"]["min_valid_tickets"] == budget
+    # CAM and DENM pools filled at admission, and again as the first batch expires at 10 s
+    assert counters["tickets_issued"] == 40018 and summary["n_changes"] == 19
+
+
 @pytest.mark.parametrize("speed", [5e-324, 1e-308])
 def test_a_vehicle_too_slow_to_cover_a_policy_distance_never_changes_again(scenarios_dir, speed):
     raw = _scenario(scenarios_dir, "segment_trip.json")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pseudosim import sba
 from pseudosim.sba import (
     SCHEME_ASYMMETRIC,
     SCHEME_MAC,
@@ -97,10 +98,17 @@ def test_conceal_error_reasons():
         ks.conceal_supi(make_supi(), key, b"")
     assert err.value.reason == "empty_nonce"
 
+    # another keystore holds no "hk-1": it cannot deconceal, conceal or show the key
     other = HomeNetworkKeystore(seed=2)
     with pytest.raises(ConcealmentError) as err:
         other.deconceal_supi(ks.conceal_supi(make_supi(), key, b"n"))
     assert err.value.reason == "unknown_key_id"
+    with pytest.raises(ConcealmentError) as err:
+        other.conceal_supi(make_supi(), key, b"n")
+    assert (err.value.reason, err.value.detail) == ("unknown_key_id", "hk-1")
+    with pytest.raises(ConcealmentError) as err:
+        other.public_key("hk-1")
+    assert (err.value.reason, err.value.detail) == ("unknown_key_id", "hk-1")
 
     suci = ks.conceal_supi(make_supi(), key, b"n")
     truncated = type(suci)(ciphertext=suci.ciphertext[:-1], key_id=suci.key_id)
@@ -144,6 +152,17 @@ def test_parse_token_unknown_alg():
     token = issue_token(make_claims(), signer)
     _, claims_b64, sig_b64 = token.serialize().split(".")
     bogus = _b64e(b'{"alg":"none"}')
+    with pytest.raises(VerificationError) as err:
+        parse_token(f"{bogus}.{claims_b64}.{sig_b64}")
+    assert err.value.reason == "malformed"
+
+
+# an unhashable alg is malformed too, not a TypeError from the scheme table's lookup
+@pytest.mark.parametrize("alg", ["null", "1", '["asymmetric"]', '{"alg": "asymmetric"}'])
+def test_parse_token_alg_that_is_not_a_string(alg):
+    token = issue_token(make_claims(), MacTokenSigner(b"k" * 32))
+    _, claims_b64, sig_b64 = token.serialize().split(".")
+    bogus = _b64e(b'{"alg":' + alg.encode() + b"}")
     with pytest.raises(VerificationError) as err:
         parse_token(f"{bogus}.{claims_b64}.{sig_b64}")
     assert err.value.reason == "malformed"
@@ -308,6 +327,35 @@ def test_a_refused_renewal_keeps_the_old_token(monkeypatch):
     assert core.counters == {"tokens_issued": 1, "service_reject_expired": 1,
                              "token_denied_scope_not_granted": 1,
                              "session_renewal_failed": 1}
+
+
+def test_a_refused_ea_token_is_counted_and_propagates(monkeypatch):
+    core = ServiceBasedCore(seed=13)
+    supi = make_supi()
+    core.add_subscriber(supi)
+    cert = core.enroll_vehicle(supi, b"n", now=0.0)
+
+    def refuse(*args, **kwargs):
+        raise AuthorizationError("unknown_consumer")
+
+    monkeypatch.setattr(core.nrf, "request_access_token", refuse)
+    with pytest.raises(AuthorizationError) as err:
+        core.provision_ticket_batch(cert, 1, ("CAM",), now=0.0)
+    assert err.value.reason == "unknown_consumer"
+    # nothing issued is counted, and no service call was made
+    assert core.counters == {"enrollments_ok": 1, "token_denied_unknown_consumer": 1}
+
+
+def test_tokens_issued_counts_both_consumers_and_only_what_counted():
+    core = ServiceBasedCore(seed=13)
+    assert core.counters == {}  # a counter is absent until it has counted something
+    supi = make_supi()
+    core.add_subscriber(supi)
+    cert = core.enroll_vehicle(supi, b"n", now=0.0)
+    core.request_v2x_token(now=0.0)  # the AMF's
+    core.provision_ticket_batch(cert, 2, ("CAM",), now=0.0)  # the EA's
+    assert core.counters == {"enrollments_ok": 1, "tokens_issued": 2,
+                             "service_accepts": 1, "tickets_issued": 2}
 
 
 # --- NF repository ------------------------------------------------------------
@@ -518,6 +566,17 @@ def test_provision_batch_denials():
     with pytest.raises(ProvisioningError) as err:
         core.provision_ticket_batch(cert, 1, (), now=1.0)
     assert err.value.reason == "empty_permissions"
+
+
+def test_an_empty_open_scope_is_still_shared():
+    with shared_credentials():
+        memo = sba._ACTIVE_SCOPE.get()
+        assert memo == {}
+        # built while the memo is empty, both still take it, not a fresh one
+        keystore, signer = HomeNetworkKeystore(seed=1), AsymmetricTokenSigner(b"s" * 32)
+        assert keystore._scope is memo and signer._scope is memo
+        keystore.create_key("hk-1")
+        assert {key[0] for key in memo} == {"ed25519", "x25519"}
 
 
 def test_shared_scope_never_serves_a_verification():

@@ -341,6 +341,18 @@ def test_pool_rejects_duplicate_tickets():
         pool.add_batch(AppScope.CAM, [ticket("t1")])
 
 
+def test_pool_activates_only_its_own_tickets():
+    pool = PseudonymPool("no_reuse", 2, 5, [AppScope.CAM, AppScope.DENM])
+    pool.add_batch(AppScope.CAM, [ticket("t1")])
+    pool.add_batch(AppScope.DENM, [ticket("d1")])
+    for scope, stranger in ((AppScope.CAM, "d1"), (AppScope.CAM, "t9"), (AppScope.DENM, "t1")):
+        with pytest.raises(PoolError, match=f"^ticket {stranger} not in pool$"):
+            pool.activate(scope, ticket(stranger))
+    assert pool.active == {}
+    pool.activate(AppScope.CAM, ticket("t1"))
+    assert pool.active[AppScope.CAM].at_id == "t1"
+
+
 def test_pool_queries_before_the_latest_raise():
     pool = PseudonymPool("no_reuse", 2, 5, [AppScope.CAM, AppScope.DENM])
     pool.add_batch(AppScope.CAM, [ticket("a", 0.0, 4.0), ticket("b", 2.0, 9.0)])
