@@ -1,10 +1,11 @@
 """Passive eavesdropper that re-links pseudonymous trajectories.
 
 The attacker keeps the broadcast records of ``beaconing`` (``Observation``,
-``NoticeSighting``) sent inside its coverage, chains observations that share
-a station identifier into tracklets, then tries to stitch tracklets across
-identifier changes: first by quasi-identifier (semantic) matching, then by
-minimum-cost kinematic assignment across silence gaps. Scoring compares the
+``NoticeSighting``) sent inside its coverage in two plain lists of an
+``ObservationStore``, chains observations that share a station identifier
+into tracklets, then tries to stitch tracklets across identifier changes:
+first by quasi-identifier (semantic) matching on a ``_QUASI_TOL`` grid, then
+by minimum-cost kinematic assignment across silence gaps. Scoring compares the
 stitched hypotheses against ground truth.
 
 The kinematic stage solves a rectangular assignment problem with a no-match
@@ -43,6 +44,7 @@ _SMALL_EPOCH = 6  # most tracklets (n_e + n_s) for which enumeration beats the s
 _T, _STATION_ID = operator.attrgetter("t"), operator.attrgetter("station_id")
 _ANONYMITY_CELLS = 1 << 14  # (change, interval) cells and (change, owner) flags per chunk
 _MOTION = ("t", "x", "y", "vx", "vy")  # a beacon row's number fields
+_QUASI_TOL = 0.01  # m: the grid on which quasi-identifiers (vehicle dimensions) match
 
 
 class ObservationStore:
@@ -53,12 +55,6 @@ class ObservationStore:
     def __init__(self):
         self.observations: list[Observation] = []
         self.notices: list[NoticeSighting] = []
-
-    def add(self, obs: Observation) -> None:
-        self.observations.append(obs)
-
-    def add_notice(self, notice: NoticeSighting) -> None:
-        self.notices.append(notice)
 
     def finalize(self) -> None:
         """Order both logs by time, stably: the engine's log and a trace arrive so."""
@@ -95,13 +91,13 @@ class Eavesdropper:
     def hear(self, obs: Observation, true_position: Point) -> bool:
         if not self.covers(true_position):
             return False
-        self.store.add(obs)
+        self.store.observations.append(obs)
         return True
 
     def hear_notice(self, notice: NoticeSighting, true_position: Point) -> bool:
         if not self.covers(true_position):
             return False
-        self.store.add_notice(notice)
+        self.store.notices.append(notice)
         return True
 
     def hear_all(self, notices: Sequence[tuple], beacons: Sequence[tuple]) -> None:
@@ -472,18 +468,16 @@ def associate_across_gap(
 # --- semantic (quasi-identifier) matching ---------------------------------------
 
 
-def _quasi_key(quasi: tuple[float, float], tol: float) -> tuple[int, int]:
-    return (int(round(quasi[0] / tol)), int(round(quasi[1] / tol)))
+def _quasi_key(quasi: tuple[float, float]) -> tuple[int, int]:
+    return (int(round(quasi[0] / _QUASI_TOL)), int(round(quasi[1] / _QUASI_TOL)))
 
 
-def semantic_match(
-    tracklets: Sequence[Tracklet], tol: float = 0.01
-) -> list[tuple[str, str]]:
+def semantic_match(tracklets: Sequence[Tracklet]) -> list[tuple[str, str]]:
     """Merge tracklets that broadcast identical quasi-identifiers.
 
     Vehicle dimensions ride along in every awareness message; tracklets whose
-    dimensions agree within ``tol`` and whose lifetimes do not overlap are
-    chained in time order. Any overlap inside a group (two vehicles sharing
+    dimensions round to the same cell of a ``_QUASI_TOL`` (1 cm) grid and
+    whose lifetimes do not overlap are chained in time order. Any overlap inside a group (two vehicles sharing
     the same dimensions on the road at once) makes the group ambiguous and it
     is left to the kinematic stage. Returns predicted (old, new) pairs.
     """
@@ -491,7 +485,7 @@ def semantic_match(
     for tr in tracklets:
         if tr.quasi_ids is None:
             continue
-        groups.setdefault(_quasi_key(tr.quasi_ids, tol), []).append(tr)
+        groups.setdefault(_quasi_key(tr.quasi_ids), []).append(tr)
     pairs: list[tuple[str, str]] = []
     for key in sorted(groups):
         members = sorted(groups[key], key=lambda tr: (tr.t_first, tr.station_id))
@@ -588,17 +582,14 @@ def link(
         for t_epoch in sorted(epochs):
             startings = epochs[t_epoch]
             # t_epoch - t_last falls as t_last grows (rounding is monotone), so
-            # the endings inside the lookback window are one run of ends_at
+            # the endings inside the lookback window are one run of ends_at:
+            # [lo:hi] has exactly the gaps in (0, max_gap], as t_last < t_epoch
+            # leaves a positive difference between finite floats
             lo = bisect.bisect_left(
                 ends_at, True, key=lambda t_last: t_epoch - t_last <= max_gap
             )
             hi = bisect.bisect_left(ends_at, t_epoch)
-            candidates = [
-                e
-                for e in open_endings[lo:hi]
-                if e.station_id not in matched_endings
-                and 0.0 < t_epoch - e.t_last <= max_gap
-            ]
+            candidates = [e for e in open_endings[lo:hi] if e.station_id not in matched_endings]
             if not candidates:
                 continue
             assignment = associate_across_gap(candidates, startings, model)
@@ -861,10 +852,10 @@ def load_trace(path: str) -> ObservationStore:
     and one holding ``NaN``, ``Infinity``, ``-Infinity`` or, in a field read,
     a number that overflows to infinity (``1e999``), a value that is not a
     number (such as the string ``"1.5"``), ``quasi_ids`` that are not a pair
-    of finite numbers, a station id that is not a string (such as ``1``) or
-    a missing field, a ``ValueError`` naming the file and line. The cyclic
-    garbage collector is paused while the store is built and left as the
-    caller had it.
+    of finite numbers, a station id that is not a string (such as ``1``), a
+    missing field or a row that is not a JSON object (such as ``[1, 2]``), a
+    ``ValueError`` naming the file and line. The cyclic garbage collector is
+    paused while the store is built and left as the caller had it.
 
     Beacons share one object per distinct station id, time, velocity pair
     and quasi-id tuple, and a literal scope: about 210 bytes per row on a
@@ -894,7 +885,10 @@ def load_trace(path: str) -> ObservationStore:
                 row, end = decode(line)
                 if end != len(line):
                     raise json.JSONDecodeError("Extra data", line, end)
-                kind = row.get("kind")
+                try:
+                    kind = row.get("kind")
+                except AttributeError:
+                    reject(f"not a JSON object: {row!r}")
                 if kind == "CAM" or kind == "DENM":
                     try:  # unlike float(), ``* 1.0`` and ``+`` refuse a string such as "nan"
                         t, x, y = row["t"] * 1.0, row["x"] * 1.0, row["y"] * 1.0

@@ -120,7 +120,7 @@ def _apply_override(obj: dict, dotted: str, value) -> None:
 def _load_json(path: str, field: str):
     """A sweep's spec or base file, read as ``load_scenario`` reads a scenario."""
     try:
-        return read_json(os.path.abspath(path))  # a path, never JSON text
+        return read_json(path)
     except ConfigError as exc:
         raise ConfigError([f"{field}: {path}: {v}" for v in exc.violations]) from exc
 

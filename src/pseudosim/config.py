@@ -1,10 +1,12 @@
 """Scenario configuration: JSON schema, strict validation, canonical form.
 
-Configs are plain JSON. Validation is strict: unknown fields are rejected and
-every violation is reported as ``field: message`` so a bad file fails loudly
-and completely rather than one complaint at a time. The canonical form (all
-defaults materialized, keys sorted) is what gets digested into run summaries,
-so two configs that mean the same thing hash the same.
+Configs are plain JSON: ``load_scenario`` takes a path to a JSON file (a
+string is always a path) or the dict it holds. Validation is strict: unknown
+fields are rejected and every violation is reported as ``field: message`` so
+a bad file fails loudly and completely rather than one complaint at a time.
+The canonical form (all defaults materialized, keys sorted) is what gets
+digested into run summaries, so two configs that mean the same thing hash the
+same.
 
 Each field is stated once. Its default lives on its dataclass (the change
 policies in ``strategy``, ``SbaConfig`` in ``sba``, the attacker's motion
@@ -536,22 +538,17 @@ def _parse_adversary(obj: Optional[dict], ctx: _Ctx) -> AdversaryConfig:
     return AdversaryConfig(coverage=coverage, **_values(AdversaryConfig, obj, "adversary", ctx))
 
 
-def read_json(source: Union[str, os.PathLike]) -> Any:
-    """A scenario path's or text's JSON value; bad UTF-8 or JSON is a ``ConfigError``."""
+def read_json(path: Union[str, os.PathLike]) -> Any:
+    """The JSON value in the file at ``path``; bad UTF-8 or JSON is a ``ConfigError``."""
     try:
-        text = source
-        if isinstance(source, os.PathLike) or (
-            isinstance(source, str) and not source.lstrip().startswith("{")
-        ):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        return json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError([f"json: {exc}"]) from exc
 
 
 def load_scenario(source: Union[str, os.PathLike, dict]) -> ScenarioConfig:
-    """Parse and validate a scenario from a path, JSON text, or dict.
+    """Parse and validate a scenario from a path or a dict.
 
     Raises ``ConfigError`` listing every violation when anything is wrong.
     """

@@ -307,12 +307,6 @@ class AdditionalScope:
     resource: str
     allowed_operations: tuple[str, ...]
 
-    def to_obj(self) -> dict:
-        return {
-            "resource": self.resource,
-            "allowed_operations": list(self.allowed_operations),
-        }
-
     @staticmethod
     def from_obj(obj: dict) -> "AdditionalScope":
         return AdditionalScope(
@@ -341,16 +335,11 @@ class TokenClaims:
     additional_scope: tuple[AdditionalScope, ...] = ()
 
     def to_json(self) -> str:
-        obj = {
-            "issuer": self.issuer,
-            "subject": self.subject,
-            "audience": self.audience,
-            "scope": list(self.scope),
-            "expiration": self.expiration,
-        }
-        if self.additional_scope:
-            obj["additional_scope"] = [a.to_obj() for a in self.additional_scope]
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        """Every field (tuples as arrays), the additional scope only if any."""
+        obj = dict(vars(self))
+        if not self.additional_scope:
+            del obj["additional_scope"]
+        return json.dumps(obj, default=vars, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str) -> "TokenClaims":

@@ -170,16 +170,8 @@ def trigger_lower_bounds(policy: ChangePolicy, trip, trigger: TriggerState) -> t
 
 
 @dataclass(frozen=True)
-class LockGrant:
-    app_id: str
-    granted_at: float
-    expires_at: float
-
-
-@dataclass(frozen=True)
 class LockDecision:
     granted: bool
-    lock: Optional[LockGrant] = None
     reason: Optional[str] = None
 
 
@@ -240,11 +232,10 @@ class LockLedger:
         if count >= self.renewal_threshold:
             if validator is None or not validator(app_id, now):
                 return LockDecision(False, reason="network_rejected")
-        grant = LockGrant(app_id=app_id, granted_at=now, expires_at=expires)
         self.chain_start = start
         self.chain_end = expires if self.chain_end is None else max(self.chain_end, expires)
         self.renewal_counts[app_id] = count + 1
-        return LockDecision(True, lock=grant)
+        return LockDecision(True)
 
 
 # --- ticket pools -------------------------------------------------------------

@@ -218,10 +218,8 @@ def relabel_station_ids(store, rng):
                 mapping[old] = candidate
                 break
     out = adv.ObservationStore()
-    for o in store.observations:
-        out.add(o._replace(station_id=mapping[o.station_id]))
-    for n in store.notices:
-        out.add_notice(n._replace(station_id=mapping[n.station_id]))
+    for log, records in ((out.observations, store.observations), (out.notices, store.notices)):
+        log.extend(r._replace(station_id=mapping[r.station_id]) for r in records)
     out.finalize()
     return out, mapping
 

@@ -58,8 +58,7 @@ def obs(sid, t, pos, vel=(10.0, 0.0), scope="CAM", quasi=(4.5, 1.8)):
 
 def store_of(*observations):
     store = ObservationStore()
-    for o in observations:
-        store.add(o)
+    store.observations.extend(observations)
     store.finalize()
     return store
 
@@ -102,10 +101,8 @@ _heard = st.lists(st.one_of(
                         max_size=20))
 def test_finalize_orders_like_a_stable_sort_by_time(observations, notices):
     store = ObservationStore()
-    for o in observations:
-        store.add(o)
-    for n in notices:
-        store.add_notice(n)
+    store.observations.extend(observations)
+    store.notices.extend(notices)
     store.finalize()
     by_time = operator.attrgetter("t")
     # the very same records in the same order, so records of one time keep their order
@@ -615,7 +612,8 @@ def _multi_epoch_store(draw):
         sid = f"{draw(st.integers(0, 2**32)):08x}{k:02d}"
         t = t0
         while t <= t1:
-            store.add(Observation(t, sid, scope, (x0 + vx * (t - t0), 0.0), (vx, 0.0), quasi))
+            store.observations.append(
+                Observation(t, sid, scope, (x0 + vx * (t - t0), 0.0), (vx, 0.0), quasi))
             t += 0.5
     store.finalize()
     return store
@@ -927,7 +925,7 @@ def test_anonymity_owner_split_across_chunks(monkeypatch):
 def test_relabel_preserves_structure():
     rows = linear_track("aa", 0.0, 5.0, 0.0) + linear_track("bb", 7.0, 12.0, 70.0)
     store = store_of(*rows)
-    store.add_notice(NoticeSighting(5.0, "aa", "CAM"))
+    store.notices.append(NoticeSighting(5.0, "aa", "CAM"))
     store.finalize()
 
     out, mapping = relabel_station_ids(store, np.random.default_rng(5))
@@ -1190,6 +1188,14 @@ def test_load_trace_rejects_a_station_id_that_is_not_a_string_or_a_missing_field
     path = _write_lines(tmp_path, [json.dumps(good), json.dumps(bad)])
     with pytest.raises(ValueError, match=f"line 2: {re.escape(message)}$"):
         load_trace(path)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"x"', "2", "null"])
+def test_load_trace_rejects_a_row_that_is_not_an_object(tmp_path, line):
+    good = json.dumps(_readable_row("CAM"))
+    message = f"line 2: not a JSON object: {re.escape(repr(json.loads(line)))}$"
+    with pytest.raises(ValueError, match=message):
+        load_trace(_write_lines(tmp_path, [good, line]))
 
 
 @pytest.mark.parametrize("kind, missing", [

@@ -461,3 +461,26 @@ def test_compare_loads_each_config_once(tmp_path, monkeypatch):
     assert loads == {a: 1, b: 1}
     runs = [r for r in read_csv(out / "comparison.csv") if r["kind"] == "run"]
     assert [r["seed"] for r in runs] == ["3", "4", "5"] * 2
+
+
+def test_a_brace_named_config_is_read_as_a_path(tmp_path, monkeypatch):
+    # a file name that starts with "{" is still a path, never JSON text
+    monkeypatch.chdir(tmp_path)
+    short = tiny_config(name="a", duration_s=5.0)
+    long = tiny_config(name="b", duration_s=5.0,
+                       policy={"kind": "periodic", "interval_s": 20.0, "silence_s": 1.0})
+    for names in (("a.json", "b.json"), ("{a}.json", "{b}.json")):
+        for name, cfg in zip(names, (short, long)):
+            write_config(tmp_path, name, cfg)
+        out = names[0].removesuffix(".json")
+        assert cli.main(["run", "--config", names[0], "--out", f"run-{out}"]) == 0
+        assert cli.main(["compare", "--configs", *names, "--out", f"cmp-{out}", "--reps", "2"]) == 0
+    for name in ("summary.json", "metrics.csv"):
+        assert (tmp_path / "run-a" / name).read_bytes() == (
+            tmp_path / "run-{a}" / name).read_bytes()
+    # a comparison names each config by its path, and is otherwise the same
+    plain, braced = (json.loads((tmp_path / d / "comparison.json").read_text())
+                     for d in ("cmp-a", "cmp-{a}"))
+    assert [e.pop("config") for e in braced] == ["{a}.json", "{b}.json"]
+    assert [e.pop("config") for e in plain] == ["a.json", "b.json"]
+    assert braced == plain

@@ -49,14 +49,18 @@ def test_minimal_config_defaults():
     assert cfg.fleet[0].clock_skew_s == 0.0
 
 
-def test_accepts_dict_path_and_json_text(tmp_path):
+def test_accepts_dict_and_path(tmp_path, monkeypatch):
     obj = minimal_config()
     from_dict = load_scenario(obj)
-    from_text = load_scenario(json.dumps(obj))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(obj))
     from_path = load_scenario(path)
-    assert from_dict.digest() == from_text.digest() == from_path.digest()
+    assert from_dict.digest() == from_path.digest()
+
+    # a string is always a path, even one that starts with a brace
+    (tmp_path / "{x}.json").write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)
+    assert load_scenario("{x}.json").digest() == from_dict.digest()
 
 
 def test_digest_ignores_key_order_and_fills_defaults():
@@ -375,11 +379,12 @@ def test_clock_skew_may_be_negative():
 
 
 def test_bad_json_and_non_object(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
     with pytest.raises(ConfigError) as err:
-        load_scenario("{not json")
+        load_scenario(str(bad))
     assert err.value.violations[0].startswith("json:")
 
-    # strings that do not look like JSON objects are treated as paths
     listy = tmp_path / "listy.json"
     listy.write_text("[1, 2]")
     with pytest.raises(ConfigError) as err:

@@ -3,7 +3,8 @@
 ``load_scenario`` is the one gate: a config it accepts must neither crash
 nor hang the engine. The property test takes a small generated scenario
 (``test_differential.scenarios``) and sets up to three of the numbers the
-config table reads as floats to extreme finite values and table bounds.
+config table reads to extreme values and table bounds: a float row to an
+extreme finite value, an integer row to 0, 2**31, 2**63 - 1 or 2**64.
 The named inputs below once passed validation and then hung or crashed a
 run.
 """
@@ -31,6 +32,7 @@ from pseudosim.mobility import RoadSegment
 from test_differential import scenarios
 
 _EXTREMES = [5e-324, 1e-308, 1e16, 1e300, 1e308]
+_INT_EXTREMES = [0, 2**31, 2**63 - 1, 2**64]
 
 
 def _numbers(raw):
@@ -38,7 +40,8 @@ def _numbers(raw):
     policy = cfg._POLICIES[raw["policy"]["kind"]]
     places = [(raw, cfg.ScenarioConfig), (raw["beaconing"], cfg.BeaconingConfig),
               (raw["policy"], cfg.PolicyConfig), (raw["policy"], policy),
-              (raw["sba"], cfg.SbaConfig), (raw["locks"], cfg.LockConfig),
+              (raw["pool"], cfg.PoolConfig), (raw["sba"], cfg.SbaConfig),
+              (raw["locks"], cfg.LockConfig),
               (raw["adversary"], cfg.AdversaryConfig)]
     places += [(v, cfg.VehicleSpec) for v in raw["fleet"]]
     places += [(ev, cfg.LockEvent) for ev in raw["locks"]["events"]]
@@ -48,7 +51,7 @@ def _numbers(raw):
     out = []
     for obj, cls in places:
         for key, kind in cfg._SCHEMA[cls].items():
-            if isinstance(kind, cfg._Num):
+            if isinstance(kind, (cfg._Num, cfg._Int)):
                 out.append((obj, key, kind))
             elif isinstance(kind, cfg._Point):
                 out += [(obj[key], 0, cfg._Num()), (obj[key], 1, cfg._Num())]
@@ -67,8 +70,9 @@ def _accepts(kind, value) -> bool:
 def extreme_scenarios(draw):
     """A generated scenario of at most three vehicles with up to three extreme numbers.
 
-    Each number takes a value its own row accepts: an extreme, its negation or
-    a bound of the row. Rules between fields may still reject the config.
+    Each number takes a value its own row accepts: an extreme, a float's
+    negated extreme or a bound of the row. Rules between fields may still
+    reject the config.
     """
     raw = draw(scenarios([None]))
     raw["fleet"] = raw["fleet"][:3]
@@ -77,7 +81,11 @@ def extreme_scenarios(draw):
     numbers = _numbers(raw)
     for i in draw(st.lists(st.integers(0, len(numbers) - 1), min_size=1, max_size=3, unique=True)):
         obj, key, kind = numbers[i]
-        values = _EXTREMES + [-v for v in _EXTREMES] + [bound for _, bound in kind.bounds]
+        if isinstance(kind, cfg._Int):
+            extremes = _INT_EXTREMES
+        else:
+            extremes = _EXTREMES + [-v for v in _EXTREMES]
+        values = extremes + [bound for _, bound in kind.bounds]
         obj[key] = draw(st.sampled_from([v for v in values if _accepts(kind, v)]))
     return raw
 

@@ -140,6 +140,29 @@ def test_token_roundtrip(scheme):
     assert got == claims
 
 
+def test_claims_json_bytes_are_pinned():
+    # the signed bytes: sorted keys, no spaces, no additional scope when empty
+    assert make_claims().to_json() == (
+        '{"audience":"V2X_AF","expiration":300.0,"issuer":"nrf-1",'
+        '"scope":["v2x-msg"],"subject":"amf-1"}'
+    )
+    claims = make_claims(
+        scope=(SERVICE_V2X_MESSAGING, "x"),
+        expiration=-0.0,
+        additional_scope=(
+            AdditionalScope("v2x-sessions", ("create", "notify")),
+            AdditionalScope("r", ()),
+        ),
+    )
+    assert claims.to_json() == (
+        '{"additional_scope":[{"allowed_operations":["create","notify"],'
+        '"resource":"v2x-sessions"},{"allowed_operations":[],"resource":"r"}],'
+        '"audience":"V2X_AF","expiration":-0.0,"issuer":"nrf-1",'
+        '"scope":["v2x-msg","x"],"subject":"amf-1"}'
+    )
+    assert TokenClaims.from_json(claims.to_json()) == claims
+
+
 def test_parse_token_segment_count():
     for wire in ("", "a", "a.b", "a.b.c.d"):
         with pytest.raises(VerificationError) as err:

@@ -213,7 +213,9 @@ def test_trigger_rejects_an_unknown_policy():
 def test_lock_grant_and_caps():
     ledger = LockLedger()
     d = ledger.request("app", 255.0, now=0.0, pseudonym_valid_until=1e9)
-    assert d.granted and d.lock.expires_at == 255.0
+    assert d.granted and d.reason is None
+    # the grant ends at now + duration
+    assert ledger.locked(math.nextafter(255.0, 0.0)) and not ledger.locked(255.0)
 
     too_long = ledger.request("app", 255.1, now=300.0, pseudonym_valid_until=1e9)
     assert not too_long.granted and too_long.reason == "over_max_single"
@@ -306,19 +308,19 @@ def test_lock_invariants_fuzz(reqs):
         assert ledger.locked(now) == locked_by_scan(now)
         d = ledger.request("app", duration, now, validity, validator=lambda a, t: True)
         if d.granted:
-            grants.append((d.lock.granted_at, d.lock.expires_at))
+            grants.append((now, now + duration))
         # queries go forward: any time from this request on, each grant's end among them
         for t in (now, *(e for _, e in grants if e >= now)):
             assert ledger.locked(t) == locked_by_scan(t)
         if not d.granted:
             continue
-        lock = d.lock
-        assert lock.expires_at - lock.granted_at <= MAX_SINGLE_LOCK_S + 1e-9
-        assert lock.expires_at <= validity + 1e-6
-        if spans and lock.granted_at <= spans[-1][1] + 1e-9:
-            spans[-1][1] = max(spans[-1][1], lock.expires_at)
+        granted_at, expires_at = grants[-1]
+        assert expires_at - granted_at <= MAX_SINGLE_LOCK_S + 1e-9
+        assert expires_at <= validity + 1e-6
+        if spans and granted_at <= spans[-1][1] + 1e-9:
+            spans[-1][1] = max(spans[-1][1], expires_at)
         else:
-            spans.append([lock.granted_at, lock.expires_at])
+            spans.append([granted_at, expires_at])
         assert all(e - s <= MAX_CUMULATIVE_LOCK_S + 1e-6 for s, e in spans)
 
 
