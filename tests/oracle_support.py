@@ -26,7 +26,8 @@ map that stored DENMs too and was evicted in a pass of its own.
 ``ReferenceEngine`` runs the tick loop in that per-tick form: every vehicle
 stepped by ``step_kinematics``, its change trigger, ticket expiry and pool
 polled, every CAM checked against its ticket, every pair measured, loss drawn
-and ``receive`` called per delivery, every LDM rescored.
+and ``receive`` called per delivery, every LDM rescored, and every heard
+beacon logged by ``FullLogEavesdropper``.
 """
 
 import math
@@ -439,6 +440,17 @@ class _Unkept:
         return lambda *args: None
 
 
+class FullLogEavesdropper(adv.Eavesdropper):
+    """The eavesdropper as it was before it kept only each id's first and latest
+    observation: ``hear`` appends every one it hears to the store."""
+
+    def hear(self, obs, true_position):
+        heard = self.covers(true_position)
+        if heard:
+            self.store.observations.append(obs)
+        return heard
+
+
 class ReferenceEngine(SimulationEngine):
     """The engine as it was before its per-vehicle and radio state became event-kept.
 
@@ -455,11 +467,14 @@ class ReferenceEngine(SimulationEngine):
     keeps lists until a pair can cross the range, draws loss in one batch and
     keeps LDM counters by events (``FleetLdm``, which this engine does not
     feed); it must give the same bytes. Both close switch gaps with
-    ``_close_gap`` at a new id's first CAM.
+    ``_close_gap`` at a new id's first CAM. This engine's eavesdropper logs
+    every heard CAM and DENM (``FullLogEavesdropper``), the production one
+    only each id's first and latest: the linkages must still agree.
     """
 
     def __init__(self, config, **kwargs):
         super().__init__(config, **kwargs)
+        self.eavesdropper = FullLogEavesdropper(self.eavesdropper.posts)
         self.ldm = _Unkept()
         self.ldms = {}  # vehicle id -> LocalDynamicMap
 

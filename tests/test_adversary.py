@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import itertools
@@ -126,6 +127,33 @@ def test_eavesdropper_posts_filter_on_true_position():
 
     assert ear.hear_notice(NoticeSighting(0.0, "aa", "CAM"), (0.0, 0.0))
     assert not ear.hear_notice(NoticeSighting(0.0, "aa", "CAM"), (200.0, 0.0))
+
+
+_where = st.tuples(st.sampled_from([0.0, 40.0, 100.0]), st.just(0.0))
+_posts = st.none() | st.lists(st.builds(CoveragePost, st.sampled_from([0.0, 50.0]), st.just(0.0),
+                                        st.sampled_from([10.0, 60.0])), max_size=2)
+
+
+@given(_heard, _posts, st.data())
+def test_eavesdropper_keeps_what_a_full_log_links(observations, posts, data):
+    # records arrive in non-decreasing time, as the engine's ticks send them
+    sends = [(0, o, data.draw(_where)) for o in sorted(observations, key=operator.attrgetter("t"))]
+    ear, log = Eavesdropper(posts), ObservationStore()
+    log.observations = [rec for _, rec, pos in sends if ear.covers(pos)]
+    i = 0
+    while i < len(sends):  # one record through hear, or up to three through hear_all
+        n = data.draw(st.integers(0, 3))
+        if n:
+            ear.hear_all((), sends[i:i + n])
+        else:
+            ear.hear(*sends[i][1:])
+        i += n or 1
+    assert max(collections.Counter(map(operator.attrgetter("station_id"),
+                                       ear.store.observations)).values(), default=0) <= 2
+    for store in (ear.store, log):
+        store.finalize()
+    # repr tells -0.0 from 0.0 where == would not
+    assert repr(build_tracklets(ear.store)) == repr(build_tracklets(log))
 
 
 def test_build_tracklets_aggregates_per_id():

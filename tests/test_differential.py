@@ -10,7 +10,9 @@ count, the CAM ticket's end, neighbour lists until a pair could cross the
 range, and every receiver's LDM sample as counters in
 ``beaconing.FleetLdm``) and draws loss in one batch. On generated scenarios
 both must write the same summary, trace and linkage, and every run must hold
-the engine invariants of ``check_invariants``.
+the engine invariants of ``check_invariants``. The reference's
+eavesdropper logs every beacon and the production one each station id's
+first and latest, so the linkages check that fold too.
 
 The scenarios sit on one east-west road, with lanes both ways and a turn
 north. With a dyadic tick and integer speeds positions are exact; a

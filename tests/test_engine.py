@@ -1,6 +1,7 @@
 import json
 import math
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -360,6 +361,15 @@ def test_periodic_change_is_due_on_the_first_tick_the_float_test_passes():
                                                "interval_s": 1.2000000010000003})
     result = run_scenario(cfg)
     assert [int(round(rec.t / 0.1)) for rec in result.change_records] == [12, 24, 36, 48]
+
+
+def test_the_eavesdropper_keeps_each_ids_first_and_latest_record(run_cached):
+    # latency_fleet sends 32,775 beacons under 1,096 station ids
+    r = run_cached("latency_fleet.json")
+    observations = r.store.observations
+    held = Counter(o.station_id for o in observations)
+    assert len(held) == 1096 and max(held.values()) == 2
+    assert [o.t for o in observations] == sorted(o.t for o in observations)
 
 
 def test_noisy_positions_are_stored_as_python_floats():
