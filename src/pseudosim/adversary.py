@@ -99,6 +99,11 @@ class Eavesdropper:
             math.dist((p.x, p.y), true_position) <= p.radius_m for p in self.posts
         )
 
+    def kept(self, station_id: str) -> int:
+        """How many observations of ``station_id`` the store holds: 0, 1 or 2."""
+        slot = self._latest.get(station_id)
+        return 0 if slot is None else 1 if slot < 0 else 2
+
     def hear(self, obs: Observation, true_position: Point) -> bool:
         self.hear_all((), ((None, obs, true_position),))
         return self.covers(true_position)

@@ -251,6 +251,12 @@ class FleetLdm:
         ):
             self.cut(vid)  # every entry would age out before the next CAM
 
+    def streams(self, vid: int) -> bool:
+        """Whether ``vid``'s CAMs refresh every neighbour's entry by its stream, so that
+        an unlost one, unless slow, only becomes the last CAM."""
+        tx = self.nodes[vid]
+        return len(tx.streamed) == len(tx.near)
+
     def expire(self, tick: int) -> None:
         """Drop the entries that age out at ``tick`` and were not refreshed since."""
         for sid, seen, rids in self.due.pop(tick, ()):

@@ -1,15 +1,18 @@
 """Deterministic tick loop tying mobility, credentials, beaconing and attack.
 
-Each tick runs five phases in a fixed order: mobility, change strategy, core
-network housekeeping, beaconing, and message ingest. All randomness comes from
-named streams forked off the run seed, and all schedules live on the integer
-tick grid, so the same config and seed reproduce a run byte for byte, whatever
-the host or degree of parallelism around it.
+An event tick runs five phases in a fixed order: mobility, change strategy,
+core network housekeeping, beaconing, and message ingest. All randomness comes
+from named streams forked off the run seed, and all schedules live on the
+integer tick grid, so the same config and seed reproduce a run byte for byte,
+whatever the host or degree of parallelism around it.
 
 Per vehicle, state that only events change is kept: its ``mobility.Leg``,
 strategy wake tick, pool's steady count, CAM ticket end and CAM station id.
-Each tick still steps it on its leg, runs its odometers and CAM due test,
-reads its LDM counters.
+Before each tick ``run`` finds the first tick at which an event source may
+fire (``_quiet_until``) and runs the quiet ticks before it in one step
+(``_advance_quiet``). That step still makes each vehicle's float additions to
+its leg offset and odometers, and the awareness sum's, tick by tick, since a
+float sum depends on its order, but builds only the records something reads.
 
 Failures inside a run (denied tokens, starved pools, rejected locks) never
 raise out of the loop; they become counters in the run summary.
@@ -19,10 +22,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from functools import reduce
+from itertools import accumulate, chain, repeat
+from operator import add, itemgetter
 from typing import Optional, Union
 
 import numpy as np
@@ -46,6 +51,7 @@ TRIGGER_INITIAL = "initial"
 TRIGGER_TICKET_EXPIRY = "ticket_expiry"
 REPLENISH_ROUNDS = 16  # provisioning calls one replenishment may make
 _NO_LOSS: frozenset = frozenset()
+_STRETCH_MAX = 512  # ticks one quiet stretch may span, which bounds its per-tick lists
 
 
 @dataclass
@@ -120,6 +126,7 @@ class SimulationEngine:
         self._lock_events: dict[int, list] = {}
         for ev in config.locks.events:
             self._lock_events.setdefault(tick_of(ev.t, config.tick_s), []).append(ev)
+        self._scripted = sorted({*self._departures, *self._lock_events})
 
         # ground truth, and every receiver's LDM, told of each change to it
         self.owner_of: dict[str, int] = {}
@@ -441,19 +448,23 @@ class SimulationEngine:
                 obs = bcn.Observation(now, veh.ids[AppScope.DENM.value], AppScope.DENM.value, pos)
                 sends.append((veh.spec.vehicle_id, obs, pos))
                 n_denms += 1
-        # positioning noise: one draw of two per emission, in emission order, as
-        # ``mob.positioning_noise`` would, taken as Python floats
-        sigma = self.cfg.beaconing.positioning_sigma_m
-        if sigma and sends:
-            noise = self.rng_noise.normal(0.0, sigma, (len(sends), 2)).tolist()
-            sends = [(vid, obs._replace(position=(true[0] + dx, true[1] + dy)), true)
-                     for (vid, obs, true), (dx, dy) in zip(sends, noise)]
+        sends = self._noisy(sends)
         if len(sends) > n_denms:
             self.counters["cams_sent"] += len(sends) - n_denms
         if n_denms:  # the outbox takes CAMs, then DENMs, each in sender order
             self.counters["denms_sent"] += n_denms
             sends.sort(key=lambda send: send[1].scope == "DENM")
         self.outbox = sends
+
+    def _noisy(self, sends: list) -> list:
+        """``sends`` with positioning noise: one draw of two per emission, in emission
+        order, as ``mob.positioning_noise`` would, taken as Python floats."""
+        sigma = self.cfg.beaconing.positioning_sigma_m
+        if not sigma or not sends:
+            return sends
+        noise = self.rng_noise.normal(0.0, sigma, (len(sends), 2)).tolist()
+        return [(vid, obs._replace(position=(true[0] + dx, true[1] + dy)), true)
+                for (vid, obs, true), (dx, dy) in zip(sends, noise)]
 
     def _phase_ingest(self, tick: int) -> None:
         # deletions land before refreshes: the notices by sender id then in
@@ -496,28 +507,130 @@ class SimulationEngine:
         for m, (sender_id, msg, _) in enumerate(beacons, len(notices)):
             if msg.scope == "CAM":
                 self.ldm.heard(sender_id, msg.station_id, lost.get(m, _NO_LOSS), tick)
-        # truth-referenced quality samples, read in roster order
-        ghosts = missing = 0
+        self._sample_ldm(1)
+
+    def _sample_ldm(self, k: int) -> None:
+        """``k`` ticks' truth-referenced quality samples, read in roster order, of LDM
+        counters that hold over those ticks; the awareness sum adds them tick by tick."""
+        ratios, ghosts, missing = [], 0, 0
         for node in self.ldm.roster:
             if node.near:
-                self.awareness_sum += node.n_one / len(node.near)
-                self.awareness_samples += 1
+                ratios.append(node.n_one / len(node.near))
             ghosts += node.ghost
             missing += node.n_zero
-        self.ghost_entries_total += ghosts
-        self.missing_total += missing
-        self.ghost_ticks += ghosts > 0
-        self.missing_ticks += missing > 0
+        self.awareness_sum = reduce(add, chain.from_iterable(repeat(ratios, k)), self.awareness_sum)
+        self.awareness_samples += k * len(ratios)
+        self.ghost_entries_total += k * ghosts
+        self.missing_total += k * missing
+        self.ghost_ticks += k * (ghosts > 0)
+        self.missing_ticks += k * (missing > 0)
+
+    # --- quiet stretches -------------------------------------------------------
+
+    def _next_cam(self, veh: _Vehicle, tick: int) -> int:
+        """The first tick from ``tick`` on at which a vehicle out of silence sends a CAM."""
+        last = veh.last_cam_tick
+        return tick if last is None else max(tick, last + self.cam_period_ticks)
+
+    def _quiet_until(self, tick: int) -> int:
+        """The first tick from ``tick`` on at which an event source may fire, early
+        but never late: the ticks before it are quiet. Per vehicle the sources are
+        its wake tick (a lapsing CAM ticket wakes it, as ``active_until <= cam_until``),
+        its pool's ``steady_until``, its silence's or leg's end, and its next CAM if
+        it has a switch gap to close or does not stream to every neighbour (a CAM
+        slower than the LDM timeout ends its stream). Loss draws touch every tick."""
+        if self.cfg.beaconing.loss_rate > 0.0:
+            return tick
+        bound = min(self.n_ticks, tick + _STRETCH_MAX, self.neighbors_until + 1,
+                    min(self.ldm.due, default=math.inf))
+        i = bisect_left(self._scripted, tick)
+        if i < len(self._scripted):
+            bound = min(bound, self._scripted[i])
+        if self._coordination_ticks is not None:
+            bound = min(bound, tick + -tick % self._coordination_ticks)
+        for veh in self.roster:
+            if tick < veh.silence_until_tick:
+                bound = min(bound, veh.silence_until_tick)
+            elif veh.gap_from is not None or not self.ldm.streams(veh.spec.vehicle_id):
+                bound = min(bound, self._next_cam(veh, tick))
+            bound = min(bound, veh.wake_tick, tick + mob.leg_ticks(veh.cursor, veh.leg))
+            if self.denm_period_ticks is not None:
+                bound = min(bound, tick + (veh.depart_tick - tick) % self.denm_period_ticks)
+            if veh.pool.steady_until <= bound * self.tick_s:  # else it comes no sooner
+                bound = min(bound, self._ticks_until(veh.pool.steady_until))
+            if bound <= tick:
+                return tick
+        return int(bound) if bound > tick else tick
+
+    def _advance_quiet(self, tick: int, k: int) -> None:
+        """Run the ``k`` quiet ticks from ``tick`` on (``_quiet_until``) in one step.
+
+        The float additions of ``step_on_leg`` and ``TripState.advance``, and the
+        awareness sum's, are made tick by tick, as a float sum depends on its
+        order. Records are built only where read: every CAM's for a trace or
+        for noise (one draw), else those of an id's heard CAMs that an
+        ``Eavesdropper`` keeps. ``FleetLdm.heard`` takes a sender's last CAM."""
+        end, tick_s, ear = tick + k, self.tick_s, self.eavesdropper
+        every = self.trace_rows is not None or self.cfg.beaconing.positioning_sigma_m
+        sends, n_cams = [], 0  # (CAM tick, roster index, (sender id, record, true position))
+        for i, veh in enumerate(self.roster):
+            leg, trip = veh.leg, veh.trip
+            step, offset = leg.step, veh.cursor.offset_m
+            odo, since, elapsed = (trip.odometer_trip_m, trip.odometer_since_change_m,
+                                   trip.time_since_change_s)
+            offsets = [offset]  # before the stretch, then after each of its ticks
+            for _ in range(k):
+                offset += step
+                odo += step
+                since += step
+                elapsed += tick_s
+                offsets.append(offset)
+            veh.cursor.offset_m = offset
+            trip.odometer_trip_m, trip.odometer_since_change_m, trip.time_since_change_s = (
+                odo, since, elapsed)
+            veh.kin.position, veh.kin.velocity = mob.leg_point(leg, offset), leg.velocity
+            cams = range(self._next_cam(veh, tick), end, self.cam_period_ticks)
+            if tick < veh.silence_until_tick or not cams:
+                continue
+            n_cams += len(cams)
+            veh.last_cam_tick = cams[-1]
+            vid, sid = veh.spec.vehicle_id, veh.cam_sid
+            self.ldm.heard(vid, sid, _NO_LOSS, cams[-1])
+            if not every:  # the records the eavesdropper keeps: an id's first two and last
+                if ear.posts is not None:
+                    cams = [c for c in cams
+                            if ear.covers(mob.leg_point(leg, offsets[c + 1 - tick]))]
+                need = 2 - ear.kept(sid)
+                cams = [*cams[:need], *cams[need:][-1:]]
+            for c in cams:
+                pos = mob.leg_point(leg, offsets[c + 1 - tick])
+                obs = bcn.Observation(c * tick_s, sid, "CAM", pos, leg.velocity, veh.quasi_ids)
+                sends.append((c, i, (vid, obs, pos)))
+        sends.sort()  # in emission order: by tick, then roster
+        beacons = self._noisy([send for _, _, send in sends])
+        ear.hear_all((), beacons)
+        if self.trace_rows is not None:
+            self.trace_rows += [adv.trace_row(vid, msg) for vid, msg, _ in beacons]
+        if n_cams:
+            self.counters["cams_sent"] += n_cams
+        self._sample_ldm(k)
 
     # --- run -------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        for tick in range(self.n_ticks):
-            self._phase_mobility(tick)
-            self._phase_strategy(tick)
-            self._phase_sba(tick)
-            self._phase_beaconing(tick)
-            self._phase_ingest(tick)
+        tick = 0
+        while tick < self.n_ticks:
+            end = self._quiet_until(tick)
+            if end > tick:
+                self._advance_quiet(tick, end - tick)
+            else:
+                self._phase_mobility(tick)
+                self._phase_strategy(tick)
+                self._phase_sba(tick)
+                self._phase_beaconing(tick)
+                self._phase_ingest(tick)
+                end += 1
+            tick = end
 
         store = self.eavesdropper.store
         store.finalize()

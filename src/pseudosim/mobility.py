@@ -168,15 +168,33 @@ def leg_of(cursor: RouteCursor, speed_mps: float, dt_s: float) -> Leg:
     return Leg(seg, speed * dt_s, (d[0] * speed, d[1] * speed))
 
 
+def leg_point(leg: Leg, offset_m: float) -> Point:
+    """The point ``offset_m`` along the leg's segment, as ``RouteCursor.position`` has it."""
+    seg = leg.segment
+    d = seg.direction
+    return (seg.start[0] + d[0] * offset_m, seg.start[1] + d[1] * offset_m)
+
+
 def step_on_leg(cursor: RouteCursor, leg: Leg) -> Optional[Point]:
     """``step_kinematics``'s float operations, in its order, on a tick inside the leg:
     the new position, or None, moving nothing, on the tick that reaches its end."""
-    seg = leg.segment
-    if not leg.step < seg.length_m - cursor.offset_m:
+    if not leg.step < leg.segment.length_m - cursor.offset_m:
         return None
     cursor.offset_m += leg.step
-    d, offset = seg.direction, cursor.offset_m
-    return (seg.start[0] + d[0] * offset, seg.start[1] + d[1] * offset)
+    return leg_point(leg, cursor.offset_m)
+
+
+def leg_ticks(cursor: RouteCursor, leg: Leg) -> float:
+    """How many more ``step_on_leg`` calls surely stay inside the leg (early, never
+    late), or inf if the steps cannot reach its end. Over up to 10**7 steps the
+    float sum of the offset strays from the exact one by under 2e-9 of the
+    segment's length, well inside the margin of 1e-7 of ``1 m + length``."""
+    length = leg.segment.length_m
+    room = length - cursor.offset_m - 1e-7 * (1.0 + length)
+    if not room > 0.0:
+        return 0
+    ticks = room / leg.step if leg.step else math.inf
+    return ticks if ticks == math.inf else math.floor(ticks)
 
 
 @dataclass

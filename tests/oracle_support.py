@@ -22,9 +22,11 @@ keep the original loop forms of the anonymity-set count, of tracklet
 chaining and of ``link``'s candidate selection;
 ``EntryLdm`` and ``ldm_quality_loop`` keep the entry-per-station local dynamic
 map that stored DENMs too and was evicted in a pass of its own.
-``neighbor_lists`` is the all-pairs pass the engine once made every tick, and
-``ReferenceEngine`` runs the tick loop in that per-tick form: every vehicle
-stepped by ``step_kinematics``, its change trigger, ticket expiry and pool
+``neighbor_lists`` is the all-pairs pass the engine once made every tick,
+``ScanScope`` and ``ScanPool`` a ticket pool that scans every ticket ever
+issued at each query, and ``ReferenceEngine`` runs the tick loop in that
+per-tick form: all five phases on every tick, every vehicle stepped by
+``step_kinematics``, its change trigger, ticket expiry and ``ScanPool``
 polled, every CAM checked against its ticket, every pair measured, loss drawn
 and ``receive`` called per delivery, every LDM rescored, and every heard
 beacon logged by ``FullLogEavesdropper``.
@@ -49,8 +51,8 @@ from pseudosim.adversary import (
     semantic_match,
 )
 from pseudosim.beaconing import LdmQuality, NoticeSighting
-from pseudosim.engine import TRIGGER_TICKET_EXPIRY, SimulationEngine
-from pseudosim.sba import AppScope
+from pseudosim.engine import TRIGGER_INITIAL, TRIGGER_TICKET_EXPIRY, SimulationEngine, _Vehicle
+from pseudosim.sba import AppScope, Supi
 
 
 def mk_tracklet(
@@ -433,6 +435,76 @@ def neighbor_lists(positions, radius_m):
     return out
 
 
+class ScanScope:
+    """Reference pool for one scope: every query scans every ticket ever issued."""
+
+    def __init__(self, selection):
+        self.selection = selection
+        self.tickets = []
+        self.retired = set()
+        self.active = None
+        self.cursor = -1
+
+    def usable(self, t, now):
+        if not t.valid_from <= now < t.valid_until:
+            return False
+        return not (self.selection == "no_reuse" and t.at_id in self.retired)
+
+    def valid_tickets(self, now):
+        return [t for t in self.tickets if self.usable(t, now)]
+
+    def select_next(self, now):
+        n = len(self.tickets)
+        start = -1 if self.selection == "no_reuse" else self.cursor
+        for step in range(1, n + 1):
+            t = self.tickets[(start + step) % n]
+            if self.usable(t, now) and t.at_id != self.active:
+                return t
+        return None
+
+    def activate(self, t):
+        if self.active is not None:
+            self.retired.add(self.active)
+        self.active = t.at_id
+        self.cursor = next(i for i, u in enumerate(self.tickets) if u.at_id == t.at_id)
+
+
+class ScanPool:
+    """The ``PseudonymPool`` surface the engine calls, a ``ScanScope`` per scope:
+    no live index, no cached count and no ``steady_until``."""
+
+    def __init__(self, selection, min_concurrent_valid, target_size, scopes):
+        self.min_concurrent_valid, self.target_size = min_concurrent_valid, target_size
+        self._scopes = {scope: ScanScope(selection) for scope in scopes}
+        self.active = {}
+
+    @property
+    def scopes(self):
+        return list(self._scopes)
+
+    def add_batch(self, scope, batch):
+        self._scopes[scope].tickets.extend(batch)
+
+    def valid_tickets(self, scope, now):
+        return self._scopes[scope].valid_tickets(now)
+
+    def valid_count(self, scope, now):
+        return len(self.valid_tickets(scope, now))
+
+    def needs_replenish(self, scope, now):
+        return self.valid_count(scope, now) < self.min_concurrent_valid
+
+    def replenish_need(self, scope, now):
+        return max(0, self.target_size - self.valid_count(scope, now))
+
+    def select_next(self, scope, now):
+        return self._scopes[scope].select_next(now)
+
+    def activate(self, scope, ticket):
+        self._scopes[scope].activate(ticket)
+        self.active[scope] = ticket
+
+
 class _Unkept:
     """Takes the calls the engine makes to its event-kept ``FleetLdm``, and drops them."""
 
@@ -451,20 +523,35 @@ class FullLogEavesdropper(adv.Eavesdropper):
         return heard
 
 
+def first_and_latest(store):
+    """What an ``Eavesdropper`` keeps of a full log: each id's first and latest
+    observation, in its slots, and every notice. Positions become Python
+    floats, as the engine's are (``positioning_noise`` gives numpy floats)."""
+    ear = adv.Eavesdropper()
+    ear.hear_all(((None, n, None) for n in store.notices),
+                 [(None, obs._replace(position=tuple(map(float, obs.position))), None)
+                  for obs in store.observations])
+    ear.store.finalize()
+    return ear.store
+
+
 class ReferenceEngine(SimulationEngine):
     """The engine as it was before its per-vehicle and radio state became event-kept.
 
-    Each tick it steps every vehicle with ``step_kinematics``, polls every
-    vehicle's ticket expiry and change trigger, counts every pool's valid
-    tickets with ``valid_tickets``, checks each due CAM's ticket, and sorts
-    the whole outbox. It recomputes every neighbour list, draws loss with one
-    ``rng_loss.random()`` per delivery and hands each delivery to its own
-    per-vehicle ``LocalDynamicMap.receive`` message by message, then scores
-    every LDM afresh with ``ldm_quality`` against the station ids of the
-    vehicles on the road, as does the lock validator. The
-    production engine keeps a ``Leg`` per vehicle, wakes its strategy at
-    events, skips pools whose counts hold, keeps CAM validity per vehicle,
-    keeps lists until a pair can cross the range, draws loss in one batch and
+    It runs all five phases on every tick (``_quiet_until`` is always the
+    tick itself). Each tick it steps every vehicle with ``step_kinematics``,
+    polls every vehicle's ticket expiry and change trigger, counts every
+    pool's valid tickets by a scan of every ticket issued (``ScanPool``),
+    checks each due CAM's ticket, and sorts the whole outbox. It recomputes
+    every neighbour list, draws loss with one ``rng_loss.random()`` per
+    delivery and hands each delivery to its own per-vehicle
+    ``LocalDynamicMap.receive`` message by message, then scores every LDM
+    afresh with ``ldm_quality`` against the station ids of the vehicles on
+    the road, as does the lock validator. The production engine runs the
+    ticks where no event source fires in one step, keeps a ``Leg`` per
+    vehicle, wakes its strategy at events, indexes each pool's live tickets
+    and skips pools whose counts hold, keeps CAM validity per vehicle, keeps
+    lists until a pair can cross the range, draws loss in one batch and
     keeps LDM counters by events (``FleetLdm``, which this engine does not
     feed); it must give the same bytes. Both close switch gaps with
     ``_close_gap`` at a new id's first CAM. This engine's eavesdropper logs
@@ -477,6 +564,32 @@ class ReferenceEngine(SimulationEngine):
         self.eavesdropper = FullLogEavesdropper(self.eavesdropper.posts)
         self.ldm = _Unkept()
         self.ldms = {}  # vehicle id -> LocalDynamicMap
+
+    def _quiet_until(self, tick):
+        return tick
+
+    def _admit(self, spec, tick):
+        now = tick * self.tick_s
+        supi = Supi(bytes(self.rng_identity.bytes(16)))
+        self.core.add_subscriber(supi)
+        cert = self.core.enroll_vehicle(supi, bytes(self.rng_identity.bytes(12)), now)
+        token = self.core.invoke_v2x_service(self.core.request_v2x_token(now), now)
+        cursor = mob.RouteCursor(self.cfg.road, spec.route)
+        leg = mob.leg_of(cursor, spec.speed_mps, self.tick_s)
+        pool = self.cfg.pool
+        veh = _Vehicle(
+            spec=spec, depart_tick=tick, cursor=cursor, leg=leg,
+            kin=mob.Kinematics(position=cursor.position(), velocity=leg.velocity),
+            trip=mob.TripState(),
+            pool=ScanPool(pool.selection, pool.min_concurrent_valid, pool.size, self.scopes),
+            locks=strat.LockLedger(renewal_threshold=self.cfg.locks.renewal_threshold),
+            cert=cert, session_token=token, last_change_tick=tick,
+            quasi_ids=(spec.length_m, spec.width_m),
+        )
+        self.vehicles[spec.vehicle_id] = veh
+        for scope in self.scopes:
+            self._replenish(veh, scope, now, to_target=True)
+        self._execute_change(veh, tick, TRIGGER_INITIAL)
 
     def _vehicle_ldm(self, vid):
         timeout_s = self.cfg.beaconing.ldm_timeout_s

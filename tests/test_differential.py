@@ -1,18 +1,24 @@
 """The event-kept tick loop against its per-tick reference, byte for byte.
 
-``oracle_support.ReferenceEngine`` steps every vehicle with
-``step_kinematics``, polls every change trigger, ticket expiry and pool
-count, checks every CAM's ticket, recomputes every neighbour list each tick,
-draws loss and calls ``LocalDynamicMap.receive`` per delivery and rescores
-every LDM. The production engine keeps that state between the events that
-change it (a ``Leg`` per vehicle, a strategy wake tick, a pool's steady
-count, the CAM ticket's end, neighbour lists until a pair could cross the
-range, and every receiver's LDM sample as counters in
-``beaconing.FleetLdm``) and draws loss in one batch. On generated scenarios
-both must write the same summary, trace and linkage, and every run must hold
-the engine invariants of ``check_invariants``. The reference's
-eavesdropper logs every beacon and the production one each station id's
-first and latest, so the linkages check that fold too.
+``oracle_support.ReferenceEngine`` runs all five phases on every tick: it
+steps every vehicle with ``step_kinematics``, polls every change trigger,
+ticket expiry and pool count (by a scan of every ticket issued), checks
+every CAM's ticket, recomputes every neighbour list each tick, draws loss
+and calls ``LocalDynamicMap.receive`` per delivery and rescores every LDM.
+The production engine runs the phases only on event ticks and each stretch
+of quiet ticks between them in one step, and keeps its state between the
+events that change it (a ``Leg`` per vehicle, a strategy wake tick, a
+pool's live index and steady count, the CAM ticket's end, neighbour lists
+until a pair could cross the range, and every receiver's LDM sample as
+counters in ``beaconing.FleetLdm``) and draws loss in one batch. On
+generated scenarios both must write the same summary, trace and linkage,
+and every traced run must hold the engine invariants of
+``check_invariants``. The production engine runs once with a trace and once
+without, since a quiet stretch builds every record only for a trace. The
+reference's eavesdropper logs every beacon and the production one each
+station id's first and latest, so the linkages check that fold too, and so
+does its store: the reference's log folded by an ``Eavesdropper``, record
+for record and in order.
 
 The scenarios sit on one east-west road, with lanes both ways and a turn
 north. With a dyadic tick and integer speeds positions are exact; a
@@ -32,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_support import ReferenceEngine
+from oracle_support import ReferenceEngine, first_and_latest
 from pseudosim.config import load_scenario
 from pseudosim.engine import SimulationEngine
 
@@ -42,6 +48,9 @@ _CLOCKS = [(0.5, 2.0), (0.5, 1.0), (0.25, 4.0), (0.25, 1.0)]
 _FLOAT_CLOCK = (0.1, 10.0)
 
 _QUIET = {"kind": "periodic", "interval_s": 60.0}  # no change after the initial ids
+_SEGMENT = {"kind": "segment", "second_change_min_m": 20.0, "second_change_max_m": 60.0,
+            "subsequent_min_distance_m": 30.0, "subsequent_time_min_s": 2.0,
+            "subsequent_time_max_s": 6.0}
 _POLICIES = st.sampled_from([
     {"kind": "periodic", "interval_s": 2.0},
     # faster than the LDM timeout: a round-robin id comes back while still held
@@ -53,9 +62,7 @@ _POLICIES = st.sampled_from([
     {"kind": "synchronized", "interval_s": 4.0, "window_s": 2.0},
     {"kind": "network_triggered", "min_interval_s": 3.0, "coordination_interval_s": 1.0,
      "max_silent_fraction": 0.5},
-    {"kind": "segment", "second_change_min_m": 20.0, "second_change_max_m": 60.0,
-     "subsequent_min_distance_m": 30.0, "subsequent_time_min_s": 2.0,
-     "subsequent_time_max_s": 6.0},
+    _SEGMENT,
 ])
 
 
@@ -88,8 +95,10 @@ def _supply(draw):
 
 
 _SPEEDS = [1.0, 2.0, 3.0, 4.0, 8.0, 16.0, 24.0, 30.0]
-# the last three make an LDM event that a shortcut could lose; None weighs double
-_MOTIFS = [None, None, "head_on", "speed_up", "ends_unheard", "pulls_away", "comes_back", "lapses"]
+# the last six make an LDM, coordinator, lock or record event that a shortcut
+# could lose; None weighs double
+_MOTIFS = [None, None, "head_on", "speed_up", "ends_unheard", "pulls_away", "comes_back",
+           "lapses", "quiet", "coordinated", "validated"]
 
 
 def _motif(draw, motif, tick_s, n_ticks, x1, x2, limits):
@@ -106,7 +115,13 @@ def _motif(draw, motif, tick_s, n_ticks, x1, x2, limits):
     - ``pulls_away``: vehicle 1 leaves vehicle 2 behind, first on the slow
       segment and then at speed, so the pair drops out of range while both
       still beacon;
-    - ``comes_back`` and ``lapses`` fix settings, not vehicles (``scenarios``).
+    - ``quiet``: vehicle 1 drives west at 4 m/s through a listening post
+      (placed in ``scenarios``), so its id is first heard and last heard on
+      ticks that may be quiet;
+    - ``validated``: vehicles 1 and 2 drive together, always in range, and
+      vehicle 1 asks for a lock on every tick (set in ``scenarios``);
+    - ``comes_back``, ``lapses`` and ``coordinated`` fix settings, not
+      vehicles (``scenarios``).
 
     A scenario with a motif has at most two more vehicles: more pairs would
     often force a fresh neighbour pass right at the event.
@@ -121,6 +136,11 @@ def _motif(draw, motif, tick_s, n_ticks, x1, x2, limits):
     if motif == "speed_up":
         limits["e1"] = 4.0  # vehicle 1 reaches the fast segment within the run
         return [(["e1", "e2", "north"], 30.0), (["w1"], draw(st.sampled_from(_SPEEDS)))], radius
+    if motif == "quiet":
+        limits["w1"] = 4.0
+        return [(["w1", "w2"], 4.0)], radius
+    if motif == "validated":
+        return [(["e1", "e2"], 2.0), (["e1", "e2"], 2.0)], radius
     if motif == "pulls_away":
         limits["e1"] = 4.0
         return [(["e1", "e2"], 30.0), (["e1", "e2"], 2.0)], radius
@@ -173,9 +193,8 @@ def scenarios(draw, motifs=_MOTIFS):
         for tick in draw(st.lists(st.integers(first, n_ticks - 1), max_size=4, unique=True)):
             events.append({"vehicle_id": veh["vehicle_id"], "t": tick * tick_s,
                            "app_id": "hd-map", "duration_s": 1.0})
-    coverage = draw(st.sampled_from([
-        "full", [{"x": x1, "y": 0.0, "radius_m": 60.0}, {"x": 0.0, "y": 0.0, "radius_m": 40.0}],
-    ]))
+    posts = [{"x": x1, "y": 0.0, "radius_m": 60.0}, {"x": 0.0, "y": 0.0, "radius_m": 40.0}]
+    coverage = draw(st.sampled_from(["full", posts]))
     beaconing = {
         "cam_freq_hz": cam_freq_hz,
         "radio_range_m": radius,
@@ -203,6 +222,32 @@ def scenarios(draw, motifs=_MOTIFS):
         beaconing.update(cam_freq_hz=1.0 / tick_s, ldm_timeout_s=tick_s)
         policy, sba = _QUIET, {"at_lifetime_s": 1.5}
         pool["size"] = pool["min_concurrent_valid"]
+    elif motif in ("quiet", "coordinated"):
+        # no loss and CAMs within the timeout leave ticks quiet. ``quiet``: a
+        # CAM every other tick, so a change between CAMs leaves a switch gap
+        # for the next one; no noise, so an untraced run builds only the
+        # records its eavesdropper keeps; vehicle 1 reaches the post around
+        # tick ``enter``, after two unheard CAMs or more; ids kept for the
+        # run or changed by the odometers. ``coordinated``: the coordinator's
+        # ticks may be its only events
+        beaconing.update(loss_rate=0.0, ldm_timeout_s=1.5)
+        if motif == "quiet":
+            beaconing.update(cam_freq_hz=0.5 / tick_s, positioning_sigma_m=0.0)
+            policy = draw(st.sampled_from([_QUIET, _SEGMENT]))
+            enter = draw(st.integers(8, min(n_ticks - 2, int((x2 - 10.0) / (4.0 * tick_s)))))
+            coverage = [{"x": x2 - 4.0 * tick_s * enter - 20.0, "y": 0.0, "radius_m": 20.0}]
+        else:
+            beaconing["cam_freq_hz"] = 1.0 / tick_s
+            policy = {"kind": "network_triggered", "min_interval_s": 3.0,
+                      "coordination_interval_s": 1.0, "max_silent_fraction": 0.5}
+    elif motif == "validated":
+        # vehicle 2's retired ids linger, unannounced, beside its new one
+        # until they expire, so a lock renewal on an expiry tick (each is
+        # judged by awareness) reads whether the expiry landed first
+        beaconing.update(cam_freq_hz=1.0 / tick_s, ldm_timeout_s=1.5, loss_rate=0.0)
+        policy, change["notify_deactivation"] = {"kind": "periodic", "interval_s": 2.0}, False
+        events = [{"vehicle_id": 1, "t": tick * tick_s, "app_id": "hd-map", "duration_s": 1.0}
+                  for tick in range(1, n_ticks)]
     return {
         "name": f"differential-{motif}",
         "seed": draw(st.integers(0, 2**16)),
@@ -285,27 +330,36 @@ def check_invariants(config, result) -> None:
     assert summary["safety"]["max_stack_switch_gap_s"] == max(gaps, default=None)
 
 
-def outputs(engine_cls, config) -> tuple:
-    """The summary, the trace as ``pseudosim run`` writes it, and the linkage.
+def outputs(engine_cls, config, collect_trace=True) -> tuple:
+    """The run, its summary, its trace as ``pseudosim run`` writes it (None if
+    not collected) and its linkage.
 
-    Each run is checked against ``check_invariants`` on the way.
+    A traced run is checked against ``check_invariants`` on the way.
     """
-    result = engine_cls(config, collect_trace=True).run()
-    check_invariants(config, result)
-    trace = "".join(
-        json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
-        for row in result.trace_rows
-    )
-    return result.summary_json(), trace, result.linkage.to_json()
+    result = engine_cls(config, collect_trace=collect_trace).run()
+    trace = None
+    if collect_trace:
+        check_invariants(config, result)
+        trace = "".join(
+            json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+            for row in result.trace_rows
+        )
+    return result, result.summary_json(), trace, result.linkage.to_json()
 
 
 def assert_engines_agree(raw) -> None:
     config = load_scenario(raw)
-    got = outputs(SimulationEngine, config)
-    want = outputs(ReferenceEngine, config)
-    assert got[0] == want[0]
-    assert got[1] == want[1]
-    assert got[2] == want[2]
+    ref, *want = outputs(ReferenceEngine, config)
+    kept = first_and_latest(ref.store)
+    # without a trace, quiet stretches build only the records the eavesdropper
+    # keeps: the path the benchmark times
+    for collect_trace in (True, False):
+        run, *got = outputs(SimulationEngine, config, collect_trace)
+        assert got[0] == want[0]
+        assert got[1] == (want[1] if collect_trace else None)
+        assert got[2] == want[2]
+        assert repr(run.store.observations) == repr(kept.observations)
+        assert run.store.notices == ref.store.notices
 
 
 @pytest.mark.parametrize("motif", list(dict.fromkeys(_MOTIFS)), ids=str)

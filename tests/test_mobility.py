@@ -14,6 +14,7 @@ from pseudosim.mobility import (
     TripState,
     kinetic_neighbor_lists,
     leg_of,
+    leg_ticks,
     positioning_noise,
     region_query,
     step_kinematics,
@@ -141,26 +142,40 @@ def test_step_on_leg_equals_step_kinematics(case):
 
     Along a leg ``step_on_leg`` moves the cursor; on the tick that reaches the
     segment's end ``step_kinematics`` crosses it and a new leg starts, until
-    the route ends.
+    the route ends. ``leg_ticks`` at a leg's start counts its steps inside,
+    a step early where they come within its margin of the end, never late.
     """
     network, route, speed, tick_s = case
     alone, kept = RouteCursor(network, route), RouteCursor(network, route)
     leg = leg_of(kept, speed, tick_s)
-    crossings = 0
+    crossings, inside, ahead = 0, 0, leg_ticks(kept, leg)
     while not alone.done:
         want, want_moved = step_kinematics(alone, min(speed, alone.segment.speed_limit_mps), tick_s)
         pos = step_on_leg(kept, leg)
         if pos is None:
+            assert ahead <= inside <= ahead + 1
             got, moved = step_kinematics(kept, min(speed, leg.segment.speed_limit_mps), tick_s)
             pos, velocity = got.position, got.velocity
             crossings += 1
             leg = leg_of(kept, speed, tick_s)
+            inside, ahead = 0, leg_ticks(kept, leg)
         else:
             velocity, moved = leg.velocity, leg.step
+            inside += 1
         assert _bits(*pos, *velocity, moved) == _bits(*want.position, *want.velocity, want_moved)
         assert (kept.seg_index, kept.done) == (alone.seg_index, alone.done)
         assert _bits(kept.offset_m) == _bits(alone.offset_m)
     assert kept.done and crossings <= len(route)
+
+
+def test_leg_ticks_at_its_edges():
+    cur = RouteCursor(two_segment_network(), ("a",))
+    leg = leg_of(cur, 10.0, 0.5)  # 5 m a tick along 100 m: the 20th step reaches the end
+    assert leg_ticks(cur, leg) == 19
+    assert leg_ticks(cur, leg._replace(step=0.0)) == math.inf  # never moves
+    assert leg_ticks(cur, leg._replace(step=5e-324)) == math.inf  # past any run
+    cur.offset_m = 100.0 - 1e-6  # within the margin of the end
+    assert leg_ticks(cur, leg) == 0
 
 
 def test_trip_state_odometers():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_support import ScanScope
 from pseudosim.mobility import TripState
 from pseudosim.sba import AppScope, AuthorizationTicket, SbaConfig, ServiceBasedCore, Supi
 from pseudosim.strategy import (
@@ -464,40 +465,6 @@ def test_steady_until_spans_the_cached_counts_above_the_floor(selection):
     assert pool.min_valid_count(9.0) == 0 and pool.steady_until == -math.inf  # below the floor
 
 
-class _ScanPool:
-    """Reference pool for one scope: every query scans every ticket ever issued."""
-
-    def __init__(self, selection):
-        self.selection = selection
-        self.tickets = []
-        self.retired = set()
-        self.active = None
-        self.cursor = -1
-
-    def usable(self, t, now):
-        if not t.valid_from <= now < t.valid_until:
-            return False
-        return not (self.selection == "no_reuse" and t.at_id in self.retired)
-
-    def valid_tickets(self, now):
-        return [t for t in self.tickets if self.usable(t, now)]
-
-    def select_next(self, now):
-        n = len(self.tickets)
-        start = -1 if self.selection == "no_reuse" else self.cursor
-        for step in range(1, n + 1):
-            t = self.tickets[(start + step) % n]
-            if self.usable(t, now) and t.at_id != self.active:
-                return t
-        return None
-
-    def activate(self, t):
-        if self.active is not None:
-            self.retired.add(self.active)
-        self.active = t.at_id
-        self.cursor = next(i for i, u in enumerate(self.tickets) if u.at_id == t.at_id)
-
-
 _half_steps = st.integers(0, 24).map(lambda k: k / 2.0)  # hits validity edges exactly
 _pool_ops = st.lists(
     st.one_of(
@@ -520,7 +487,7 @@ _pool_ops = st.lists(
 @settings(max_examples=max(200, settings.default.max_examples))
 def test_pool_matches_full_scan_reference(selection, ops, back):
     pool = PseudonymPool(selection, 2, 5, [AppScope.CAM])
-    ref = _ScanPool(selection)
+    ref = ScanScope(selection)
     clock = 0.0
     issued = 0
 
