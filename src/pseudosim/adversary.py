@@ -31,7 +31,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, NoReturn, Optional, Sequence
+from typing import Callable, Mapping, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -99,10 +99,15 @@ class Eavesdropper:
             math.dist((p.x, p.y), true_position) <= p.radius_m for p in self.posts
         )
 
-    def kept(self, station_id: str) -> int:
-        """How many observations of ``station_id`` the store holds: 0, 1 or 2."""
+    def retained(self, station_id: str, heard: Sequence, true_position: Callable) -> list:
+        """Of ``station_id``'s beacons ``heard`` in time order, those whose hearing alone
+        fills the store as hearing all would: of those covered at ``true_position(h)``,
+        as many of the first as the store lacks of the id's first two, and the last."""
+        if self.posts is not None:
+            heard = [h for h in heard if self.covers(true_position(h))]
         slot = self._latest.get(station_id)
-        return 0 if slot is None else 1 if slot < 0 else 2
+        need = 2 if slot is None else 1 if slot < 0 else 0
+        return [*heard[:need], heard[-1]] if len(heard) > need else [*heard]
 
     def hear(self, obs: Observation, true_position: Point) -> bool:
         self.hear_all((), ((None, obs, true_position),))

@@ -10,9 +10,10 @@ Per vehicle, state that only events change is kept: its ``mobility.Leg``,
 strategy wake tick, pool's steady count, CAM ticket end and CAM station id.
 Before each tick ``run`` finds the first tick at which an event source may
 fire (``_quiet_until``) and runs the quiet ticks before it in one step
-(``_advance_quiet``). That step still makes each vehicle's float additions to
-its leg offset and odometers, and the awareness sum's, tick by tick, since a
-float sum depends on its order, but builds only the records something reads.
+(``_advance_quiet``). Both kinds of tick share one form of each rule: one
+leg stepper (``mobility.step_on_leg``, which makes a float sum's additions
+tick by tick, as the sum depends on their order), one schedule per beacon
+(``_next_cam``, ``_next_denm``) and one broadcast tail (``_broadcast``).
 
 Failures inside a run (denied tokens, starved pools, rejected locks) never
 raise out of the loop; they become counters in the run summary.
@@ -26,7 +27,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import add, itemgetter
 from typing import Optional, Union
 
@@ -319,14 +320,12 @@ class SimulationEngine:
         for vid in on_road:
             veh = self.vehicles[vid]
             if tick > veh.depart_tick:
-                pos = mob.step_on_leg(veh.cursor, leg := veh.leg)
-                if pos is None:  # the tick that reaches the segment's end
+                if mob.step_on_leg(veh.cursor, leg := veh.leg, veh.trip, veh.kin) is None:
+                    # the tick that reaches the segment's end
                     speed = min(veh.spec.speed_mps, leg.segment.speed_limit_mps)
                     veh.kin, moved = mob.step_kinematics(veh.cursor, speed, self.tick_s)
+                    veh.trip.advance(moved)
                     veh.leg = mob.leg_of(veh.cursor, veh.spec.speed_mps, self.tick_s)
-                else:
-                    veh.kin.position, veh.kin.velocity, moved = pos, leg.velocity, leg.step
-                veh.trip.advance(moved, self.tick_s)
                 if veh.cursor.done:
                     self._finish_trip(veh, tick)
                     continue
@@ -374,12 +373,12 @@ class SimulationEngine:
             if expired and not locked:
                 self._execute_change(veh, tick, TRIGGER_TICKET_EXPIRY)
                 continue
-            veh.trip.time_since_change_s = (tick - veh.last_change_tick) * self.tick_s
             wants = strat.evaluate_change_trigger(
                 self.cfg.policy.policy,
                 veh.trip,
                 veh.trigger,
                 now,
+                since_s=(tick - veh.last_change_tick) * self.tick_s,
                 clock_skew_s=veh.spec.clock_skew_s,
                 boundary_tol_s=self.tick_s / 2.0,
             )
@@ -425,12 +424,12 @@ class SimulationEngine:
     def _phase_beaconing(self, tick: int) -> None:
         now = tick * self.tick_s
         sends = []  # (sender id, record, true position), in emission order
-        n_denms = 0
+        n_denms, denms = 0, self.denm_period_ticks is not None
         for veh in self.roster:
             if tick < veh.silence_until_tick:
                 continue
             pos = veh.kin.position
-            if veh.last_cam_tick is None or tick - veh.last_cam_tick >= self.cam_period_ticks:
+            if self._next_cam(veh, tick) == tick:
                 if now < veh.cam_until:  # the CAM ticket was valid when activated
                     obs = bcn.Observation(now, veh.cam_sid, "CAM", pos, veh.kin.velocity,
                                           veh.quasi_ids)
@@ -441,8 +440,7 @@ class SimulationEngine:
                 else:
                     self.ldm.cut(veh.spec.vehicle_id)  # its receivers miss a refresh
             if (
-                self.denm_period_ticks is not None
-                and (tick - veh.depart_tick) % self.denm_period_ticks == 0
+                denms and self._next_denm(veh, tick) == tick
                 and veh.pool.active and veh.pool.active[AppScope.DENM].is_valid_at(now)
             ):
                 obs = bcn.Observation(now, veh.ids[AppScope.DENM.value], AppScope.DENM.value, pos)
@@ -471,9 +469,7 @@ class SimulationEngine:
         # emission order (the sort is stable), then the beacons as emitted
         notices, beacons = sorted(self.notices, key=itemgetter(0)), self.outbox
         self.notices, self.outbox = [], []
-        self.eavesdropper.hear_all(notices, beacons)
-        if self.trace_rows is not None:
-            self.trace_rows += [adv.trace_row(vid, msg) for vid, msg, _ in chain(notices, beacons)]
+        self._broadcast(notices, beacons)
         neighbors = self.ldm.neighbors
         receivers = []  # per notice, then per beacon if loss is drawn; ascending
         for sender_id, _, sender_pos in notices:
@@ -509,6 +505,12 @@ class SimulationEngine:
                 self.ldm.heard(sender_id, msg.station_id, lost.get(m, _NO_LOSS), tick)
         self._sample_ldm(1)
 
+    def _broadcast(self, notices: list, beacons: list) -> None:
+        """The eavesdropper hears notices and beacons, and a collected trace takes them."""
+        self.eavesdropper.hear_all(notices, beacons)
+        if self.trace_rows is not None:
+            self.trace_rows += [adv.trace_row(vid, msg) for vid, msg, _ in chain(notices, beacons)]
+
     def _sample_ldm(self, k: int) -> None:
         """``k`` ticks' truth-referenced quality samples, read in roster order, of LDM
         counters that hold over those ticks; the awareness sum adds them tick by tick."""
@@ -525,12 +527,16 @@ class SimulationEngine:
         self.ghost_ticks += k * (ghosts > 0)
         self.missing_ticks += k * (missing > 0)
 
-    # --- quiet stretches -------------------------------------------------------
+    # --- schedules and quiet stretches ------------------------------------------
 
     def _next_cam(self, veh: _Vehicle, tick: int) -> int:
         """The first tick from ``tick`` on at which a vehicle out of silence sends a CAM."""
         last = veh.last_cam_tick
         return tick if last is None else max(tick, last + self.cam_period_ticks)
+
+    def _next_denm(self, veh: _Vehicle, tick: int) -> int:
+        """The first tick from ``tick`` on of a vehicle's DENMs, a period apart from departure."""
+        return tick + (veh.depart_tick - tick) % self.denm_period_ticks
 
     def _quiet_until(self, tick: int) -> int:
         """The first tick from ``tick`` on at which an event source may fire, early
@@ -555,7 +561,7 @@ class SimulationEngine:
                 bound = min(bound, self._next_cam(veh, tick))
             bound = min(bound, veh.wake_tick, tick + mob.leg_ticks(veh.cursor, veh.leg))
             if self.denm_period_ticks is not None:
-                bound = min(bound, tick + (veh.depart_tick - tick) % self.denm_period_ticks)
+                bound = min(bound, self._next_denm(veh, tick))
             if veh.pool.steady_until <= bound * self.tick_s:  # else it comes no sooner
                 bound = min(bound, self._ticks_until(veh.pool.steady_until))
             if bound <= tick:
@@ -565,30 +571,16 @@ class SimulationEngine:
     def _advance_quiet(self, tick: int, k: int) -> None:
         """Run the ``k`` quiet ticks from ``tick`` on (``_quiet_until``) in one step.
 
-        The float additions of ``step_on_leg`` and ``TripState.advance``, and the
-        awareness sum's, are made tick by tick, as a float sum depends on its
-        order. Records are built only where read: every CAM's for a trace or
-        for noise (one draw), else those of an id's heard CAMs that an
-        ``Eavesdropper`` keeps. ``FleetLdm.heard`` takes a sender's last CAM."""
+        ``step_on_leg`` and ``_sample_ldm`` make their float additions tick by
+        tick, as a float sum depends on its order. Records are built only where
+        read: every CAM's for a trace or for noise (one draw), else those that
+        ``Eavesdropper.retained`` picks. ``FleetLdm.heard`` takes a sender's last CAM."""
         end, tick_s, ear = tick + k, self.tick_s, self.eavesdropper
         every = self.trace_rows is not None or self.cfg.beaconing.positioning_sigma_m
         sends, n_cams = [], 0  # (CAM tick, roster index, (sender id, record, true position))
         for i, veh in enumerate(self.roster):
-            leg, trip = veh.leg, veh.trip
-            step, offset = leg.step, veh.cursor.offset_m
-            odo, since, elapsed = (trip.odometer_trip_m, trip.odometer_since_change_m,
-                                   trip.time_since_change_s)
-            offsets = [offset]  # before the stretch, then after each of its ticks
-            for _ in range(k):
-                offset += step
-                odo += step
-                since += step
-                elapsed += tick_s
-                offsets.append(offset)
-            veh.cursor.offset_m = offset
-            trip.odometer_trip_m, trip.odometer_since_change_m, trip.time_since_change_s = (
-                odo, since, elapsed)
-            veh.kin.position, veh.kin.velocity = mob.leg_point(leg, offset), leg.velocity
+            leg = veh.leg
+            offsets = mob.step_on_leg(veh.cursor, leg, veh.trip, veh.kin, k)  # after each tick
             cams = range(self._next_cam(veh, tick), end, self.cam_period_ticks)
             if tick < veh.silence_until_tick or not cams:
                 continue
@@ -596,21 +588,14 @@ class SimulationEngine:
             veh.last_cam_tick = cams[-1]
             vid, sid = veh.spec.vehicle_id, veh.cam_sid
             self.ldm.heard(vid, sid, _NO_LOSS, cams[-1])
-            if not every:  # the records the eavesdropper keeps: an id's first two and last
-                if ear.posts is not None:
-                    cams = [c for c in cams
-                            if ear.covers(mob.leg_point(leg, offsets[c + 1 - tick]))]
-                need = 2 - ear.kept(sid)
-                cams = [*cams[:need], *cams[need:][-1:]]
+            if not every:
+                cams = ear.retained(sid, cams, lambda c: mob.leg_point(leg, offsets[c - tick]))
             for c in cams:
-                pos = mob.leg_point(leg, offsets[c + 1 - tick])
+                pos = mob.leg_point(leg, offsets[c - tick])
                 obs = bcn.Observation(c * tick_s, sid, "CAM", pos, leg.velocity, veh.quasi_ids)
                 sends.append((c, i, (vid, obs, pos)))
         sends.sort()  # in emission order: by tick, then roster
-        beacons = self._noisy([send for _, _, send in sends])
-        ear.hear_all((), beacons)
-        if self.trace_rows is not None:
-            self.trace_rows += [adv.trace_row(vid, msg) for vid, msg, _ in beacons]
+        self._broadcast((), self._noisy([send for _, _, send in sends]))
         if n_cams:
             self.counters["cams_sent"] += n_cams
         self._sample_ldm(k)

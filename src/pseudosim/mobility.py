@@ -9,7 +9,7 @@ trajectories only need to be plausible enough to carry identifiers around.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -175,17 +175,30 @@ def leg_point(leg: Leg, offset_m: float) -> Point:
     return (seg.start[0] + d[0] * offset_m, seg.start[1] + d[1] * offset_m)
 
 
-def step_on_leg(cursor: RouteCursor, leg: Leg) -> Optional[Point]:
-    """``step_kinematics``'s float operations, in its order, on a tick inside the leg:
-    the new position, or None, moving nothing, on the tick that reaches its end."""
-    if not leg.step < leg.segment.length_m - cursor.offset_m:
+def step_on_leg(cursor: RouteCursor, leg: Leg, trip: TripState, kin: Kinematics,
+                ticks: int = 1) -> Optional[list[float]]:
+    """Move the cursor, odometers and ``kin`` ``ticks`` ticks inside the leg, with the
+    float operations of ``step_kinematics`` and ``TripState.advance`` tick by tick:
+    the offset after each tick. Or None, moving nothing, if the first tick reaches
+    the leg's end; for more ticks the caller vouches with ``leg_ticks`` that none does."""
+    step, offset = leg.step, cursor.offset_m
+    if not step < leg.segment.length_m - offset:
         return None
-    cursor.offset_m += leg.step
-    return leg_point(leg, cursor.offset_m)
+    odo, since = trip.odometer_trip_m, trip.odometer_since_change_m
+    offsets = []
+    for _ in range(ticks):
+        offset += step
+        odo += step
+        since += step
+        offsets.append(offset)
+    cursor.offset_m = offset
+    trip.odometer_trip_m, trip.odometer_since_change_m = odo, since
+    kin.position, kin.velocity = leg_point(leg, offset), leg.velocity
+    return offsets
 
 
 def leg_ticks(cursor: RouteCursor, leg: Leg) -> float:
-    """How many more ``step_on_leg`` calls surely stay inside the leg (early, never
+    """How many more ticks ``step_on_leg`` surely keeps inside the leg (early, never
     late), or inf if the steps cannot reach its end. Over up to 10**7 steps the
     float sum of the offset strays from the exact one by under 2e-9 of the
     segment's length, well inside the margin of 1e-7 of ``1 m + length``."""
@@ -199,21 +212,18 @@ def leg_ticks(cursor: RouteCursor, leg: Leg) -> float:
 
 @dataclass
 class TripState:
-    """Odometers the change policies consult. Distances in metres, times in seconds."""
+    """Odometers the change policies consult, in metres."""
 
     odometer_trip_m: float = 0.0
     odometer_since_change_m: float = 0.0
-    time_since_change_s: float = 0.0
     changes_this_trip: int = 0
 
-    def advance(self, distance_m: float, dt_s: float) -> None:
+    def advance(self, distance_m: float) -> None:
         self.odometer_trip_m += distance_m
         self.odometer_since_change_m += distance_m
-        self.time_since_change_s += dt_s
 
     def note_change(self) -> None:
         self.odometer_since_change_m = 0.0
-        self.time_since_change_s = 0.0
         self.changes_this_trip += 1
 
 

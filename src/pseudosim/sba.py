@@ -27,10 +27,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -549,15 +546,11 @@ class NetworkRepository:
         missing = [s for s in scope if s not in granted]
         if missing:
             raise AuthorizationError("scope_not_granted", ",".join(missing))
-        seen: list[str] = []
-        for s in scope:
-            if s not in seen:
-                seen.append(s)
         claims = TokenClaims(
             issuer=self.instance_id,
             subject=consumer_id,
             audience=target_nf_type.value,
-            scope=tuple(seen),
+            scope=tuple(dict.fromkeys(scope)),
             expiration=now + self._token_ttl_s,
             additional_scope=extra,
         )

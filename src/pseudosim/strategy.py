@@ -127,21 +127,23 @@ def evaluate_change_trigger(
     trigger: TriggerState,
     now: float,
     *,
+    since_s: float,
     clock_skew_s: float = 0.0,
     boundary_tol_s: float = 1e-6,
 ) -> bool:
     """Does this vehicle want to change its pseudonyms right now?
 
-    ``trip`` supplies the odometers (see ``mobility.TripState``). The call is
-    pure: executing the change and re-arming the trigger are separate steps.
-    Its thresholds are ``trigger_lower_bounds``, which also time the wake tick.
+    ``trip`` supplies the odometers (see ``mobility.TripState``), ``since_s`` the
+    seconds since the last change. The call is pure: executing the change and
+    re-arming the trigger are separate steps. Its thresholds are
+    ``trigger_lower_bounds``, which also time the wake tick.
     """
     if trip.changes_this_trip == 0:
         return True
     if isinstance(policy, NetworkTriggeredPolicy):
         return trigger.pending_command
-    since_s, metres = trigger_lower_bounds(policy, trip, trigger)
-    if trip.time_since_change_s < since_s or metres > 0.0:
+    min_s, metres = trigger_lower_bounds(policy, trip, trigger)
+    if since_s < min_s or metres > 0.0:
         return False
     if isinstance(policy, SynchronizedPolicy):
         return _at_window_boundary(now + clock_skew_s, policy.window_s, boundary_tol_s)

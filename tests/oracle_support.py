@@ -553,8 +553,14 @@ class ReferenceEngine(SimulationEngine):
     and skips pools whose counts hold, keeps CAM validity per vehicle, keeps
     lists until a pair can cross the range, draws loss in one batch and
     keeps LDM counters by events (``FleetLdm``, which this engine does not
-    feed); it must give the same bytes. Both close switch gaps with
-    ``_close_gap`` at a new id's first CAM. This engine's eavesdropper logs
+    feed); it must give the same bytes. This engine writes its own per-tick
+    form of each rule that the production engine writes once for its event
+    ticks and quiet stretches: it steps with ``step_kinematics`` where that
+    one calls ``mobility.step_on_leg``, tests each tick against the CAM and
+    DENM periods where it reads ``_next_cam`` and ``_next_denm``, and hears
+    every record where a stretch builds only those ``Eavesdropper.retained``
+    picks. Both close switch gaps with ``_close_gap`` at a new id's first
+    CAM. This engine's eavesdropper logs
     every heard CAM and DENM (``FullLogEavesdropper``), the production one
     only each id's first and latest: the linkages must still agree.
     """
@@ -613,8 +619,7 @@ class ReferenceEngine(SimulationEngine):
             if tick > veh.depart_tick:
                 speed = min(veh.spec.speed_mps, veh.cursor.segment.speed_limit_mps)
                 veh.kin, moved = mob.step_kinematics(veh.cursor, speed, self.tick_s)
-                veh.trip.advance(moved, self.tick_s)
-                veh.trip.time_since_change_s = (tick - veh.last_change_tick) * self.tick_s
+                veh.trip.advance(moved)
                 if veh.cursor.done:
                     self._finish_trip(veh, tick)
                     continue
@@ -661,6 +666,7 @@ class ReferenceEngine(SimulationEngine):
                 veh.trip,
                 veh.trigger,
                 now,
+                since_s=(tick - veh.last_change_tick) * self.tick_s,
                 clock_skew_s=veh.spec.clock_skew_s,
                 boundary_tol_s=self.tick_s / 2.0,
             )

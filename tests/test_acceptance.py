@@ -415,12 +415,13 @@ def test_criterion_10_segment_thresholds():
         second_thresholds = []
         time_thresholds = []
 
-        # event-driven: drive the odometers to exactly straddle each threshold
+        # event-driven: drive the odometers, and a clock of the seconds since the
+        # last change, to exactly straddle each threshold
         for _ in range(1000):
             speed = float(rng.uniform(8.0, 25.0))
             trip = TripState()
             trigger = rearm_trigger(policy, 0, rng)
-            assert evaluate_change_trigger(policy, trip, trigger, 0.0)
+            assert evaluate_change_trigger(policy, trip, trigger, 0.0, since_s=0.0)
             trip.note_change()
 
             trigger = rearm_trigger(policy, trip.changes_this_trip, rng)
@@ -428,10 +429,12 @@ def test_criterion_10_segment_thresholds():
             assert trigger.threshold_time_s is None
             assert 800.0 <= d2 <= 1500.0
             second_thresholds.append(d2)
-            trip.advance(d2 - 0.5, (d2 - 0.5) / speed)
-            assert not evaluate_change_trigger(policy, trip, trigger, 0.0)
-            trip.advance(0.5, 0.5 / speed)
-            assert evaluate_change_trigger(policy, trip, trigger, 0.0)
+            trip.advance(d2 - 0.5)
+            elapsed = (d2 - 0.5) / speed
+            assert not evaluate_change_trigger(policy, trip, trigger, 0.0, since_s=elapsed)
+            trip.advance(0.5)
+            elapsed += 0.5 / speed
+            assert evaluate_change_trigger(policy, trip, trigger, 0.0, since_s=elapsed)
             assert 800.0 - 1e-6 <= trip.odometer_trip_m <= 1500.0 + 1e-6
             trip.note_change()
 
@@ -442,13 +445,15 @@ def test_criterion_10_segment_thresholds():
                 assert 120.0 <= t_req <= 360.0
                 time_thresholds.append(t_req)
                 # at speeds >= 8 the distance leg clears first, time binds
-                trip.advance(speed * (t_req - 0.25), t_req - 0.25)
-                assert not evaluate_change_trigger(policy, trip, trigger, 0.0)
-                trip.advance(speed * 0.25, 0.25)
-                assert evaluate_change_trigger(policy, trip, trigger, 0.0)
+                trip.advance(speed * (t_req - 0.25))
+                elapsed = t_req - 0.25
+                assert not evaluate_change_trigger(policy, trip, trigger, 0.0, since_s=elapsed)
+                trip.advance(speed * 0.25)
+                elapsed += 0.25
+                assert evaluate_change_trigger(policy, trip, trigger, 0.0, since_s=elapsed)
                 assert trip.odometer_since_change_m >= 800.0 - 1e-6
-                assert trip.time_since_change_s >= 120.0 - 1e-6
-                assert trip.time_since_change_s <= 360.0 + 1e-6
+                assert elapsed >= 120.0 - 1e-6
+                assert elapsed <= 360.0 + 1e-6
                 trip.note_change()
 
         # the samplers cover their ranges rather than pinning one value
@@ -460,13 +465,15 @@ def test_criterion_10_segment_thresholds():
         for _ in range(150):
             speed = float(rng.uniform(8.0, 25.0))
             trip = TripState()
-            assert evaluate_change_trigger(policy, trip, rearm_trigger(policy, 0, rng), 0.0)
+            assert evaluate_change_trigger(policy, trip, rearm_trigger(policy, 0, rng), 0.0,
+                                           since_s=0.0)
             trip.note_change()
             for _k in range(3):
                 trigger = rearm_trigger(policy, trip.changes_this_trip, rng)
-                steps = 0
-                while not evaluate_change_trigger(policy, trip, trigger, 0.0):
-                    trip.advance(speed * dt, dt)
+                steps, elapsed = 0, 0.0
+                while not evaluate_change_trigger(policy, trip, trigger, 0.0, since_s=elapsed):
+                    trip.advance(speed * dt)
+                    elapsed += dt
                     steps += 1
                     assert steps < 10_000
                 if trip.changes_this_trip == 1:
@@ -474,8 +481,8 @@ def test_criterion_10_segment_thresholds():
                     assert trip.odometer_trip_m <= 1500.0 + speed * dt
                 else:
                     assert trip.odometer_since_change_m >= 800.0 - 1e-9
-                    assert trip.time_since_change_s >= 120.0 - 1e-9
-                    assert trip.time_since_change_s <= 360.0 + dt
+                    assert elapsed >= 120.0 - 1e-9
+                    assert elapsed <= 360.0 + dt
                 trip.note_change()
 
 

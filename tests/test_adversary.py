@@ -130,8 +130,9 @@ def test_eavesdropper_posts_filter_on_true_position():
 
 
 _where = st.tuples(st.sampled_from([0.0, 40.0, 100.0]), st.just(0.0))
-_posts = st.none() | st.lists(st.builds(CoveragePost, st.sampled_from([0.0, 50.0]), st.just(0.0),
-                                        st.sampled_from([10.0, 60.0])), max_size=2)
+_post = st.builds(CoveragePost, st.sampled_from([0.0, 50.0]), st.just(0.0),
+                  st.sampled_from([10.0, 60.0]))
+_posts = st.none() | st.lists(_post, max_size=2)
 
 
 @given(_heard, _posts, st.data())
@@ -154,6 +155,37 @@ def test_eavesdropper_keeps_what_a_full_log_links(observations, posts, data):
         store.finalize()
     # repr tells -0.0 from 0.0 where == would not
     assert repr(build_tracklets(ear.store)) == repr(build_tracklets(log))
+
+
+@given(st.none() | st.lists(_post, min_size=1, max_size=2), st.data())
+def test_hearing_what_retained_picks_fills_the_store_as_hearing_all(posts, data):
+    """A quiet stretch hears of each id only what ``Eavesdropper.retained`` picks.
+
+    Each id's store holds 0, 1 or 2 of its records, then the stretch's beacons
+    interleave by tick and roster, under listening posts or none. Hearing the
+    picks must leave the store as hearing every beacon does, record for
+    record and slot for slot, also once each id is heard once more after it."""
+    ids = ["a", "b", "c"]
+    covered = (posts[0].x, posts[0].y) if posts else (0.0, 0.0)
+    before = [(0, obs(sid, 0.0, (float(n), 0.0)), covered)
+              for sid in ids for n in range(data.draw(st.integers(0, 2)))]
+    ticks = data.draw(st.lists(st.lists(st.sampled_from(ids), unique=True), max_size=8))
+    stretch = [(0, obs(sid, 1.0 + tick, (float(tick), 1.0)), data.draw(_where))
+               for tick, senders in enumerate(ticks) for sid in sorted(senders)]
+    after = [(0, obs(sid, 20.0, (2.0, 2.0)), covered) for sid in ids]
+    every, picking = Eavesdropper(posts), Eavesdropper(posts)
+    for ear in (every, picking):
+        ear.hear_all((), before)
+    picked = {id(send) for sid in ids
+              for send in picking.retained(sid, [s for s in stretch if s[1].station_id == sid],
+                                           operator.itemgetter(2))}
+    every.hear_all((), stretch)
+    picking.hear_all((), [send for send in stretch if id(send) in picked])
+    assert repr(picking.store.observations) == repr(every.store.observations)
+    for ear in (every, picking):
+        ear.hear_all((), after)
+        ear.store.finalize()
+    assert repr(picking.store.observations) == repr(every.store.observations)
 
 
 def test_build_tracklets_aggregates_per_id():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracle_support import neighbor_lists
 from pseudosim.mobility import (
+    Kinematics,
     RoadNetwork,
     RoadNetworkError,
     RoadSegment,
@@ -140,32 +142,69 @@ def _bits(*values):
 def test_step_on_leg_equals_step_kinematics(case):
     """The engine's legs move a vehicle bit for bit as ``step_kinematics`` alone does.
 
-    Along a leg ``step_on_leg`` moves the cursor; on the tick that reaches the
-    segment's end ``step_kinematics`` crosses it and a new leg starts, until
-    the route ends. ``leg_ticks`` at a leg's start counts its steps inside,
-    a step early where they come within its margin of the end, never late.
+    Along a leg ``step_on_leg`` moves the cursor, the odometers and the
+    kinematics; on the tick that reaches the segment's end ``step_kinematics``
+    crosses it and a new leg starts, until the route ends. ``leg_ticks`` at a
+    leg's start counts its steps inside, a step early where they come within
+    its margin of the end, never late.
     """
     network, route, speed, tick_s = case
     alone, kept = RouteCursor(network, route), RouteCursor(network, route)
+    trip_alone, trip = TripState(), TripState()
     leg = leg_of(kept, speed, tick_s)
+    kin = Kinematics(kept.position(), leg.velocity)
     crossings, inside, ahead = 0, 0, leg_ticks(kept, leg)
     while not alone.done:
         want, want_moved = step_kinematics(alone, min(speed, alone.segment.speed_limit_mps), tick_s)
-        pos = step_on_leg(kept, leg)
-        if pos is None:
+        trip_alone.advance(want_moved)
+        offsets = step_on_leg(kept, leg, trip, kin)
+        if offsets is None:
             assert ahead <= inside <= ahead + 1
-            got, moved = step_kinematics(kept, min(speed, leg.segment.speed_limit_mps), tick_s)
-            pos, velocity = got.position, got.velocity
+            kin, moved = step_kinematics(kept, min(speed, leg.segment.speed_limit_mps), tick_s)
+            trip.advance(moved)
             crossings += 1
             leg = leg_of(kept, speed, tick_s)
             inside, ahead = 0, leg_ticks(kept, leg)
         else:
-            velocity, moved = leg.velocity, leg.step
+            assert _bits(*offsets) == _bits(kept.offset_m)
+            moved = leg.step
             inside += 1
-        assert _bits(*pos, *velocity, moved) == _bits(*want.position, *want.velocity, want_moved)
+        assert _bits(*kin.position, *kin.velocity, moved) == _bits(*want.position, *want.velocity,
+                                                                  want_moved)
         assert (kept.seg_index, kept.done) == (alone.seg_index, alone.done)
         assert _bits(kept.offset_m) == _bits(alone.offset_m)
+        assert _odometers(trip) == _odometers(trip_alone)
     assert kept.done and crossings <= len(route)
+
+
+def _odometers(trip):
+    return _bits(trip.odometer_trip_m, trip.odometer_since_change_m)
+
+
+@given(_routes())
+def test_a_stretch_on_a_leg_is_its_ticks_one_by_one(case):
+    """At each leg's start, one ``step_on_leg`` call over the ticks ``leg_ticks``
+    vouches for returns the offset after each tick, and leaves the cursor,
+    odometers and kinematics bit for bit as one call per tick does."""
+    network, route, speed, tick_s = case
+    cursor, trip, kin = RouteCursor(network, route), TripState(), Kinematics((0.0, 0.0), (0.0, 0.0))
+    while not cursor.done:
+        leg = leg_of(cursor, speed, tick_s)
+        k = leg_ticks(cursor, leg)
+        if k:
+            ahead, trip_ahead = dataclasses.replace(cursor), dataclasses.replace(trip)
+            kin_ahead = Kinematics((0.0, 0.0), (0.0, 0.0))
+            stretch = step_on_leg(ahead, leg, trip_ahead, kin_ahead, k)
+            ticks = [step_on_leg(cursor, leg, trip, kin)[0] for _ in range(k)]
+            assert _bits(*stretch) == _bits(*ticks)
+            assert _bits(ahead.offset_m) == _bits(cursor.offset_m)
+            assert _odometers(trip_ahead) == _odometers(trip)
+            assert _bits(*kin_ahead.position, *kin_ahead.velocity) == _bits(*kin.position,
+                                                                            *kin.velocity)
+        while step_on_leg(cursor, leg, trip, kin) is not None:  # the margin's tick, if any
+            pass
+        _, moved = step_kinematics(cursor, min(speed, leg.segment.speed_limit_mps), tick_s)
+        trip.advance(moved)
 
 
 def test_leg_ticks_at_its_edges():
@@ -180,17 +219,15 @@ def test_leg_ticks_at_its_edges():
 
 def test_trip_state_odometers():
     trip = TripState()
-    trip.advance(10.0, 1.0)
-    trip.advance(10.0, 1.0)
+    trip.advance(10.0)
+    trip.advance(10.0)
     assert trip.odometer_trip_m == 20.0
     assert trip.odometer_since_change_m == 20.0
-    assert trip.time_since_change_s == 2.0
 
     trip.note_change()
     assert trip.changes_this_trip == 1
     assert trip.odometer_trip_m == 20.0  # trip odometer survives the change
     assert trip.odometer_since_change_m == 0.0
-    assert trip.time_since_change_s == 0.0
 
 
 def test_region_query_closed_ball():

@@ -389,7 +389,7 @@ def make_nrf(ttl=60.0):
         AccessPolicy(
             consumer_type=NfType.AMF,
             target_type=NfType.V2X_AF,
-            services=(SERVICE_V2X_MESSAGING,),
+            services=(SERVICE_V2X_MESSAGING, "sessions"),
             additional_scope=(
                 AdditionalScope("v2x-sessions", ("create", "notify")),
             ),
@@ -423,13 +423,13 @@ def test_token_grant_and_denials():
     assert err.value.reason == "scope_not_granted"
 
     token = nrf.request_access_token(
-        "amf-1", [SERVICE_V2X_MESSAGING, SERVICE_V2X_MESSAGING], NfType.V2X_AF, 10.0
+        "amf-1", [SERVICE_V2X_MESSAGING, "sessions", SERVICE_V2X_MESSAGING], NfType.V2X_AF, 10.0
     )
     c = token.claims
     assert c.issuer == "nrf-x"
     assert c.subject == "amf-1"
     assert c.audience == "V2X_AF"
-    assert c.scope == (SERVICE_V2X_MESSAGING,)  # deduped, order kept
+    assert c.scope == (SERVICE_V2X_MESSAGING, "sessions")  # deduped, first order kept
     assert c.expiration == 70.0
     assert c.additional_scope == (
         AdditionalScope("v2x-sessions", ("create", "notify")),

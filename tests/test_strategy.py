@@ -44,11 +44,10 @@ def ticket(at_id, valid_from=0.0, valid_until=1000.0):
     )
 
 
-def trip(changes=0, odo_trip=0.0, odo_since=0.0, t_since=0.0):
+def trip(changes=0, odo_trip=0.0, odo_since=0.0):
     return TripState(
         odometer_trip_m=odo_trip,
         odometer_since_change_m=odo_since,
-        time_since_change_s=t_since,
         changes_this_trip=changes,
     )
 
@@ -84,69 +83,72 @@ def test_first_change_fires_for_every_policy():
     for policy in (PeriodicPolicy(), SegmentPolicy(), SynchronizedPolicy(), NetworkTriggeredPolicy()):
         t = trip(changes=0)
         trig = rearm_trigger(policy, 0, rng)
-        assert evaluate_change_trigger(policy, t, trig, now=0.0)
+        assert evaluate_change_trigger(policy, t, trig, now=0.0, since_s=0.0)
 
 
 def test_periodic_interval():
     policy = PeriodicPolicy(interval_s=300.0)
     trig = TriggerState()
-    assert not evaluate_change_trigger(policy, trip(1, t_since=299.9), trig, now=0.0)
-    assert evaluate_change_trigger(policy, trip(1, t_since=300.0), trig, now=0.0)
+    assert not evaluate_change_trigger(policy, trip(1), trig, now=0.0, since_s=299.9)
+    assert evaluate_change_trigger(policy, trip(1), trig, now=0.0, since_s=300.0)
     # accumulated float error just below the interval still fires
-    assert evaluate_change_trigger(policy, trip(1, t_since=300.0 - 1e-12), trig, now=0.0)
+    assert evaluate_change_trigger(policy, trip(1), trig, now=0.0, since_s=300.0 - 1e-12)
 
 
 def test_segment_second_change_uses_trip_odometer():
     policy = SegmentPolicy()
     trig = TriggerState(threshold_distance_m=1000.0)
-    assert not evaluate_change_trigger(policy, trip(1, odo_trip=999.0, odo_since=999.0), trig, 0.0)
-    assert evaluate_change_trigger(policy, trip(1, odo_trip=1000.0, odo_since=0.0), trig, 0.0)
+    assert not evaluate_change_trigger(policy, trip(1, odo_trip=999.0, odo_since=999.0), trig, 0.0,
+                                       since_s=0.0)
+    assert evaluate_change_trigger(policy, trip(1, odo_trip=1000.0, odo_since=0.0), trig, 0.0,
+                                   since_s=0.0)
 
 
 def test_segment_subsequent_is_conjunctive():
     policy = SegmentPolicy()
     trig = TriggerState(threshold_distance_m=800.0, threshold_time_s=200.0)
-    assert not evaluate_change_trigger(policy, trip(2, odo_since=900.0, t_since=150.0), trig, 0.0)
-    assert not evaluate_change_trigger(policy, trip(2, odo_since=700.0, t_since=250.0), trig, 0.0)
-    assert evaluate_change_trigger(policy, trip(2, odo_since=800.0, t_since=200.0), trig, 0.0)
+    assert not evaluate_change_trigger(policy, trip(2, odo_since=900.0), trig, 0.0, since_s=150.0)
+    assert not evaluate_change_trigger(policy, trip(2, odo_since=700.0), trig, 0.0, since_s=250.0)
+    assert evaluate_change_trigger(policy, trip(2, odo_since=800.0), trig, 0.0, since_s=200.0)
 
 
 def test_synchronized_needs_interval_and_boundary():
     policy = SynchronizedPolicy(interval_s=10.0, window_s=10.0)
     trig = TriggerState()
     # interval not yet elapsed: boundary alone is not enough
-    assert not evaluate_change_trigger(policy, trip(1, t_since=9.0), trig, now=20.0)
+    assert not evaluate_change_trigger(policy, trip(1), trig, now=20.0, since_s=9.0)
     # elapsed but off-boundary
-    assert not evaluate_change_trigger(policy, trip(1, t_since=12.0), trig, now=24.0)
+    assert not evaluate_change_trigger(policy, trip(1), trig, now=24.0, since_s=12.0)
     # elapsed and on the boundary
-    assert evaluate_change_trigger(policy, trip(1, t_since=12.0), trig, now=30.0)
+    assert evaluate_change_trigger(policy, trip(1), trig, now=30.0, since_s=12.0)
 
 
 def test_synchronized_boundary_respects_clock_skew():
     policy = SynchronizedPolicy(interval_s=10.0, window_s=10.0)
     trig = TriggerState()
-    t = trip(1, t_since=50.0)
+    t = trip(1)
     # true time 8 s, skewed clock reads 10 s: boundary by the vehicle's clock
-    assert evaluate_change_trigger(policy, t, trig, now=8.0, clock_skew_s=2.0)
-    assert not evaluate_change_trigger(policy, t, trig, now=8.0, clock_skew_s=0.0)
+    assert evaluate_change_trigger(policy, t, trig, now=8.0, since_s=50.0, clock_skew_s=2.0)
+    assert not evaluate_change_trigger(policy, t, trig, now=8.0, since_s=50.0, clock_skew_s=0.0)
     # negative local time wraps instead of crashing
-    assert not evaluate_change_trigger(policy, t, trig, now=1.0, clock_skew_s=-3.0)
-    assert evaluate_change_trigger(policy, t, trig, now=1.0, clock_skew_s=-1.0)
+    assert not evaluate_change_trigger(policy, t, trig, now=1.0, since_s=50.0, clock_skew_s=-3.0)
+    assert evaluate_change_trigger(policy, t, trig, now=1.0, since_s=50.0, clock_skew_s=-1.0)
 
 
 def test_synchronized_boundary_tolerance():
     policy = SynchronizedPolicy(interval_s=10.0, window_s=10.0)
     trig = TriggerState()
-    t = trip(1, t_since=50.0)
-    assert evaluate_change_trigger(policy, t, trig, now=29.99999999)
-    assert evaluate_change_trigger(policy, t, trig, now=30.00000001)
-    assert not evaluate_change_trigger(policy, t, trig, now=30.1)
+    t = trip(1)
+    assert evaluate_change_trigger(policy, t, trig, now=29.99999999, since_s=50.0)
+    assert evaluate_change_trigger(policy, t, trig, now=30.00000001, since_s=50.0)
+    assert not evaluate_change_trigger(policy, t, trig, now=30.1, since_s=50.0)
 
 
 def test_network_triggered_waits_for_command():
     policy = NetworkTriggeredPolicy()
-    assert not evaluate_change_trigger(policy, trip(1, t_since=1e6), TriggerState(), 0.0)
-    assert evaluate_change_trigger(policy, trip(1), TriggerState(pending_command=True), 0.0)
+    assert not evaluate_change_trigger(policy, trip(1), TriggerState(), 0.0, since_s=1e6)
+    assert evaluate_change_trigger(policy, trip(1), TriggerState(pending_command=True), 0.0,
+                                   since_s=0.0)
 
 
 def below(x):
@@ -169,22 +171,22 @@ def test_segment_first_leg_bound_is_metres_from_trip_start():
     assert trigger_lower_bounds(policy, trip(1, odo_trip=0.0, odo_since=edge), trig) == (-math.inf, edge)
     since_s, metres = trigger_lower_bounds(policy, trip(1, odo_trip=below(edge)), trig)
     assert since_s == -math.inf and metres == edge - below(edge) > 0.0
-    assert evaluate_change_trigger(policy, trip(1, odo_trip=edge), trig, 0.0)
-    assert not evaluate_change_trigger(policy, trip(1, odo_trip=below(edge)), trig, 0.0)
+    assert evaluate_change_trigger(policy, trip(1, odo_trip=edge), trig, 0.0, since_s=0.0)
+    assert not evaluate_change_trigger(policy, trip(1, odo_trip=below(edge)), trig, 0.0,
+                                       since_s=0.0)
 
 
 def test_segment_later_leg_bounds_are_time_and_metres_since_the_change():
     policy = SegmentPolicy()
     trig = TriggerState(threshold_distance_m=800.0, threshold_time_s=200.0)
     d_edge, t_edge = 800.0 - EPS, 200.0 - EPS
-    at_edge = trip(2, odo_trip=5000.0, odo_since=d_edge, t_since=t_edge)
+    at_edge = trip(2, odo_trip=5000.0, odo_since=d_edge)
     assert trigger_lower_bounds(policy, at_edge, trig) == (t_edge, 0.0)
-    short = trip(2, odo_trip=5000.0, odo_since=below(d_edge), t_since=t_edge)
+    short = trip(2, odo_trip=5000.0, odo_since=below(d_edge))
     assert trigger_lower_bounds(policy, short, trig) == (t_edge, d_edge - below(d_edge))
-    early = trip(2, odo_trip=5000.0, odo_since=d_edge, t_since=below(t_edge))
-    assert evaluate_change_trigger(policy, at_edge, trig, 0.0)
-    assert not evaluate_change_trigger(policy, short, trig, 0.0)
-    assert not evaluate_change_trigger(policy, early, trig, 0.0)
+    assert evaluate_change_trigger(policy, at_edge, trig, 0.0, since_s=t_edge)
+    assert not evaluate_change_trigger(policy, short, trig, 0.0, since_s=t_edge)
+    assert not evaluate_change_trigger(policy, at_edge, trig, 0.0, since_s=below(t_edge))  # early
 
 
 def test_interval_policies_bound_only_the_time_since_the_change():
@@ -192,9 +194,10 @@ def test_interval_policies_bound_only_the_time_since_the_change():
     for policy in (PeriodicPolicy(interval_s=30.0), SynchronizedPolicy(interval_s=30.0, window_s=10.0)):
         assert trigger_lower_bounds(policy, trip(1, odo_since=-1.0), TriggerState()) == (edge, 0.0)
         # now=30.0 sits on a synchronized window boundary
-        assert evaluate_change_trigger(policy, trip(1, t_since=edge), TriggerState(), 30.0)
-        assert not evaluate_change_trigger(policy, trip(1, t_since=below(edge)), TriggerState(), 30.0)
-    bounds = trigger_lower_bounds(NetworkTriggeredPolicy(), trip(3, t_since=1e9), TriggerState())
+        assert evaluate_change_trigger(policy, trip(1), TriggerState(), 30.0, since_s=edge)
+        assert not evaluate_change_trigger(policy, trip(1), TriggerState(), 30.0,
+                                           since_s=below(edge))
+    bounds = trigger_lower_bounds(NetworkTriggeredPolicy(), trip(3), TriggerState())
     assert bounds == (math.inf, 0.0)
 
 
@@ -205,7 +208,7 @@ def test_trigger_rejects_an_unknown_policy():
     with pytest.raises(TypeError, match="unknown policy"):
         trigger_lower_bounds(Custom(), trip(1), TriggerState())
     with pytest.raises(TypeError, match="unknown policy"):
-        evaluate_change_trigger(Custom(), trip(1), TriggerState(), 0.0)
+        evaluate_change_trigger(Custom(), trip(1), TriggerState(), 0.0, since_s=0.0)
 
 
 # --- locks ----------------------------------------------------------------------
