@@ -168,8 +168,6 @@ class FleetLdm:
         self.slow_cams = cam_period_ticks * tick_s > self.timeout_s - 1e-6 * tick_s
         self.owner_of, self.active = owner_of, set()
         self.nodes: dict[int, _Node] = {}
-        self.roster: list[_Node] = []  # the vehicles of the last neighbour lists, by id
-        self.holders: dict[str, set[int]] = {}  # station id -> receivers with an entry
         self.due: dict[int, list] = {}  # tick -> [(sid, CAM tick, receivers to check)]
         self.neighbors: dict[int, list[int]] = {}
 
@@ -178,22 +176,14 @@ class FleetLdm:
         node, owner = self.nodes[rid], self.owner_of[sid]
         if delta > 0:
             node.entries[sid] = None
-            self.holders.setdefault(sid, set()).add(rid)
         else:
             del node.entries[sid]
-            self._unhold(rid, sid)
         node.ghost += delta * (sid not in self.active)
         was = node.count.get(owner, 0)
         node.count[owner] = was + delta
         if owner in node.near:
             node.n_zero += (was + delta == 0) - (was == 0)
             node.n_one += (was + delta == 1) - (was == 1)
-
-    def _unhold(self, rid: int, sid: str) -> None:
-        holders = self.holders[sid]
-        holders.discard(rid)
-        if not holders:
-            del self.holders[sid]
 
     def _freeze(self, tx: _Node, rids: AbstractSet[int]) -> None:
         """``tx`` stops refreshing ``rids``: their entries keep its last CAM tick."""
@@ -215,15 +205,15 @@ class FleetLdm:
     def retire(self, sid: str) -> None:
         """Take ``sid`` off the air."""
         self.active.discard(sid)
-        for rid in self.holders.get(sid, ()):
-            self.nodes[rid].ghost += 1
+        for node in self.nodes.values():
+            node.ghost += sid in node.entries
         self.cut(self.owner_of[sid])
 
     def activate(self, sid: str) -> None:
         """Put ``sid`` on the air; a round-robin pool may reuse it."""
         self.active.add(sid)
-        for rid in self.holders.get(sid, ()):
-            self.nodes[rid].ghost -= 1
+        for node in self.nodes.values():
+            node.ghost -= sid in node.entries
 
     def forget(self, rid: int, sid: str) -> None:
         """A deactivation notice for ``sid`` reached ``rid``."""
@@ -279,12 +269,9 @@ class FleetLdm:
                     node.streamed -= left
                 node.n_zero = sum(not count.get(owner) for owner in near)
                 node.n_one = sum(count.get(owner) == 1 for owner in near)
-        self.roster = [self.nodes[vid] for vid in neighbors]
 
     def drop(self, vid: int) -> None:
         """Forget a vehicle that left the road; its entries in other LDMs stay."""
         node = self.nodes.pop(vid)
-        for sid in node.entries:
-            self._unhold(vid, sid)
         for sender in node.near & self.nodes.keys():
             self.nodes[sender].streamed.discard(vid)

@@ -210,7 +210,8 @@ def _execute_jobs(configs: list[ScenarioConfig], parallel: int) -> list[tuple[st
     if parallel <= 1:
         outputs = map(_run_task, task_configs)
     else:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        # a fork-started pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(parallel, len(tasks))) as pool:
             outputs = list(pool.map(_run_task, task_configs))
     done = dict(zip(itertools.chain(*tasks), itertools.chain.from_iterable(outputs)))
     return [done[i] for i in range(len(configs))]

@@ -61,7 +61,7 @@ class _Vehicle:
     depart_tick: int
     cursor: mob.RouteCursor
     leg: mob.Leg  # rebuilt at each segment's end
-    kin: mob.Kinematics
+    kin: mob.Kinematics  # as of its last event tick: a quiet stretch leaves it
     trip: mob.TripState
     pool: strat.PseudonymPool
     locks: strat.LockLedger
@@ -320,12 +320,15 @@ class SimulationEngine:
         for vid in on_road:
             veh = self.vehicles[vid]
             if tick > veh.depart_tick:
-                if mob.step_on_leg(veh.cursor, leg := veh.leg, veh.trip, veh.kin) is None:
-                    # the tick that reaches the segment's end
+                offsets = mob.step_on_leg(veh.cursor, leg := veh.leg, veh.trip)
+                if offsets is None:  # the tick that reaches the segment's end
                     speed = min(veh.spec.speed_mps, leg.segment.speed_limit_mps)
                     veh.kin, moved = mob.step_kinematics(veh.cursor, speed, self.tick_s)
                     veh.trip.advance(moved)
                     veh.leg = mob.leg_of(veh.cursor, veh.spec.speed_mps, self.tick_s)
+                else:
+                    veh.kin.position = mob.leg_point(leg, offsets[-1])
+                    veh.kin.velocity = leg.velocity
                 if veh.cursor.done:
                     self._finish_trip(veh, tick)
                     continue
@@ -514,8 +517,9 @@ class SimulationEngine:
     def _sample_ldm(self, k: int) -> None:
         """``k`` ticks' truth-referenced quality samples, read in roster order, of LDM
         counters that hold over those ticks; the awareness sum adds them tick by tick."""
-        ratios, ghosts, missing = [], 0, 0
-        for node in self.ldm.roster:
+        ratios, ghosts, missing, nodes = [], 0, 0, self.ldm.nodes
+        for veh in self.roster:
+            node = nodes[veh.spec.vehicle_id]
             if node.near:
                 ratios.append(node.n_one / len(node.near))
             ghosts += node.ghost
@@ -580,7 +584,7 @@ class SimulationEngine:
         sends, n_cams = [], 0  # (CAM tick, roster index, (sender id, record, true position))
         for i, veh in enumerate(self.roster):
             leg = veh.leg
-            offsets = mob.step_on_leg(veh.cursor, leg, veh.trip, veh.kin, k)  # after each tick
+            offsets = mob.step_on_leg(veh.cursor, leg, veh.trip, k)  # after each tick
             cams = range(self._next_cam(veh, tick), end, self.cam_period_ticks)
             if tick < veh.silence_until_tick or not cams:
                 continue

@@ -175,12 +175,13 @@ def leg_point(leg: Leg, offset_m: float) -> Point:
     return (seg.start[0] + d[0] * offset_m, seg.start[1] + d[1] * offset_m)
 
 
-def step_on_leg(cursor: RouteCursor, leg: Leg, trip: TripState, kin: Kinematics,
+def step_on_leg(cursor: RouteCursor, leg: Leg, trip: TripState,
                 ticks: int = 1) -> Optional[list[float]]:
-    """Move the cursor, odometers and ``kin`` ``ticks`` ticks inside the leg, with the
-    float operations of ``step_kinematics`` and ``TripState.advance`` tick by tick:
-    the offset after each tick. Or None, moving nothing, if the first tick reaches
-    the leg's end; for more ticks the caller vouches with ``leg_ticks`` that none does."""
+    """Move the cursor and odometers ``ticks`` ticks inside the leg, with the float
+    operations of ``step_kinematics`` and ``TripState.advance`` tick by tick: the
+    offset after each tick, where ``leg_point`` gives the position. Or None, moving
+    nothing, if the first tick reaches the leg's end; for more ticks the caller
+    vouches with ``leg_ticks`` that none does."""
     step, offset = leg.step, cursor.offset_m
     if not step < leg.segment.length_m - offset:
         return None
@@ -193,7 +194,6 @@ def step_on_leg(cursor: RouteCursor, leg: Leg, trip: TripState, kin: Kinematics,
         offsets.append(offset)
     cursor.offset_m = offset
     trip.odometer_trip_m, trip.odometer_since_change_m = odo, since
-    kin.position, kin.velocity = leg_point(leg, offset), leg.velocity
     return offsets
 
 

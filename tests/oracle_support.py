@@ -19,17 +19,16 @@ random, to see a tie-break fall either way.
 
 ``anonymity_sizes_loop``, ``build_tracklets_loop`` and ``link_full_scan``
 keep the original loop forms of the anonymity-set count, of tracklet
-chaining and of ``link``'s candidate selection;
-``EntryLdm`` and ``ldm_quality_loop`` keep the entry-per-station local dynamic
-map that stored DENMs too and was evicted in a pass of its own.
-``neighbor_lists`` is the all-pairs pass the engine once made every tick,
-``ScanScope`` and ``ScanPool`` a ticket pool that scans every ticket ever
-issued at each query, and ``ReferenceEngine`` runs the tick loop in that
-per-tick form: all five phases on every tick, every vehicle stepped by
-``step_kinematics``, its change trigger, ticket expiry and ``ScanPool``
-polled, every CAM checked against its ticket, every pair measured, loss drawn
-and ``receive`` called per delivery, every LDM rescored, and every heard
-beacon logged by ``FullLogEavesdropper``.
+chaining and of ``link``'s candidate selection. ``ScanScope`` and
+``ScanPool`` are a ticket pool that scans every ticket ever issued at each
+query, and ``ReferenceEngine`` runs the tick loop in that per-tick form: all
+five phases on every tick, every vehicle stepped by ``step_kinematics``, its
+change trigger, ticket expiry and ``ScanPool`` polled, every CAM checked
+against its ticket, every neighbour list a ``region_query`` over the other
+vehicles, loss drawn and ``LocalDynamicMap.receive`` called per delivery,
+every LDM rescored by ``ldm_quality``, and every heard beacon logged by
+``FullLogEavesdropper``. The radio rules have no second form here: the
+neighbour lists and the LDM are ``src/``'s own definitions.
 """
 
 import math
@@ -50,7 +49,6 @@ from pseudosim.adversary import (
     gap_cost,
     semantic_match,
 )
-from pseudosim.beaconing import LdmQuality, NoticeSighting
 from pseudosim.engine import TRIGGER_INITIAL, TRIGGER_TICKET_EXPIRY, SimulationEngine, _Vehicle
 from pseudosim.sba import AppScope, Supi
 
@@ -367,74 +365,6 @@ def link_full_scan(store, model, use_quasi_identifiers=True):
     return predicted, assignments
 
 
-@dataclass
-class LdmEntry:
-    station_id: str
-    scope: str
-    last_seen: float
-
-
-class EntryLdm:
-    """The original local dynamic map: one entry per station, DENMs included."""
-
-    def __init__(self, timeout_s=1.5):
-        self.timeout_s = float(timeout_s)
-        self._entries = {}
-
-    def receive(self, msg, now):
-        if type(msg) is NoticeSighting:
-            self._entries.pop(msg.station_id, None)
-            return
-        entry = self._entries.get(msg.station_id)
-        if entry is None:
-            self._entries[msg.station_id] = LdmEntry(msg.station_id, msg.scope, now)
-        else:  # refresh in place; a station id is bound to one scope
-            entry.last_seen = now
-
-    def evict_expired(self, now):
-        dead = [
-            sid for sid, e in self._entries.items() if now - e.last_seen > self.timeout_s
-        ]
-        for sid in dead:
-            del self._entries[sid]
-        return len(dead)
-
-    def live_entries(self, now):
-        return [
-            e for e in self._entries.values() if now - e.last_seen <= self.timeout_s
-        ]
-
-
-def ldm_quality_loop(ldm, neighbor_ids, owner_of, active_station_ids, now):
-    """Ghost, missing and awareness of an ``EntryLdm``, counting CAM entries only."""
-    ghost = 0
-    per_neighbor = dict.fromkeys(neighbor_ids, 0)
-    for e in ldm.live_entries(now):
-        if e.scope != "CAM":
-            continue
-        if e.station_id not in active_station_ids:
-            ghost += 1
-        owner = owner_of.get(e.station_id)
-        if owner in per_neighbor:
-            per_neighbor[owner] += 1
-    counts = list(per_neighbor.values())
-    missing = counts.count(0)
-    ratio = counts.count(1) / len(counts) if counts else 1.0
-    return LdmQuality(ghost_count=ghost, missing_count=missing, awareness_ratio=ratio)
-
-
-def neighbor_lists(positions, radius_m):
-    """Every vehicle's peers within the closed ball, ascending, self excluded."""
-    ids = sorted(positions)
-    out = {vid: [] for vid in ids}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if math.dist(positions[a], positions[b]) <= radius_m:
-                out[a].append(b)
-                out[b].append(a)
-    return out
-
-
 class ScanScope:
     """Reference pool for one scope: every query scans every ticket ever issued."""
 
@@ -542,25 +472,26 @@ class ReferenceEngine(SimulationEngine):
     tick itself). Each tick it steps every vehicle with ``step_kinematics``,
     polls every vehicle's ticket expiry and change trigger, counts every
     pool's valid tickets by a scan of every ticket issued (``ScanPool``),
-    checks each due CAM's ticket, and sorts the whole outbox. It recomputes
-    every neighbour list, draws loss with one ``rng_loss.random()`` per
-    delivery and hands each delivery to its own per-vehicle
-    ``LocalDynamicMap.receive`` message by message, then scores every LDM
-    afresh with ``ldm_quality`` against the station ids of the vehicles on
-    the road, as does the lock validator. The production engine runs the
-    ticks where no event source fires in one step, keeps a ``Leg`` per
-    vehicle, wakes its strategy at events, indexes each pool's live tickets
-    and skips pools whose counts hold, keeps CAM validity per vehicle, keeps
-    lists until a pair can cross the range, draws loss in one batch and
-    keeps LDM counters by events (``FleetLdm``, which this engine does not
-    feed); it must give the same bytes. This engine writes its own per-tick
-    form of each rule that the production engine writes once for its event
-    ticks and quiet stretches: it steps with ``step_kinematics`` where that
-    one calls ``mobility.step_on_leg``, tests each tick against the CAM and
-    DENM periods where it reads ``_next_cam`` and ``_next_denm``, and hears
-    every record where a stretch builds only those ``Eavesdropper.retained``
-    picks. Both close switch gaps with ``_close_gap`` at a new id's first
-    CAM. This engine's eavesdropper logs
+    checks each due CAM's ticket, and sorts the whole outbox. It builds
+    every neighbour list afresh as ``mobility.region_query`` over the other
+    vehicles, the definition ``kinetic_neighbor_lists`` states, draws loss
+    with one ``rng_loss.random()`` per delivery and hands each delivery to
+    its own per-vehicle ``LocalDynamicMap.receive`` message by message, then
+    scores every LDM afresh with ``ldm_quality`` against the station ids of
+    the vehicles on the road, as does the lock validator. The production
+    engine runs the ticks where no event source fires in one step, keeps a
+    ``Leg`` per vehicle, wakes its strategy at events, indexes each pool's
+    live tickets and skips pools whose counts hold, keeps CAM validity per
+    vehicle, keeps lists until a pair can cross the range, draws loss in one
+    batch and keeps LDM counters by events (``FleetLdm``, which this engine
+    does not feed); it must give the same bytes. This engine writes its own
+    per-tick form of each rule that the production engine writes once for
+    its event ticks and quiet stretches: it steps with ``step_kinematics``
+    where that one calls ``mobility.step_on_leg``, tests each tick against
+    the CAM and DENM periods where it reads ``_next_cam`` and ``_next_denm``,
+    and hears every record where a stretch builds only those
+    ``Eavesdropper.retained`` picks. Both close switch gaps with
+    ``_close_gap`` at a new id's first CAM. This engine's eavesdropper logs
     every heard CAM and DENM (``FullLogEavesdropper``), the production one
     only each id's first and latest: the linkages must still agree.
     """
@@ -625,10 +556,12 @@ class ReferenceEngine(SimulationEngine):
                     continue
             roster.append(veh)
         self.roster = roster
-        self.neighbors = neighbor_lists(
-            {veh.spec.vehicle_id: veh.kin.position for veh in roster},
-            self.cfg.beaconing.radio_range_m,
-        )
+        positions = {veh.spec.vehicle_id: veh.kin.position for veh in roster}
+        self.neighbors = {  # each vehicle's peers: a region query over the others
+            vid: mob.region_query({o: p for o, p in positions.items() if o != vid}, pos,
+                                  self.cfg.beaconing.radio_range_m)
+            for vid, pos in positions.items()
+        }
 
     def _phase_strategy(self, tick):
         now = tick * self.tick_s

@@ -98,6 +98,7 @@ _heard = st.lists(st.one_of(
 ), max_size=40)
 
 
+@pytest.mark.ci_budget
 @given(_heard, st.lists(st.builds(NoticeSighting, _key_t, _key_id, st.just("CAM")),
                         max_size=20))
 def test_finalize_orders_like_a_stable_sort_by_time(observations, notices):
@@ -135,6 +136,7 @@ _post = st.builds(CoveragePost, st.sampled_from([0.0, 50.0]), st.just(0.0),
 _posts = st.none() | st.lists(_post, max_size=2)
 
 
+@pytest.mark.ci_budget
 @given(_heard, _posts, st.data())
 def test_eavesdropper_keeps_what_a_full_log_links(observations, posts, data):
     # records arrive in non-decreasing time, as the engine's ticks send them
@@ -157,6 +159,7 @@ def test_eavesdropper_keeps_what_a_full_log_links(observations, posts, data):
     assert repr(build_tracklets(ear.store)) == repr(build_tracklets(log))
 
 
+@pytest.mark.ci_budget
 @given(st.none() | st.lists(_post, min_size=1, max_size=2), st.data())
 def test_hearing_what_retained_picks_fills_the_store_as_hearing_all(posts, data):
     """A quiet stretch hears of each id only what ``Eavesdropper.retained`` picks.
@@ -205,6 +208,7 @@ def test_build_tracklets_aggregates_per_id():
     assert aa.duration == 2.0
 
 
+@pytest.mark.ci_budget
 @given(_heard)
 def test_build_tracklets_matches_the_record_loop(observations):
     store = ObservationStore()
@@ -440,6 +444,7 @@ def test_tie_grid_totals_stay_exact():
         assert pad >= 2**16  # a unit stays below no_match_cost / 65536
 
 
+@pytest.mark.ci_budget
 @given(st.integers(0, 2**32 - 1))
 def test_small_epochs_solve_exactly_like_the_matrix_path(seed):
     # every shape the enumeration takes, on dense-tie grids with clipped cells and
@@ -509,6 +514,7 @@ def _far_apart(tracklets, dx):
             for tr in tracklets]
 
 
+@pytest.mark.ci_budget
 @given(st.integers(0, 2**32 - 1))
 def test_an_epoch_of_two_far_apart_instances_solves_like_each_alone(seed):
     # no pair across the two instances is matchable, so they are separate
@@ -698,6 +704,7 @@ def test_link_matches_full_candidate_scan(store, max_gap, use_quasi):
         assert chain.score == score
 
 
+@pytest.mark.ci_budget
 @given(_multi_epoch_store(), st.randoms(use_true_random=False),
        st.sampled_from([30.0, 2.5]), st.booleans())
 @settings(max_examples=settings.default.max_examples * 5 // 2)  # 150 at the default profile
@@ -866,6 +873,7 @@ def sizes_per_budget(changes, silence_of, region_m=500.0):
     return out
 
 
+@pytest.mark.ci_budget
 @given(_silences(), st.sampled_from([500.0, 50.0, 1e-200, 1e300]))
 @settings(max_examples=150)
 def test_anonymity_set_sizes_match_the_interval_loop(silences, region_m):
@@ -912,6 +920,7 @@ def _silences_on_a_clock(draw):
     return changes, silence_of
 
 
+@pytest.mark.ci_budget
 @given(_silences_on_a_clock())
 @settings(max_examples=settings.default.max_examples * 5 // 2)  # 150 at the default profile
 def test_anonymity_window_matches_the_interval_loop(silences):
@@ -1046,6 +1055,7 @@ _broadcasts = st.lists(st.one_of(
 ), max_size=30)
 
 
+@pytest.mark.ci_budget
 @given(_broadcasts, st.integers(0, 99))
 @settings(max_examples=settings.default.max_examples * 5 // 2)  # 150 at the default profile
 def test_trace_row_round_trips_through_load_trace(tmp_path_factory, records, sender):
@@ -1197,6 +1207,7 @@ def test_load_trace_rejects_numbers_that_overflow_to_infinity(tmp_path, field, l
         load_trace(_write_lines(tmp_path, [notice]))
 
 
+@pytest.mark.ci_budget
 @pytest.mark.parametrize("field, literal, message", [
     # float() would read a string: "nan" as NaN, "4.5" as 4.5
     ('"x": 1.0', '"x": "nan"', "x is not a finite number: 'nan'"),

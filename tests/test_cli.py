@@ -282,6 +282,31 @@ def test_credential_scope_ends_with_its_group(tmp_path, monkeypatch, ed25519_cal
     assert counts[0] == counts[1] > 0
 
 
+def test_a_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    """``--parallel`` past the task count asks for one worker per task: a
+    fork-started pool forks every worker it may hold at its first submit."""
+    sizes = []
+
+    class InProcessPool:  # records its size and maps here, starting no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    configs = [config_module.load_scenario(tiny_config(seed=seed, duration_s=2.0))
+               for seed in (1, 2, 2)]
+    assert cli._execute_jobs(configs, 64) == cli._execute_jobs(configs, 1)
+    assert sizes == [3]
+
+
 @given(
     seeds=st.lists(st.integers(min_value=0, max_value=6), max_size=40),
     parallel=st.integers(min_value=1, max_value=12),

@@ -90,6 +90,7 @@ def extreme_scenarios(draw):
     return raw
 
 
+@pytest.mark.ci_budget
 @given(extreme_scenarios())
 def test_a_validated_scenario_runs_to_completion(raw):
     try:

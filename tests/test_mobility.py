@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_support import neighbor_lists
 from pseudosim.mobility import (
     Kinematics,
     RoadNetwork,
@@ -16,6 +15,7 @@ from pseudosim.mobility import (
     TripState,
     kinetic_neighbor_lists,
     leg_of,
+    leg_point,
     leg_ticks,
     positioning_noise,
     region_query,
@@ -138,11 +138,13 @@ def _bits(*values):
     return [float.hex(v) for v in values]
 
 
+@pytest.mark.ci_budget
 @given(_routes())
 def test_step_on_leg_equals_step_kinematics(case):
     """The engine's legs move a vehicle bit for bit as ``step_kinematics`` alone does.
 
-    Along a leg ``step_on_leg`` moves the cursor, the odometers and the
+    Along a leg ``step_on_leg`` moves the cursor and the odometers, and
+    ``leg_point`` at its last offset with the leg's velocity is the
     kinematics; on the tick that reaches the segment's end ``step_kinematics``
     crosses it and a new leg starts, until the route ends. ``leg_ticks`` at a
     leg's start counts its steps inside, a step early where they come within
@@ -152,12 +154,11 @@ def test_step_on_leg_equals_step_kinematics(case):
     alone, kept = RouteCursor(network, route), RouteCursor(network, route)
     trip_alone, trip = TripState(), TripState()
     leg = leg_of(kept, speed, tick_s)
-    kin = Kinematics(kept.position(), leg.velocity)
     crossings, inside, ahead = 0, 0, leg_ticks(kept, leg)
     while not alone.done:
         want, want_moved = step_kinematics(alone, min(speed, alone.segment.speed_limit_mps), tick_s)
         trip_alone.advance(want_moved)
-        offsets = step_on_leg(kept, leg, trip, kin)
+        offsets = step_on_leg(kept, leg, trip)
         if offsets is None:
             assert ahead <= inside <= ahead + 1
             kin, moved = step_kinematics(kept, min(speed, leg.segment.speed_limit_mps), tick_s)
@@ -167,7 +168,7 @@ def test_step_on_leg_equals_step_kinematics(case):
             inside, ahead = 0, leg_ticks(kept, leg)
         else:
             assert _bits(*offsets) == _bits(kept.offset_m)
-            moved = leg.step
+            kin, moved = Kinematics(leg_point(leg, offsets[-1]), leg.velocity), leg.step
             inside += 1
         assert _bits(*kin.position, *kin.velocity, moved) == _bits(*want.position, *want.velocity,
                                                                   want_moved)
@@ -181,27 +182,27 @@ def _odometers(trip):
     return _bits(trip.odometer_trip_m, trip.odometer_since_change_m)
 
 
+@pytest.mark.ci_budget
 @given(_routes())
 def test_a_stretch_on_a_leg_is_its_ticks_one_by_one(case):
     """At each leg's start, one ``step_on_leg`` call over the ticks ``leg_ticks``
-    vouches for returns the offset after each tick, and leaves the cursor,
-    odometers and kinematics bit for bit as one call per tick does."""
+    vouches for returns the offset after each tick, and leaves the cursor and
+    odometers bit for bit as one call per tick does; ``leg_point`` at the last
+    offset is the cursor's position."""
     network, route, speed, tick_s = case
-    cursor, trip, kin = RouteCursor(network, route), TripState(), Kinematics((0.0, 0.0), (0.0, 0.0))
+    cursor, trip = RouteCursor(network, route), TripState()
     while not cursor.done:
         leg = leg_of(cursor, speed, tick_s)
         k = leg_ticks(cursor, leg)
         if k:
             ahead, trip_ahead = dataclasses.replace(cursor), dataclasses.replace(trip)
-            kin_ahead = Kinematics((0.0, 0.0), (0.0, 0.0))
-            stretch = step_on_leg(ahead, leg, trip_ahead, kin_ahead, k)
-            ticks = [step_on_leg(cursor, leg, trip, kin)[0] for _ in range(k)]
+            stretch = step_on_leg(ahead, leg, trip_ahead, k)
+            ticks = [step_on_leg(cursor, leg, trip)[0] for _ in range(k)]
             assert _bits(*stretch) == _bits(*ticks)
             assert _bits(ahead.offset_m) == _bits(cursor.offset_m)
             assert _odometers(trip_ahead) == _odometers(trip)
-            assert _bits(*kin_ahead.position, *kin_ahead.velocity) == _bits(*kin.position,
-                                                                            *kin.velocity)
-        while step_on_leg(cursor, leg, trip, kin) is not None:  # the margin's tick, if any
+            assert _bits(*leg_point(leg, stretch[-1])) == _bits(*cursor.position())
+        while step_on_leg(cursor, leg, trip) is not None:  # the margin's tick, if any
             pass
         _, moved = step_kinematics(cursor, min(speed, leg.segment.speed_limit_mps), tick_s)
         trip.advance(moved)
@@ -253,7 +254,6 @@ def test_neighbor_lists_match_region_query(positions, radius):
     for vid, pos in positions.items():
         others = {k: p for k, p in positions.items() if k != vid}
         assert lists[vid] == region_query(others, pos, radius)
-    assert neighbor_lists(positions, radius) == lists  # the reference agrees
 
 
 # --- neighbour lists kept for their safe horizon ------------------------------------
@@ -270,8 +270,7 @@ def test_horizon_is_zero_on_and_next_to_the_range(base, radius):
     ]:
         positions = {1: (base, -base), 2: (x, -base)}
         lists, safe_ticks = kinetic_neighbor_lists(positions, {1: 1.0, 2: 1.0}, radius, 2e6)
-        assert lists == neighbor_lists(positions, radius)
-        assert lists[1] == ([2] if inside else [])
+        assert lists == ({1: [2], 2: [1]} if inside else {1: [], 2: []})
         assert safe_ticks == 0  # within the float margin of the range
 
 
@@ -330,10 +329,10 @@ def test_kept_neighbor_lists_match_fresh_ones(case, n_ticks):
             for vid, cur in cursors.items():
                 step_kinematics(cur, min(speeds[vid], cur.segment.speed_limit_mps), tick_s)
         positions = {vid: cur.position() for vid, cur in cursors.items()}
+        fresh, safe_ticks = kinetic_neighbor_lists(positions, reach, radius, network.extent_m)
         if tick > until:
-            kept, safe_ticks = kinetic_neighbor_lists(positions, reach, radius, network.extent_m)
-            until = tick + safe_ticks
-        assert kept == neighbor_lists(positions, radius), tick
+            kept, until = fresh, tick + safe_ticks
+        assert kept == fresh, tick
 
 
 def test_positioning_noise_sigma_zero_consumes_nothing():

@@ -21,6 +21,8 @@ from pseudosim.config import load_scenario
 from pseudosim.engine import SimulationEngine
 from pseudosim.seeds import fork_generator
 
+pytestmark = pytest.mark.ci_budget
+
 
 def phase_ticks(engine) -> tuple:
     """Run ``engine``: the ticks that ran the five phases, and the result."""

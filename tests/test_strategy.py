@@ -297,6 +297,7 @@ def lock_request_seq(draw):
     return reqs
 
 
+@pytest.mark.ci_budget
 @given(lock_request_seq())
 @settings(max_examples=settings.default.max_examples * 5 // 2)  # 150 at the default profile
 def test_lock_invariants_fuzz(reqs):
@@ -485,6 +486,7 @@ _pool_ops = st.lists(
 )
 
 
+@pytest.mark.ci_budget
 @pytest.mark.parametrize("selection", ["no_reuse", "round_robin"])
 @given(ops=_pool_ops, back=_half_steps)
 @settings(max_examples=max(200, settings.default.max_examples))
